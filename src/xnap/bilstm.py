@@ -11,11 +11,16 @@ Both directions start from zero states and consume only the true
 (unpadded) suffix of each sample; the backward direction reads it newest
 to oldest. Their final hidden states are concatenated and fed through a
 dense softmax layer over activity classes.
+
+Each direction keeps its four gates stacked in the order i, f, o, g, so
+one matmul per step serves all of them. Training, validation, evaluation
+and single-sample prediction all run the same batched recurrence.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import IO, Union
@@ -27,6 +32,7 @@ from .encoding import ActivityVocabulary, PrefixDataset, PrefixSample
 from .errors import (
     CorruptModel,
     EmptyDataset,
+    NonFiniteInput,
     NonFiniteLoss,
     ShapeMismatch,
     VersionMismatch,
@@ -34,6 +40,9 @@ from .errors import (
 
 MODEL_FORMAT_VERSION = 1
 GATES = ("i", "f", "o", "g")
+# Inference batches are cut so that their per-step tensors hold at most
+# this many (sample, step) rows: long prefixes must not blow up memory.
+_INFERENCE_ROWS = 1024
 
 
 @dataclass
@@ -57,32 +66,44 @@ class TrainConfig:
 
 
 @dataclass
-class LstmDirectionParams:
-    """Weights of one LSTM direction; W_* read the input, U_* the recurrence."""
-    W_i: np.ndarray
-    U_i: np.ndarray
-    b_i: np.ndarray
-    W_f: np.ndarray
-    U_f: np.ndarray
-    b_f: np.ndarray
-    W_o: np.ndarray
-    U_o: np.ndarray
-    b_o: np.ndarray
-    W_g: np.ndarray
-    U_g: np.ndarray
-    b_g: np.ndarray
+class LstmWeights:
+    """Weights of one LSTM direction, gate blocks stacked in the order
+    i, f, o, g: W (4D, H) reads the input, U (4D, D) the recurrence."""
+    W: np.ndarray
+    U: np.ndarray
+    b: np.ndarray  # (4D,)
+
+    @property
+    def hidden_size(self) -> int:
+        return self.b.shape[0] // 4
+
+    def rows(self, gate: str) -> slice:
+        """Row block of one gate in W, U and b."""
+        d = self.hidden_size
+        k = GATES.index(gate)
+        return slice(k * d, (k + 1) * d)
 
     def items(self):
+        """Per-gate views W_i, U_i, b_i, W_f, ... (the model-file keys)."""
         for gate in GATES:
-            for kind in ("W", "U", "b"):
-                name = f"{kind}_{gate}"
-                yield name, getattr(self, name)
+            rows = self.rows(gate)
+            yield f"W_{gate}", self.W[rows]
+            yield f"U_{gate}", self.U[rows]
+            yield f"b_{gate}", self.b[rows]
+
+
+def _named(arrays: list[np.ndarray]) -> list[tuple[str, np.ndarray]]:
+    """Name arrays laid out like ``BiLstmModel.arrays()`` per gate, as views."""
+    out = [(f"forward.{n}", a) for n, a in LstmWeights(*arrays[0:3]).items()]
+    out += [(f"backward.{n}", a) for n, a in LstmWeights(*arrays[3:6]).items()]
+    out += [("W_out", arrays[6]), ("b_out", arrays[7])]
+    return out
 
 
 @dataclass
 class BiLstmModel:
-    forward_params: LstmDirectionParams
-    backward_params: LstmDirectionParams
+    forward_params: LstmWeights
+    backward_params: LstmWeights
     W_out: np.ndarray  # (H, 2D)
     b_out: np.ndarray  # (H,)
     vocab: ActivityVocabulary
@@ -92,34 +113,65 @@ class BiLstmModel:
 
     @property
     def hidden_size(self) -> int:
-        return self.forward_params.b_i.shape[0]
+        return self.forward_params.hidden_size
 
     @property
     def n_classes(self) -> int:
         return self.vocab.size
 
+    def arrays(self) -> list[np.ndarray]:
+        """The trainable arrays as stored: W, U, b of the forward and the
+        backward direction, then W_out and b_out."""
+        f, b = self.forward_params, self.backward_params
+        return [f.W, f.U, f.b, b.W, b.U, b.b, self.W_out, self.b_out]
+
     def param_items(self) -> list[tuple[str, np.ndarray]]:
-        """All trainable arrays in a fixed, documented order."""
-        out = [(f"forward.{n}", a) for n, a in self.forward_params.items()]
-        out += [(f"backward.{n}", a) for n, a in self.backward_params.items()]
-        out += [("W_out", self.W_out), ("b_out", self.b_out)]
-        return out
+        """All trainable arrays in a fixed, documented order, split per
+        gate; the per-gate entries are views, so writes reach the model."""
+        return _named(self.arrays())
 
 
 @dataclass
 class DirectionTrace:
-    """Per-timestep quantities of one direction, in its own reading order."""
+    """Per-timestep quantities of one direction, time first, in its own
+    reading order. Batched runs have a batch axis after the time axis;
+    the per-sample traces of :func:`forward` do not."""
     inputs: np.ndarray  # (T, H) as consumed
-    pre_i: np.ndarray
-    pre_f: np.ndarray
-    pre_o: np.ndarray
-    pre_g: np.ndarray
-    gate_i: np.ndarray
-    gate_f: np.ndarray
-    gate_o: np.ndarray
-    cand: np.ndarray  # tanh candidate
+    pre: np.ndarray  # (T, 4D) gate pre-activations, blocks i, f, o, g
+    act: np.ndarray  # (T, 4D) gate activations, same blocks
     c: np.ndarray  # (T+1, D), c[0] is the zero initial state
     h: np.ndarray  # (T+1, D)
+    hold: np.ndarray  # (S, 1): 0 before a sample's first event, for the first S steps
+
+    def _block(self, arr: np.ndarray, k: int) -> np.ndarray:
+        d = self.c.shape[-1]
+        return arr[..., k * d:(k + 1) * d]
+
+    @property
+    def gate_i(self) -> np.ndarray:
+        return self._block(self.act, 0)
+
+    @property
+    def gate_f(self) -> np.ndarray:
+        return self._block(self.act, 1)
+
+    @property
+    def gate_o(self) -> np.ndarray:
+        return self._block(self.act, 2)
+
+    @property
+    def cand(self) -> np.ndarray:
+        """The tanh candidate g."""
+        return self._block(self.act, 3)
+
+    @property
+    def pre_g(self) -> np.ndarray:
+        return self._block(self.pre, 3)
+
+    def sample(self, k: int) -> "DirectionTrace":
+        """The trace of batch member ``k``."""
+        return DirectionTrace(self.inputs[:, k], self.pre[:, k], self.act[:, k],
+                              self.c[:, k], self.h[:, k], self.hold[:, k])
 
 
 @dataclass
@@ -128,7 +180,6 @@ class ForwardTrace:
     bwd: DirectionTrace
     logits: np.ndarray
     probs: np.ndarray
-    true_length: int
 
 
 @dataclass
@@ -147,18 +198,14 @@ def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
-def _init_direction(rng: np.random.Generator, d: int, h: int) -> LstmDirectionParams:
-    def gate(forget: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        w = _glorot(rng, d, h)
-        u = _glorot(rng, d, d)
-        b = np.ones(d) if forget else np.zeros(d)
-        return w, u, b
-
-    wi, ui, bi = gate(False)
-    wf, uf, bf = gate(True)  # forget bias 1 helps early gradient flow
-    wo, uo, bo = gate(False)
-    wg, ug, bg = gate(False)
-    return LstmDirectionParams(wi, ui, bi, wf, uf, bf, wo, uo, bo, wg, ug, bg)
+def _init_direction(rng: np.random.Generator, d: int, h: int) -> LstmWeights:
+    ws, us = [], []
+    for _ in GATES:  # draw order W_i, U_i, W_f, U_f, ... fixes the seeded weights
+        ws.append(_glorot(rng, d, h))
+        us.append(_glorot(rng, d, d))
+    b = np.zeros(4 * d)
+    b[d:2 * d] = 1.0  # forget bias 1 helps early gradient flow
+    return LstmWeights(np.vstack(ws), np.vstack(us), b)
 
 
 def init_model(vocab: ActivityVocabulary, max_len: int, config: TrainConfig) -> BiLstmModel:
@@ -177,106 +224,143 @@ def init_model(vocab: ActivityVocabulary, max_len: int, config: TrainConfig) -> 
 
 
 # --- batched recurrence core ----------------------------------------------
-# Samples inside one core call share their sequence length, so no masking
-# is needed; train() buckets each mini-batch by length before calling in.
+# A batch is right-aligned: sample k's events fill the last lengths[k] of
+# its T rows, T being the longest length in the batch. Both directions see
+# this layout (the backward one with each window reversed in place), so one
+# mask rule serves both: the cell state stays zero until a sample starts.
 
-@dataclass
-class _DirRun:
-    xs: np.ndarray  # (B, T, H)
-    pre: dict  # gate -> (B, T, D)
-    act: dict  # gate -> (B, T, D)
-    c: np.ndarray  # (B, T+1, D)
-    h: np.ndarray  # (B, T+1, D)
+def _run_direction(xs: np.ndarray, p: LstmWeights, hold: np.ndarray) -> DirectionTrace:
+    """One direction over time-major inputs ``xs`` (T, B, H).
+
+    ``hold`` (S, B, 1) zeroes the cell state of samples that have not
+    started during the first S steps; from step S on, every sample runs.
+    """
+    t_len, b, h_dim = xs.shape
+    d = p.hidden_size
+    s = 3 * d  # sigmoid gates i, f, o come first
+    act = np.empty((t_len, b, 4 * d))
+    c = np.zeros((t_len + 1, b, d))
+    h = np.zeros((t_len + 1, b, d))
+    u_t = p.U.T
+    # Non-finite values run through and are reported once, below.
+    with np.errstate(invalid="ignore", over="ignore"):
+        pre = (xs.reshape(t_len * b, h_dim) @ p.W.T).reshape(t_len, b, 4 * d)
+        pre += p.b
+        for t in range(t_len):
+            z, a = pre[t], act[t]
+            z += h[t] @ u_t
+            sig = a[:, :s]
+            np.multiply(z[:, :s], 0.5, out=sig)  # sigm(x) = (1 + tanh(x/2)) / 2
+            np.tanh(sig, out=sig)
+            sig += 1.0
+            sig *= 0.5
+            np.tanh(z[:, s:], out=a[:, s:])
+            np.multiply(a[:, d:2 * d], c[t], out=c[t + 1])
+            c[t + 1] += a[:, :d] * a[:, s:]
+            if t < len(hold):
+                c[t + 1] *= hold[t]
+            np.tanh(c[t + 1], out=h[t + 1])
+            h[t + 1] *= a[:, 2 * d:s]
+    if not np.isfinite(pre).all():
+        raise NonFiniteInput("LSTM gate pre-activations contain NaN or infinity")
+    return DirectionTrace(xs, pre, act, c, h, hold)
 
 
-def _run_direction(xs: np.ndarray, p: LstmDirectionParams) -> _DirRun:
-    b, t_len, _ = xs.shape
-    d = p.b_i.shape[0]
-    pre = {g: np.empty((b, t_len, d)) for g in GATES}
-    act = {g: np.empty((b, t_len, d)) for g in GATES}
-    c = np.zeros((b, t_len + 1, d))
-    h = np.zeros((b, t_len + 1, d))
-    for t in range(t_len):
-        x_t = xs[:, t, :]
-        h_prev = h[:, t, :]
-        pre["i"][:, t] = x_t @ p.W_i.T + h_prev @ p.U_i.T + p.b_i
-        pre["f"][:, t] = x_t @ p.W_f.T + h_prev @ p.U_f.T + p.b_f
-        pre["o"][:, t] = x_t @ p.W_o.T + h_prev @ p.U_o.T + p.b_o
-        pre["g"][:, t] = x_t @ p.W_g.T + h_prev @ p.U_g.T + p.b_g
-        act["i"][:, t] = tc.sigmoid(pre["i"][:, t])
-        act["f"][:, t] = tc.sigmoid(pre["f"][:, t])
-        act["o"][:, t] = tc.sigmoid(pre["o"][:, t])
-        act["g"][:, t] = tc.tanh_(pre["g"][:, t])
-        c[:, t + 1] = act["f"][:, t] * c[:, t] + act["i"][:, t] * act["g"][:, t]
-        h[:, t + 1] = act["o"][:, t] * np.tanh(c[:, t + 1])
-    return _DirRun(xs=xs, pre=pre, act=act, c=c, h=h)
-
-
-def _direction_backward(run: _DirRun, p: LstmDirectionParams,
-                        dh_last: np.ndarray, grads: dict, prefix: str) -> None:
-    """Accumulate parameter gradients for one direction (summed over the batch)."""
-    b, t_len, _ = run.xs.shape
-    dh = dh_last.copy()
-    dc = np.zeros_like(dh)
+def _direction_backward(run: DirectionTrace, p: LstmWeights,
+                        dh_last: np.ndarray, grads: list[np.ndarray]) -> None:
+    """Accumulate one direction's gradients, summed over the batch, into
+    ``grads`` = [dW, dU, db]."""
+    t_len, b, h_dim = run.inputs.shape
+    d = p.hidden_size
+    s = 3 * d
+    dpre = np.empty_like(run.act)
+    dh = dh_last
+    dc = np.zeros((b, d))
     for t in reversed(range(t_len)):
-        i_t, f_t = run.act["i"][:, t], run.act["f"][:, t]
-        o_t, g_t = run.act["o"][:, t], run.act["g"][:, t]
-        tanh_c = np.tanh(run.c[:, t + 1])
-        do = dh * tanh_c
+        a = run.act[t]
+        i_t, f_t, o_t, g_t = a[:, :d], a[:, d:2 * d], a[:, 2 * d:s], a[:, s:]
+        tanh_c = np.tanh(run.c[t + 1])
         dc = dc + dh * o_t * (1.0 - tanh_c ** 2)
-        df = dc * run.c[:, t]
-        di = dc * g_t
-        dg = dc * i_t
-        dpre = {
-            "i": di * i_t * (1.0 - i_t),
-            "f": df * f_t * (1.0 - f_t),
-            "o": do * o_t * (1.0 - o_t),
-            "g": dg * (1.0 - g_t ** 2),
-        }
-        x_t = run.xs[:, t, :]
-        h_prev = run.h[:, t, :]
-        for gate in GATES:
-            grads[f"{prefix}.W_{gate}"] += dpre[gate].T @ x_t
-            grads[f"{prefix}.U_{gate}"] += dpre[gate].T @ h_prev
-            grads[f"{prefix}.b_{gate}"] += dpre[gate].sum(axis=0)
-        dh = (dpre["i"] @ p.U_i + dpre["f"] @ p.U_f
-              + dpre["o"] @ p.U_o + dpre["g"] @ p.U_g)
+        if t < len(run.hold):
+            dc *= run.hold[t]
+        dz = dpre[t]
+        dz[:, :d] = dc * g_t * i_t * (1.0 - i_t)
+        dz[:, d:2 * d] = dc * run.c[t] * f_t * (1.0 - f_t)
+        dz[:, 2 * d:s] = dh * tanh_c * o_t * (1.0 - o_t)
+        dz[:, s:] = dc * i_t * (1.0 - g_t ** 2)
+        dh = dz @ p.U
         dc = dc * f_t
+    rows = t_len * b
+    dz = dpre.reshape(rows, 4 * d)
+    grads[0] += dz.T @ run.inputs.reshape(rows, h_dim)
+    grads[1] += dz.T @ run.h[:-1].reshape(rows, d)
+    grads[2] += dz.sum(axis=0)
 
 
-def _zero_grads(model: BiLstmModel) -> dict:
-    return {name: np.zeros_like(arr) for name, arr in model.param_items()}
+def _zero_grads(model: BiLstmModel) -> list[np.ndarray]:
+    return [np.zeros_like(arr) for arr in model.arrays()]
 
 
-def _batch_outputs(model: BiLstmModel, xs: np.ndarray) -> tuple[_DirRun, _DirRun, np.ndarray, np.ndarray]:
-    """Forward both directions over equal-length inputs; returns runs, logits, probs."""
-    run_f = _run_direction(xs, model.forward_params)
-    run_b = _run_direction(xs[:, ::-1, :], model.backward_params)
-    hcat = np.concatenate([run_f.h[:, -1, :], run_b.h[:, -1, :]], axis=1)
+def _run_batch(model: BiLstmModel, xs: np.ndarray, lengths: np.ndarray) -> ForwardTrace:
+    """Both directions and the output layer over a right-aligned batch
+    ``xs`` (B, T, H); the traces carry the batch axis."""
+    b, t_len, _ = xs.shape
+    start = t_len - lengths  # first step of each sample
+    steps = np.arange(t_len)[:, None]
+    started = steps >= start  # (T, B)
+    hold = started[:start.max(), :, None].astype(np.float64)
+    # Backward reading order: each sample's window reversed, still right-aligned.
+    rev = np.where(started, t_len - 1 + start - steps, steps)
+    xs_t = xs.transpose(1, 0, 2)
+    run_f = _run_direction(np.ascontiguousarray(xs_t), model.forward_params, hold)
+    run_b = _run_direction(xs_t[rev, np.arange(b)], model.backward_params, hold)
+    hcat = np.concatenate([run_f.h[-1], run_b.h[-1]], axis=1)
     logits = hcat @ model.W_out.T + model.b_out
-    probs = tc.softmax(logits, axis=-1)
-    return run_f, run_b, logits, probs
+    return ForwardTrace(run_f, run_b, logits, tc.softmax(logits, axis=-1))
 
 
-def _batch_backward(model: BiLstmModel, xs: np.ndarray, labels: np.ndarray,
-                    grads: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulate summed gradients of per-sample cross-entropy into ``grads``.
+def _batch_backward(model: BiLstmModel, xs: np.ndarray, lengths: np.ndarray,
+                    labels: np.ndarray, grads: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Accumulate summed gradients of per-sample cross-entropy into
+    ``grads`` (laid out like ``model.arrays()``).
 
     Returns (per-sample losses, predicted indices) for bookkeeping.
     """
-    run_f, run_b, _, probs = _batch_outputs(model, xs)
+    run = _run_batch(model, xs, lengths)
     b = xs.shape[0]
     d = model.hidden_size
-    dlogits = probs.copy()
+    dlogits = run.probs.copy()
     dlogits[np.arange(b), labels] -= 1.0
-    hcat = np.concatenate([run_f.h[:, -1, :], run_b.h[:, -1, :]], axis=1)
-    grads["W_out"] += dlogits.T @ hcat
-    grads["b_out"] += dlogits.sum(axis=0)
+    hcat = np.concatenate([run.fwd.h[-1], run.bwd.h[-1]], axis=1)
+    grads[6] += dlogits.T @ hcat
+    grads[7] += dlogits.sum(axis=0)
     dhcat = dlogits @ model.W_out
-    _direction_backward(run_f, model.forward_params, dhcat[:, :d], grads, "forward")
-    _direction_backward(run_b, model.backward_params, dhcat[:, d:], grads, "backward")
-    losses = -np.log(np.maximum(probs[np.arange(b), labels], tc.LOSS_CLIP))
-    return losses, np.argmax(probs, axis=1)
+    _direction_backward(run.fwd, model.forward_params, dhcat[:, :d], grads[0:3])
+    _direction_backward(run.bwd, model.backward_params, dhcat[:, d:], grads[3:6])
+    losses = -np.log(np.maximum(run.probs[np.arange(b), labels], tc.LOSS_CLIP))
+    return losses, np.argmax(run.probs, axis=1)
+
+
+def predict_dataset(model: BiLstmModel, dataset: PrefixDataset) -> np.ndarray:
+    """Class distributions (n, H) of every sample of a dataset, in order.
+
+    Samples run longest first, in batches cropped to their longest sample
+    and capped at ``_INFERENCE_ROWS`` (sample, step) rows.
+    """
+    if dataset.X.shape[2] != model.n_classes:
+        raise ShapeMismatch(
+            f"dataset rows have {dataset.X.shape[2]} classes, model expects {model.n_classes}")
+    lengths = dataset.true_lengths
+    probs = np.empty((len(dataset), model.n_classes))
+    order = np.argsort(-lengths, kind="stable")
+    start = 0
+    while start < len(order):
+        t_len = int(lengths[order[start]])
+        part = order[start:start + max(1, _INFERENCE_ROWS // t_len)]
+        xs = dataset.X[part, dataset.M - t_len:, :]
+        probs[part] = _run_batch(model, xs, lengths[part]).probs
+        start += len(part)
+    return probs
 
 
 # --- public per-sample operations -----------------------------------------
@@ -306,21 +390,9 @@ def forward(model: BiLstmModel, sample: PrefixSample,
     inputs elementwise.
     """
     xs = _suffix_inputs(model, sample, dropout_mask)
-    run_f, run_b, logits, probs = _batch_outputs(model, xs)
-
-    def squeeze(run: _DirRun) -> DirectionTrace:
-        return DirectionTrace(
-            inputs=run.xs[0],
-            pre_i=run.pre["i"][0], pre_f=run.pre["f"][0],
-            pre_o=run.pre["o"][0], pre_g=run.pre["g"][0],
-            gate_i=run.act["i"][0], gate_f=run.act["f"][0],
-            gate_o=run.act["o"][0], cand=run.act["g"][0],
-            c=run.c[0], h=run.h[0],
-        )
-
-    return ForwardTrace(fwd=squeeze(run_f), bwd=squeeze(run_b),
-                        logits=logits[0], probs=probs[0],
-                        true_length=sample.true_length)
+    run = _run_batch(model, xs, np.asarray([sample.true_length]))
+    return ForwardTrace(fwd=run.fwd.sample(0), bwd=run.bwd.sample(0),
+                        logits=run.logits[0], probs=run.probs[0])
 
 
 def predict(model: BiLstmModel, sample: PrefixSample) -> tuple[int, np.ndarray]:
@@ -340,8 +412,9 @@ def backward(model: BiLstmModel, sample: PrefixSample, label_index: int,
         raise ShapeMismatch(f"label index {label_index} out of range")
     xs = _suffix_inputs(model, sample, dropout_mask)
     grads = _zero_grads(model)
-    _batch_backward(model, xs, np.asarray([label_index]), grads)
-    return grads
+    _batch_backward(model, xs, np.asarray([sample.true_length]),
+                    np.asarray([label_index]), grads)
+    return dict(_named(grads))
 
 
 # --- Nadam optimizer --------------------------------------------------------
@@ -379,32 +452,26 @@ class Nadam:
 
 # --- training ---------------------------------------------------------------
 
-def _bucket_by_length(lengths: np.ndarray, indices: np.ndarray) -> list[np.ndarray]:
-    """Split sample indices into groups of equal sequence length (ascending)."""
-    buckets: dict[int, list[int]] = {}
-    for idx in indices:
-        buckets.setdefault(int(lengths[idx]), []).append(idx)
-    return [np.asarray(buckets[length]) for length in sorted(buckets)]
+def _drop_inputs(xs: np.ndarray, lengths: np.ndarray, rng: np.random.Generator,
+                 keep: float) -> None:
+    """Inverted input dropout on the true rows of a right-aligned batch, in place.
+
+    The rows are drawn in one call, sample after sample in time order, which
+    takes the same values from the stream as one ``(length, H)`` draw per
+    sample in turn.
+    """
+    t_len = xs.shape[1]
+    started = np.arange(t_len) >= (t_len - lengths)[:, None]
+    xs[started] *= (rng.random((int(lengths.sum()), xs.shape[2])) < keep) / keep
 
 
-def _dataset_loss(model: BiLstmModel, dataset: PrefixDataset,
-                  chunk: int = 512) -> tuple[float, float]:
+def _dataset_loss(model: BiLstmModel, dataset: PrefixDataset) -> tuple[float, float]:
     """Mean loss and accuracy over a dataset, no dropout."""
-    total_loss = 0.0
-    correct = 0
-    order = np.arange(len(dataset))
-    for start in range(0, len(dataset), chunk):
-        part = order[start:start + chunk]
-        for bucket in _bucket_by_length(dataset.true_lengths, part):
-            length = int(dataset.true_lengths[bucket[0]])
-            xs = dataset.X[bucket][:, dataset.M - length:, :]
-            labels = dataset.label_indices[bucket]
-            _, _, _, probs = _batch_outputs(model, xs)
-            pf = np.maximum(probs[np.arange(len(bucket)), labels], tc.LOSS_CLIP)
-            total_loss += float(-np.log(pf).sum())
-            correct += int((np.argmax(probs, axis=1) == labels).sum())
-    n = len(dataset)
-    return total_loss / n, correct / n
+    probs = predict_dataset(model, dataset)
+    labels = dataset.label_indices
+    picked = np.maximum(probs[np.arange(len(dataset)), labels], tc.LOSS_CLIP)
+    accuracy = float((np.argmax(probs, axis=1) == labels).mean())
+    return float(-np.log(picked).mean()), accuracy
 
 
 def train(dataset: PrefixDataset, val_dataset: PrefixDataset,
@@ -426,8 +493,7 @@ def train(dataset: PrefixDataset, val_dataset: PrefixDataset,
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     shuffle_rng = np.random.default_rng(seeds[1])
     dropout_rng = np.random.default_rng(seeds[2])
-    params = [arr for _, arr in model.param_items()]
-    names = [name for name, _ in model.param_items()]
+    params = model.arrays()
     optimizer = Nadam(params, config.learning_rate, config.beta1,
                       config.beta2, config.epsilon_opt)
     keep = 1.0 - config.dropout_rate
@@ -445,24 +511,18 @@ def train(dataset: PrefixDataset, val_dataset: PrefixDataset,
         epoch_correct = 0
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            masks = {}
+            lengths = dataset.true_lengths[batch]
+            labels = dataset.label_indices[batch]
+            t_len = int(lengths.max())
+            xs = dataset.X[batch, dataset.M - t_len:, :]
             if config.dropout_rate > 0.0:
-                for idx in batch:
-                    length = int(dataset.true_lengths[idx])
-                    bern = dropout_rng.random((length, model.n_classes)) < keep
-                    masks[int(idx)] = bern.astype(np.float64) / keep
+                _drop_inputs(xs, lengths, dropout_rng, keep)
             grads = _zero_grads(model)
-            for bucket in _bucket_by_length(dataset.true_lengths, batch):
-                length = int(dataset.true_lengths[bucket[0]])
-                xs = dataset.X[bucket][:, dataset.M - length:, :]
-                if masks:
-                    xs = xs * np.stack([masks[int(i)] for i in bucket])
-                losses, preds = _batch_backward(
-                    model, xs, dataset.label_indices[bucket], grads)
-                epoch_loss += float(losses.sum())
-                epoch_correct += int((preds == dataset.label_indices[bucket]).sum())
+            losses, preds = _batch_backward(model, xs, lengths, labels, grads)
+            epoch_loss += float(losses.sum())
+            epoch_correct += int((preds == labels).sum())
             scale = 1.0 / len(batch)
-            optimizer.step([grads[name] * scale for name in names])
+            optimizer.step([g * scale for g in grads])
 
         train_loss = epoch_loss / n
         val_loss, val_acc = _dataset_loss(model, val_dataset)
@@ -474,15 +534,15 @@ def train(dataset: PrefixDataset, val_dataset: PrefixDataset,
         if val_loss < best_loss:
             best_loss = val_loss
             best_epoch = epoch
-            best_snapshot = {name: arr.copy() for name, arr in model.param_items()}
+            best_snapshot = [arr.copy() for arr in params]
             epochs_since_best = 0
         else:
             epochs_since_best += 1
             if epochs_since_best >= config.patience:
                 break
 
-    for name, arr in model.param_items():
-        arr[...] = best_snapshot[name]
+    for arr, best in zip(params, best_snapshot):
+        arr[...] = best
     model.trained_epochs = len(history)
     model.hyperparams = dict(model.hyperparams, best_epoch=best_epoch)
     return model, history
@@ -490,43 +550,54 @@ def train(dataset: PrefixDataset, val_dataset: PrefixDataset,
 
 # --- serialization ----------------------------------------------------------
 
-def _direction_to_json(p: LstmDirectionParams) -> dict:
-    return {name: arr.tolist() for name, arr in p.items()}
+def _write_json(doc: dict, f: IO) -> None:
+    json.dump(doc, f)
+    f.write("\n")
 
 
 def save_model(model: BiLstmModel, sink: Union[str, Path, IO]) -> None:
-    """Write the model as versioned JSON; floats round-trip exactly."""
+    """Write the model as versioned JSON; floats round-trip exactly.
+
+    A path is written through a temporary file in the same directory and
+    renamed over the target, so a failed write leaves any old file intact.
+    """
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "hidden_size": model.hidden_size,
         "vocab": list(model.vocab.labels),
         "max_len": model.max_len,
         "hyperparams": dict(model.hyperparams, trained_epochs=model.trained_epochs),
-        "forward": _direction_to_json(model.forward_params),
-        "backward": _direction_to_json(model.backward_params),
+        "forward": {name: arr.tolist() for name, arr in model.forward_params.items()},
+        "backward": {name: arr.tolist() for name, arr in model.backward_params.items()},
         "W_out": model.W_out.tolist(),
         "b_out": model.b_out.tolist(),
     }
-    own = isinstance(sink, (str, Path))
-    f = open(sink, "w", encoding="utf-8") if own else sink
+    if not isinstance(sink, (str, Path)):
+        _write_json(doc, sink)
+        return
+    path = Path(sink)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        json.dump(doc, f)
-        f.write("\n")
+        with open(tmp, "w", encoding="utf-8") as f:
+            _write_json(doc, f)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
     finally:
-        if own:
-            f.close()
+        tmp.unlink(missing_ok=True)
 
 
-def _direction_from_json(doc: dict, d: int, h: int) -> LstmDirectionParams:
-    arrays = {}
+def _direction_from_json(doc: dict, d: int, h: int) -> LstmWeights:
+    blocks = {"W": [], "U": [], "b": []}
     for gate in GATES:
         for kind, shape in (("W", (d, h)), ("U", (d, d)), ("b", (d,))):
             name = f"{kind}_{gate}"
             arr = np.asarray(doc[name], dtype=np.float64)
             if arr.shape != shape:
                 raise CorruptModel(f"{name} has shape {arr.shape}, expected {shape}")
-            arrays[name] = arr
-    return LstmDirectionParams(**arrays)
+            blocks[kind].append(arr)
+    return LstmWeights(np.vstack(blocks["W"]), np.vstack(blocks["U"]),
+                       np.concatenate(blocks["b"]))
 
 
 def load_model(source: Union[str, Path, IO]) -> BiLstmModel:
@@ -568,4 +639,6 @@ def load_model(source: Union[str, Path, IO]) -> BiLstmModel:
     if model.W_out.shape != (h, 2 * d) or model.b_out.shape != (h,):
         raise CorruptModel(
             f"output layer has shapes {model.W_out.shape}/{model.b_out.shape}")
+    if not all(np.isfinite(arr).all() for arr in model.arrays()):
+        raise CorruptModel("model file holds NaN or infinite weights")
     return model

@@ -124,6 +124,9 @@ def _relevance_json(row: dict) -> str:
         "target_prob": r.target_prob,
         "raw_relevance": [float(v) for v in r.raw],
         "display": [float(v) for v in r.display],
+        "model_output": r.model_output,
+        "bias_absorbed": r.bias_absorbed,
+        "initial_state_relevance": r.initial_state_relevance,
     })
 
 
@@ -248,10 +251,14 @@ def cmd_predict(args) -> int:
             print(f"case {trace.case_id}: trace too short to predict on "
                   f"({len(trace)} event)", file=sys.stderr)
             continue
+        except UnknownActivity as exc:
+            print(f"case {trace.case_id}: skipped, activity {exc.activity!r} "
+                  f"is not in the model's vocabulary", file=sys.stderr)
+            continue
         idx, probs = predict(model, sample)
         lines.append((trace.case_id, model.vocab.label_of(idx), float(probs[idx])))
     if not lines:
-        raise TraceTooShort("no trace was long enough to predict on")
+        raise TraceTooShort("no trace could be predicted on")
     out = _out_stream(args.out)
     try:
         writer = csv.writer(out, lineterminator="\n")

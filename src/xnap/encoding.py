@@ -2,8 +2,8 @@
 
 Every trace is augmented with a reserved end symbol so that trace
 termination is itself a predictable class. Prefixes are left-padded with
-zero rows up to a common length M; the network never iterates over the
-padding, so the zeros are a storage convention only.
+zero rows up to a common length M; the network keeps a sample's state at
+zero over its padding, so the zeros are a storage convention only.
 """
 from __future__ import annotations
 

@@ -10,11 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bilstm import BiLstmModel, EpochStats, TrainConfig, predict, train
+from .bilstm import BiLstmModel, EpochStats, TrainConfig, predict_dataset, train
 from .encoding import assemble_dataset, build_vocabulary, max_augmented_length
 from .errors import LengthMismatch, TooFewTraces
 from .eventlog import EventLog
-from .lrp import LrpConfig
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,6 @@ class CvResult:
     histories: list[list[EpochStats]]
     best_fold: int  # highest F1, for downstream explanation demos
     plan: FoldPlan
-    lrp_config: LrpConfig | None = None
 
 
 def shuffle_cases(log: EventLog, seed: int) -> list[str]:
@@ -131,18 +129,13 @@ def weighted_metrics(y_true, y_pred, n_classes: int) -> MetricsRow:
 
 
 def evaluate_model(model: BiLstmModel, dataset) -> tuple[list[int], list[int]]:
-    """Predicted and true label indices over every sample of a dataset."""
-    y_true, y_pred = [], []
-    for i in range(len(dataset)):
-        sample = dataset.sample(i)
-        idx, _ = predict(model, sample)
-        y_pred.append(idx)
-        y_true.append(sample.label_index)
-    return y_true, y_pred
+    """True and predicted label indices over every sample of a dataset."""
+    y_pred = np.argmax(predict_dataset(model, dataset), axis=1)
+    return dataset.label_indices.tolist(), y_pred.tolist()
 
 
 def run_cv(log: EventLog, train_config: TrainConfig, k: int = 10,
-           seed: int = 42, lrp_config: LrpConfig | None = None) -> CvResult:
+           seed: int = 42) -> CvResult:
     """Train and score one model per fold; keep the highest-F1 model.
 
     The vocabulary and padding length come from the full log: the offline
@@ -166,4 +159,4 @@ def run_cv(log: EventLog, train_config: TrainConfig, k: int = 10,
     report = MetricsReport(tuple(rows))
     best_fold = int(np.argmax([r.f1 for r in rows]))
     return CvResult(report=report, models=models, histories=histories,
-                    best_fold=best_fold, plan=plan, lrp_config=lrp_config)
+                    best_fold=best_fold, plan=plan)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bilstm import BiLstmModel, LstmDirectionParams, DirectionTrace, forward
+from .bilstm import BiLstmModel, DirectionTrace, LstmWeights, forward
 from .encoding import PrefixSample
 from .errors import ShapeMismatch, TraceTooShort
 from .tensorcore import as_f64
@@ -141,7 +141,7 @@ def _split_sum2(s1: np.ndarray, s2: np.ndarray, z_upper: np.ndarray,
     return (s1 + share) * scale, (s2 + share) * scale
 
 
-def _propagate_direction(trace: DirectionTrace, params: LstmDirectionParams,
+def _propagate_direction(trace: DirectionTrace, params: LstmWeights,
                          r_h_final: np.ndarray, config: LrpConfig
                          ) -> tuple[np.ndarray, float, float, float]:
     """Walk one direction from its final step back to its first.
@@ -152,7 +152,10 @@ def _propagate_direction(trace: DirectionTrace, params: LstmDirectionParams,
     """
     t_len, h_dim = trace.inputs.shape
     d = r_h_final.shape[0]
-    w_cat = np.hstack([params.W_g, params.U_g])  # lower = [x_t ; h_{t-1}]
+    g = params.rows("g")
+    w_cat = np.hstack([params.W[g], params.U[g]])  # lower = [x_t ; h_{t-1}]
+    b_g = params.b[g]
+    gate_i, gate_f, cand, pre_g = trace.gate_i, trace.gate_f, trace.cand, trace.pre_g
     rx = np.zeros((t_len, h_dim))
     r_h = r_h_final
     r_c = np.zeros(d)
@@ -165,7 +168,7 @@ def _propagate_direction(trace: DirectionTrace, params: LstmDirectionParams,
         r_c = r_c + r_tanh_c
         # c_t = f_t*c_{t-1} + i_t*g_t: split the sum, then zero each gate.
         r_forget_term, r_input_term = _split_sum2(
-            trace.gate_f[t] * trace.c[t], trace.gate_i[t] * trace.cand[t],
+            gate_f[t] * trace.c[t], gate_i[t] * cand[t],
             trace.c[t + 1], r_c, config.epsilon, config.delta)
         r_gate_f, r_c_prev = lrp_multiplicative(r_forget_term)
         r_gate_i, r_cand = lrp_multiplicative(r_input_term)
@@ -173,9 +176,9 @@ def _propagate_direction(trace: DirectionTrace, params: LstmDirectionParams,
         # g_t = tanh(W_g x_t + U_g h_{t-1} + b_g): identity through tanh,
         # then the linear rule over the concatenated lower layer.
         z_low = np.concatenate([trace.inputs[t], trace.h[t]])
-        r_low = lrp_linear(z_low, w_cat, params.b_g, trace.pre_g[t], r_cand,
+        r_low = lrp_linear(z_low, w_cat, b_g, pre_g[t], r_cand,
                            config.epsilon, config.delta)
-        absorbed += bias_absorption(params.b_g, trace.pre_g[t], r_cand,
+        absorbed += bias_absorption(b_g, pre_g[t], r_cand,
                                     config.epsilon, config.delta)
         rx[t] = r_low[:h_dim]
         r_h = r_low[h_dim:]

@@ -46,9 +46,10 @@ def _lstm_direction(rows, w, u, b, d):
 
 
 def _direction_dicts(params):
-    w = {g: getattr(params, f"W_{g}").tolist() for g in ("i", "f", "o", "g")}
-    u = {g: getattr(params, f"U_{g}").tolist() for g in ("i", "f", "o", "g")}
-    b = {g: getattr(params, f"b_{g}").tolist() for g in ("i", "f", "o", "g")}
+    named = dict(params.items())
+    w = {g: named[f"W_{g}"].tolist() for g in ("i", "f", "o", "g")}
+    u = {g: named[f"U_{g}"].tolist() for g in ("i", "f", "o", "g")}
+    b = {g: named[f"b_{g}"].tolist() for g in ("i", "f", "o", "g")}
     return w, u, b
 
 

@@ -10,6 +10,9 @@ from xnap.bilstm import (
     Nadam,
     TrainConfig,
     _batch_backward,
+    _drop_inputs,
+    _named,
+    _run_batch,
     _zero_grads,
     backward,
     forward,
@@ -27,7 +30,13 @@ from xnap.encoding import (
     build_vocabulary,
     max_augmented_length,
 )
-from xnap.errors import CorruptModel, EmptyDataset, ShapeMismatch, VersionMismatch
+from xnap.errors import (
+    CorruptModel,
+    EmptyDataset,
+    NonFiniteInput,
+    ShapeMismatch,
+    VersionMismatch,
+)
 from xnap.synthlog import generate, linear_grammar
 
 from conftest import make_log
@@ -112,6 +121,18 @@ class TestForward:
         zeroed = forward(model, PrefixSample(np.zeros((4, 3)), 2, 0, "t"))
         assert np.allclose(trace.logits, zeroed.logits)
 
+    def test_non_finite_input_or_weight_raises(self):
+        rng = np.random.default_rng(4)
+        model = random_model(rng, 3, 3, 4)
+        sample = random_sample(rng, 4, 3, 3)
+        x = sample.x.copy()
+        x[-2, 0] = np.nan
+        with pytest.raises(NonFiniteInput):
+            forward(model, PrefixSample(x, 3, 0, "t"))
+        model.backward_params.U[0, 0] = np.inf  # reached through h = 0 at step one
+        with pytest.raises(NonFiniteInput):
+            forward(model, random_sample(rng, 4, 3, 1))
+
     def test_mask_shape_checked(self):
         rng = np.random.default_rng(3)
         model = random_model(rng, 3, 3, 4)
@@ -185,7 +206,7 @@ class TestBackward:
         model = random_model(rng, d, h, m)
         samples = [random_sample(rng, m, h, 4, f"s{i}") for i in range(3)]
 
-        grads = _zero_grads(model)
+        grads = {name: np.zeros_like(arr) for name, arr in model.param_items()}
         for s in samples:
             for name, g in backward(model, s, s.label_index).items():
                 grads[name] += g / len(samples)
@@ -237,22 +258,48 @@ class TestBackward:
                 assert abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-4) < 1e-4
 
     def test_batched_equals_per_sample_sum(self):
+        # A mixed-length batch through the masked kernel against the
+        # per-sample path, without and with input dropout.
         rng = np.random.default_rng(17)
-        d, h, m = 3, 4, 6
+        d, h, m = 3, 4, 8
         model = random_model(rng, d, h, m)
-        samples = [random_sample(rng, m, h, 4, f"s{i}") for i in range(5)]
-
-        total = _zero_grads(model)
-        for s in samples:
-            for name, g in backward(model, s, s.label_index).items():
-                total[name] += g
-
-        batched = _zero_grads(model)
-        xs = np.stack([s.x[m - 4:] for s in samples])
+        lengths = np.asarray([4, 1, 6, 2, 4, 6])
+        samples = [random_sample(rng, m, h, int(n), f"s{i}") for i, n in enumerate(lengths)]
         labels = np.asarray([s.label_index for s in samples])
-        _batch_backward(model, xs, labels, batched)
-        for name in total:
-            assert np.allclose(total[name], batched[name], atol=1e-12), name
+        t_len = int(lengths.max())
+        dropouts = [(rng.random((n, h)) < 0.7) / 0.7 for n in lengths]
+        for masks in ([None] * len(samples), dropouts):
+            xs = np.stack([s.x[m - t_len:] for s in samples])
+            total = {name: np.zeros_like(arr) for name, arr in model.param_items()}
+            for k, (s, mask) in enumerate(zip(samples, masks)):
+                for name, g in backward(model, s, s.label_index, dropout_mask=mask).items():
+                    total[name] += g
+                if mask is not None:
+                    xs[k, t_len - lengths[k]:] *= mask
+            run = _run_batch(model, xs, lengths)
+            for k, s in enumerate(samples):
+                trace = forward(model, s, dropout_mask=masks[k])
+                assert np.max(np.abs(run.logits[k] - trace.logits)) <= 1e-12
+                assert np.max(np.abs(run.probs[k] - trace.probs)) <= 1e-12
+            batched = _zero_grads(model)
+            _batch_backward(model, xs, lengths, labels, batched)
+            for name, g in _named(batched):
+                assert np.max(np.abs(total[name] - g)) <= 1e-12, name
+
+    def test_batched_dropout_draw_matches_per_sample_draws(self):
+        rng = np.random.default_rng(19)
+        h, m, keep = 5, 7, 0.8
+        lengths = np.asarray([3, 1, 6, 2, 6])
+        samples = [random_sample(rng, m, h, int(n)) for n in lengths]
+        t_len = int(lengths.max())
+        xs = np.stack([s.x[m - t_len:] for s in samples])
+        expected = xs.copy()
+        per_sample = np.random.default_rng(23)
+        for k, n in enumerate(lengths):  # one draw per sample, in batch order
+            mask = (per_sample.random((n, h)) < keep).astype(np.float64) / keep
+            expected[k, t_len - n:] = expected[k, t_len - n:] * mask
+        _drop_inputs(xs, lengths, np.random.default_rng(23), keep)
+        assert np.array_equal(xs, expected)
 
 
 class TestNadam:
@@ -376,6 +423,29 @@ class TestSerialization:
         save_model(model, buf)
         with pytest.raises(CorruptModel):
             load_model(io.StringIO(buf.getvalue()[: len(buf.getvalue()) // 2]))
+
+    def test_non_finite_weights_rejected(self):
+        rng = np.random.default_rng(36)
+        for bad in (np.nan, np.inf):
+            model = random_model(rng, 2, 3, 3)
+            model.backward_params.U[1, 0] = bad
+            buf = io.StringIO()
+            save_model(model, buf)
+            with pytest.raises(CorruptModel):
+                load_model(io.StringIO(buf.getvalue()))
+
+    def test_failed_save_leaves_old_file(self, tmp_path):
+        rng = np.random.default_rng(37)
+        model = random_model(rng, 2, 3, 3)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        before = path.read_bytes()
+        # json.dump has written the leading keys when it reaches this value
+        model.hyperparams["note"] = object()
+        with pytest.raises(TypeError):
+            save_model(model, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
     def test_missing_key(self):
         rng = np.random.default_rng(35)

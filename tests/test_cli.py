@@ -89,6 +89,28 @@ class TestPredict:
         # a full length-5 trace of the linear grammar should predict the end
         assert lines[1].split(",")[1] == "__END__"
 
+    def test_unknown_activity_skipped_with_warning(self, workdir, tmp_path, capsys):
+        log = tmp_path / "unknown.csv"
+        log.write_text("case,activity,timestamp\n"
+                       "c1,A,2024-01-01 10:00:00\nc1,Z,2024-01-01 10:01:00\n"
+                       "c2,A,2024-01-01 10:00:00\nc2,B,2024-01-01 10:01:00\n")
+        assert main(["predict", "--model", str(workdir / "model.json"),
+                     "--log", str(log)]) == 0
+        captured = capsys.readouterr()
+        assert "c1" in captured.err and "'Z'" in captured.err
+        lines = captured.out.splitlines()
+        assert lines[0] == "case,predicted,probability"
+        assert [line.split(",")[0] for line in lines[1:]] == ["c2"]
+
+    def test_non_finite_model_exits_2(self, workdir, tmp_path, capsys):
+        doc = json.loads((workdir / "model.json").read_text())
+        doc["forward"]["W_f"][0][0] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["predict", "--model", str(bad), "--log", str(workdir / "log.csv")])
+        assert code == 2
+        assert "NaN" in capsys.readouterr().err
+
     def test_trace_too_short_exits_3(self, workdir, tmp_path, capsys):
         short = tmp_path / "short.csv"
         short.write_text("case,activity,timestamp\nc1,A,2024-01-01 10:00:00\n")
@@ -107,9 +129,13 @@ class TestExplain:
         assert [len(r["prefix"]) for r in rows] == [3, 4, 5]
         for r in rows:
             assert set(r) == {"case_id", "prefix", "target_class", "target_prob",
-                              "raw_relevance", "display"}
+                              "raw_relevance", "display", "model_output",
+                              "bias_absorbed", "initial_state_relevance"}
             assert len(r["raw_relevance"]) == len(r["prefix"])
             assert all(0 <= d <= 1 for d in r["display"])
+            total = (sum(r["raw_relevance"]) + r["initial_state_relevance"]
+                     + r["bias_absorbed"])
+            assert abs(total - r["model_output"]) <= 1e-9 * max(1.0, abs(r["model_output"]))
 
     def test_short_range_on_short_trace(self, workdir, tmp_path, capsys):
         two = tmp_path / "two.csv"
