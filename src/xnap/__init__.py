@@ -50,6 +50,7 @@ from .lrp import (
     LrpConfig,
     RelevanceTrace,
     explain,
+    explain_many,
     lrp_linear,
     lrp_multiplicative,
     rescale_for_display,

@@ -301,16 +301,27 @@ def _zero_grads(model: BiLstmModel) -> list[np.ndarray]:
     return [np.zeros_like(arr) for arr in model.arrays()]
 
 
+def _alignment(lengths: np.ndarray, t_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of a right-aligned batch of ``t_len`` steps, both (T, B).
+
+    ``started`` is true from each sample's first step on. ``rev`` is the
+    backward reading order: each sample's window reversed in place, still
+    right-aligned; it is its own inverse, so it also maps backward steps
+    back to event order.
+    """
+    start = t_len - lengths  # first step of each sample
+    steps = np.arange(t_len)[:, None]
+    started = steps >= start
+    rev = np.where(started, t_len - 1 + start - steps, steps)
+    return started, rev
+
+
 def _run_batch(model: BiLstmModel, xs: np.ndarray, lengths: np.ndarray) -> ForwardTrace:
     """Both directions and the output layer over a right-aligned batch
     ``xs`` (B, T, H); the traces carry the batch axis."""
     b, t_len, _ = xs.shape
-    start = t_len - lengths  # first step of each sample
-    steps = np.arange(t_len)[:, None]
-    started = steps >= start  # (T, B)
-    hold = started[:start.max(), :, None].astype(np.float64)
-    # Backward reading order: each sample's window reversed, still right-aligned.
-    rev = np.where(started, t_len - 1 + start - steps, steps)
+    started, rev = _alignment(lengths, t_len)
+    hold = started[:t_len - lengths.min(), :, None].astype(np.float64)
     xs_t = xs.transpose(1, 0, 2)
     run_f = _run_direction(np.ascontiguousarray(xs_t), model.forward_params, hold)
     run_b = _run_direction(xs_t[rev, np.arange(b)], model.backward_params, hold)
@@ -352,15 +363,22 @@ def predict_dataset(model: BiLstmModel, dataset: PrefixDataset) -> np.ndarray:
             f"dataset rows have {dataset.X.shape[2]} classes, model expects {model.n_classes}")
     lengths = dataset.true_lengths
     probs = np.empty((len(dataset), model.n_classes))
+    for part in _inference_chunks(lengths):
+        t_len = int(lengths[part[0]])
+        xs = dataset.X[part, dataset.M - t_len:, :]
+        probs[part] = _run_batch(model, xs, lengths[part]).probs
+    return probs
+
+
+def _inference_chunks(lengths: np.ndarray):
+    """Yield index arrays over ``lengths``, longest first, each a batch of
+    at most ``_INFERENCE_ROWS`` (sample, step) rows, or one sample."""
     order = np.argsort(-lengths, kind="stable")
     start = 0
     while start < len(order):
-        t_len = int(lengths[order[start]])
-        part = order[start:start + max(1, _INFERENCE_ROWS // t_len)]
-        xs = dataset.X[part, dataset.M - t_len:, :]
-        probs[part] = _run_batch(model, xs, lengths[part]).probs
+        part = order[start:start + max(1, _INFERENCE_ROWS // int(lengths[order[start]]))]
+        yield part
         start += len(part)
-    return probs
 
 
 # --- public per-sample operations -----------------------------------------
@@ -379,6 +397,17 @@ def _suffix_inputs(model: BiLstmModel, sample: PrefixSample,
                 f"dropout mask {dropout_mask.shape} does not match suffix {xs.shape}")
         xs = xs * dropout_mask
     return xs[None, :, :]
+
+
+def _stack_samples(model: BiLstmModel, samples) -> tuple[np.ndarray, np.ndarray]:
+    """Right-aligned batch (B, T, H) of the samples' true suffixes, T the
+    longest of them, and their lengths (B,)."""
+    suffixes = [_suffix_inputs(model, sample, None)[0] for sample in samples]
+    lengths = np.asarray([len(x) for x in suffixes])
+    xs = np.zeros((len(suffixes), int(lengths.max()), model.n_classes))
+    for row, x in zip(xs, suffixes):
+        row[len(row) - len(x):] = x
+    return xs, lengths
 
 
 def forward(model: BiLstmModel, sample: PrefixSample,

@@ -11,11 +11,13 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .bilstm import TrainConfig, load_model, predict, save_model, train
 from .encoding import (
     END_SYMBOL,
+    PrefixSample,
     assemble_dataset,
     build_vocabulary,
     encode_running_trace,
@@ -39,7 +41,7 @@ from .errors import (
 )
 from .eventlog import EventLog, LogFormat, Trace, compute_stats, filter_log, parse_log, serialize_log
 from .evaluation import run_cv, shuffle_cases, split_validation
-from .lrp import LrpConfig, RelevanceTrace, explain
+from .lrp import LrpConfig, RelevanceTrace, explain_many
 from .synthlog import copy_task, generate, linear_grammar
 
 _PARSE_ERRORS = (OSError, MissingColumn, BadTimestamp, EmptyLog, CorruptModel,
@@ -94,22 +96,49 @@ def _hex_color(d: float) -> str:
     return f"#{r:02X}{g:02X}{b:02X}"
 
 
-def _explained_rows(model, trace: Trace, config: LrpConfig,
-                    min_prefix: int, max_prefix: int | None) -> list[dict]:
-    """One explained prediction per prefix length, up to the trace length."""
-    vocab = model.vocab
-    top = min(len(trace), max_prefix) if max_prefix else len(trace)
+def _encode_or_skip(trace: Trace, model) -> PrefixSample | None:
+    """The trace as one running sample, or None with a warning on stderr
+    when it holds an unknown activity or is longer than the model allows."""
+    try:
+        return encode_running_trace(trace, model.vocab, model.max_len)
+    except UnknownActivity as exc:
+        print(f"case {trace.case_id}: skipped, activity {exc.activity!r} "
+              f"is not in the model's vocabulary", file=sys.stderr)
+    except PrefixTooLong as exc:
+        print(f"case {trace.case_id}: skipped, {exc}", file=sys.stderr)
+    return None
+
+
+def _prefix_samples(model, trace: Trace, min_prefix: int,
+                    max_prefix: int | None) -> list[PrefixSample] | None:
+    """One sample per prefix length in range, shortest first; None when
+    the range is empty or the longest prefix cannot be encoded."""
+    top = len(trace) if max_prefix is None else min(len(trace), max_prefix)
+    if top < min_prefix:
+        print(f"case {trace.case_id}: skipped (shorter than prefix range)",
+              file=sys.stderr)
+        return None
+    full = _encode_or_skip(Trace(trace.case_id, trace.events[:top]), model)
+    if full is None:
+        return None
+    # Every shorter prefix is a slice of the longest one's one-hot rows.
+    first = full.max_len - top
+    return [replace(full, x=full.x[first:first + length], true_length=length)
+            for length in range(min_prefix, top + 1)]
+
+
+def _explained_rows(model, trace: Trace, samples: list[PrefixSample],
+                    results: list[RelevanceTrace]) -> list[dict]:
+    """One row per explained prefix of a trace, for the renderers."""
     rows = []
-    for length in range(min_prefix, top + 1):
-        prefix_trace = Trace(trace.case_id, trace.events[:length])
-        sample = encode_running_trace(prefix_trace, vocab, model.max_len)
-        result = explain(model, sample, config)
+    for sample, result in zip(samples, results):
+        length = sample.true_length
         truth = trace.events[length].activity if length < len(trace) else END_SYMBOL
         rows.append({
             "length": length,
-            "prefix": list(prefix_trace.activities),
+            "prefix": list(trace.activities[:length]),
             "result": result,
-            "predicted": vocab.label_of(result.target_class),
+            "predicted": model.vocab.label_of(result.target_class),
             "ground_truth": truth,
         })
     return rows
@@ -246,14 +275,12 @@ def cmd_predict(args) -> int:
     lines = []
     for trace in traces:
         try:
-            sample = encode_running_trace(trace, model.vocab, model.max_len)
+            sample = _encode_or_skip(trace, model)
         except TraceTooShort:
             print(f"case {trace.case_id}: trace too short to predict on "
                   f"({len(trace)} event)", file=sys.stderr)
             continue
-        except UnknownActivity as exc:
-            print(f"case {trace.case_id}: skipped, activity {exc.activity!r} "
-                  f"is not in the model's vocabulary", file=sys.stderr)
+        if sample is None:
             continue
         idx, probs = predict(model, sample)
         lines.append((trace.case_id, model.vocab.label_of(idx), float(probs[idx])))
@@ -280,20 +307,18 @@ def cmd_explain(args) -> int:
         else model.vocab.index_of(args.target_class),
         start_from=args.start_from)
     traces = [log.trace_by_case(args.case)] if args.case else list(log)
-    per_trace = []
+    jobs = []
     for trace in traces:
-        try:
-            rows = _explained_rows(model, trace, config,
-                                   args.min_prefix, args.max_prefix)
-        except TraceTooShort:
-            rows = []
-        if not rows:
-            print(f"case {trace.case_id}: skipped (shorter than prefix range)",
-                  file=sys.stderr)
-            continue
-        per_trace.append((trace, rows))
-    if not per_trace:
+        samples = _prefix_samples(model, trace, args.min_prefix, args.max_prefix)
+        if samples is not None:
+            jobs.append((trace, samples))
+    if not jobs:
         raise TraceTooShort("no trace fits the requested prefix range")
+    results = iter(explain_many(model, [s for _, samples in jobs for s in samples],
+                                config))
+    per_trace = [(trace, _explained_rows(model, trace, samples,
+                                         [next(results) for _ in samples]))
+                 for trace, samples in jobs]
     out = _out_stream(args.out)
     try:
         if args.render == "json":
@@ -365,6 +390,14 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", type=float, default=0.002)
 
 
+def _prefix_length(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(
+            f"{value} is too short: a prediction needs at least 2 events")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xnap",
@@ -417,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--log", required=True)
     p.add_argument("--case", default=None)
-    p.add_argument("--min-prefix", type=int, default=3)
+    p.add_argument("--min-prefix", type=_prefix_length, default=3,
+                   help="shortest prefix to explain (at least 2)")
     p.add_argument("--max-prefix", type=int, default=None)
     p.add_argument("--epsilon", type=float, default=0.001)
     p.add_argument("--delta", type=float, default=0.0)

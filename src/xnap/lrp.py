@@ -21,7 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bilstm import BiLstmModel, DirectionTrace, LstmWeights, forward
+from .bilstm import (
+    BiLstmModel,
+    DirectionTrace,
+    LstmWeights,
+    _alignment,
+    _inference_chunks,
+    _run_batch,
+    _stack_samples,
+)
 from .encoding import PrefixSample
 from .errors import ShapeMismatch, TraceTooShort
 from .tensorcore import as_f64
@@ -74,8 +82,19 @@ class RelevanceTrace:
         return len(self.raw)
 
 
-def _sign(z: np.ndarray) -> np.ndarray:
-    return np.where(z >= 0.0, 1.0, -1.0)
+def _stabilise(z_upper: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """The stabiliser epsilon * sign(z), with sign(0) = +1, and the
+    denominator z + stabiliser."""
+    stab = np.where(z_upper >= 0.0, epsilon, -epsilon)
+    return stab, z_upper + stab
+
+
+def _epsilon_rule(z_lower: np.ndarray, w: np.ndarray, share: np.ndarray,
+                  scale: np.ndarray) -> np.ndarray:
+    """Sum over upper neurons j of the messages
+    (w[j, i] * z_lower[i] + share[j]) * scale[j], as one matrix product;
+    ``scale`` is R_upper / denom."""
+    return z_lower * (scale @ w) + (share * scale).sum(axis=-1, keepdims=True)
 
 
 def lrp_linear(z_lower: np.ndarray, w: np.ndarray, b: np.ndarray,
@@ -87,6 +106,8 @@ def lrp_linear(z_lower: np.ndarray, w: np.ndarray, b: np.ndarray,
     pre-activation sum(w[j] * z_lower) + b[j]. Every lower neuron receives
     the summed messages from all upper neurons; the bias/stabiliser share
     is split evenly over the N = len(z_lower) connected lower neurons.
+    With a leading batch axis on ``z_lower``, ``z_upper`` and ``r_upper``,
+    each row is redistributed on its own.
     """
     z_lower = as_f64(z_lower)
     w = as_f64(w)
@@ -94,143 +115,174 @@ def lrp_linear(z_lower: np.ndarray, w: np.ndarray, b: np.ndarray,
     z_upper = as_f64(z_upper)
     r_upper = as_f64(r_upper)
     m, n = w.shape if w.ndim == 2 else (0, 0)
-    if w.ndim != 2 or z_lower.shape != (n,) or b.shape != (m,) \
-            or z_upper.shape != (m,) or r_upper.shape != (m,):
+    batch = z_lower.shape[:-1]
+    if w.ndim != 2 or z_lower.ndim not in (1, 2) or z_lower.shape != batch + (n,) \
+            or b.shape != (m,) or z_upper.shape != batch + (m,) \
+            or r_upper.shape != batch + (m,):
         raise ShapeMismatch(
             f"lrp_linear shapes disagree: W {w.shape}, lower {z_lower.shape}, "
             f"bias {b.shape}, upper {z_upper.shape}, R {r_upper.shape}")
-    sign = _sign(z_upper)
-    denom = z_upper + epsilon * sign
-    share = (epsilon * sign + delta * b) / n
-    messages = (w * z_lower[None, :] + share[:, None]) \
-        * (r_upper / denom)[:, None]
-    return messages.sum(axis=0)
+    stab, denom = _stabilise(z_upper, epsilon)
+    return _epsilon_rule(z_lower, w, (stab + delta * b) / n, r_upper / denom)
 
 
 def bias_absorption(b: np.ndarray, z_upper: np.ndarray, r_upper: np.ndarray,
-                    epsilon: float, delta: float) -> float:
+                    epsilon: float, delta: float):
     """Relevance a linear layer's biases soak up: (1-delta) * b_j / denom_j * R_j.
 
     Closed form of R_upper.sum() - R_lower.sum() for :func:`lrp_linear`;
-    exactly zero when delta = 1.
+    exactly zero when delta = 1. One total per row when ``z_upper`` and
+    ``r_upper`` carry a leading batch axis.
     """
-    b = as_f64(b)
-    z_upper = as_f64(z_upper)
-    denom = z_upper + epsilon * _sign(z_upper)
-    return float((((1.0 - delta) * b) / denom * as_f64(r_upper)).sum())
+    _, denom = _stabilise(as_f64(z_upper), epsilon)
+    total = (((1.0 - delta) * as_f64(b)) / denom * as_f64(r_upper)).sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def lrp_multiplicative(r_product: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gate/source rule for a two-factor product: gate 0, source everything."""
     r_product = as_f64(r_product)
-    return np.zeros_like(r_product), r_product.copy()
-
-
-def _split_sum2(s1: np.ndarray, s2: np.ndarray, z_upper: np.ndarray,
-                r_upper: np.ndarray, epsilon: float, delta: float
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Split relevance over the two summands of z_upper = s1 + s2.
-
-    Elementwise form of :func:`lrp_linear` with unit weights, zero bias
-    and N = 2 lower neurons per unit.
-    """
-    sign = _sign(z_upper)
-    denom = z_upper + epsilon * sign
-    share = epsilon * sign / 2.0  # delta * b is zero: the sum has no bias
-    scale = r_upper / denom
-    return (s1 + share) * scale, (s2 + share) * scale
+    return np.zeros(r_product.shape), r_product.copy()
 
 
 def _propagate_direction(trace: DirectionTrace, params: LstmWeights,
-                         r_h_final: np.ndarray, config: LrpConfig
-                         ) -> tuple[np.ndarray, float, float, float]:
-    """Walk one direction from its final step back to its first.
+                         r_h_final: np.ndarray, started: np.ndarray,
+                         config: LrpConfig
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Walk one direction of a right-aligned batch from its final step back
+    to its first.
 
-    Returns per-step input relevance (in the direction's reading order),
-    the relevance left on the zero initial states, the bias-absorbed total
-    of the gate pre-activation layers, and the gate-assigned total.
+    ``trace`` carries the batch axis and ``started`` (T, B) marks the steps
+    each sample runs. Before a sample's first step its relevance stays
+    where it is. Returns the per-step input relevance (T, B) in the
+    direction's reading order (steps before a sample's first hold no event
+    and are never read) and, per sample, the relevance left on the zero
+    initial states, the bias-absorbed total of the gate pre-activation
+    layers, and the gate-assigned total.
     """
-    t_len, h_dim = trace.inputs.shape
-    d = r_h_final.shape[0]
+    t_len, b, h_dim = trace.inputs.shape
+    eps, delta = config.epsilon, config.delta
     g = params.rows("g")
     w_cat = np.hstack([params.W[g], params.U[g]])  # lower = [x_t ; h_{t-1}]
     b_g = params.b[g]
-    gate_i, gate_f, cand, pre_g = trace.gate_i, trace.gate_f, trace.cand, trace.pre_g
-    rx = np.zeros((t_len, h_dim))
+    # Everything the rules take from the forward pass, for all steps at once.
+    z_low = np.concatenate([trace.inputs, trace.h[:-1]], axis=-1)
+    # c_t = f_t*c_{t-1} + i_t*g_t: the two summands, stacked per step.
+    summands = np.stack([trace.gate_f * trace.c[:-1], trace.gate_i * trace.cand], axis=1)
+    stab_c, denom_c = _stabilise(trace.c[1:], eps)
+    share_c = stab_c / 2.0  # two summands, no bias
+    stab_g, denom_g = _stabilise(trace.pre_g, eps)
+    share_g = (stab_g + delta * b_g) / w_cat.shape[1]
+    absorb_g = ((1.0 - delta) * b_g) / denom_g
+
+    # Per-step relevance of the input units, the gates and the candidate
+    # pre-activations; reduced to per-sample totals after the walk.
+    rx = np.empty((t_len, b, h_dim))
+    r_gates = np.empty((t_len, 3, b, r_h_final.shape[1]))
+    r_cands = np.empty_like(r_gates[:, 0])
     r_h = r_h_final
-    r_c = np.zeros(d)
-    absorbed = 0.0
-    gate_total = 0.0
+    r_c = np.zeros_like(r_h)
     for t in reversed(range(t_len)):
         # h_t = o_t * tanh(c_t): output gate is zeroed, tanh passes through.
-        r_gate_o, r_tanh_c = lrp_multiplicative(r_h)
-        gate_total += float(np.abs(r_gate_o).sum())
-        r_c = r_c + r_tanh_c
-        # c_t = f_t*c_{t-1} + i_t*g_t: split the sum, then zero each gate.
-        r_forget_term, r_input_term = _split_sum2(
-            gate_f[t] * trace.c[t], gate_i[t] * cand[t],
-            trace.c[t + 1], r_c, config.epsilon, config.delta)
-        r_gate_f, r_c_prev = lrp_multiplicative(r_forget_term)
-        r_gate_i, r_cand = lrp_multiplicative(r_input_term)
-        gate_total += float(np.abs(r_gate_f).sum() + np.abs(r_gate_i).sum())
+        r_gates[t, 0], r_tanh_c = lrp_multiplicative(r_h)
+        # The epsilon rule over the two summands of c_t, then the forget
+        # and input gates are zeroed.
+        scale = (r_c + r_tanh_c) / denom_c[t]
+        r_gates[t, 1:], (r_c_prev, r_cands[t]) = lrp_multiplicative(
+            (summands[t] + share_c[t]) * scale)
         # g_t = tanh(W_g x_t + U_g h_{t-1} + b_g): identity through tanh,
         # then the linear rule over the concatenated lower layer.
-        z_low = np.concatenate([trace.inputs[t], trace.h[t]])
-        r_low = lrp_linear(z_low, w_cat, b_g, pre_g[t], r_cand,
-                           config.epsilon, config.delta)
-        absorbed += bias_absorption(b_g, pre_g[t], r_cand,
-                                    config.epsilon, config.delta)
-        rx[t] = r_low[:h_dim]
-        r_h = r_low[h_dim:]
-        r_c = r_c_prev
-    leftover = float(r_h.sum() + r_c.sum())
-    return rx, leftover, absorbed, gate_total
+        r_low = _epsilon_rule(z_low[t], w_cat, share_g[t], r_cands[t] / denom_g[t])
+        rx[t] = r_low[:, :h_dim]
+        live = started[t][:, None]
+        r_h = np.where(live, r_low[:, h_dim:], r_h)
+        r_c = np.where(live, r_c_prev, r_c)
+    leftover = r_h.sum(axis=1) + r_c.sum(axis=1)
+    # Totals over each sample's own steps, newest first.
+    absorbed = np.where(started, (absorb_g * r_cands).sum(axis=2), 0.0)[::-1].sum(axis=0)
+    gates = np.where(started, np.abs(r_gates).sum(axis=(1, 3)), 0.0)[::-1].sum(axis=0)
+    return rx.sum(axis=2), leftover, absorbed, gates
+
+
+def _explain_chunk(model: BiLstmModel, samples: list[PrefixSample],
+                   config: LrpConfig) -> list[RelevanceTrace]:
+    """Explain one batch: one forward pass, one relevance walk per direction."""
+    xs, lengths = _stack_samples(model, samples)
+    t_len = xs.shape[1]
+    run = _run_batch(model, xs, lengths)
+    started, rev = _alignment(lengths, t_len)
+    rows = np.arange(len(samples))
+    targets = np.argmax(run.probs, axis=1) if config.target is None \
+        else np.full(len(samples), config.target)
+    outputs = run.logits if config.start_from == "logit" else run.probs
+    r_out = np.zeros_like(outputs)
+    r_out[rows, targets] = outputs[rows, targets]
+
+    d = model.hidden_size
+    h_cat = np.concatenate([run.fwd.h[-1], run.bwd.h[-1]], axis=1)
+    r_hcat = lrp_linear(h_cat, model.W_out, model.b_out, run.logits, r_out,
+                        config.epsilon, config.delta)
+    absorbed = bias_absorption(model.b_out, run.logits, r_out,
+                               config.epsilon, config.delta)
+
+    rx_f, left_f, abs_f, gates_f = _propagate_direction(
+        run.fwd, model.forward_params, r_hcat[:, :d], started, config)
+    rx_b, left_b, abs_b, gates_b = _propagate_direction(
+        run.bwd, model.backward_params, r_hcat[:, d:], started, config)
+
+    # The backward direction read each window newest-first; gather its
+    # steps back to event order before adding the two directions.
+    raw = rx_f + rx_b[rev, rows]
+    initial = left_f + left_b
+    bias = absorbed + abs_f + abs_b
+    gates = gates_f + gates_b
+    out = []
+    for k, sample in enumerate(samples):
+        event_raw = raw[t_len - lengths[k]:, k].copy()
+        target = int(targets[k])
+        out.append(RelevanceTrace(
+            raw=event_raw,
+            display=rescale_for_display(event_raw),
+            target_class=target,
+            model_output=float(outputs[k, target]),
+            target_prob=float(run.probs[k, target]),
+            initial_state_relevance=float(initial[k]),
+            bias_absorbed=float(bias[k]),
+            gate_relevance=float(gates[k]),
+            case_id=sample.case_id,
+        ))
+    return out
+
+
+def explain_many(model: BiLstmModel, samples: list[PrefixSample],
+                 config: LrpConfig = LrpConfig()) -> list[RelevanceTrace]:
+    """Per-event relevance of many predictions, in input order.
+
+    Each prediction is decomposed through both directions and summed per
+    event. Samples run longest first, in batches cropped to their longest
+    sample and capped at ``_INFERENCE_ROWS`` (sample, step) rows.
+    """
+    for sample in samples:
+        if sample.true_length < 2:
+            raise TraceTooShort(
+                f"sample {sample.case_id!r} has true_length {sample.true_length}; need >= 2")
+    if config.target is not None and not 0 <= config.target < model.n_classes:
+        raise ShapeMismatch(
+            f"target class {config.target} out of range for {model.n_classes} classes")
+    results: list[RelevanceTrace] = [None] * len(samples)
+    lengths = np.asarray([sample.true_length for sample in samples])
+    for part in _inference_chunks(lengths):
+        chunk = _explain_chunk(model, [samples[k] for k in part], config)
+        for k, result in zip(part, chunk):
+            results[k] = result
+    return results
 
 
 def explain(model: BiLstmModel, sample: PrefixSample,
             config: LrpConfig = LrpConfig()) -> RelevanceTrace:
-    """Per-event relevance of one prediction, decomposed through both
-    directions and summed per event."""
-    if sample.true_length < 2:
-        raise TraceTooShort(
-            f"sample {sample.case_id!r} has true_length {sample.true_length}; need >= 2")
-    if config.target is not None and not 0 <= config.target < model.n_classes:
-        raise ShapeMismatch(
-            f"target class {config.target} out of range for {model.n_classes} classes")
-
-    trace = forward(model, sample)
-    target = int(np.argmax(trace.probs)) if config.target is None else config.target
-    r_init = float(trace.logits[target]) if config.start_from == "logit" \
-        else float(trace.probs[target])
-    r_out = np.zeros(model.n_classes)
-    r_out[target] = r_init
-
-    d = model.hidden_size
-    h_cat = np.concatenate([trace.fwd.h[-1], trace.bwd.h[-1]])
-    r_hcat = lrp_linear(h_cat, model.W_out, model.b_out, trace.logits, r_out,
-                        config.epsilon, config.delta)
-    absorbed = bias_absorption(model.b_out, trace.logits, r_out,
-                               config.epsilon, config.delta)
-
-    rx_f, left_f, abs_f, gates_f = _propagate_direction(
-        trace.fwd, model.forward_params, r_hcat[:d], config)
-    rx_b, left_b, abs_b, gates_b = _propagate_direction(
-        trace.bwd, model.backward_params, r_hcat[d:], config)
-
-    # The backward direction read the events newest-first; flip its time
-    # axis back to event order before summing the one-hot components.
-    raw = rx_f.sum(axis=1) + rx_b.sum(axis=1)[::-1]
-    return RelevanceTrace(
-        raw=raw,
-        display=rescale_for_display(raw),
-        target_class=target,
-        model_output=r_init,
-        target_prob=float(trace.probs[target]),
-        initial_state_relevance=left_f + left_b,
-        bias_absorbed=absorbed + abs_f + abs_b,
-        gate_relevance=gates_f + gates_b,
-        case_id=sample.case_id,
-    )
+    """Per-event relevance of one prediction: :func:`explain_many` on a
+    batch of one."""
+    return explain_many(model, [sample], config)[0]
 
 
 def rescale_for_display(raw) -> np.ndarray:

@@ -4,7 +4,22 @@ import re
 import numpy as np
 import pytest
 
+from xnap.bilstm import load_model
 from xnap.cli import _resolve_seed, main, relevance_color
+from xnap.encoding import encode_running_trace
+from xnap.eventlog import parse_log
+from xnap.lrp import LrpConfig, explain
+
+from conftest import make_trace
+
+
+def write_log(path, cases: dict) -> str:
+    """A CSV event log with one case per entry, events a second apart."""
+    lines = ["case,activity,timestamp"]
+    for case, activities in cases.items():
+        lines += [f"{case},{a},2024-01-01 10:00:{i:02d}" for i, a in enumerate(activities)]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +126,15 @@ class TestPredict:
         assert code == 2
         assert "NaN" in capsys.readouterr().err
 
+    def test_case_longer_than_model_skipped(self, workdir, tmp_path, capsys):
+        # the model was trained on length-5 traces: its padding length is 6
+        log = write_log(tmp_path / "long.csv", {"c1": "ABCDEAB", "c2": "AB"})
+        assert main(["predict", "--model", str(workdir / "model.json"),
+                     "--log", log]) == 0
+        captured = capsys.readouterr()
+        assert "c1" in captured.err and "skipped" in captured.err
+        assert [line.split(",")[0] for line in captured.out.splitlines()[1:]] == ["c2"]
+
     def test_trace_too_short_exits_3(self, workdir, tmp_path, capsys):
         short = tmp_path / "short.csv"
         short.write_text("case,activity,timestamp\nc1,A,2024-01-01 10:00:00\n")
@@ -161,6 +185,70 @@ class TestExplain:
         assert "skipped" in captured.err
         assert all(json.loads(l)["case_id"] == "c2"
                    for l in captured.out.splitlines())
+
+    def test_json_rows_equal_library_explain(self, workdir, tmp_path, capsys):
+        log = write_log(tmp_path / "mixed.csv", {
+            "c1": "ABCDE", "c2": "AB", "c3": "EDCBAB", "c4": "BC", "c5": "CADB"})
+        assert main(["explain", "--model", str(workdir / "model.json"),
+                     "--log", log, "--min-prefix", "2", "--delta", "1",
+                     "--render", "json"]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        expected = [(t.case_id, k) for t in parse_log(log) for k in range(2, len(t) + 1)]
+        assert [(r["case_id"], len(r["prefix"])) for r in rows] == expected
+        model = load_model(workdir / "model.json")
+        for row in rows:
+            sample = encode_running_trace(make_trace(row["case_id"], row["prefix"]),
+                                          model.vocab, model.max_len)
+            want = explain(model, sample, LrpConfig(delta=1.0))
+            scale = max(abs(want.model_output), float(np.abs(want.raw).max()))
+            assert row["target_class"] == model.vocab.label_of(want.target_class)
+            assert np.abs(np.array(row["raw_relevance"]) - want.raw).max() <= 1e-12 * scale
+            for key, value in (("model_output", want.model_output),
+                               ("initial_state_relevance", want.initial_state_relevance),
+                               ("bias_absorbed", want.bias_absorbed),
+                               ("target_prob", want.target_prob)):
+                assert abs(row[key] - value) <= 1e-12 * scale, key
+
+    def test_unknown_activity_skipped_with_warning(self, workdir, tmp_path, capsys):
+        log = write_log(tmp_path / "unknown.csv", {"c1": "AZC", "c2": "ABC"})
+        assert main(["explain", "--model", str(workdir / "model.json"),
+                     "--log", log, "--render", "json"]) == 0
+        captured = capsys.readouterr()
+        assert "c1" in captured.err and "'Z'" in captured.err
+        assert [json.loads(l)["case_id"] for l in captured.out.splitlines()] == ["c2"]
+        code = main(["explain", "--model", str(workdir / "model.json"),
+                     "--log", log, "--case", "c1"])
+        assert code == 3
+
+    def test_case_longer_than_model_skipped(self, workdir, tmp_path, capsys):
+        log = write_log(tmp_path / "long.csv", {"c1": "ABCDEAB", "c2": "ABC"})
+        assert main(["explain", "--model", str(workdir / "model.json"),
+                     "--log", log, "--render", "json"]) == 0
+        captured = capsys.readouterr()
+        assert "c1" in captured.err and "skipped" in captured.err
+        assert [json.loads(l)["case_id"] for l in captured.out.splitlines()] == ["c2"]
+        # a prefix range that stays within the model's length still explains it
+        assert main(["explain", "--model", str(workdir / "model.json"),
+                     "--log", log, "--case", "c1", "--max-prefix", "6",
+                     "--render", "json"]) == 0
+        rows = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert [len(r["prefix"]) for r in rows] == [3, 4, 5, 6]
+
+    def test_min_prefix_below_two_rejected(self, workdir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["explain", "--model", str(workdir / "model.json"),
+                  "--log", str(workdir / "log.csv"), "--min-prefix", "1"])
+        assert exc.value.code == 2
+        assert "--min-prefix" in capsys.readouterr().err
+
+    def test_max_prefix_zero_is_a_limit(self, workdir, capsys):
+        code = main(["explain", "--model", str(workdir / "model.json"),
+                     "--log", str(workdir / "log.csv"), "--max-prefix", "0",
+                     "--render", "json"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no trace fits" in captured.err
 
     def test_html_cells_match_json_values(self, workdir, tmp_path, capsys):
         html_path = tmp_path / "heat.html"

@@ -1,18 +1,44 @@
 import numpy as np
 import pytest
 
+from xnap import bilstm
 from xnap.bilstm import TrainConfig, init_model, forward
 from xnap.errors import ShapeMismatch, TraceTooShort
 from xnap.lrp import (
     LrpConfig,
     bias_absorption,
     explain,
+    explain_many,
     lrp_linear,
     lrp_multiplicative,
     rescale_for_display,
 )
 
+import oracles
+from oracles import explain_per_sample
 from test_bilstm import dummy_vocab, random_model, random_sample
+
+
+def assert_matches_oracle(got, want, rtol=1e-12):
+    """Equal up to rounding: each difference at most ``rtol`` times the
+    decomposition's scale (the model output or the largest relevance)."""
+    scale = max(abs(want.model_output), float(np.abs(want.raw).max()))
+    assert got.case_id == want.case_id
+    assert got.target_class == want.target_class
+    assert got.raw.shape == want.raw.shape
+    assert np.abs(got.raw - want.raw).max() <= rtol * scale
+    for name in ("model_output", "initial_state_relevance", "bias_absorbed"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= rtol * scale, name
+    assert got.gate_relevance == want.gate_relevance == 0.0
+
+
+ORACLE_CONFIGS = [
+    LrpConfig(),
+    LrpConfig(delta=1.0),
+    LrpConfig(target=1),
+    LrpConfig(target=2, start_from="probability"),
+    LrpConfig(epsilon=1e-6, delta=1.0, start_from="probability"),
+]
 
 
 class TestLrpLinear:
@@ -71,6 +97,38 @@ class TestLrpLinear:
         with pytest.raises(ShapeMismatch):
             lrp_linear(np.zeros(2), np.zeros((3, 3)), np.zeros(3),
                        np.zeros(3), np.zeros(3), epsilon=0.1, delta=0.0)
+        with pytest.raises(ShapeMismatch):  # batch sizes disagree
+            lrp_linear(np.zeros((2, 3)), np.zeros((4, 3)), np.zeros(4),
+                       np.zeros((3, 4)), np.zeros((3, 4)), epsilon=0.1, delta=0.0)
+
+    def test_equals_summed_dense_messages(self):
+        rng = np.random.default_rng(30)
+        for delta in (0.0, 1.0):
+            for _ in range(20):
+                z_lower = rng.normal(size=7)
+                w = rng.normal(size=(5, 7))
+                b = rng.normal(size=5)
+                z_upper = w @ z_lower + b
+                r_upper = rng.normal(size=5)
+                got = lrp_linear(z_lower, w, b, z_upper, r_upper, 0.01, delta)
+                want = oracles._lrp_linear(z_lower, w, b, z_upper, r_upper, 0.01, delta)
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_batch_rows_equal_single_calls(self):
+        rng = np.random.default_rng(31)
+        z_lower = rng.normal(size=(6, 4))
+        w = rng.normal(size=(3, 4))
+        b = rng.normal(size=3)
+        z_upper = z_lower @ w.T + b
+        r_upper = rng.normal(size=(6, 3))
+        batched = lrp_linear(z_lower, w, b, z_upper, r_upper, 0.001, 0.0)
+        absorbed = bias_absorption(b, z_upper, r_upper, 0.001, 0.0)
+        assert batched.shape == (6, 4) and absorbed.shape == (6,)
+        for k in range(6):
+            single = lrp_linear(z_lower[k], w, b, z_upper[k], r_upper[k], 0.001, 0.0)
+            assert np.allclose(batched[k], single, rtol=1e-13, atol=1e-13)
+            assert absorbed[k] == pytest.approx(
+                bias_absorption(b, z_upper[k], r_upper[k], 0.001, 0.0), rel=1e-13)
 
 
 class TestLrpMultiplicative:
@@ -182,6 +240,41 @@ class TestExplain:
             LrpConfig(delta=0.5)
         with pytest.raises(ValueError):
             LrpConfig(start_from="elsewhere")
+
+
+class TestExplainMany:
+    @pytest.mark.parametrize("config", ORACLE_CONFIGS)
+    def test_mixed_lengths_match_oracle_in_input_order(self, config):
+        rng = np.random.default_rng(40)
+        model = random_model(rng, 4, 5, 9)
+        lengths = rng.permutation(np.repeat(np.arange(2, 10), 2))
+        samples = [random_sample(rng, 9, 5, int(n), f"s{i}")
+                   for i, n in enumerate(lengths)]
+        results = explain_many(model, samples, config)
+        assert [r.case_id for r in results] == [s.case_id for s in samples]
+        for sample, result in zip(samples, results):
+            assert_matches_oracle(result, explain_per_sample(model, sample, config))
+
+    @pytest.mark.parametrize("config", ORACLE_CONFIGS[:2])
+    def test_chunk_split_matches_oracle(self, monkeypatch, config):
+        # 10 rows per chunk: several chunks, and length-12 samples run alone.
+        monkeypatch.setattr(bilstm, "_INFERENCE_ROWS", 10)
+        rng = np.random.default_rng(41)
+        model = random_model(rng, 3, 4, 12)
+        samples = [random_sample(rng, 12, 4, int(n), f"s{i}")
+                   for i, n in enumerate([3, 12, 2, 5, 12, 4, 2, 7, 3])]
+        results = explain_many(model, samples, config)
+        assert [len(r) for r in results] == [s.true_length for s in samples]
+        for sample, result in zip(samples, results):
+            assert_matches_oracle(result, explain_per_sample(model, sample, config))
+
+    def test_empty_and_guards(self):
+        rng = np.random.default_rng(43)
+        model = random_model(rng, 3, 3, 4)
+        assert explain_many(model, []) == []
+        samples = [random_sample(rng, 4, 3, 3), random_sample(rng, 4, 3, 1)]
+        with pytest.raises(TraceTooShort):
+            explain_many(model, samples)
 
 
 class TestRescale:
