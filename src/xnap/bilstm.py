@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import IO, Union
@@ -224,13 +225,73 @@ def init_model(vocab: ActivityVocabulary, max_len: int, config: TrainConfig) -> 
 
 
 # --- batched recurrence core ----------------------------------------------
+
+class Workspace:
+    """Grow-only float64 work memory for the batch kernels. A ``train``,
+    ``predict_dataset`` or ``explain_many`` call runs all its batches in
+    one workspace, taken over from the previous call when one is idle.
+
+    ``take(key, shape)`` returns a C-contiguous view of that shape into the
+    buffer kept under ``key``. A buffer only grows, at least doubling, so a
+    loop over batches keeps touching the same pages instead of mapping
+    fresh ones for every batch. A view holds garbage until written and
+    stays valid only until the next ``take`` of its key; nothing returned
+    to a caller may be one.
+    """
+
+    def __init__(self):
+        self._slots: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # key -> (buffer, last view)
+
+    def take(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
+        buf, view = self._slots.get(key, (None, None))
+        if view is not None and view.shape == shape:
+            return view
+        size = math.prod(shape)
+        if buf is None or buf.size < size:
+            buf = np.empty(size if buf is None else max(size, 2 * buf.size))
+        view = buf[:size].reshape(shape)
+        self._slots[key] = (buf, view)
+        return view
+
+
+class _NewArrays(Workspace):
+    """A workspace that reuses nothing, for single predictions: ``take``
+    returns a new array, so a result may keep it."""
+
+    def take(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
+        return np.empty(shape)
+
+
+_NEW_ARRAYS = _NewArrays()
+
+
+# Workspaces between calls: the next call takes one over, so the pages an
+# earlier call touched serve it instead of being mapped and faulted in
+# afresh. Each running call holds its own, so there are never more idle
+# ones than calls ever ran at once.
+_idle_workspaces: list[Workspace] = []
+
+
+@contextmanager
+def _borrowed_workspace():
+    try:
+        ws = _idle_workspaces.pop()
+    except IndexError:
+        ws = Workspace()
+    try:
+        yield ws
+    finally:
+        _idle_workspaces.append(ws)
+
 # A batch is right-aligned: sample k's events fill the last lengths[k] of
 # its T rows, T being the longest length in the batch. Both directions see
 # this layout (the backward one with each window reversed in place), so one
 # mask rule serves both: the cell state stays zero until a sample starts.
 
-def _run_direction(xs: np.ndarray, p: LstmWeights, hold: np.ndarray) -> DirectionTrace:
-    """One direction over time-major inputs ``xs`` (T, B, H).
+def _run_direction(xs: np.ndarray, p: LstmWeights, hold: np.ndarray,
+                   ws: Workspace, key: str) -> DirectionTrace:
+    """One direction over time-major inputs ``xs`` (T, B, H), its arrays
+    taken from ``ws`` under ``key``.
 
     ``hold`` (S, B, 1) zeroes the cell state of samples that have not
     started during the first S steps; from step S on, every sample runs.
@@ -238,17 +299,19 @@ def _run_direction(xs: np.ndarray, p: LstmWeights, hold: np.ndarray) -> Directio
     t_len, b, h_dim = xs.shape
     d = p.hidden_size
     s = 3 * d  # sigmoid gates i, f, o come first
-    act = np.empty((t_len, b, 4 * d))
-    c = np.zeros((t_len + 1, b, d))
-    h = np.zeros((t_len + 1, b, d))
+    pre, act = ws.take(key + ".gates", (2, t_len, b, 4 * d))
+    c, h = ws.take(key + ".states", (2, t_len + 1, b, d))
+    c[0] = h[0] = 0.0
+    rec = ws.take("step.rec", (b, 4 * d))
+    prod = ws.take("step.prod", (b, d))
     u_t = p.U.T
     # Non-finite values run through and are reported once, below.
     with np.errstate(invalid="ignore", over="ignore"):
-        pre = (xs.reshape(t_len * b, h_dim) @ p.W.T).reshape(t_len, b, 4 * d)
+        np.matmul(xs.reshape(t_len * b, h_dim), p.W.T, out=pre.reshape(t_len * b, 4 * d))
         pre += p.b
         for t in range(t_len):
             z, a = pre[t], act[t]
-            z += h[t] @ u_t
+            z += np.matmul(h[t], u_t, out=rec)
             sig = a[:, :s]
             np.multiply(z[:, :s], 0.5, out=sig)  # sigm(x) = (1 + tanh(x/2)) / 2
             np.tanh(sig, out=sig)
@@ -256,7 +319,7 @@ def _run_direction(xs: np.ndarray, p: LstmWeights, hold: np.ndarray) -> Directio
             sig *= 0.5
             np.tanh(z[:, s:], out=a[:, s:])
             np.multiply(a[:, d:2 * d], c[t], out=c[t + 1])
-            c[t + 1] += a[:, :d] * a[:, s:]
+            c[t + 1] += np.multiply(a[:, :d], a[:, s:], out=prod)
             if t < len(hold):
                 c[t + 1] *= hold[t]
             np.tanh(c[t + 1], out=h[t + 1])
@@ -266,14 +329,14 @@ def _run_direction(xs: np.ndarray, p: LstmWeights, hold: np.ndarray) -> Directio
     return DirectionTrace(xs, pre, act, c, h, hold)
 
 
-def _direction_backward(run: DirectionTrace, p: LstmWeights,
-                        dh_last: np.ndarray, grads: list[np.ndarray]) -> None:
+def _direction_backward(run: DirectionTrace, p: LstmWeights, dh_last: np.ndarray,
+                        grads: list[np.ndarray], ws: Workspace) -> None:
     """Accumulate one direction's gradients, summed over the batch, into
     ``grads`` = [dW, dU, db]."""
     t_len, b, h_dim = run.inputs.shape
     d = p.hidden_size
     s = 3 * d
-    dpre = np.empty_like(run.act)
+    dpre = ws.take("dpre", run.act.shape)
     dh = dh_last
     dc = np.zeros((b, d))
     for t in reversed(range(t_len)):
@@ -292,8 +355,10 @@ def _direction_backward(run: DirectionTrace, p: LstmWeights,
         dc = dc * f_t
     rows = t_len * b
     dz = dpre.reshape(rows, 4 * d)
-    grads[0] += dz.T @ run.inputs.reshape(rows, h_dim)
-    grads[1] += dz.T @ run.h[:-1].reshape(rows, d)
+    grads[0] += np.matmul(dz.T, run.inputs.reshape(rows, h_dim),
+                          out=ws.take("grad.W", grads[0].shape))
+    grads[1] += np.matmul(dz.T, run.h[:-1].reshape(rows, d),
+                          out=ws.take("grad.U", grads[1].shape))
     grads[2] += dz.sum(axis=0)
 
 
@@ -316,28 +381,31 @@ def _alignment(lengths: np.ndarray, t_len: int) -> tuple[np.ndarray, np.ndarray]
     return started, rev
 
 
-def _run_batch(model: BiLstmModel, xs: np.ndarray, lengths: np.ndarray) -> ForwardTrace:
+def _run_batch(model: BiLstmModel, xs: np.ndarray, lengths: np.ndarray,
+               ws: Workspace = _NEW_ARRAYS) -> ForwardTrace:
     """Both directions and the output layer over a right-aligned batch
-    ``xs`` (B, T, H); the traces carry the batch axis."""
+    ``xs`` (B, T, H); the traces carry the batch axis. Their arrays come
+    from ``ws`` (new ones by default)."""
     b, t_len, _ = xs.shape
     started, rev = _alignment(lengths, t_len)
     hold = started[:t_len - lengths.min(), :, None].astype(np.float64)
     xs_t = xs.transpose(1, 0, 2)
-    run_f = _run_direction(np.ascontiguousarray(xs_t), model.forward_params, hold)
-    run_b = _run_direction(xs_t[rev, np.arange(b)], model.backward_params, hold)
+    run_f = _run_direction(np.ascontiguousarray(xs_t), model.forward_params, hold, ws, "fwd")
+    run_b = _run_direction(xs_t[rev, np.arange(b)], model.backward_params, hold, ws, "bwd")
     hcat = np.concatenate([run_f.h[-1], run_b.h[-1]], axis=1)
     logits = hcat @ model.W_out.T + model.b_out
     return ForwardTrace(run_f, run_b, logits, tc.softmax(logits, axis=-1))
 
 
 def _batch_backward(model: BiLstmModel, xs: np.ndarray, lengths: np.ndarray,
-                    labels: np.ndarray, grads: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+                    labels: np.ndarray, grads: list[np.ndarray],
+                    ws: Workspace = _NEW_ARRAYS) -> tuple[np.ndarray, np.ndarray]:
     """Accumulate summed gradients of per-sample cross-entropy into
     ``grads`` (laid out like ``model.arrays()``).
 
     Returns (per-sample losses, predicted indices) for bookkeeping.
     """
-    run = _run_batch(model, xs, lengths)
+    run = _run_batch(model, xs, lengths, ws)
     b = xs.shape[0]
     d = model.hidden_size
     dlogits = run.probs.copy()
@@ -346,8 +414,8 @@ def _batch_backward(model: BiLstmModel, xs: np.ndarray, lengths: np.ndarray,
     grads[6] += dlogits.T @ hcat
     grads[7] += dlogits.sum(axis=0)
     dhcat = dlogits @ model.W_out
-    _direction_backward(run.fwd, model.forward_params, dhcat[:, :d], grads[0:3])
-    _direction_backward(run.bwd, model.backward_params, dhcat[:, d:], grads[3:6])
+    _direction_backward(run.fwd, model.forward_params, dhcat[:, :d], grads[0:3], ws)
+    _direction_backward(run.bwd, model.backward_params, dhcat[:, d:], grads[3:6], ws)
     losses = -np.log(np.maximum(run.probs[np.arange(b), labels], tc.LOSS_CLIP))
     return losses, np.argmax(run.probs, axis=1)
 
@@ -358,15 +426,21 @@ def predict_dataset(model: BiLstmModel, dataset: PrefixDataset) -> np.ndarray:
     Samples run longest first, in batches cropped to their longest sample
     and capped at ``_INFERENCE_ROWS`` (sample, step) rows.
     """
-    if dataset.X.shape[2] != model.n_classes:
+    if dataset.vocab.size != model.n_classes:
         raise ShapeMismatch(
-            f"dataset rows have {dataset.X.shape[2]} classes, model expects {model.n_classes}")
+            f"dataset rows have {dataset.vocab.size} classes, model expects {model.n_classes}")
+    with _borrowed_workspace() as ws:
+        return _predict_probs(model, dataset, ws)
+
+
+def _predict_probs(model: BiLstmModel, dataset: PrefixDataset, ws: Workspace) -> np.ndarray:
+    """:func:`predict_dataset` with every batch's arrays taken from ``ws``."""
     lengths = dataset.true_lengths
     probs = np.empty((len(dataset), model.n_classes))
     for part in _inference_chunks(lengths):
         t_len = int(lengths[part[0]])
-        xs = dataset.X[part, dataset.M - t_len:, :]
-        probs[part] = _run_batch(model, xs, lengths[part]).probs
+        xs = dataset.one_hot(part, t_len)
+        probs[part] = _run_batch(model, xs, lengths[part], ws).probs
     return probs
 
 
@@ -429,8 +503,9 @@ def predict(model: BiLstmModel, sample: PrefixSample) -> tuple[int, np.ndarray]:
 
     Ties break toward the lowest index.
     """
-    trace = forward(model, sample)
-    return int(np.argmax(trace.probs)), trace.probs
+    probs = _run_batch(model, _suffix_inputs(model, sample, None),
+                       np.asarray([sample.true_length])).probs[0]
+    return int(np.argmax(probs)), probs
 
 
 def backward(model: BiLstmModel, sample: PrefixSample, label_index: int,
@@ -461,22 +536,35 @@ class Nadam:
         self.epsilon = epsilon
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        self._work = [(np.empty_like(p), np.empty_like(p)) for p in params]
         self.t = 0
         self.mu_product = 1.0
 
     def step(self, grads: list[np.ndarray]) -> None:
+        """One update, computed in place in the order of
+        m_hat = mu' m / (1 - prod mu') + (1 - mu) g / (1 - prod mu),
+        p -= lr m_hat / (sqrt(v / (1 - beta2^t)) + epsilon)."""
         self.t += 1
         mu_t = self.beta1 * (1.0 - 0.5 * 0.96 ** self.t)
         mu_next = self.beta1 * (1.0 - 0.5 * 0.96 ** (self.t + 1))
         self.mu_product *= mu_t
         mu_product_next = self.mu_product * mu_next
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m += (g - m) * (1.0 - self.beta1)
-            v += (g * g - v) * (1.0 - self.beta2)
-            m_hat = (mu_next * m / (1.0 - mu_product_next)
-                     + (1.0 - mu_t) * g / (1.0 - self.mu_product))
-            v_hat = v / (1.0 - self.beta2 ** self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        for p, g, m, v, (a, b) in zip(self.params, grads, self.m, self.v, self._work):
+            m += np.multiply(np.subtract(g, m, out=a), 1.0 - self.beta1, out=a)
+            np.multiply(g, g, out=a)
+            a -= v
+            v += np.multiply(a, 1.0 - self.beta2, out=a)
+            np.multiply(m, mu_next, out=a)
+            a /= 1.0 - mu_product_next
+            np.multiply(g, 1.0 - mu_t, out=b)
+            b /= 1.0 - self.mu_product
+            a += b  # m_hat
+            np.divide(v, 1.0 - self.beta2 ** self.t, out=b)
+            np.sqrt(b, out=b)
+            b += self.epsilon
+            a *= self.lr
+            a /= b
+            p -= a
 
 
 # --- training ---------------------------------------------------------------
@@ -494,9 +582,10 @@ def _drop_inputs(xs: np.ndarray, lengths: np.ndarray, rng: np.random.Generator,
     xs[started] *= (rng.random((int(lengths.sum()), xs.shape[2])) < keep) / keep
 
 
-def _dataset_loss(model: BiLstmModel, dataset: PrefixDataset) -> tuple[float, float]:
+def _dataset_loss(model: BiLstmModel, dataset: PrefixDataset,
+                  ws: Workspace) -> tuple[float, float]:
     """Mean loss and accuracy over a dataset, no dropout."""
-    probs = predict_dataset(model, dataset)
+    probs = _predict_probs(model, dataset, ws)
     labels = dataset.label_indices
     picked = np.maximum(probs[np.arange(len(dataset)), labels], tc.LOSS_CLIP)
     accuracy = float((np.argmax(probs, axis=1) == labels).mean())
@@ -526,6 +615,7 @@ def train(dataset: PrefixDataset, val_dataset: PrefixDataset,
     optimizer = Nadam(params, config.learning_rate, config.beta1,
                       config.beta2, config.epsilon_opt)
     keep = 1.0 - config.dropout_rate
+    grads = _zero_grads(model)
 
     history: list[EpochStats] = []
     best_loss = math.inf
@@ -534,41 +624,45 @@ def train(dataset: PrefixDataset, val_dataset: PrefixDataset,
     epochs_since_best = 0
     n = len(dataset)
 
-    for epoch in range(1, config.max_epochs + 1):
-        order = shuffle_rng.permutation(n)
-        epoch_loss = 0.0
-        epoch_correct = 0
-        for start in range(0, n, config.batch_size):
-            batch = order[start:start + config.batch_size]
-            lengths = dataset.true_lengths[batch]
-            labels = dataset.label_indices[batch]
-            t_len = int(lengths.max())
-            xs = dataset.X[batch, dataset.M - t_len:, :]
-            if config.dropout_rate > 0.0:
-                _drop_inputs(xs, lengths, dropout_rng, keep)
-            grads = _zero_grads(model)
-            losses, preds = _batch_backward(model, xs, lengths, labels, grads)
-            epoch_loss += float(losses.sum())
-            epoch_correct += int((preds == labels).sum())
-            scale = 1.0 / len(batch)
-            optimizer.step([g * scale for g in grads])
+    with _borrowed_workspace() as ws:
+        for epoch in range(1, config.max_epochs + 1):
+            order = shuffle_rng.permutation(n)
+            epoch_loss = 0.0
+            epoch_correct = 0
+            for start in range(0, n, config.batch_size):
+                batch = order[start:start + config.batch_size]
+                lengths = dataset.true_lengths[batch]
+                labels = dataset.label_indices[batch]
+                t_len = int(lengths.max())
+                xs = dataset.one_hot(batch, t_len)
+                if config.dropout_rate > 0.0:
+                    _drop_inputs(xs, lengths, dropout_rng, keep)
+                for g in grads:
+                    g.fill(0.0)
+                losses, preds = _batch_backward(model, xs, lengths, labels, grads, ws)
+                epoch_loss += float(losses.sum())
+                epoch_correct += int((preds == labels).sum())
+                scale = 1.0 / len(batch)
+                for g in grads:
+                    g *= scale
+                optimizer.step(grads)
 
-        train_loss = epoch_loss / n
-        val_loss, val_acc = _dataset_loss(model, val_dataset)
-        if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
-            raise NonFiniteLoss(epoch)
-        history.append(EpochStats(epoch, train_loss, epoch_correct / n,
-                                  val_loss, val_acc))
+            train_loss = epoch_loss / n
+            val_loss, val_acc = _dataset_loss(model, val_dataset, ws)
+            if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
+                raise NonFiniteLoss(epoch)
+            history.append(EpochStats(epoch, train_loss, epoch_correct / n,
+                                      val_loss, val_acc))
 
-        if val_loss < best_loss:
-            best_loss = val_loss
-            best_epoch = epoch
-            best_snapshot = [arr.copy() for arr in params]
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
-            if epochs_since_best >= config.patience:
-                break
+            if val_loss < best_loss:
+                best_loss = val_loss
+                best_epoch = epoch
+                best_snapshot = [arr.copy() for arr in params]
+                epochs_since_best = 0
+            else:
+                epochs_since_best += 1
+                if epochs_since_best >= config.patience:
+                    break
 
     for arr, best in zip(params, best_snapshot):
         arr[...] = best

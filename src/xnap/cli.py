@@ -1,8 +1,8 @@
 """Command-line frontend: ingestion, training, prediction, explanation,
 evaluation and synthetic-log generation.
 
-Exit codes: 0 ok, 2 I/O or parse error, 3 domain guard (e.g. trace too
-short), 4 internal invariant violation.
+Exit codes: 0 ok, 2 I/O, parse or usage error, 3 domain guard (e.g. trace
+too short), 4 internal invariant violation.
 """
 from __future__ import annotations
 
@@ -300,6 +300,10 @@ def cmd_predict(args) -> int:
 
 def cmd_explain(args) -> int:
     model = load_model(args.model)
+    if args.target_class is not None and args.target_class not in model.vocab.labels:
+        print(f"error: --target-class {args.target_class!r} is not an activity "
+              f"the model knows", file=sys.stderr)
+        return 2
     log = parse_log(args.log, _log_format(args))
     config = LrpConfig(
         epsilon=args.epsilon, delta=args.delta,

@@ -1,9 +1,11 @@
-"""One-hot trace encoding: vocabulary, prefix generation, padded tensors.
+"""Trace encoding: vocabulary, prefix generation, padded index arrays and
+their one-hot rows.
 
 Every trace is augmented with a reserved end symbol so that trace
-termination is itself a predictable class. Prefixes are left-padded with
-zero rows up to a common length M; the network keeps a sample's state at
-zero over its padding, so the zeros are a storage convention only.
+termination is itself a predictable class. Prefixes are stored as
+activity indices, left-padded with a pad index up to a common length M;
+the pad index densifies to a zero row. The network keeps a sample's state
+at zero over its padding, so the zeros are a storage convention only.
 """
 from __future__ import annotations
 
@@ -75,9 +77,14 @@ class PrefixSample:
 
 @dataclass(frozen=True)
 class PrefixDataset:
-    """Stacked prefix samples: inputs X (n, M, H), one-hot labels Y (n, H)."""
-    X: np.ndarray
-    Y: np.ndarray
+    """Stacked prefix samples as activity indices.
+
+    ``events`` (n, M) holds each prefix right-aligned and left-padded with
+    the pad index ``vocab.size``; :meth:`one_hot` densifies the rows of one
+    batch only, so a dataset costs n*M small integers instead of n*M*H
+    floats.
+    """
+    events: np.ndarray  # (n, M) int32
     true_lengths: np.ndarray  # (n,) int
     label_indices: np.ndarray  # (n,) int
     case_ids: tuple[str, ...]
@@ -85,11 +92,23 @@ class PrefixDataset:
     vocab: ActivityVocabulary
 
     def __len__(self) -> int:
-        return self.X.shape[0]
+        return self.events.shape[0]
+
+    def one_hot(self, rows, steps: int | None = None) -> np.ndarray:
+        """Float64 one-hot inputs of the samples ``rows`` (an index or an
+        index array), cropped to their last ``steps`` rows (default M)."""
+        steps = self.M if steps is None else steps
+        return one_hot(self.events[rows, self.M - steps:], self.vocab.size)
 
     def sample(self, i: int) -> PrefixSample:
-        return PrefixSample(self.X[i], int(self.true_lengths[i]),
+        return PrefixSample(self.one_hot(i), int(self.true_lengths[i]),
                             int(self.label_indices[i]), self.case_ids[i])
+
+
+def one_hot(events: np.ndarray, size: int) -> np.ndarray:
+    """Rows of a ``size``-class one-hot code for an index array; the pad
+    index ``size`` maps to a zero row. Adds a trailing axis of ``size``."""
+    return np.eye(size + 1, size)[events]
 
 
 def build_vocabulary(log: EventLog) -> ActivityVocabulary:
@@ -120,15 +139,10 @@ def max_augmented_length(log: EventLog) -> int:
     return max(len(t) for t in log) + 1
 
 
-def _pad_one_hot(prefix: list[int], m: int, h: int, case_id: str) -> np.ndarray:
-    if len(prefix) > m:
+def _check_fits(length: int, m: int, case_id: str) -> None:
+    if length > m:
         raise PrefixTooLong(
-            f"prefix of length {len(prefix)} in case {case_id!r} exceeds padding length {m}")
-    x = np.zeros((m, h), dtype=np.float64)
-    offset = m - len(prefix)
-    for t, idx in enumerate(prefix):
-        x[offset + t, idx] = 1.0
-    return x
+            f"prefix of length {length} in case {case_id!r} exceeds padding length {m}")
 
 
 def assemble_dataset(log: EventLog, vocab: ActivityVocabulary, m: int) -> PrefixDataset:
@@ -137,26 +151,25 @@ def assemble_dataset(log: EventLog, vocab: ActivityVocabulary, m: int) -> Prefix
     Traces with a single event contribute nothing: one event is too little
     history to learn from, mirroring the online-phase guard.
     """
-    xs, labels, lengths, cases = [], [], [], []
-    for trace in log:
-        if len(trace) < 2:
-            continue
-        seq = augment_with_end(trace, vocab)
-        for prefix, label in generate_prefixes(seq):
-            xs.append(_pad_one_hot(prefix, m, vocab.size, trace.case_id))
-            labels.append(label)
-            lengths.append(len(prefix))
-            cases.append(trace.case_id)
-    n = len(xs)
-    x_tensor = np.stack(xs) if n else np.zeros((0, m, vocab.size))
-    label_arr = np.asarray(labels, dtype=np.int64)
-    y = np.zeros((n, vocab.size), dtype=np.float64)
-    if n:
-        y[np.arange(n), label_arr] = 1.0
-    return PrefixDataset(X=x_tensor, Y=y,
-                         true_lengths=np.asarray(lengths, dtype=np.int64),
-                         label_indices=label_arr, case_ids=tuple(cases),
-                         M=m, vocab=vocab)
+    traces = [trace for trace in log if len(trace) >= 2]
+    n = sum(len(trace) for trace in traces)  # one prefix per event
+    events = np.full((n, m), vocab.size, dtype=np.int32)
+    labels = np.empty(n, dtype=np.int64)
+    lengths = np.empty(n, dtype=np.int64)
+    cases = []
+    row = 0
+    for trace in traces:
+        seq = np.asarray(augment_with_end(trace, vocab))
+        _check_fits(len(trace), m, trace.case_id)  # the longest prefix
+        for k in range(1, len(seq)):
+            events[row + k - 1, m - k:] = seq[:k]
+        count = len(trace)
+        labels[row:row + count] = seq[1:]
+        lengths[row:row + count] = np.arange(1, count + 1)
+        cases += [trace.case_id] * count
+        row += count
+    return PrefixDataset(events=events, true_lengths=lengths, label_indices=labels,
+                         case_ids=tuple(cases), M=m, vocab=vocab)
 
 
 def encode_running_trace(trace: Trace, vocab: ActivityVocabulary, m: int) -> PrefixSample:
@@ -168,8 +181,12 @@ def encode_running_trace(trace: Trace, vocab: ActivityVocabulary, m: int) -> Pre
     if len(trace) <= 1:
         raise TraceTooShort(f"running trace {trace.case_id!r} has fewer than 2 events")
     indices = [vocab.index_of(a, trace.case_id) for a in trace.activities]
-    x = _pad_one_hot(indices, m, vocab.size, trace.case_id)
-    return PrefixSample(x=x, true_length=len(indices), label_index=None, case_id=trace.case_id)
+    _check_fits(len(indices), m, trace.case_id)
+    x = np.zeros((m, vocab.size))
+    for t, idx in enumerate(indices, start=m - len(indices)):
+        x[t, idx] = 1.0
+    return PrefixSample(x=x, true_length=len(indices), label_index=None,
+                        case_id=trace.case_id)
 
 
 def occlude_event(sample: PrefixSample, event_index: int) -> PrefixSample:

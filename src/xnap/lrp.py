@@ -17,6 +17,7 @@ the bias terms absorb part of it. This is the LSTM scheme of Arras et al.
 """
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,10 @@ from .bilstm import (
     BiLstmModel,
     DirectionTrace,
     LstmWeights,
+    Workspace,
+    _NEW_ARRAYS,
     _alignment,
+    _borrowed_workspace,
     _inference_chunks,
     _run_batch,
     _stack_samples,
@@ -82,11 +86,14 @@ class RelevanceTrace:
         return len(self.raw)
 
 
-def _stabilise(z_upper: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+def _stabilise(z_upper: np.ndarray, epsilon: float, stab: np.ndarray | None = None,
+               denom: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The stabiliser epsilon * sign(z), with sign(0) = +1, and the
-    denominator z + stabiliser."""
-    stab = np.where(z_upper >= 0.0, epsilon, -epsilon)
-    return stab, z_upper + stab
+    denominator z + stabiliser, written to ``stab`` and ``denom`` if given."""
+    stab = np.empty(z_upper.shape) if stab is None else stab
+    np.copyto(stab, -epsilon)
+    np.copyto(stab, epsilon, where=z_upper >= 0.0)
+    return stab, np.add(z_upper, stab, out=denom)
 
 
 def _epsilon_rule(z_lower: np.ndarray, w: np.ndarray, share: np.ndarray,
@@ -147,10 +154,10 @@ def lrp_multiplicative(r_product: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _propagate_direction(trace: DirectionTrace, params: LstmWeights,
                          r_h_final: np.ndarray, started: np.ndarray,
-                         config: LrpConfig
+                         config: LrpConfig, ws: Workspace
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Walk one direction of a right-aligned batch from its final step back
-    to its first.
+    to its first, the walk's arrays taken from ``ws``.
 
     ``trace`` carries the batch axis and ``started`` (T, B) marks the steps
     each sample runs. Before a sample's first step its relevance stays
@@ -161,55 +168,66 @@ def _propagate_direction(trace: DirectionTrace, params: LstmWeights,
     layers, and the gate-assigned total.
     """
     t_len, b, h_dim = trace.inputs.shape
+    d = r_h_final.shape[1]
     eps, delta = config.epsilon, config.delta
     g = params.rows("g")
     w_cat = np.hstack([params.W[g], params.U[g]])  # lower = [x_t ; h_{t-1}]
     b_g = params.b[g]
+    share_c, denom_c, share_g, denom_g, absorb_g, r_cands = ws.take(
+        "lrp.steps", (6, t_len, b, d))
     # Everything the rules take from the forward pass, for all steps at once.
-    z_low = np.concatenate([trace.inputs, trace.h[:-1]], axis=-1)
-    # c_t = f_t*c_{t-1} + i_t*g_t: the two summands, stacked per step.
-    summands = np.stack([trace.gate_f * trace.c[:-1], trace.gate_i * trace.cand], axis=1)
-    stab_c, denom_c = _stabilise(trace.c[1:], eps)
-    share_c = stab_c / 2.0  # two summands, no bias
-    stab_g, denom_g = _stabilise(trace.pre_g, eps)
-    share_g = (stab_g + delta * b_g) / w_cat.shape[1]
-    absorb_g = ((1.0 - delta) * b_g) / denom_g
+    z_low = np.concatenate([trace.inputs, trace.h[:-1]], axis=-1,
+                           out=ws.take("lrp.z_low", (t_len, b, h_dim + d)))
+    # c_t = f_t*c_{t-1} + i_t*g_t: the two summands, stacked per step, each
+    # with its share of the stabiliser (no bias).
+    summands = ws.take("lrp.summands", (t_len, 2, b, d))
+    np.multiply(trace.gate_f, trace.c[:-1], out=summands[:, 0])
+    np.multiply(trace.gate_i, trace.cand, out=summands[:, 1])
+    _stabilise(trace.c[1:], eps, share_c, denom_c)
+    share_c /= 2.0
+    summands += share_c[:, None]
+    _stabilise(trace.pre_g, eps, share_g, denom_g)
+    share_g += delta * b_g
+    share_g /= w_cat.shape[1]
+    np.divide((1.0 - delta) * b_g, denom_g, out=absorb_g)
+    live = started[:, :, None]
 
-    # Per-step relevance of the input units, the gates and the candidate
-    # pre-activations; reduced to per-sample totals after the walk.
-    rx = np.empty((t_len, b, h_dim))
-    r_gates = np.empty((t_len, 3, b, r_h_final.shape[1]))
-    r_cands = np.empty_like(r_gates[:, 0])
+    # Per-step relevance of the input units and the candidate
+    # pre-activations (r_cands), reduced to per-sample totals after the
+    # walk. What the gates receive is summed as the walk goes, over each
+    # sample's own steps.
+    rx = ws.take("lrp.rx", (t_len, b, h_dim))
+    r_gates = ws.take("lrp.r_gates", (3, b, d))  # o, f, i at the current step
+    gate_total = np.zeros((3, b, d))
     r_h = r_h_final
     r_c = np.zeros_like(r_h)
     for t in reversed(range(t_len)):
         # h_t = o_t * tanh(c_t): output gate is zeroed, tanh passes through.
-        r_gates[t, 0], r_tanh_c = lrp_multiplicative(r_h)
+        r_gates[0], r_tanh_c = lrp_multiplicative(r_h)
         # The epsilon rule over the two summands of c_t, then the forget
         # and input gates are zeroed.
         scale = (r_c + r_tanh_c) / denom_c[t]
-        r_gates[t, 1:], (r_c_prev, r_cands[t]) = lrp_multiplicative(
-            (summands[t] + share_c[t]) * scale)
+        r_gates[1:], (r_c_prev, r_cands[t]) = lrp_multiplicative(summands[t] * scale)
+        np.add(gate_total, np.abs(r_gates, out=r_gates), out=gate_total, where=live[t])
         # g_t = tanh(W_g x_t + U_g h_{t-1} + b_g): identity through tanh,
         # then the linear rule over the concatenated lower layer.
         r_low = _epsilon_rule(z_low[t], w_cat, share_g[t], r_cands[t] / denom_g[t])
         rx[t] = r_low[:, :h_dim]
-        live = started[t][:, None]
-        r_h = np.where(live, r_low[:, h_dim:], r_h)
-        r_c = np.where(live, r_c_prev, r_c)
+        r_h = np.where(live[t], r_low[:, h_dim:], r_h)
+        r_c = np.where(live[t], r_c_prev, r_c)
     leftover = r_h.sum(axis=1) + r_c.sum(axis=1)
     # Totals over each sample's own steps, newest first.
-    absorbed = np.where(started, (absorb_g * r_cands).sum(axis=2), 0.0)[::-1].sum(axis=0)
-    gates = np.where(started, np.abs(r_gates).sum(axis=(1, 3)), 0.0)[::-1].sum(axis=0)
-    return rx.sum(axis=2), leftover, absorbed, gates
+    absorb_g *= r_cands
+    absorbed = np.where(started, absorb_g.sum(axis=2), 0.0)[::-1].sum(axis=0)
+    return rx.sum(axis=2), leftover, absorbed, gate_total.sum(axis=(0, 2))
 
 
 def _explain_chunk(model: BiLstmModel, samples: list[PrefixSample],
-                   config: LrpConfig) -> list[RelevanceTrace]:
+                   config: LrpConfig, ws: Workspace) -> list[RelevanceTrace]:
     """Explain one batch: one forward pass, one relevance walk per direction."""
     xs, lengths = _stack_samples(model, samples)
     t_len = xs.shape[1]
-    run = _run_batch(model, xs, lengths)
+    run = _run_batch(model, xs, lengths, ws)
     started, rev = _alignment(lengths, t_len)
     rows = np.arange(len(samples))
     targets = np.argmax(run.probs, axis=1) if config.target is None \
@@ -226,9 +244,9 @@ def _explain_chunk(model: BiLstmModel, samples: list[PrefixSample],
                                config.epsilon, config.delta)
 
     rx_f, left_f, abs_f, gates_f = _propagate_direction(
-        run.fwd, model.forward_params, r_hcat[:, :d], started, config)
+        run.fwd, model.forward_params, r_hcat[:, :d], started, config, ws)
     rx_b, left_b, abs_b, gates_b = _propagate_direction(
-        run.bwd, model.backward_params, r_hcat[:, d:], started, config)
+        run.bwd, model.backward_params, r_hcat[:, d:], started, config, ws)
 
     # The backward direction read each window newest-first; gather its
     # steps back to event order before adding the two directions.
@@ -260,7 +278,8 @@ def explain_many(model: BiLstmModel, samples: list[PrefixSample],
 
     Each prediction is decomposed through both directions and summed per
     event. Samples run longest first, in batches cropped to their longest
-    sample and capped at ``_INFERENCE_ROWS`` (sample, step) rows.
+    sample and capped at ``_INFERENCE_ROWS`` (sample, step) rows, all taking
+    their arrays from one workspace (a single sample takes new arrays).
     """
     for sample in samples:
         if sample.true_length < 2:
@@ -271,10 +290,12 @@ def explain_many(model: BiLstmModel, samples: list[PrefixSample],
             f"target class {config.target} out of range for {model.n_classes} classes")
     results: list[RelevanceTrace] = [None] * len(samples)
     lengths = np.asarray([sample.true_length for sample in samples])
-    for part in _inference_chunks(lengths):
-        chunk = _explain_chunk(model, [samples[k] for k in part], config)
-        for k, result in zip(part, chunk):
-            results[k] = result
+    arrays = _borrowed_workspace() if len(samples) > 1 else nullcontext(_NEW_ARRAYS)
+    with arrays as ws:
+        for part in _inference_chunks(lengths):
+            chunk = _explain_chunk(model, [samples[k] for k in part], config, ws)
+            for k, result in zip(part, chunk):
+                results[k] = result
     return results
 
 

@@ -3,14 +3,17 @@
 The forward oracle is deliberately written in scalar Python (lists,
 math.*) so that it shares no code path with the package's vectorized
 kernels. The LRP oracle is the per-sample relevance walk: one prefix at a
-time, one dense message matrix per linear layer, no batch axis.
+time, one dense message matrix per linear layer, no batch axis. The
+dataset oracle is the dense assembly: every prefix padded to its own
+(M, H) one-hot block, then stacked.
 """
 import math
 
 import numpy as np
 
 from xnap.bilstm import forward
-from xnap.errors import TraceTooShort
+from xnap.encoding import augment_with_end, generate_prefixes
+from xnap.errors import PrefixTooLong, TraceTooShort
 from xnap.lrp import LrpConfig, RelevanceTrace, rescale_for_display
 
 
@@ -84,6 +87,41 @@ def naive_bilstm_probs(model, rows):
     exps = [math.exp(v - top) for v in logits]
     total = sum(exps)
     return logits, [e / total for e in exps]
+
+
+# --- dense dataset ----------------------------------------------------------
+
+def pad_one_hot(prefix, m, h, case_id):
+    if len(prefix) > m:
+        raise PrefixTooLong(
+            f"prefix of length {len(prefix)} in case {case_id!r} exceeds padding length {m}")
+    x = np.zeros((m, h), dtype=np.float64)
+    offset = m - len(prefix)
+    for t, idx in enumerate(prefix):
+        x[offset + t, idx] = 1.0
+    return x
+
+
+def dense_dataset(log, vocab, m):
+    """Every prefix of the log as a stacked one-hot tensor X (n, M, H),
+    with one-hot labels Y (n, H), lengths, label indices and case ids."""
+    xs, labels, lengths, cases = [], [], [], []
+    for trace in log:
+        if len(trace) < 2:
+            continue
+        seq = augment_with_end(trace, vocab)
+        for prefix, label in generate_prefixes(seq):
+            xs.append(pad_one_hot(prefix, m, vocab.size, trace.case_id))
+            labels.append(label)
+            lengths.append(len(prefix))
+            cases.append(trace.case_id)
+    n = len(xs)
+    x_tensor = np.stack(xs) if n else np.zeros((0, m, vocab.size))
+    label_arr = np.asarray(labels, dtype=np.int64)
+    y = np.zeros((n, vocab.size), dtype=np.float64)
+    if n:
+        y[np.arange(n), label_arr] = 1.0
+    return x_tensor, y, np.asarray(lengths, dtype=np.int64), label_arr, tuple(cases)
 
 
 # --- per-sample LRP ---------------------------------------------------------

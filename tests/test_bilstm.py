@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from xnap import tensorcore as tc
+from xnap import bilstm, tensorcore as tc
 from xnap.bilstm import (
     Nadam,
     TrainConfig,
+    Workspace,
     _batch_backward,
     _drop_inputs,
     _named,
@@ -19,6 +20,7 @@ from xnap.bilstm import (
     init_model,
     load_model,
     predict,
+    predict_dataset,
     save_model,
     train,
 )
@@ -37,6 +39,7 @@ from xnap.errors import (
     ShapeMismatch,
     VersionMismatch,
 )
+from xnap.lrp import explain_many
 from xnap.synthlog import generate, linear_grammar
 
 from conftest import make_log
@@ -388,6 +391,98 @@ class TestTrain:
         empty = assemble_dataset(make_log([["A"]]), train_set.vocab, train_set.M)
         with pytest.raises(EmptyDataset):
             train(empty, val_set, TrainConfig())
+
+
+class PoisonedWorkspace(Workspace):
+    """A workspace whose every view is NaN when handed out."""
+
+    def take(self, key, shape):
+        view = super().take(key, shape)
+        view.fill(np.nan)
+        return view
+
+
+def assert_same_model(a, b):
+    for (name, x), (_, y) in zip(a.param_items(), b.param_items()):
+        assert np.array_equal(x, y), name
+
+
+class TestWorkspace:
+    def test_views_grow_and_keep_their_buffer(self):
+        ws = Workspace()
+        a = ws.take("a", (2, 3))
+        assert a.shape == (2, 3) and a.flags.c_contiguous
+        assert np.shares_memory(ws.take("a", (3, 2)), a)  # fits: same buffer
+        big = ws.take("a", (4, 5))
+        assert big.shape == (4, 5) and not np.shares_memory(big, a)
+        assert np.shares_memory(ws.take("a", (6, 3)), big)  # grown at least 2x
+        assert not np.shares_memory(ws.take("b", (4, 5)), big)
+
+    def test_two_trainings_give_identical_weights(self):
+        train_set, val_set = grammar_datasets(n_traces=20)
+        config = TrainConfig(hidden_size=4, batch_size=16, max_epochs=3, seed=9)
+        first, history = train(train_set, val_set, config)
+        # A larger training in between grows the shared buffers.
+        train(train_set, val_set, TrainConfig(hidden_size=7, batch_size=40,
+                                              max_epochs=1, seed=1))
+        again, history_again = train(train_set, val_set, config)
+        assert_same_model(first, again)
+        assert history == history_again
+
+    def test_garbage_in_the_workspace_changes_nothing(self, monkeypatch):
+        train_set, val_set = grammar_datasets(n_traces=20)
+        config = TrainConfig(hidden_size=4, batch_size=16, max_epochs=2, seed=3)
+        model, history = train(train_set, val_set, config)
+        probs = predict_dataset(model, val_set)
+        samples = [val_set.sample(i) for i in range(len(val_set))
+                   if val_set.true_lengths[i] >= 2]
+        relevance = explain_many(model, samples)
+        monkeypatch.setattr(bilstm, "_idle_workspaces", [PoisonedWorkspace()])
+        poisoned_model, poisoned_history = train(train_set, val_set, config)
+        assert_same_model(model, poisoned_model)
+        assert history == poisoned_history
+        assert np.array_equal(predict_dataset(model, val_set), probs)
+        for want, got in zip(relevance, explain_many(model, samples)):
+            assert np.array_equal(want.raw, got.raw)
+            assert (want.bias_absorbed, want.initial_state_relevance) == \
+                (got.bias_absorbed, got.initial_state_relevance)
+
+    def test_chunked_predict_dataset_equals_per_sample(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        model = random_model(rng, 5, 4, 9)
+        log = make_log([["a0", "a1", "a2", "a0", "a1", "a1", "a2", "a0"],
+                        ["a1", "a0"], ["a2", "a2", "a0", "a1"], ["a0", "a1", "a2"]])
+        dataset = assemble_dataset(log, model.vocab, 9)
+        monkeypatch.setattr(bilstm, "_INFERENCE_ROWS", 7)
+        assert len(list(bilstm._inference_chunks(dataset.true_lengths))) > 3
+        probs = predict_dataset(model, dataset)
+        for i in range(len(dataset)):
+            _, want = predict(model, dataset.sample(i))
+            assert np.allclose(probs[i], want, rtol=0, atol=1e-12)
+
+    def test_results_do_not_alias_reused_buffers(self):
+        rng = np.random.default_rng(4)
+        model = random_model(rng, 4, 5, 8)
+        samples = [random_sample(rng, 8, 5, n, f"s{n}") for n in (2, 5, 8, 3)]
+        trace = forward(model, samples[2])
+        frozen = [arr.copy() for arr in (trace.fwd.act, trace.fwd.c, trace.bwd.h,
+                                         trace.bwd.pre, trace.logits, trace.probs)]
+        results = explain_many(model, samples)
+        raws = [r.raw.copy() for r in results]
+        _, probs = predict(model, samples[0])
+        kept = probs.copy()
+        # Later calls reuse the idle workspace with other shapes and values.
+        explain_many(random_model(rng, 4, 5, 8), [random_sample(rng, 8, 5, 7)] * 30)
+        predict(model, samples[1])
+        assert all(np.array_equal(a, b) for a, b in zip(
+            frozen, (trace.fwd.act, trace.fwd.c, trace.bwd.h, trace.bwd.pre,
+                     trace.logits, trace.probs)))
+        assert all(np.array_equal(r.raw, raw) for r, raw in zip(results, raws))
+        assert np.array_equal(probs, kept)
+        for ws in bilstm._idle_workspaces:
+            for buf, _ in ws._slots.values():
+                assert not any(np.shares_memory(buf, r.raw) for r in results)
+                assert not np.shares_memory(buf, probs)
 
 
 class TestSerialization:

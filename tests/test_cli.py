@@ -234,6 +234,22 @@ class TestExplain:
         rows = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
         assert [len(r["prefix"]) for r in rows] == [3, 4, 5, 6]
 
+    def test_unknown_target_class_is_a_usage_error(self, workdir, capsys):
+        code = main(["explain", "--model", str(workdir / "model.json"),
+                     "--log", str(workdir / "log.csv"), "--target-class", "NOPE",
+                     "--render", "json"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--target-class" in captured.err and "'NOPE'" in captured.err
+        assert "case" not in captured.err
+        # a known activity is explained for every prefix
+        assert main(["explain", "--model", str(workdir / "model.json"),
+                     "--log", str(workdir / "log.csv"), "--case", "case_00001",
+                     "--target-class", "C", "--render", "json"]) == 0
+        rows = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert rows and all(r["target_class"] == "C" for r in rows)
+
     def test_min_prefix_below_two_rejected(self, workdir, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["explain", "--model", str(workdir / "model.json"),

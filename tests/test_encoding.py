@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from xnap import bilstm
 from xnap.encoding import (
     END_SYMBOL,
     ActivityVocabulary,
@@ -11,6 +12,7 @@ from xnap.encoding import (
     generate_prefixes,
     max_augmented_length,
     occlude_event,
+    one_hot,
 )
 from xnap.errors import (
     PrefixTooLong,
@@ -20,6 +22,7 @@ from xnap.errors import (
 )
 
 from conftest import make_log, make_trace
+from oracles import dense_dataset, pad_one_hot
 
 
 class TestVocabulary:
@@ -74,11 +77,13 @@ class TestAssembleDataset:
         log = make_log([["A", "B"]])
         vocab = build_vocabulary(log)
         ds = assemble_dataset(log, vocab, m=3)
-        assert ds.X.shape == (2, 3, 3)
-        assert np.array_equal(ds.X[0], [[0, 0, 0], [0, 0, 0], [1, 0, 0]])
-        assert np.array_equal(ds.Y[0], [0, 1, 0])  # label B
-        assert np.array_equal(ds.X[1], [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-        assert np.array_equal(ds.Y[1], [0, 0, 1])  # label END
+        assert np.array_equal(ds.events, [[3, 3, 0], [3, 0, 1]])  # 3 pads
+        x = ds.one_hot(np.arange(len(ds)))
+        assert x.shape == (2, 3, 3)
+        assert np.array_equal(x[0], [[0, 0, 0], [0, 0, 0], [1, 0, 0]])
+        assert np.array_equal(one_hot(ds.label_indices[0], 3), [0, 1, 0])  # label B
+        assert np.array_equal(x[1], [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+        assert np.array_equal(one_hot(ds.label_indices[1], 3), [0, 0, 1])  # label END
         assert list(ds.true_lengths) == [1, 2]
         assert ds.case_ids == ("c0", "c0")
 
@@ -87,7 +92,8 @@ class TestAssembleDataset:
         vocab = build_vocabulary(log)
         ds = assemble_dataset(log, vocab, m=2)
         assert len(ds) == 0
-        assert ds.X.shape == (0, 2, 3)
+        assert ds.events.shape == (0, 2)
+        assert ds.one_hot(np.arange(0)).shape == (0, 2, 3)
 
     def test_sample_count_is_augmented_length_minus_one(self):
         # n - 1 samples from augmented length n, except single-event traces
@@ -107,11 +113,11 @@ class TestAssembleDataset:
         vocab = build_vocabulary(log)
         ds = assemble_dataset(log, vocab, max_augmented_length(log))
         for i in range(len(ds)):
-            assert ds.X[i].sum() == ds.true_lengths[i]
+            x = ds.one_hot(i)
+            assert x.sum() == ds.true_lengths[i]
             lead = ds.M - ds.true_lengths[i]
-            assert not ds.X[i][:lead].any()
-            assert np.array_equal(ds.X[i][lead:].sum(axis=1),
-                                  np.ones(ds.true_lengths[i]))
+            assert not x[:lead].any()
+            assert np.array_equal(x[lead:].sum(axis=1), np.ones(ds.true_lengths[i]))
 
     def test_decode_round_trip(self):
         log = make_log([["C", "A", "B", "A"]])
@@ -120,8 +126,9 @@ class TestAssembleDataset:
         seq = augment_with_end(log.traces[0], vocab)
         for i in range(len(ds)):
             lead = ds.M - ds.true_lengths[i]
-            decoded = [int(np.argmax(row)) for row in ds.X[i][lead:]]
+            decoded = [int(np.argmax(row)) for row in ds.one_hot(i)[lead:]]
             assert decoded == seq[:int(ds.true_lengths[i])]
+            assert ds.events[i, lead:].tolist() == seq[:int(ds.true_lengths[i])]
 
     def test_prefix_too_long(self):
         log = make_log([["A", "B", "C"]])
@@ -129,6 +136,84 @@ class TestAssembleDataset:
         with pytest.raises(PrefixTooLong):
             assemble_dataset(log, vocab, m=2)
 
+
+def assert_matches_dense(log, vocab, m):
+    """The index-encoded dataset of ``log`` densifies to the dense oracle's
+    tensor bit for bit, whole and row by row."""
+    x, y, lengths, labels, cases = dense_dataset(log, vocab, m)
+    ds = assemble_dataset(log, vocab, m)
+    assert np.issubdtype(ds.events.dtype, np.integer)
+    dense = ds.one_hot(np.arange(len(ds)))
+    assert dense.dtype == x.dtype == np.float64
+    assert np.array_equal(dense, x)
+    assert np.array_equal(one_hot(ds.label_indices, vocab.size), y)
+    assert np.array_equal(ds.true_lengths, lengths)
+    assert np.array_equal(ds.label_indices, labels)
+    assert ds.case_ids == cases
+    for i in range(len(ds)):
+        sample = ds.sample(i)
+        assert np.array_equal(sample.x, x[i])
+        assert (sample.true_length, sample.label_index, sample.case_id) == \
+            (lengths[i], labels[i], cases[i])
+    return ds, x
+
+
+class TestIndexEncoding:
+    """The integer dataset against the dense one-hot assembly it replaced."""
+
+    def test_pad_index_is_a_zero_row(self):
+        assert np.array_equal(one_hot(np.array([2, 0, 3]), 3),
+                              [[0, 0, 1], [1, 0, 0], [0, 0, 0]])
+
+    def test_random_logs_match_dense_oracle(self):
+        rng = np.random.default_rng(5)
+        alphabet = ["A", "B", "C", "D", "E"]
+        for _ in range(10):
+            log = make_log([[alphabet[int(rng.integers(5))]
+                             for _ in range(int(rng.integers(1, 9)))]
+                            for _ in range(int(rng.integers(1, 8)))])
+            vocab = build_vocabulary(log)
+            assert_matches_dense(log, vocab, max_augmented_length(log) + int(rng.integers(3)))
+
+    def test_inference_chunks_match_dense_oracle(self, monkeypatch):
+        log = make_log([["A", "B", "C", "B", "A"], ["B", "C"], ["C", "A", "A"],
+                        ["A", "B", "B", "B", "C", "A", "C"]])
+        vocab = build_vocabulary(log)
+        ds, x = assert_matches_dense(log, vocab, max_augmented_length(log))
+        monkeypatch.setattr(bilstm, "_INFERENCE_ROWS", 9)
+        parts = list(bilstm._inference_chunks(ds.true_lengths))
+        assert len(parts) > 3  # the cap splits the dataset
+        assert sorted(np.concatenate(parts).tolist()) == list(range(len(ds)))
+        for part in parts:
+            t_len = int(ds.true_lengths[part[0]])
+            assert np.array_equal(ds.one_hot(part, t_len), x[part, ds.M - t_len:])
+
+    def test_training_batches_match_dense_oracle(self):
+        log = make_log([["A", "B", "C", "B"], ["B", "C", "A"], ["C", "A"]])
+        vocab = build_vocabulary(log)
+        ds, x = assert_matches_dense(log, vocab, max_augmented_length(log) + 2)
+        order = np.random.default_rng(0).permutation(len(ds))
+        for start in range(0, len(ds), 3):
+            batch = order[start:start + 3]
+            t_len = int(ds.true_lengths[batch].max())
+            assert np.array_equal(ds.one_hot(batch, t_len), x[batch, ds.M - t_len:])
+
+    def test_running_trace_matches_dense_oracle(self):
+        vocab = ActivityVocabulary(("A", "B", "C", END_SYMBOL))
+        for acts in (["A", "B"], ["C", "C", "A", "B"], ["B"] * 6):
+            sample = encode_running_trace(make_trace("c", acts), vocab, m=6)
+            want = pad_one_hot([vocab.index_of(a) for a in acts], 6, vocab.size, "c")
+            assert sample.x.dtype == np.float64
+            assert np.array_equal(sample.x, want)
+
+    def test_memory_is_integers_per_step(self):
+        log = make_log([["A", "B", "C"] * 4, ["B", "A"]])
+        vocab = build_vocabulary(log)
+        m = max_augmented_length(log)
+        ds = assemble_dataset(log, vocab, m)
+        assert ds.events.nbytes == len(ds) * m * ds.events.itemsize
+        assert not any(isinstance(v, np.ndarray) and v.dtype.kind == "f"
+                       for v in vars(ds).values())
 
 class TestEncodeRunningTrace:
     def test_too_short(self):
