@@ -14,7 +14,10 @@ dense softmax layer over activity classes.
 
 Each direction keeps its four gates stacked in the order i, f, o, g, so
 one matmul per step serves all of them. Training, validation, evaluation
-and single-sample prediction all run the same batched recurrence.
+and single-sample prediction all run the same batched recurrence. A batch
+is right-aligned and ordered longest first, so the samples that have
+started by a step are its leading rows: each step runs those rows only,
+like a packed sequence.
 """
 from __future__ import annotations
 
@@ -63,7 +66,9 @@ class TrainConfig:
         if not 0 <= self.dropout_rate < 1:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
 
 
 @dataclass
@@ -136,13 +141,16 @@ class BiLstmModel:
 class DirectionTrace:
     """Per-timestep quantities of one direction, time first, in its own
     reading order. Batched runs have a batch axis after the time axis;
-    the per-sample traces of :func:`forward` do not."""
+    the per-sample traces of :func:`forward` do not. At the steps before
+    a sample's first event its rows of ``act``, ``c``, ``h`` and
+    ``tanh_c`` are zero, and its ``pre`` rows hold the input projection
+    of its zero padding."""
     inputs: np.ndarray  # (T, H) as consumed
     pre: np.ndarray  # (T, 4D) gate pre-activations, blocks i, f, o, g
     act: np.ndarray  # (T, 4D) gate activations, same blocks
     c: np.ndarray  # (T+1, D), c[0] is the zero initial state
     h: np.ndarray  # (T+1, D)
-    hold: np.ndarray  # (S, 1): 0 before a sample's first event, for the first S steps
+    tanh_c: np.ndarray  # (T+1, D), tanh(c), kept for BPTT
 
     def _block(self, arr: np.ndarray, k: int) -> np.ndarray:
         d = self.c.shape[-1]
@@ -172,7 +180,7 @@ class DirectionTrace:
     def sample(self, k: int) -> "DirectionTrace":
         """The trace of batch member ``k``."""
         return DirectionTrace(self.inputs[:, k], self.pre[:, k], self.act[:, k],
-                              self.c[:, k], self.h[:, k], self.hold[:, k])
+                              self.c[:, k], self.h[:, k], self.tanh_c[:, k])
 
 
 @dataclass
@@ -283,115 +291,139 @@ def _borrowed_workspace():
     finally:
         _idle_workspaces.append(ws)
 
-# A batch is right-aligned: sample k's events fill the last lengths[k] of
-# its T rows, T being the longest length in the batch. Both directions see
-# this layout (the backward one with each window reversed in place), so one
-# mask rule serves both: the cell state stays zero until a sample starts.
+# A batch is right-aligned and ordered longest first: sample k's events
+# fill the last lengths[k] of its T rows, T being the longest length, so
+# the samples that have started by a step are the batch's leading rows.
+# Both directions see this layout (the backward one with each window
+# reversed in place), so one rule serves both: a step runs its started
+# rows only. A span (t0, t1, n) is a run of steps t0..t1-1 at which the
+# first n samples have started; a batch's spans come oldest first and
+# the last one runs every sample.
 
-def _run_direction(xs: np.ndarray, p: LstmWeights, hold: np.ndarray,
+def _run_direction(xs: np.ndarray, p: LstmWeights, spans: list[tuple[int, int, int]],
                    ws: Workspace, key: str) -> DirectionTrace:
     """One direction over time-major inputs ``xs`` (T, B, H), its arrays
-    taken from ``ws`` under ``key``.
-
-    ``hold`` (S, B, 1) zeroes the cell state of samples that have not
-    started during the first S steps; from step S on, every sample runs.
-    """
+    taken from ``ws`` under ``key``. Each step runs the started rows its
+    span names; the other rows keep zero states and activations."""
     t_len, b, h_dim = xs.shape
     d = p.hidden_size
     s = 3 * d  # sigmoid gates i, f, o come first
-    pre, act = ws.take(key + ".gates", (2, t_len, b, 4 * d))
-    c, h = ws.take(key + ".states", (2, t_len + 1, b, d))
-    c[0] = h[0] = 0.0
+    gates = ws.take(key + ".gates", (2, t_len, b, 4 * d))
+    states = ws.take(key + ".states", (3, t_len + 1, b, d))
+    states[:, 0] = 0.0
     rec = ws.take("step.rec", (b, 4 * d))
     prod = ws.take("step.prod", (b, d))
     u_t = p.U.T
+    pre, act = gates
     # Non-finite values run through and are reported once, below.
     with np.errstate(invalid="ignore", over="ignore"):
         np.matmul(xs.reshape(t_len * b, h_dim), p.W.T, out=pre.reshape(t_len * b, 4 * d))
         pre += p.b
-        for t in range(t_len):
-            z, a = pre[t], act[t]
-            z += np.matmul(h[t], u_t, out=rec)
-            sig = a[:, :s]
-            np.multiply(z[:, :s], 0.5, out=sig)  # sigm(x) = (1 + tanh(x/2)) / 2
-            np.tanh(sig, out=sig)
-            sig += 1.0
-            sig *= 0.5
-            np.tanh(z[:, s:], out=a[:, s:])
-            np.multiply(a[:, d:2 * d], c[t], out=c[t + 1])
-            c[t + 1] += np.multiply(a[:, :d], a[:, s:], out=prod)
-            if t < len(hold):
-                c[t + 1] *= hold[t]
-            np.tanh(c[t + 1], out=h[t + 1])
-            h[t + 1] *= a[:, 2 * d:s]
+        for t0, t1, n in spans:
+            if n < b:
+                states[:, t0 + 1:t1 + 1, n:] = 0.0
+                act[t0:t1, n:] = 0.0
+            zs, acts = gates[:, t0:t1, :n]
+            cs, hs, tcs = states[:, t0:t1 + 1, :n]
+            rec_n, prod_n = rec[:n], prod[:n]
+            for t in range(t1 - t0):
+                z, a = zs[t], acts[t]
+                z += np.matmul(hs[t], u_t, out=rec_n)
+                sig = a[:, :s]
+                np.multiply(z[:, :s], 0.5, out=sig)  # sigm(x) = (1 + tanh(x/2)) / 2
+                np.tanh(sig, out=sig)
+                sig += 1.0
+                sig *= 0.5
+                np.tanh(z[:, s:], out=a[:, s:])
+                c_next, tanh_c = cs[t + 1], tcs[t + 1]
+                np.multiply(a[:, d:2 * d], cs[t], out=c_next)
+                c_next += np.multiply(a[:, :d], a[:, s:], out=prod_n)
+                np.tanh(c_next, out=tanh_c)
+                np.multiply(tanh_c, a[:, 2 * d:s], out=hs[t + 1])
     if not np.isfinite(pre).all():
         raise NonFiniteInput("LSTM gate pre-activations contain NaN or infinity")
-    return DirectionTrace(xs, pre, act, c, h, hold)
+    return DirectionTrace(xs, pre, act, *states)
 
 
-def _direction_backward(run: DirectionTrace, p: LstmWeights, dh_last: np.ndarray,
+def _direction_backward(run: DirectionTrace, p: LstmWeights,
+                        spans: list[tuple[int, int, int]], dh_last: np.ndarray,
                         grads: list[np.ndarray], ws: Workspace) -> None:
     """Accumulate one direction's gradients, summed over the batch, into
-    ``grads`` = [dW, dU, db]."""
+    ``grads`` = [dW, dU, db]. Each step runs the rows its span names; the
+    gate gradients of those rows are stored packed, step after step."""
     t_len, b, h_dim = run.inputs.shape
     d = p.hidden_size
     s = 3 * d
-    dpre = ws.take("dpre", run.act.shape)
+    end = sum((t1 - t0) * n for t0, t1, n in spans)
+    dpre = ws.take("dpre", (end, 4 * d))
     dh = dh_last
     dc = np.zeros((b, d))
-    for t in reversed(range(t_len)):
-        a = run.act[t]
-        i_t, f_t, o_t, g_t = a[:, :d], a[:, d:2 * d], a[:, 2 * d:s], a[:, s:]
-        tanh_c = np.tanh(run.c[t + 1])
-        dc = dc + dh * o_t * (1.0 - tanh_c ** 2)
-        if t < len(run.hold):
-            dc *= run.hold[t]
-        dz = dpre[t]
-        dz[:, :d] = dc * g_t * i_t * (1.0 - i_t)
-        dz[:, d:2 * d] = dc * run.c[t] * f_t * (1.0 - f_t)
-        dz[:, 2 * d:s] = dh * tanh_c * o_t * (1.0 - o_t)
-        dz[:, s:] = dc * i_t * (1.0 - g_t ** 2)
-        dh = dz @ p.U
-        dc = dc * f_t
-    rows = t_len * b
-    dz = dpre.reshape(rows, 4 * d)
-    grads[0] += np.matmul(dz.T, run.inputs.reshape(rows, h_dim),
-                          out=ws.take("grad.W", grads[0].shape))
-    grads[1] += np.matmul(dz.T, run.h[:-1].reshape(rows, d),
-                          out=ws.take("grad.U", grads[1].shape))
-    grads[2] += dz.sum(axis=0)
+    for t0, t1, n in reversed(spans):
+        first = end - (t1 - t0) * n
+        dzs = dpre[first:end].reshape(t1 - t0, n, 4 * d)
+        end = first
+        acts, cs, tcs = run.act[t0:t1, :n], run.c[t0:t1, :n], run.tanh_c[t0 + 1:t1 + 1, :n]
+        dh, dc = dh[:n], dc[:n]
+        for t in reversed(range(t1 - t0)):
+            a = acts[t]
+            i_t, f_t, o_t, g_t = a[:, :d], a[:, d:2 * d], a[:, 2 * d:s], a[:, s:]
+            tanh_c = tcs[t]
+            dc = dc + dh * o_t * (1.0 - tanh_c ** 2)
+            dz = dzs[t]
+            dz[:, :d] = dc * g_t * i_t * (1.0 - i_t)
+            dz[:, d:2 * d] = dc * cs[t] * f_t * (1.0 - f_t)
+            dz[:, 2 * d:s] = dh * tanh_c * o_t * (1.0 - o_t)
+            dz[:, s:] = dc * i_t * (1.0 - g_t ** 2)
+            dh = dz @ p.U
+            dc = dc * f_t
+    xs = run.inputs.reshape(t_len * b, h_dim)
+    hs = run.h[:-1].reshape(t_len * b, d)
+    if len(dpre) < t_len * b:  # gather the started (step, sample) rows
+        counts = np.repeat([n for _, _, n in spans], [t1 - t0 for t0, t1, _ in spans])
+        rows = np.flatnonzero(np.arange(b) < counts[:, None])
+        xs, hs = xs[rows], hs[rows]
+    grads[0] += np.matmul(dpre.T, xs, out=ws.take("grad.W", grads[0].shape))
+    grads[1] += np.matmul(dpre.T, hs, out=ws.take("grad.U", grads[1].shape))
+    grads[2] += dpre.sum(axis=0)
 
 
 def _zero_grads(model: BiLstmModel) -> list[np.ndarray]:
     return [np.zeros_like(arr) for arr in model.arrays()]
 
 
-def _alignment(lengths: np.ndarray, t_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of a right-aligned batch of ``t_len`` steps, both (T, B).
+def _alignment(lengths: np.ndarray, t_len: int
+               ) -> tuple[list[tuple[int, int, int]], np.ndarray]:
+    """Spans and backward reading order of a right-aligned batch of
+    ``t_len`` steps, ordered longest first.
 
-    ``started`` is true from each sample's first step on. ``rev`` is the
-    backward reading order: each sample's window reversed in place, still
-    right-aligned; it is its own inverse, so it also maps backward steps
-    back to event order.
+    ``rev`` (T, B) is the backward reading order: each sample's window
+    reversed in place, still right-aligned; it is its own inverse, so it
+    also maps backward steps back to event order.
     """
+    b = len(lengths)
     start = t_len - lengths  # first step of each sample
+    if start[0] != 0 or (b > 1 and (np.diff(start) < 0).any()):
+        raise ValueError("a batch must be cropped to its longest sample "
+                         "and ordered longest first")
     steps = np.arange(t_len)[:, None]
-    started = steps >= start
-    rev = np.where(started, t_len - 1 + start - steps, steps)
-    return started, rev
+    rev = np.where(steps >= start, t_len - 1 + start - steps, steps)
+    if start[-1] == 0:  # every sample runs every step
+        return [(0, t_len, b)], rev
+    firsts, counts = np.unique(start, return_counts=True)
+    ends = np.append(firsts[1:], t_len)
+    return list(zip(firsts.tolist(), ends.tolist(), np.cumsum(counts).tolist())), rev
 
 
 def _run_batch(model: BiLstmModel, xs: np.ndarray, lengths: np.ndarray,
                ws: Workspace = _NEW_ARRAYS) -> ForwardTrace:
     """Both directions and the output layer over a right-aligned batch
-    ``xs`` (B, T, H); the traces carry the batch axis. Their arrays come
-    from ``ws`` (new ones by default)."""
+    ``xs`` (B, T, H), ordered longest first; the traces carry the batch
+    axis. Their arrays come from ``ws`` (new ones by default)."""
     b, t_len, _ = xs.shape
-    started, rev = _alignment(lengths, t_len)
-    hold = started[:t_len - lengths.min(), :, None].astype(np.float64)
+    spans, rev = _alignment(lengths, t_len)
     xs_t = xs.transpose(1, 0, 2)
-    run_f = _run_direction(np.ascontiguousarray(xs_t), model.forward_params, hold, ws, "fwd")
-    run_b = _run_direction(xs_t[rev, np.arange(b)], model.backward_params, hold, ws, "bwd")
+    run_f = _run_direction(np.ascontiguousarray(xs_t), model.forward_params, spans, ws, "fwd")
+    run_b = _run_direction(xs_t[rev, np.arange(b)], model.backward_params, spans, ws, "bwd")
     hcat = np.concatenate([run_f.h[-1], run_b.h[-1]], axis=1)
     logits = hcat @ model.W_out.T + model.b_out
     return ForwardTrace(run_f, run_b, logits, tc.softmax(logits, axis=-1))
@@ -401,11 +433,15 @@ def _batch_backward(model: BiLstmModel, xs: np.ndarray, lengths: np.ndarray,
                     labels: np.ndarray, grads: list[np.ndarray],
                     ws: Workspace = _NEW_ARRAYS) -> tuple[np.ndarray, np.ndarray]:
     """Accumulate summed gradients of per-sample cross-entropy into
-    ``grads`` (laid out like ``model.arrays()``).
+    ``grads`` (laid out like ``model.arrays()``) over a right-aligned
+    batch in any order; it runs longest first.
 
-    Returns (per-sample losses, predicted indices) for bookkeeping.
+    Returns (per-sample losses, predicted indices) in input order.
     """
+    order = np.argsort(-lengths, kind="stable")
+    xs, lengths, labels = xs[order], lengths[order], labels[order]
     run = _run_batch(model, xs, lengths, ws)
+    spans, _ = _alignment(lengths, xs.shape[1])
     b = xs.shape[0]
     d = model.hidden_size
     dlogits = run.probs.copy()
@@ -414,10 +450,13 @@ def _batch_backward(model: BiLstmModel, xs: np.ndarray, lengths: np.ndarray,
     grads[6] += dlogits.T @ hcat
     grads[7] += dlogits.sum(axis=0)
     dhcat = dlogits @ model.W_out
-    _direction_backward(run.fwd, model.forward_params, dhcat[:, :d], grads[0:3], ws)
-    _direction_backward(run.bwd, model.backward_params, dhcat[:, d:], grads[3:6], ws)
-    losses = -np.log(np.maximum(run.probs[np.arange(b), labels], tc.LOSS_CLIP))
-    return losses, np.argmax(run.probs, axis=1)
+    _direction_backward(run.fwd, model.forward_params, spans, dhcat[:, :d], grads[0:3], ws)
+    _direction_backward(run.bwd, model.backward_params, spans, dhcat[:, d:], grads[3:6], ws)
+    losses = np.empty(b)
+    preds = np.empty(b, dtype=np.intp)
+    losses[order] = -np.log(np.maximum(run.probs[np.arange(b), labels], tc.LOSS_CLIP))
+    preds[order] = np.argmax(run.probs, axis=1)
+    return losses, preds
 
 
 def predict_dataset(model: BiLstmModel, dataset: PrefixDataset) -> np.ndarray:
@@ -619,7 +658,7 @@ def train(dataset: PrefixDataset, val_dataset: PrefixDataset,
 
     history: list[EpochStats] = []
     best_loss = math.inf
-    best_snapshot = None
+    best_snapshot = [np.empty_like(arr) for arr in params]
     best_epoch = 0
     epochs_since_best = 0
     n = len(dataset)
@@ -657,7 +696,8 @@ def train(dataset: PrefixDataset, val_dataset: PrefixDataset,
             if val_loss < best_loss:
                 best_loss = val_loss
                 best_epoch = epoch
-                best_snapshot = [arr.copy() for arr in params]
+                for best, arr in zip(best_snapshot, params):
+                    np.copyto(best, arr)
                 epochs_since_best = 0
             else:
                 epochs_since_best += 1
@@ -665,7 +705,7 @@ def train(dataset: PrefixDataset, val_dataset: PrefixDataset,
                     break
 
     for arr, best in zip(params, best_snapshot):
-        arr[...] = best
+        np.copyto(arr, best)
     model.trained_epochs = len(history)
     model.hyperparams = dict(model.hyperparams, best_epoch=best_epoch)
     return model, history

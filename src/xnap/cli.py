@@ -50,6 +50,19 @@ _DOMAIN_ERRORS = (TraceTooShort, PrefixTooLong, UnknownActivity, TooFewTraces,
                   EmptyDataset, NotACopyTask, ReservedLabelCollision)
 
 
+class UsageError(Exception):
+    """An option value the command cannot run with (exit 2)."""
+
+
+def _configured(build, **options):
+    """``build(**options)``, a config whose ValueError names an option
+    value out of its range."""
+    try:
+        return build(**options)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _resolve_seed(value: int | None) -> int:
     if value is not None:
         return value
@@ -237,15 +250,15 @@ def cmd_synth(args) -> int:
 
 
 def _train_config(args, seed: int) -> TrainConfig:
-    return TrainConfig(hidden_size=args.hidden, dropout_rate=args.dropout,
+    return _configured(TrainConfig, hidden_size=args.hidden, dropout_rate=args.dropout,
                        batch_size=args.batch_size, max_epochs=args.epochs,
                        patience=args.patience, learning_rate=args.lr, seed=seed)
 
 
 def cmd_train(args) -> int:
     seed = _resolve_seed(args.seed)
-    log = _load_log(args)
     config = _train_config(args, seed)
+    log = _load_log(args)
     vocab = build_vocabulary(log)
     m = max_augmented_length(log)
     train_cases, val_cases = split_validation(shuffle_cases(log, seed),
@@ -301,15 +314,14 @@ def cmd_predict(args) -> int:
 def cmd_explain(args) -> int:
     model = load_model(args.model)
     if args.target_class is not None and args.target_class not in model.vocab.labels:
-        print(f"error: --target-class {args.target_class!r} is not an activity "
-              f"the model knows", file=sys.stderr)
-        return 2
-    log = parse_log(args.log, _log_format(args))
-    config = LrpConfig(
-        epsilon=args.epsilon, delta=args.delta,
+        raise UsageError(f"--target-class {args.target_class!r} is not an activity "
+                         f"the model knows")
+    config = _configured(
+        LrpConfig, epsilon=args.epsilon, delta=args.delta,
         target=None if args.target_class is None
         else model.vocab.index_of(args.target_class),
         start_from=args.start_from)
+    log = parse_log(args.log, _log_format(args))
     traces = [log.trace_by_case(args.case)] if args.case else list(log)
     jobs = []
     for trace in traces:
@@ -342,8 +354,10 @@ def cmd_explain(args) -> int:
 
 def cmd_evaluate(args) -> int:
     seed = _resolve_seed(args.seed)
-    log = _load_log(args)
     config = _train_config(args, seed)
+    if args.folds < 2:
+        raise UsageError(f"--folds must be >= 2, got {args.folds}")
+    log = _load_log(args)
     result = run_cv(log, config, k=args.folds, seed=seed)
     out = _out_stream(args.out)
     try:
@@ -493,7 +507,7 @@ def main(argv: list[str] | None = None) -> int:
     except KeyError as exc:
         print(f"error: unknown case id {exc}", file=sys.stderr)
         return 2
-    except _PARSE_ERRORS as exc:
+    except (UsageError, *_PARSE_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _DOMAIN_ERRORS as exc:

@@ -153,19 +153,20 @@ def lrp_multiplicative(r_product: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _propagate_direction(trace: DirectionTrace, params: LstmWeights,
-                         r_h_final: np.ndarray, started: np.ndarray,
+                         r_h_final: np.ndarray, spans: list[tuple[int, int, int]],
                          config: LrpConfig, ws: Workspace
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Walk one direction of a right-aligned batch from its final step back
-    to its first, the walk's arrays taken from ``ws``.
+    """Walk one direction of a right-aligned batch, ordered longest first,
+    from its final step back to its first, the walk's arrays taken from
+    ``ws``.
 
-    ``trace`` carries the batch axis and ``started`` (T, B) marks the steps
-    each sample runs. Before a sample's first step its relevance stays
-    where it is. Returns the per-step input relevance (T, B) in the
-    direction's reading order (steps before a sample's first hold no event
-    and are never read) and, per sample, the relevance left on the zero
-    initial states, the bias-absorbed total of the gate pre-activation
-    layers, and the gate-assigned total.
+    ``trace`` carries the batch axis. Each step updates the started rows
+    its span (see :mod:`xnap.bilstm`) names; before a sample's first step
+    its relevance stays where it is. Returns the per-step input relevance
+    (T, B) in the direction's reading order (zero before a sample's first
+    step) and, per sample, the relevance left on the zero initial states,
+    the bias-absorbed total of the gate pre-activation layers, and the
+    gate-assigned total.
     """
     t_len, b, h_dim = trace.inputs.shape
     d = r_h_final.shape[1]
@@ -190,35 +191,42 @@ def _propagate_direction(trace: DirectionTrace, params: LstmWeights,
     share_g += delta * b_g
     share_g /= w_cat.shape[1]
     np.divide((1.0 - delta) * b_g, denom_g, out=absorb_g)
-    live = started[:, :, None]
 
     # Per-step relevance of the input units and the candidate
     # pre-activations (r_cands), reduced to per-sample totals after the
-    # walk. What the gates receive is summed as the walk goes, over each
-    # sample's own steps.
+    # walk. What the gates receive is summed as the walk goes.
     rx = ws.take("lrp.rx", (t_len, b, h_dim))
     r_gates = ws.take("lrp.r_gates", (3, b, d))  # o, f, i at the current step
     gate_total = np.zeros((3, b, d))
-    r_h = r_h_final
+    r_h = r_h_final.copy()
     r_c = np.zeros_like(r_h)
-    for t in reversed(range(t_len)):
-        # h_t = o_t * tanh(c_t): output gate is zeroed, tanh passes through.
-        r_gates[0], r_tanh_c = lrp_multiplicative(r_h)
-        # The epsilon rule over the two summands of c_t, then the forget
-        # and input gates are zeroed.
-        scale = (r_c + r_tanh_c) / denom_c[t]
-        r_gates[1:], (r_c_prev, r_cands[t]) = lrp_multiplicative(summands[t] * scale)
-        np.add(gate_total, np.abs(r_gates, out=r_gates), out=gate_total, where=live[t])
-        # g_t = tanh(W_g x_t + U_g h_{t-1} + b_g): identity through tanh,
-        # then the linear rule over the concatenated lower layer.
-        r_low = _epsilon_rule(z_low[t], w_cat, share_g[t], r_cands[t] / denom_g[t])
-        rx[t] = r_low[:, :h_dim]
-        r_h = np.where(live[t], r_low[:, h_dim:], r_h)
-        r_c = np.where(live[t], r_c_prev, r_c)
+    for t0, t1, n in reversed(spans):
+        if n < b:
+            rx[t0:t1, n:] = 0.0
+            r_cands[t0:t1, n:] = 0.0
+        rg, gates = r_gates[:, :n], gate_total[:, :n]
+        summ, den_c = summands[t0:t1, :, :n], denom_c[t0:t1, :n]
+        zl, sh_g, den_g = z_low[t0:t1, :n], share_g[t0:t1, :n], denom_g[t0:t1, :n]
+        cands, rxs = r_cands[t0:t1, :n], rx[t0:t1, :n]
+        rh, rc = r_h[:n], r_c[:n]
+        for t in reversed(range(t1 - t0)):
+            # h_t = o_t * tanh(c_t): output gate is zeroed, tanh passes through.
+            rg[0], r_tanh_c = lrp_multiplicative(rh)
+            # The epsilon rule over the two summands of c_t, then the forget
+            # and input gates are zeroed.
+            scale = (rc + r_tanh_c) / den_c[t]
+            rg[1:], (rc, cands[t]) = lrp_multiplicative(summ[t] * scale)
+            gates += np.abs(rg, out=rg)
+            # g_t = tanh(W_g x_t + U_g h_{t-1} + b_g): identity through tanh,
+            # then the linear rule over the concatenated lower layer.
+            r_low = _epsilon_rule(zl[t], w_cat, sh_g[t], cands[t] / den_g[t])
+            rxs[t] = r_low[:, :h_dim]
+            rh = r_low[:, h_dim:]
+        r_h[:n], r_c[:n] = rh, rc
     leftover = r_h.sum(axis=1) + r_c.sum(axis=1)
     # Totals over each sample's own steps, newest first.
     absorb_g *= r_cands
-    absorbed = np.where(started, absorb_g.sum(axis=2), 0.0)[::-1].sum(axis=0)
+    absorbed = absorb_g.sum(axis=2)[::-1].sum(axis=0)
     return rx.sum(axis=2), leftover, absorbed, gate_total.sum(axis=(0, 2))
 
 
@@ -228,7 +236,7 @@ def _explain_chunk(model: BiLstmModel, samples: list[PrefixSample],
     xs, lengths = _stack_samples(model, samples)
     t_len = xs.shape[1]
     run = _run_batch(model, xs, lengths, ws)
-    started, rev = _alignment(lengths, t_len)
+    spans, rev = _alignment(lengths, t_len)
     rows = np.arange(len(samples))
     targets = np.argmax(run.probs, axis=1) if config.target is None \
         else np.full(len(samples), config.target)
@@ -244,9 +252,9 @@ def _explain_chunk(model: BiLstmModel, samples: list[PrefixSample],
                                config.epsilon, config.delta)
 
     rx_f, left_f, abs_f, gates_f = _propagate_direction(
-        run.fwd, model.forward_params, r_hcat[:, :d], started, config, ws)
+        run.fwd, model.forward_params, r_hcat[:, :d], spans, config, ws)
     rx_b, left_b, abs_b, gates_b = _propagate_direction(
-        run.bwd, model.backward_params, r_hcat[:, d:], started, config, ws)
+        run.bwd, model.backward_params, r_hcat[:, d:], spans, config, ws)
 
     # The backward direction read each window newest-first; gather its
     # steps back to event order before adding the two directions.

@@ -2,18 +2,23 @@
 
 The forward oracle is deliberately written in scalar Python (lists,
 math.*) so that it shares no code path with the package's vectorized
-kernels. The LRP oracle is the per-sample relevance walk: one prefix at a
+kernels. The masked batch oracle is the batch kernel before packing:
+every step runs every row of a right-aligned batch in any order, and a
+0/1 ``hold`` mask keeps the cell state of samples that have not started
+at zero. The LRP oracle is the per-sample relevance walk: one prefix at a
 time, one dense message matrix per linear layer, no batch axis. The
 dataset oracle is the dense assembly: every prefix padded to its own
 (M, H) one-hot block, then stacked.
 """
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from xnap.bilstm import forward
+from xnap import tensorcore as tc
+from xnap.bilstm import _NEW_ARRAYS, forward
 from xnap.encoding import augment_with_end, generate_prefixes
-from xnap.errors import PrefixTooLong, TraceTooShort
+from xnap.errors import NonFiniteInput, PrefixTooLong, TraceTooShort
 from xnap.lrp import LrpConfig, RelevanceTrace, rescale_for_display
 
 
@@ -87,6 +92,144 @@ def naive_bilstm_probs(model, rows):
     exps = [math.exp(v - top) for v in logits]
     total = sum(exps)
     return logits, [e / total for e in exps]
+
+
+# --- masked batch kernel ---------------------------------------------------
+
+@dataclass
+class MaskedTrace:
+    """One direction's arrays, time first, batch second."""
+    inputs: np.ndarray  # (T, B, H) as consumed
+    pre: np.ndarray  # (T, B, 4D) gate pre-activations, blocks i, f, o, g
+    act: np.ndarray  # (T, B, 4D) gate activations, same blocks
+    c: np.ndarray  # (T+1, B, D), c[0] is the zero initial state
+    h: np.ndarray  # (T+1, B, D)
+    hold: np.ndarray  # (S, B, 1): 0 before a sample's first event, for the first S steps
+
+
+@dataclass
+class MaskedRun:
+    fwd: MaskedTrace
+    bwd: MaskedTrace
+    logits: np.ndarray
+    probs: np.ndarray
+
+
+def masked_run_direction(xs, p, hold, ws=_NEW_ARRAYS, key="fwd"):
+    """One direction over time-major inputs ``xs`` (T, B, H).
+
+    ``hold`` (S, B, 1) zeroes the cell state of samples that have not
+    started during the first S steps; from step S on, every sample runs.
+    """
+    t_len, b, h_dim = xs.shape
+    d = p.hidden_size
+    s = 3 * d  # sigmoid gates i, f, o come first
+    pre, act = ws.take(key + ".gates", (2, t_len, b, 4 * d))
+    c, h = ws.take(key + ".states", (2, t_len + 1, b, d))
+    c[0] = h[0] = 0.0
+    rec = ws.take("step.rec", (b, 4 * d))
+    prod = ws.take("step.prod", (b, d))
+    u_t = p.U.T
+    # Non-finite values run through and are reported once, below.
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.matmul(xs.reshape(t_len * b, h_dim), p.W.T, out=pre.reshape(t_len * b, 4 * d))
+        pre += p.b
+        for t in range(t_len):
+            z, a = pre[t], act[t]
+            z += np.matmul(h[t], u_t, out=rec)
+            sig = a[:, :s]
+            np.multiply(z[:, :s], 0.5, out=sig)  # sigm(x) = (1 + tanh(x/2)) / 2
+            np.tanh(sig, out=sig)
+            sig += 1.0
+            sig *= 0.5
+            np.tanh(z[:, s:], out=a[:, s:])
+            np.multiply(a[:, d:2 * d], c[t], out=c[t + 1])
+            c[t + 1] += np.multiply(a[:, :d], a[:, s:], out=prod)
+            if t < len(hold):
+                c[t + 1] *= hold[t]
+            np.tanh(c[t + 1], out=h[t + 1])
+            h[t + 1] *= a[:, 2 * d:s]
+    if not np.isfinite(pre).all():
+        raise NonFiniteInput("LSTM gate pre-activations contain NaN or infinity")
+    return MaskedTrace(xs, pre, act, c, h, hold)
+
+
+def masked_direction_backward(run, p, dh_last, grads, ws=_NEW_ARRAYS):
+    """Accumulate one direction's gradients, summed over the batch, into
+    ``grads`` = [dW, dU, db]."""
+    t_len, b, h_dim = run.inputs.shape
+    d = p.hidden_size
+    s = 3 * d
+    dpre = ws.take("dpre", run.act.shape)
+    dh = dh_last
+    dc = np.zeros((b, d))
+    for t in reversed(range(t_len)):
+        a = run.act[t]
+        i_t, f_t, o_t, g_t = a[:, :d], a[:, d:2 * d], a[:, 2 * d:s], a[:, s:]
+        tanh_c = np.tanh(run.c[t + 1])
+        dc = dc + dh * o_t * (1.0 - tanh_c ** 2)
+        if t < len(run.hold):
+            dc *= run.hold[t]
+        dz = dpre[t]
+        dz[:, :d] = dc * g_t * i_t * (1.0 - i_t)
+        dz[:, d:2 * d] = dc * run.c[t] * f_t * (1.0 - f_t)
+        dz[:, 2 * d:s] = dh * tanh_c * o_t * (1.0 - o_t)
+        dz[:, s:] = dc * i_t * (1.0 - g_t ** 2)
+        dh = dz @ p.U
+        dc = dc * f_t
+    rows = t_len * b
+    dz = dpre.reshape(rows, 4 * d)
+    grads[0] += np.matmul(dz.T, run.inputs.reshape(rows, h_dim),
+                          out=ws.take("grad.W", grads[0].shape))
+    grads[1] += np.matmul(dz.T, run.h[:-1].reshape(rows, d),
+                          out=ws.take("grad.U", grads[1].shape))
+    grads[2] += dz.sum(axis=0)
+
+
+def masked_alignment(lengths, t_len):
+    """Masks of a right-aligned batch of ``t_len`` steps, both (T, B):
+    ``started`` from each sample's first step on, and ``rev``, the
+    backward reading order."""
+    start = t_len - lengths  # first step of each sample
+    steps = np.arange(t_len)[:, None]
+    started = steps >= start
+    rev = np.where(started, t_len - 1 + start - steps, steps)
+    return started, rev
+
+
+def masked_run_batch(model, xs, lengths, ws=_NEW_ARRAYS):
+    """Both directions and the output layer over a right-aligned batch
+    ``xs`` (B, T, H) whose samples may come in any order."""
+    b, t_len, _ = xs.shape
+    started, rev = masked_alignment(lengths, t_len)
+    hold = started[:t_len - lengths.min(), :, None].astype(np.float64)
+    xs_t = xs.transpose(1, 0, 2)
+    run_f = masked_run_direction(np.ascontiguousarray(xs_t), model.forward_params,
+                                 hold, ws, "fwd")
+    run_b = masked_run_direction(xs_t[rev, np.arange(b)], model.backward_params,
+                                 hold, ws, "bwd")
+    hcat = np.concatenate([run_f.h[-1], run_b.h[-1]], axis=1)
+    logits = hcat @ model.W_out.T + model.b_out
+    return MaskedRun(run_f, run_b, logits, tc.softmax(logits, axis=-1))
+
+
+def masked_batch_backward(model, xs, lengths, labels, grads, ws=_NEW_ARRAYS):
+    """Accumulate summed gradients of per-sample cross-entropy into
+    ``grads`` (laid out like ``model.arrays()``); returns (per-sample
+    losses, predicted indices)."""
+    run = masked_run_batch(model, xs, lengths, ws)
+    b = xs.shape[0]
+    d = model.hidden_size
+    dlogits = run.probs.copy()
+    dlogits[np.arange(b), labels] -= 1.0
+    hcat = np.concatenate([run.fwd.h[-1], run.bwd.h[-1]], axis=1)
+    grads[6] += dlogits.T @ hcat
+    grads[7] += dlogits.sum(axis=0)
+    dhcat = dlogits @ model.W_out
+    masked_direction_backward(run.fwd, model.forward_params, dhcat[:, :d], grads[0:3], ws)
+    masked_direction_backward(run.bwd, model.backward_params, dhcat[:, d:], grads[3:6], ws)
+    losses = -np.log(np.maximum(run.probs[np.arange(b), labels], tc.LOSS_CLIP))
+    return losses, np.argmax(run.probs, axis=1)
 
 
 # --- dense dataset ----------------------------------------------------------

@@ -43,7 +43,7 @@ from xnap.lrp import explain_many
 from xnap.synthlog import generate, linear_grammar
 
 from conftest import make_log
-from oracles import naive_bilstm_probs
+from oracles import masked_batch_backward, masked_run_batch, naive_bilstm_probs
 
 
 def dummy_vocab(h: int) -> ActivityVocabulary:
@@ -64,6 +64,20 @@ def random_sample(rng, m: int, h: int, length: int, case_id: str = "t") -> Prefi
         x[m - length + t, int(rng.integers(h))] = 1.0
     return PrefixSample(x=x, true_length=length,
                         label_index=int(rng.integers(h)), case_id=case_id)
+
+
+def random_batch(rng, h: int, lengths, keep: float | None = None):
+    """A right-aligned batch (B, T, H) of random one-hot rows in the given
+    order, input dropout applied when ``keep`` is given; with its lengths
+    and random labels."""
+    lengths = np.asarray(lengths)
+    t_len = int(lengths.max())
+    xs = np.zeros((len(lengths), t_len, h))
+    for k, n in enumerate(lengths):
+        xs[k, np.arange(t_len - n, t_len), rng.integers(h, size=n)] = 1.0
+    if keep is not None:
+        _drop_inputs(xs, lengths, rng, keep)
+    return xs, lengths, rng.integers(h, size=len(lengths))
 
 
 class TestForward:
@@ -261,8 +275,10 @@ class TestBackward:
                 assert abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-4) < 1e-4
 
     def test_batched_equals_per_sample_sum(self):
-        # A mixed-length batch through the masked kernel against the
-        # per-sample path, without and with input dropout.
+        # A mixed-length batch through the packed kernel against the
+        # per-sample path, without and with input dropout. The forward
+        # pass takes the batch longest first; _batch_backward takes it in
+        # any order.
         rng = np.random.default_rng(17)
         d, h, m = 3, 4, 8
         model = random_model(rng, d, h, m)
@@ -279,11 +295,12 @@ class TestBackward:
                     total[name] += g
                 if mask is not None:
                     xs[k, t_len - lengths[k]:] *= mask
-            run = _run_batch(model, xs, lengths)
-            for k, s in enumerate(samples):
-                trace = forward(model, s, dropout_mask=masks[k])
-                assert np.max(np.abs(run.logits[k] - trace.logits)) <= 1e-12
-                assert np.max(np.abs(run.probs[k] - trace.probs)) <= 1e-12
+            order = np.argsort(-lengths, kind="stable")
+            run = _run_batch(model, xs[order], lengths[order])
+            for row, k in enumerate(order):
+                trace = forward(model, samples[k], dropout_mask=masks[k])
+                assert np.max(np.abs(run.logits[row] - trace.logits)) <= 1e-12
+                assert np.max(np.abs(run.probs[row] - trace.probs)) <= 1e-12
             batched = _zero_grads(model)
             _batch_backward(model, xs, lengths, labels, batched)
             for name, g in _named(batched):
@@ -303,6 +320,75 @@ class TestBackward:
             expected[k, t_len - n:] = expected[k, t_len - n:] * mask
         _drop_inputs(xs, lengths, np.random.default_rng(23), keep)
         assert np.array_equal(xs, expected)
+
+
+# Batches the packed kernel must agree with the masked oracle on, each
+# in a mixed order.
+ORACLE_BATCHES = {
+    "mixed": [4, 1, 6, 2, 4, 6, 3],
+    "all_equal": [5, 5, 5, 5],
+    "with_length_one": [3, 1, 2, 3],
+    "one_long_among_short": [2, 1, 9, 2, 1, 2],
+}
+
+
+def max_diff(a, b) -> float:
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b)), initial=0.0))
+
+
+@pytest.mark.parametrize("keep", [None, 0.7], ids=["no_dropout", "dropout"])
+@pytest.mark.parametrize("batch", ORACLE_BATCHES)
+class TestPackedKernelAgainstMaskedOracle:
+    def setup_batch(self, batch, keep):
+        rng = np.random.default_rng(sorted(ORACLE_BATCHES).index(batch))
+        model = random_model(rng, 3, 4, 10)
+        return model, *random_batch(rng, 4, ORACLE_BATCHES[batch], keep)
+
+    def test_forward_and_started_rows_of_the_traces(self, batch, keep):
+        model, xs, lengths, _ = self.setup_batch(batch, keep)
+        order = np.argsort(-lengths, kind="stable")
+        xs, lengths = xs[order], lengths[order]
+        got = _run_batch(model, xs, lengths, PoisonedWorkspace())
+        want = masked_run_batch(model, xs, lengths)
+        assert max_diff(got.logits, want.logits) <= 1e-12
+        assert max_diff(got.probs, want.probs) <= 1e-12
+        t_len = xs.shape[1]
+        for run, ref in ((got.fwd, want.fwd), (got.bwd, want.bwd)):
+            for k, n in enumerate(lengths):
+                first = t_len - n  # first step of sample k
+                assert np.array_equal(run.inputs[:, k], ref.inputs[:, k])
+                for name in ("pre", "act"):
+                    assert max_diff(getattr(run, name)[first:, k],
+                                    getattr(ref, name)[first:, k]) <= 1e-12, name
+                for name in ("c", "h"):
+                    assert max_diff(getattr(run, name)[first:, k],
+                                    getattr(ref, name)[first:, k]) <= 1e-12, name
+                assert np.array_equal(run.tanh_c[first + 1:, k], np.tanh(run.c[first + 1:, k]))
+                # Before its first step a sample holds zero states and gates.
+                for arr in (run.act[:first, k], run.c[:first + 1, k], run.h[:first + 1, k],
+                            run.tanh_c[:first + 1, k]):
+                    assert not arr.any()
+
+    def test_gradients_losses_and_predictions(self, batch, keep):
+        model, xs, lengths, labels = self.setup_batch(batch, keep)
+        grads = _zero_grads(model)
+        losses, preds = _batch_backward(model, xs, lengths, labels, grads, PoisonedWorkspace())
+        want = _zero_grads(model)
+        want_losses, want_preds = masked_batch_backward(model, xs, lengths, labels, want)
+        for (name, g), (_, w) in zip(_named(grads), _named(want)):
+            assert max_diff(g, w) <= 1e-12, name
+        assert max_diff(losses, want_losses) <= 1e-12
+        assert np.array_equal(preds, want_preds)
+
+
+def test_run_batch_rejects_a_batch_not_longest_first():
+    rng = np.random.default_rng(5)
+    model = random_model(rng, 2, 3, 5)
+    xs, lengths, _ = random_batch(rng, 3, [2, 4, 3])
+    with pytest.raises(ValueError, match="longest first"):
+        _run_batch(model, xs, lengths)
+    with pytest.raises(ValueError, match="longest first"):
+        _run_batch(model, np.concatenate([np.zeros((3, 1, 3)), xs], axis=1), lengths)
 
 
 class TestNadam:

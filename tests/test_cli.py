@@ -312,3 +312,28 @@ class TestColors:
     def test_linear_interpolation(self):
         assert relevance_color(0.75) == (255, 128, 128)
         assert relevance_color(0.25) == (128, 128, 255)
+
+
+class TestOptionRanges:
+    @pytest.mark.parametrize("command, option, value, named", [
+        ("explain", "--epsilon", "0", "epsilon"),
+        ("explain", "--delta", "0.5", "delta"),
+        ("train", "--dropout", "1.0", "dropout_rate"),
+        ("train", "--batch-size", "0", "batch_size"),
+        ("train", "--epochs", "0", "max_epochs"),
+        ("evaluate", "--folds", "1", "--folds"),
+    ])
+    def test_out_of_range_value_exits_2(self, workdir, tmp_path, capsys,
+                                        command, option, value, named):
+        log = str(workdir / "log.csv")
+        model = tmp_path / "model.json"
+        needs = {"explain": ["--model", str(workdir / "model.json"), "--log", log],
+                 "train": ["--log", log, "--out", str(model)],
+                 "evaluate": ["--log", log, "--out", str(tmp_path / "metrics.csv")]}
+        assert main([command, *needs[command], option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("error: ") and "\n" not in err
+        assert named in err and value in err
+        assert list(tmp_path.iterdir()) == []  # nothing written
