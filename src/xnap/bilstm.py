@@ -12,12 +12,14 @@ Both directions start from zero states and consume only the true
 to oldest. Their final hidden states are concatenated and fed through a
 dense softmax layer over activity classes.
 
-Each direction keeps its four gates stacked in the order i, f, o, g, so
-one matmul per step serves all of them. Training, validation, evaluation
-and single-sample prediction all run the same batched recurrence. A batch
-is right-aligned and ordered longest first, so the samples that have
-started by a step are its leading rows: each step runs those rows only,
-like a packed sequence.
+Inputs are activity indices: x is the one-hot row of an activity, so
+W x is one column of W, read by an index gather; the pad index reads a
+zero input. Each direction keeps its four gates stacked in the order
+i, f, o, g, so one matmul per step serves all of them. Training,
+validation, evaluation and single-sample prediction all run the same
+batched recurrence. A batch is right-aligned and ordered longest first,
+so the samples that have started by a step are its leading rows: each
+step runs those rows only, like a packed sequence.
 """
 from __future__ import annotations
 
@@ -31,7 +33,6 @@ from typing import IO, Union
 
 import numpy as np
 
-from . import tensorcore as tc
 from .encoding import ActivityVocabulary, PrefixDataset, PrefixSample
 from .errors import (
     CorruptModel,
@@ -44,6 +45,8 @@ from .errors import (
 
 MODEL_FORMAT_VERSION = 1
 GATES = ("i", "f", "o", "g")
+# Probabilities are clipped at this floor before taking logs.
+LOSS_CLIP = 1e-12
 # Inference batches are cut so that their per-step tensors hold at most
 # this many (sample, step) rows: long prefixes must not blow up memory.
 _INFERENCE_ROWS = 1024
@@ -63,6 +66,8 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
+        if self.hidden_size < 1:
+            raise ValueError(f"hidden_size must be >= 1, got {self.hidden_size}")
         if not 0 <= self.dropout_rate < 1:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.batch_size < 1:
@@ -141,11 +146,13 @@ class BiLstmModel:
 class DirectionTrace:
     """Per-timestep quantities of one direction, time first, in its own
     reading order. Batched runs have a batch axis after the time axis;
-    the per-sample traces of :func:`forward` do not. At the steps before
-    a sample's first event its rows of ``act``, ``c``, ``h`` and
-    ``tanh_c`` are zero, and its ``pre`` rows hold the input projection
-    of its zero padding."""
-    inputs: np.ndarray  # (T, H) as consumed
+    the per-sample traces of :func:`forward` do not. The input at a step
+    is the one-hot row of ``events`` (the pad index H reads a zero row),
+    times its dropout scale in training. At the steps before a sample's
+    first event its rows of ``act``, ``c``, ``h`` and ``tanh_c`` are zero,
+    and its ``pre`` rows hold the bias alone."""
+    events: np.ndarray  # (T,) int activity indices as read, H for a zero input
+    scales: np.ndarray | None  # (T,) input dropout scales, None without dropout
     pre: np.ndarray  # (T, 4D) gate pre-activations, blocks i, f, o, g
     act: np.ndarray  # (T, 4D) gate activations, same blocks
     c: np.ndarray  # (T+1, D), c[0] is the zero initial state
@@ -179,7 +186,9 @@ class DirectionTrace:
 
     def sample(self, k: int) -> "DirectionTrace":
         """The trace of batch member ``k``."""
-        return DirectionTrace(self.inputs[:, k], self.pre[:, k], self.act[:, k],
+        return DirectionTrace(self.events[:, k],
+                              None if self.scales is None else self.scales[:, k],
+                              self.pre[:, k], self.act[:, k],
                               self.c[:, k], self.h[:, k], self.tanh_c[:, k])
 
 
@@ -230,6 +239,15 @@ def init_model(vocab: ActivityVocabulary, max_len: int, config: TrainConfig) -> 
         max_len=max_len,
         hyperparams=asdict(config),
     )
+
+
+def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax along ``axis``, computed with max subtraction for stability."""
+    if not np.isfinite(x).all():
+        raise NonFiniteInput("softmax input contains NaN or infinity")
+    shifted = x - np.max(x, axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=axis, keepdims=True)
 
 
 # --- batched recurrence core ----------------------------------------------
@@ -300,30 +318,41 @@ def _borrowed_workspace():
 # first n samples have started; a batch's spans come oldest first and
 # the last one runs every sample.
 
-def _run_direction(xs: np.ndarray, p: LstmWeights, spans: list[tuple[int, int, int]],
-                   ws: Workspace, key: str) -> DirectionTrace:
-    """One direction over time-major inputs ``xs`` (T, B, H), its arrays
-    taken from ``ws`` under ``key``. Each step runs the started rows its
-    span names; the other rows keep zero states and activations."""
-    t_len, b, h_dim = xs.shape
+def _run_direction(events: np.ndarray, scales: np.ndarray | None, p: LstmWeights,
+                   spans: list[tuple[int, int, int]], ws: Workspace, key: str) -> DirectionTrace:
+    """One direction over time-major activity indices ``events`` (T, B),
+    each input scaled by ``scales`` (T, B) when given, its arrays taken
+    from ``ws`` under ``key``. Each step runs the started rows its span
+    names; the other rows keep zero states and activations."""
+    t_len, b = events.shape
     d = p.hidden_size
     s = 3 * d  # sigmoid gates i, f, o come first
-    gates = ws.take(key + ".gates", (2, t_len, b, 4 * d))
+    # W x of a one-hot x is a column of W, so the input projection gathers
+    # rows of a table holding W.T and a zero row for the pad index. The
+    # table sits in front of the pre-activations in one buffer, so the one
+    # finiteness check below covers every input weight, read or not.
+    h_dim = p.W.shape[1]
+    checked = ws.take(key + ".pre", (h_dim + 1 + t_len * b, 4 * d))
+    table, pre = checked[:h_dim + 1], checked[h_dim + 1:].reshape(t_len, b, 4 * d)
+    table[:h_dim] = p.W.T
+    table[h_dim] = 0.0
+    act = ws.take(key + ".act", (t_len, b, 4 * d))
     states = ws.take(key + ".states", (3, t_len + 1, b, d))
     states[:, 0] = 0.0
     rec = ws.take("step.rec", (b, 4 * d))
     prod = ws.take("step.prod", (b, d))
     u_t = p.U.T
-    pre, act = gates
     # Non-finite values run through and are reported once, below.
     with np.errstate(invalid="ignore", over="ignore"):
-        np.matmul(xs.reshape(t_len * b, h_dim), p.W.T, out=pre.reshape(t_len * b, 4 * d))
+        table.take(events, axis=0, out=pre, mode="clip")
+        if scales is not None:
+            pre *= scales[:, :, None]
         pre += p.b
         for t0, t1, n in spans:
             if n < b:
                 states[:, t0 + 1:t1 + 1, n:] = 0.0
                 act[t0:t1, n:] = 0.0
-            zs, acts = gates[:, t0:t1, :n]
+            zs, acts = pre[t0:t1, :n], act[t0:t1, :n]
             cs, hs, tcs = states[:, t0:t1 + 1, :n]
             rec_n, prod_n = rec[:n], prod[:n]
             for t in range(t1 - t0):
@@ -340,9 +369,9 @@ def _run_direction(xs: np.ndarray, p: LstmWeights, spans: list[tuple[int, int, i
                 c_next += np.multiply(a[:, :d], a[:, s:], out=prod_n)
                 np.tanh(c_next, out=tanh_c)
                 np.multiply(tanh_c, a[:, 2 * d:s], out=hs[t + 1])
-    if not np.isfinite(pre).all():
-        raise NonFiniteInput("LSTM gate pre-activations contain NaN or infinity")
-    return DirectionTrace(xs, pre, act, *states)
+    if not np.isfinite(checked).all():
+        raise NonFiniteInput("LSTM input weights or gate pre-activations contain NaN or infinity")
+    return DirectionTrace(events, scales, pre, act, *states)
 
 
 def _direction_backward(run: DirectionTrace, p: LstmWeights,
@@ -351,7 +380,7 @@ def _direction_backward(run: DirectionTrace, p: LstmWeights,
     """Accumulate one direction's gradients, summed over the batch, into
     ``grads`` = [dW, dU, db]. Each step runs the rows its span names; the
     gate gradients of those rows are stored packed, step after step."""
-    t_len, b, h_dim = run.inputs.shape
+    t_len, b = run.events.shape
     d = p.hidden_size
     s = 3 * d
     end = sum((t1 - t0) * n for t0, t1, n in spans)
@@ -376,12 +405,20 @@ def _direction_backward(run: DirectionTrace, p: LstmWeights,
             dz[:, s:] = dc * i_t * (1.0 - g_t ** 2)
             dh = dz @ p.U
             dc = dc * f_t
-    xs = run.inputs.reshape(t_len * b, h_dim)
+    events = run.events.reshape(t_len * b)
+    scales = None if run.scales is None else run.scales.reshape(t_len * b)
     hs = run.h[:-1].reshape(t_len * b, d)
     if len(dpre) < t_len * b:  # gather the started (step, sample) rows
         counts = np.repeat([n for _, _, n in spans], [t1 - t0 for t0, t1, _ in spans])
         rows = np.flatnonzero(np.arange(b) < counts[:, None])
-        xs, hs = xs[rows], hs[rows]
+        events, hs = events[rows], hs[rows]
+        scales = None if scales is None else scales[rows]
+    # The started rows' inputs as one-hot rows: one dense product sums the
+    # gradients of every column of W, which beats scattering them by index.
+    h_dim = p.W.shape[1]
+    xs = np.eye(h_dim + 1, h_dim).take(events, axis=0)
+    if scales is not None:
+        xs *= scales[:, None]
     grads[0] += np.matmul(dpre.T, xs, out=ws.take("grad.W", grads[0].shape))
     grads[1] += np.matmul(dpre.T, hs, out=ws.take("grad.U", grads[1].shape))
     grads[2] += dpre.sum(axis=0)
@@ -414,35 +451,40 @@ def _alignment(lengths: np.ndarray, t_len: int
     return list(zip(firsts.tolist(), ends.tolist(), np.cumsum(counts).tolist())), rev
 
 
-def _run_batch(model: BiLstmModel, xs: np.ndarray, lengths: np.ndarray,
-               ws: Workspace = _NEW_ARRAYS) -> ForwardTrace:
-    """Both directions and the output layer over a right-aligned batch
-    ``xs`` (B, T, H), ordered longest first; the traces carry the batch
+def _run_batch(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
+               scales: np.ndarray | None = None, ws: Workspace = _NEW_ARRAYS) -> ForwardTrace:
+    """Both directions and the output layer over a right-aligned batch of
+    activity indices ``events`` (B, T), ordered longest first, inputs
+    scaled by ``scales`` (B, T) when given; the traces carry the batch
     axis. Their arrays come from ``ws`` (new ones by default)."""
-    b, t_len, _ = xs.shape
+    b, t_len = events.shape
     spans, rev = _alignment(lengths, t_len)
-    xs_t = xs.transpose(1, 0, 2)
-    run_f = _run_direction(np.ascontiguousarray(xs_t), model.forward_params, spans, ws, "fwd")
-    run_b = _run_direction(xs_t[rev, np.arange(b)], model.backward_params, spans, ws, "bwd")
+    reverse = (rev, np.arange(b))  # time-major, each window reversed in place
+    scales_t = None if scales is None else scales.T
+    run_f = _run_direction(events.T, scales_t, model.forward_params, spans, ws, "fwd")
+    run_b = _run_direction(events.T[reverse], None if scales is None else scales_t[reverse],
+                           model.backward_params, spans, ws, "bwd")
     hcat = np.concatenate([run_f.h[-1], run_b.h[-1]], axis=1)
     logits = hcat @ model.W_out.T + model.b_out
-    return ForwardTrace(run_f, run_b, logits, tc.softmax(logits, axis=-1))
+    return ForwardTrace(run_f, run_b, logits, softmax(logits, axis=-1))
 
 
-def _batch_backward(model: BiLstmModel, xs: np.ndarray, lengths: np.ndarray,
-                    labels: np.ndarray, grads: list[np.ndarray],
+def _batch_backward(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
+                    scales: np.ndarray | None, labels: np.ndarray, grads: list[np.ndarray],
                     ws: Workspace = _NEW_ARRAYS) -> tuple[np.ndarray, np.ndarray]:
     """Accumulate summed gradients of per-sample cross-entropy into
     ``grads`` (laid out like ``model.arrays()``) over a right-aligned
-    batch in any order; it runs longest first.
+    batch in any order, as :func:`_run_batch` takes it; it runs longest
+    first.
 
     Returns (per-sample losses, predicted indices) in input order.
     """
     order = np.argsort(-lengths, kind="stable")
-    xs, lengths, labels = xs[order], lengths[order], labels[order]
-    run = _run_batch(model, xs, lengths, ws)
-    spans, _ = _alignment(lengths, xs.shape[1])
-    b = xs.shape[0]
+    events, lengths, labels = events[order], lengths[order], labels[order]
+    scales = None if scales is None else scales[order]
+    run = _run_batch(model, events, lengths, scales, ws)
+    spans, _ = _alignment(lengths, events.shape[1])
+    b = events.shape[0]
     d = model.hidden_size
     dlogits = run.probs.copy()
     dlogits[np.arange(b), labels] -= 1.0
@@ -454,7 +496,7 @@ def _batch_backward(model: BiLstmModel, xs: np.ndarray, lengths: np.ndarray,
     _direction_backward(run.bwd, model.backward_params, spans, dhcat[:, d:], grads[3:6], ws)
     losses = np.empty(b)
     preds = np.empty(b, dtype=np.intp)
-    losses[order] = -np.log(np.maximum(run.probs[np.arange(b), labels], tc.LOSS_CLIP))
+    losses[order] = -np.log(np.maximum(run.probs[np.arange(b), labels], LOSS_CLIP))
     preds[order] = np.argmax(run.probs, axis=1)
     return losses, preds
 
@@ -478,8 +520,8 @@ def _predict_probs(model: BiLstmModel, dataset: PrefixDataset, ws: Workspace) ->
     probs = np.empty((len(dataset), model.n_classes))
     for part in _inference_chunks(lengths):
         t_len = int(lengths[part[0]])
-        xs = dataset.one_hot(part, t_len)
-        probs[part] = _run_batch(model, xs, lengths[part], ws).probs
+        events = dataset.events[part, dataset.M - t_len:]
+        probs[part] = _run_batch(model, events, lengths[part], None, ws).probs
     return probs
 
 
@@ -496,43 +538,45 @@ def _inference_chunks(lengths: np.ndarray):
 
 # --- public per-sample operations -----------------------------------------
 
-def _suffix_inputs(model: BiLstmModel, sample: PrefixSample,
-                   dropout_mask: np.ndarray | None) -> np.ndarray:
-    if sample.x.ndim != 2 or sample.x.shape[1] != model.n_classes:
-        raise ShapeMismatch(
-            f"sample is {sample.x.shape}, model expects (*, {model.n_classes})")
-    if sample.true_length < 1 or sample.true_length > sample.x.shape[0]:
-        raise ShapeMismatch(f"true_length {sample.true_length} out of range")
-    xs = sample.x[sample.x.shape[0] - sample.true_length:, :]
-    if dropout_mask is not None:
-        if dropout_mask.shape != xs.shape:
+def _stack_events(model: BiLstmModel, samples) -> tuple[np.ndarray, np.ndarray]:
+    """Right-aligned batch (B, T) of the samples' true events, T the
+    longest of them, padded with the pad index; and their lengths (B,)."""
+    h = model.n_classes
+    for sample in samples:
+        if sample.n_classes != h:
             raise ShapeMismatch(
-                f"dropout mask {dropout_mask.shape} does not match suffix {xs.shape}")
-        xs = xs * dropout_mask
-    return xs[None, :, :]
+                f"sample has {sample.n_classes} classes, model expects {h}")
+    if len(samples) == 1:  # a single prediction reads a view of its events
+        n = samples[0].true_length
+        return samples[0].events[None, samples[0].max_len - n:], np.asarray([n])
+    lengths = np.asarray([sample.true_length for sample in samples])
+    t_len = int(lengths.max())
+    events = np.full((len(samples), t_len), h, dtype=np.int32)
+    for row, sample, n in zip(events, samples, lengths):
+        row[t_len - n:] = sample.events[sample.max_len - n:]
+    return events, lengths
 
 
-def _stack_samples(model: BiLstmModel, samples) -> tuple[np.ndarray, np.ndarray]:
-    """Right-aligned batch (B, T, H) of the samples' true suffixes, T the
-    longest of them, and their lengths (B,)."""
-    suffixes = [_suffix_inputs(model, sample, None)[0] for sample in samples]
-    lengths = np.asarray([len(x) for x in suffixes])
-    xs = np.zeros((len(suffixes), int(lengths.max()), model.n_classes))
-    for row, x in zip(xs, suffixes):
-        row[len(row) - len(x):] = x
-    return xs, lengths
+def _sample_scales(sample: PrefixSample, dropout_mask: np.ndarray | None):
+    """The (1, L) input scales of one sample's true events, or None."""
+    if dropout_mask is None:
+        return None
+    if dropout_mask.shape != (sample.true_length,):
+        raise ShapeMismatch(f"dropout mask {dropout_mask.shape} does not match "
+                            f"the {sample.true_length} true events")
+    return dropout_mask[None, :]
 
 
 def forward(model: BiLstmModel, sample: PrefixSample,
             dropout_mask: np.ndarray | None = None) -> ForwardTrace:
     """Run the network over one sample, recording every intermediate value.
 
-    Only the true-length suffix enters the recurrence; padding rows are
-    never touched. ``dropout_mask`` (training only) multiplies the suffix
-    inputs elementwise.
+    Only the true-length suffix enters the recurrence; padding is never
+    touched. ``dropout_mask`` (training only, one scale per true event)
+    multiplies each event's input row.
     """
-    xs = _suffix_inputs(model, sample, dropout_mask)
-    run = _run_batch(model, xs, np.asarray([sample.true_length]))
+    events, lengths = _stack_events(model, [sample])
+    run = _run_batch(model, events, lengths, _sample_scales(sample, dropout_mask))
     return ForwardTrace(fwd=run.fwd.sample(0), bwd=run.bwd.sample(0),
                         logits=run.logits[0], probs=run.probs[0])
 
@@ -542,8 +586,7 @@ def predict(model: BiLstmModel, sample: PrefixSample) -> tuple[int, np.ndarray]:
 
     Ties break toward the lowest index.
     """
-    probs = _run_batch(model, _suffix_inputs(model, sample, None),
-                       np.asarray([sample.true_length])).probs[0]
+    probs = _run_batch(model, *_stack_events(model, [sample])).probs[0]
     return int(np.argmax(probs)), probs
 
 
@@ -553,9 +596,9 @@ def backward(model: BiLstmModel, sample: PrefixSample, label_index: int,
     ``model.param_items()``."""
     if not 0 <= label_index < model.n_classes:
         raise ShapeMismatch(f"label index {label_index} out of range")
-    xs = _suffix_inputs(model, sample, dropout_mask)
+    events, lengths = _stack_events(model, [sample])
     grads = _zero_grads(model)
-    _batch_backward(model, xs, np.asarray([sample.true_length]),
+    _batch_backward(model, events, lengths, _sample_scales(sample, dropout_mask),
                     np.asarray([label_index]), grads)
     return dict(_named(grads))
 
@@ -608,17 +651,22 @@ class Nadam:
 
 # --- training ---------------------------------------------------------------
 
-def _drop_inputs(xs: np.ndarray, lengths: np.ndarray, rng: np.random.Generator,
-                 keep: float) -> None:
-    """Inverted input dropout on the true rows of a right-aligned batch, in place.
+def _drop_inputs(events: np.ndarray, lengths: np.ndarray, n_classes: int,
+                 rng: np.random.Generator, keep: float) -> np.ndarray:
+    """Inverted input dropout scales (B, T) of a right-aligned batch.
 
-    The rows are drawn in one call, sample after sample in time order, which
-    takes the same values from the stream as one ``(length, H)`` draw per
-    sample in turn.
+    A mask is drawn for every unit of every true input row, in one call,
+    sample after sample in time order: the same values from the stream as
+    one ``(length, H)`` draw per sample in turn. A one-hot row keeps only
+    its active unit, so an event's scale is its mask at that unit; steps
+    before a sample's first event get scale 0.
     """
-    t_len = xs.shape[1]
+    t_len = events.shape[1]
     started = np.arange(t_len) >= (t_len - lengths)[:, None]
-    xs[started] *= (rng.random((int(lengths.sum()), xs.shape[2])) < keep) / keep
+    masks = (rng.random((int(lengths.sum()), n_classes)) < keep) / keep
+    scales = np.zeros(events.shape)
+    scales[started] = masks[np.arange(len(masks)), events[started]]
+    return scales
 
 
 def _dataset_loss(model: BiLstmModel, dataset: PrefixDataset,
@@ -626,7 +674,7 @@ def _dataset_loss(model: BiLstmModel, dataset: PrefixDataset,
     """Mean loss and accuracy over a dataset, no dropout."""
     probs = _predict_probs(model, dataset, ws)
     labels = dataset.label_indices
-    picked = np.maximum(probs[np.arange(len(dataset)), labels], tc.LOSS_CLIP)
+    picked = np.maximum(probs[np.arange(len(dataset)), labels], LOSS_CLIP)
     accuracy = float((np.argmax(probs, axis=1) == labels).mean())
     return float(-np.log(picked).mean()), accuracy
 
@@ -635,7 +683,7 @@ def train(dataset: PrefixDataset, val_dataset: PrefixDataset,
           config: TrainConfig) -> tuple[BiLstmModel, list[EpochStats]]:
     """Mini-batch Nadam training with input dropout and early stopping.
 
-    Per-sample inverted-dropout masks are drawn fresh every epoch. After
+    Per-event inverted-dropout scales are drawn fresh every epoch. After
     each epoch the validation loss is computed without dropout; training
     stops once it has not improved for ``config.patience`` consecutive
     epochs (or at ``config.max_epochs``), and the parameter snapshot with
@@ -672,13 +720,13 @@ def train(dataset: PrefixDataset, val_dataset: PrefixDataset,
                 batch = order[start:start + config.batch_size]
                 lengths = dataset.true_lengths[batch]
                 labels = dataset.label_indices[batch]
-                t_len = int(lengths.max())
-                xs = dataset.one_hot(batch, t_len)
-                if config.dropout_rate > 0.0:
-                    _drop_inputs(xs, lengths, dropout_rng, keep)
+                events = dataset.events[batch, dataset.M - int(lengths.max()):]
+                scales = None if config.dropout_rate == 0.0 else \
+                    _drop_inputs(events, lengths, model.n_classes, dropout_rng, keep)
                 for g in grads:
                     g.fill(0.0)
-                losses, preds = _batch_backward(model, xs, lengths, labels, grads, ws)
+                losses, preds = _batch_backward(model, events, lengths, scales, labels,
+                                                grads, ws)
                 epoch_loss += float(losses.sum())
                 epoch_correct += int((preds == labels).sum())
                 scale = 1.0 / len(batch)

@@ -11,7 +11,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .bilstm import TrainConfig, load_model, predict, save_model, train
@@ -80,9 +79,12 @@ def _load_log(args) -> EventLog:
     log = parse_log(args.log, _log_format(args))
     max_len = getattr(args, "max_trace_len", None)
     fraction = getattr(args, "sample_fraction", 1.0)
-    if max_len is not None or fraction < 1.0:
-        log = filter_log(log, max_trace_len=max_len, sample_fraction=fraction,
-                         seed=_resolve_seed(args.seed))
+    if max_len is not None or fraction != 1.0:
+        try:
+            log = filter_log(log, max_trace_len=max_len, sample_fraction=fraction,
+                             seed=_resolve_seed(args.seed))
+        except ValueError as exc:
+            raise UsageError(f"--sample-fraction: {exc}") from None
         if len(log) == 0:
             raise EmptyLog("no traces left after filtering")
     return log
@@ -134,9 +136,10 @@ def _prefix_samples(model, trace: Trace, min_prefix: int,
     full = _encode_or_skip(Trace(trace.case_id, trace.events[:top]), model)
     if full is None:
         return None
-    # Every shorter prefix is a slice of the longest one's one-hot rows.
+    # Every shorter prefix is a slice of the longest one's events.
     first = full.max_len - top
-    return [replace(full, x=full.x[first:first + length], true_length=length)
+    return [PrefixSample(full.events[first:first + length], length, None, trace.case_id,
+                         full.n_classes)
             for length in range(min_prefix, top + 1)]
 
 

@@ -1,11 +1,12 @@
-"""Trace encoding: vocabulary, prefix generation, padded index arrays and
-their one-hot rows.
+"""Trace encoding: vocabulary, prefix generation and padded index arrays.
 
 Every trace is augmented with a reserved end symbol so that trace
 termination is itself a predictable class. Prefixes are stored as
-activity indices, left-padded with a pad index up to a common length M;
-the pad index densifies to a zero row. The network keeps a sample's state
-at zero over its padding, so the zeros are a storage convention only.
+activity indices, left-padded with a pad index up to a common length M.
+The network reads an index as the one-hot input row of that activity and
+the pad index H (the vocabulary size) as a zero row; it keeps a sample's
+state at zero over its padding, so the padding is a storage convention
+only.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import numpy as np
 from .errors import (
     PrefixTooLong,
     ReservedLabelCollision,
+    ShapeMismatch,
     TraceTooShort,
     UnknownActivity,
 )
@@ -26,7 +28,7 @@ END_SYMBOL = "__END__"
 
 @dataclass(frozen=True)
 class ActivityVocabulary:
-    """Bijection between activity labels and one-hot indices.
+    """Bijection between activity labels and activity indices.
 
     Data labels are sorted lexicographically for run-to-run determinism;
     the reserved end symbol always sits at the last index.
@@ -60,19 +62,41 @@ class ActivityVocabulary:
 
 @dataclass(frozen=True)
 class PrefixSample:
-    """One padded input: prefix rows occupy the last ``true_length`` rows of ``x``.
+    """One padded input as activity indices: the prefix fills the last
+    ``true_length`` entries of ``events``, every other entry holds the pad
+    index ``n_classes``. A pad index inside the prefix is an event whose
+    input row is zero (see :func:`occlude_event`).
 
     ``label_index`` is None for running traces, where the next activity is
     the thing being predicted.
     """
-    x: np.ndarray  # (M, H) float64
+    events: np.ndarray  # (M,) int32, values in [0, n_classes]
     true_length: int
     label_index: int | None
     case_id: str
+    n_classes: int
+
+    def __post_init__(self):
+        events = np.asarray(self.events)
+        if events.ndim != 1 or events.dtype.kind not in "iu":
+            raise ShapeMismatch(
+                f"events must be a 1-D integer array, got {events.dtype} {events.shape}")
+        # Viewed as unsigned, a negative index is huge: one max checks both ends.
+        if events.size and np.maximum.reduce(events.view(f"u{events.itemsize}")) > self.n_classes:
+            raise ShapeMismatch(f"event indices must lie in [0, {self.n_classes}]")
+        if not 1 <= self.true_length <= events.shape[0]:
+            raise ShapeMismatch(
+                f"true_length {self.true_length} out of range for {events.shape[0]} steps")
+        object.__setattr__(self, "events", events.astype(np.int32, copy=False))
 
     @property
     def max_len(self) -> int:
-        return self.x.shape[0]
+        return self.events.shape[0]
+
+    @property
+    def x(self) -> np.ndarray:
+        """The one-hot input rows (M, H), padding as zero rows."""
+        return np.eye(self.n_classes + 1, self.n_classes)[self.events]
 
 
 @dataclass(frozen=True)
@@ -80,9 +104,7 @@ class PrefixDataset:
     """Stacked prefix samples as activity indices.
 
     ``events`` (n, M) holds each prefix right-aligned and left-padded with
-    the pad index ``vocab.size``; :meth:`one_hot` densifies the rows of one
-    batch only, so a dataset costs n*M small integers instead of n*M*H
-    floats.
+    the pad index ``vocab.size``, so a dataset costs n*M small integers.
     """
     events: np.ndarray  # (n, M) int32
     true_lengths: np.ndarray  # (n,) int
@@ -94,21 +116,9 @@ class PrefixDataset:
     def __len__(self) -> int:
         return self.events.shape[0]
 
-    def one_hot(self, rows, steps: int | None = None) -> np.ndarray:
-        """Float64 one-hot inputs of the samples ``rows`` (an index or an
-        index array), cropped to their last ``steps`` rows (default M)."""
-        steps = self.M if steps is None else steps
-        return one_hot(self.events[rows, self.M - steps:], self.vocab.size)
-
     def sample(self, i: int) -> PrefixSample:
-        return PrefixSample(self.one_hot(i), int(self.true_lengths[i]),
-                            int(self.label_indices[i]), self.case_ids[i])
-
-
-def one_hot(events: np.ndarray, size: int) -> np.ndarray:
-    """Rows of a ``size``-class one-hot code for an index array; the pad
-    index ``size`` maps to a zero row. Adds a trailing axis of ``size``."""
-    return np.eye(size + 1, size)[events]
+        return PrefixSample(self.events[i], int(self.true_lengths[i]),
+                            int(self.label_indices[i]), self.case_ids[i], self.vocab.size)
 
 
 def build_vocabulary(log: EventLog) -> ActivityVocabulary:
@@ -182,22 +192,21 @@ def encode_running_trace(trace: Trace, vocab: ActivityVocabulary, m: int) -> Pre
         raise TraceTooShort(f"running trace {trace.case_id!r} has fewer than 2 events")
     indices = [vocab.index_of(a, trace.case_id) for a in trace.activities]
     _check_fits(len(indices), m, trace.case_id)
-    x = np.zeros((m, vocab.size))
-    for t, idx in enumerate(indices, start=m - len(indices)):
-        x[t, idx] = 1.0
-    return PrefixSample(x=x, true_length=len(indices), label_index=None,
-                        case_id=trace.case_id)
+    events = np.full(m, vocab.size, dtype=np.int32)
+    events[m - len(indices):] = indices
+    return PrefixSample(events, len(indices), None, trace.case_id, vocab.size)
 
 
 def occlude_event(sample: PrefixSample, event_index: int) -> PrefixSample:
-    """Counterfactual copy of a sample with one event's input row zeroed.
+    """Counterfactual copy of a sample with one event set to the pad index.
 
     ``event_index`` counts from 0 over the true (unpadded) events. The
-    recurrence still visits the zeroed step, so this deletes the event's
-    content while keeping every other event at its original position.
+    recurrence still visits the step and reads a zero input row there, so
+    this deletes the event's content while keeping every other event at
+    its original position.
     """
     if not 0 <= event_index < sample.true_length:
         raise IndexError(f"event index {event_index} out of range")
-    x = sample.x.copy()
-    x[sample.max_len - sample.true_length + event_index, :] = 0.0
-    return replace(sample, x=x)
+    events = sample.events.copy()
+    events[sample.max_len - sample.true_length + event_index] = sample.n_classes
+    return replace(sample, events=events)

@@ -32,11 +32,10 @@ from .bilstm import (
     _borrowed_workspace,
     _inference_chunks,
     _run_batch,
-    _stack_samples,
+    _stack_events,
 )
 from .encoding import PrefixSample
 from .errors import ShapeMismatch, TraceTooShort
-from .tensorcore import as_f64
 
 
 @dataclass(frozen=True)
@@ -84,6 +83,11 @@ class RelevanceTrace:
 
     def __len__(self) -> int:
         return len(self.raw)
+
+
+def as_f64(x) -> np.ndarray:
+    """Coerce to a float64 array without copying when already one."""
+    return np.asarray(x, dtype=np.float64)
 
 
 def _stabilise(z_upper: np.ndarray, epsilon: float, stab: np.ndarray | None = None,
@@ -168,17 +172,14 @@ def _propagate_direction(trace: DirectionTrace, params: LstmWeights,
     the bias-absorbed total of the gate pre-activation layers, and the
     gate-assigned total.
     """
-    t_len, b, h_dim = trace.inputs.shape
+    t_len, b = trace.events.shape
     d = r_h_final.shape[1]
+    h_dim = params.W.shape[1]
     eps, delta = config.epsilon, config.delta
     g = params.rows("g")
-    w_cat = np.hstack([params.W[g], params.U[g]])  # lower = [x_t ; h_{t-1}]
-    b_g = params.b[g]
+    u_g, b_g = params.U[g], params.b[g]
     share_c, denom_c, share_g, denom_g, absorb_g, r_cands = ws.take(
         "lrp.steps", (6, t_len, b, d))
-    # Everything the rules take from the forward pass, for all steps at once.
-    z_low = np.concatenate([trace.inputs, trace.h[:-1]], axis=-1,
-                           out=ws.take("lrp.z_low", (t_len, b, h_dim + d)))
     # c_t = f_t*c_{t-1} + i_t*g_t: the two summands, stacked per step, each
     # with its share of the stabiliser (no bias).
     summands = ws.take("lrp.summands", (t_len, 2, b, d))
@@ -187,27 +188,27 @@ def _propagate_direction(trace: DirectionTrace, params: LstmWeights,
     _stabilise(trace.c[1:], eps, share_c, denom_c)
     share_c /= 2.0
     summands += share_c[:, None]
+    # The lower layer of g_t's pre-activation is [x_t ; h_{t-1}]: H input
+    # units and D hidden ones share the stabiliser and bias term.
     _stabilise(trace.pre_g, eps, share_g, denom_g)
     share_g += delta * b_g
-    share_g /= w_cat.shape[1]
+    share_g /= h_dim + d
     np.divide((1.0 - delta) * b_g, denom_g, out=absorb_g)
 
-    # Per-step relevance of the input units and the candidate
-    # pre-activations (r_cands), reduced to per-sample totals after the
-    # walk. What the gates receive is summed as the walk goes.
-    rx = ws.take("lrp.rx", (t_len, b, h_dim))
+    # Per-step relevance of the candidate pre-activations (r_cands), kept
+    # for the input units and the per-sample totals after the walk. What
+    # the gates receive is summed as the walk goes.
     r_gates = ws.take("lrp.r_gates", (3, b, d))  # o, f, i at the current step
     gate_total = np.zeros((3, b, d))
     r_h = r_h_final.copy()
     r_c = np.zeros_like(r_h)
     for t0, t1, n in reversed(spans):
         if n < b:
-            rx[t0:t1, n:] = 0.0
             r_cands[t0:t1, n:] = 0.0
         rg, gates = r_gates[:, :n], gate_total[:, :n]
         summ, den_c = summands[t0:t1, :, :n], denom_c[t0:t1, :n]
-        zl, sh_g, den_g = z_low[t0:t1, :n], share_g[t0:t1, :n], denom_g[t0:t1, :n]
-        cands, rxs = r_cands[t0:t1, :n], rx[t0:t1, :n]
+        h_prev, sh_g, den_g = trace.h[t0:t1, :n], share_g[t0:t1, :n], denom_g[t0:t1, :n]
+        cands = r_cands[t0:t1, :n]
         rh, rc = r_h[:n], r_c[:n]
         for t in reversed(range(t1 - t0)):
             # h_t = o_t * tanh(c_t): output gate is zeroed, tanh passes through.
@@ -218,24 +219,35 @@ def _propagate_direction(trace: DirectionTrace, params: LstmWeights,
             rg[1:], (rc, cands[t]) = lrp_multiplicative(summ[t] * scale)
             gates += np.abs(rg, out=rg)
             # g_t = tanh(W_g x_t + U_g h_{t-1} + b_g): identity through tanh,
-            # then the linear rule over the concatenated lower layer.
-            r_low = _epsilon_rule(zl[t], w_cat, sh_g[t], cands[t] / den_g[t])
-            rxs[t] = r_low[:, :h_dim]
-            rh = r_low[:, h_dim:]
+            # then the linear rule; here its messages to h_{t-1}.
+            rh = _epsilon_rule(h_prev[t], u_g, sh_g[t], cands[t] / den_g[t])
         r_h[:n], r_c[:n] = rh, rc
     leftover = r_h.sum(axis=1) + r_c.sum(axis=1)
+    # The rule's messages to the input units, for all steps at once. A
+    # one-hot x_t has one active unit, which receives W_g[:, e] . scale
+    # for event e (nothing for the pad index's zero row); each of the H
+    # units receives the share term S = share . scale.
+    scale = np.divide(r_cands, denom_g, out=share_c)  # share_c, denom_c are free now
+    active = denom_c
+    w_in = ws.take("lrp.w_in", (h_dim + 1, d))
+    w_in[:h_dim] = params.W[g].T
+    w_in[h_dim] = 0.0
+    w_in.take(trace.events, axis=0, out=active, mode="clip")
+    active *= scale
+    share_g *= scale
+    rx = active.sum(axis=2) + h_dim * share_g.sum(axis=2)
     # Totals over each sample's own steps, newest first.
     absorb_g *= r_cands
     absorbed = absorb_g.sum(axis=2)[::-1].sum(axis=0)
-    return rx.sum(axis=2), leftover, absorbed, gate_total.sum(axis=(0, 2))
+    return rx, leftover, absorbed, gate_total.sum(axis=(0, 2))
 
 
 def _explain_chunk(model: BiLstmModel, samples: list[PrefixSample],
                    config: LrpConfig, ws: Workspace) -> list[RelevanceTrace]:
     """Explain one batch: one forward pass, one relevance walk per direction."""
-    xs, lengths = _stack_samples(model, samples)
-    t_len = xs.shape[1]
-    run = _run_batch(model, xs, lengths, ws)
+    events, lengths = _stack_events(model, samples)
+    t_len = events.shape[1]
+    run = _run_batch(model, events, lengths, None, ws)
     spans, rev = _alignment(lengths, t_len)
     rows = np.arange(len(samples))
     targets = np.argmax(run.probs, axis=1) if config.target is None \

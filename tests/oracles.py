@@ -8,18 +8,40 @@ every step runs every row of a right-aligned batch in any order, and a
 at zero. The LRP oracle is the per-sample relevance walk: one prefix at a
 time, one dense message matrix per linear layer, no batch axis. The
 dataset oracle is the dense assembly: every prefix padded to its own
-(M, H) one-hot block, then stacked.
+(M, H) one-hot block, then stacked. The batch and LRP oracles take dense
+one-hot inputs; :func:`one_hot` densifies the package's activity indices
+for them.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from xnap import tensorcore as tc
-from xnap.bilstm import _NEW_ARRAYS, forward
+from xnap.bilstm import _NEW_ARRAYS, LOSS_CLIP, forward, softmax
 from xnap.encoding import augment_with_end, generate_prefixes
-from xnap.errors import NonFiniteInput, PrefixTooLong, TraceTooShort
+from xnap.errors import NonFiniteInput, PrefixTooLong, ShapeMismatch, TraceTooShort
 from xnap.lrp import LrpConfig, RelevanceTrace, rescale_for_display
+
+
+def one_hot(events, size):
+    """Rows of a ``size``-class one-hot code for an index array; the pad
+    index ``size`` maps to a zero row. Adds a trailing axis of ``size``."""
+    return np.eye(size + 1, size)[events]
+
+
+def cross_entropy(p, y_index: int) -> float:
+    """Negative log probability of the true class, clipped at LOSS_CLIP.
+
+    ``p`` must be a probability vector (sums to one within 1e-9).
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 1:
+        raise ShapeMismatch(f"cross_entropy expects a vector, got shape {p.shape}")
+    if not 0 <= y_index < p.shape[0]:
+        raise ShapeMismatch(f"class index {y_index} out of range for {p.shape[0]} classes")
+    if abs(float(p.sum()) - 1.0) > 1e-9:
+        raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
+    return float(-np.log(max(float(p[y_index]), LOSS_CLIP)))
 
 
 def _sig(v: float) -> float:
@@ -210,7 +232,7 @@ def masked_run_batch(model, xs, lengths, ws=_NEW_ARRAYS):
                                  hold, ws, "bwd")
     hcat = np.concatenate([run_f.h[-1], run_b.h[-1]], axis=1)
     logits = hcat @ model.W_out.T + model.b_out
-    return MaskedRun(run_f, run_b, logits, tc.softmax(logits, axis=-1))
+    return MaskedRun(run_f, run_b, logits, softmax(logits, axis=-1))
 
 
 def masked_batch_backward(model, xs, lengths, labels, grads, ws=_NEW_ARRAYS):
@@ -228,7 +250,7 @@ def masked_batch_backward(model, xs, lengths, labels, grads, ws=_NEW_ARRAYS):
     dhcat = dlogits @ model.W_out
     masked_direction_backward(run.fwd, model.forward_params, dhcat[:, :d], grads[0:3], ws)
     masked_direction_backward(run.bwd, model.backward_params, dhcat[:, d:], grads[3:6], ws)
-    losses = -np.log(np.maximum(run.probs[np.arange(b), labels], tc.LOSS_CLIP))
+    losses = -np.log(np.maximum(run.probs[np.arange(b), labels], LOSS_CLIP))
     return losses, np.argmax(run.probs, axis=1)
 
 
@@ -301,7 +323,8 @@ def _split_sum2(s1, s2, z_upper, r_upper, epsilon, delta):
 
 
 def _propagate_direction(trace, params, r_h_final, config):
-    t_len, h_dim = trace.inputs.shape
+    inputs = one_hot(trace.events, params.W.shape[1])
+    t_len, h_dim = inputs.shape
     d = r_h_final.shape[0]
     g = params.rows("g")
     w_cat = np.hstack([params.W[g], params.U[g]])  # lower = [x_t ; h_{t-1}]
@@ -322,7 +345,7 @@ def _propagate_direction(trace, params, r_h_final, config):
         r_gate_f, r_c_prev = _lrp_multiplicative(r_forget_term)
         r_gate_i, r_cand = _lrp_multiplicative(r_input_term)
         gate_total += float(np.abs(r_gate_f).sum() + np.abs(r_gate_i).sum())
-        z_low = np.concatenate([trace.inputs[t], trace.h[t]])
+        z_low = np.concatenate([inputs[t], trace.h[t]])
         r_low = _lrp_linear(z_low, w_cat, b_g, pre_g[t], r_cand,
                             config.epsilon, config.delta)
         absorbed += _bias_absorption(b_g, pre_g[t], r_cand,

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from xnap import bilstm, tensorcore as tc
+from xnap import bilstm
 from xnap.bilstm import (
     Nadam,
     TrainConfig,
@@ -22,6 +22,7 @@ from xnap.bilstm import (
     predict,
     predict_dataset,
     save_model,
+    softmax,
     train,
 )
 from xnap.encoding import (
@@ -43,7 +44,13 @@ from xnap.lrp import explain_many
 from xnap.synthlog import generate, linear_grammar
 
 from conftest import make_log
-from oracles import masked_batch_backward, masked_run_batch, naive_bilstm_probs
+from oracles import (
+    cross_entropy,
+    masked_batch_backward,
+    masked_run_batch,
+    naive_bilstm_probs,
+    one_hot,
+)
 
 
 def dummy_vocab(h: int) -> ActivityVocabulary:
@@ -59,25 +66,35 @@ def random_model(rng, d: int, h: int, m: int, scale: float = 0.4):
 
 
 def random_sample(rng, m: int, h: int, length: int, case_id: str = "t") -> PrefixSample:
-    x = np.zeros((m, h))
+    events = np.full(m, h, dtype=np.int32)
     for t in range(length):
-        x[m - length + t, int(rng.integers(h))] = 1.0
-    return PrefixSample(x=x, true_length=length,
-                        label_index=int(rng.integers(h)), case_id=case_id)
+        events[m - length + t] = int(rng.integers(h))
+    return PrefixSample(events=events, true_length=length,
+                        label_index=int(rng.integers(h)), case_id=case_id, n_classes=h)
 
 
-def random_batch(rng, h: int, lengths, keep: float | None = None):
-    """A right-aligned batch (B, T, H) of random one-hot rows in the given
-    order, input dropout applied when ``keep`` is given; with its lengths
-    and random labels."""
+def random_batch(rng, h: int, lengths, keep: float | None = None, occlude: int = 0):
+    """A right-aligned batch (B, T) of random activity indices in the given
+    order, with its lengths, random labels, and input dropout scales when
+    ``keep`` is given (else None). ``occlude`` rows then get one true event
+    set to the pad index ``h``."""
     lengths = np.asarray(lengths)
     t_len = int(lengths.max())
-    xs = np.zeros((len(lengths), t_len, h))
+    events = np.full((len(lengths), t_len), h, dtype=np.int32)
     for k, n in enumerate(lengths):
-        xs[k, np.arange(t_len - n, t_len), rng.integers(h, size=n)] = 1.0
-    if keep is not None:
-        _drop_inputs(xs, lengths, rng, keep)
-    return xs, lengths, rng.integers(h, size=len(lengths))
+        events[k, t_len - n:] = rng.integers(h, size=n)
+    scales = None if keep is None else _drop_inputs(events, lengths, h, rng, keep)
+    labels = rng.integers(h, size=len(lengths))
+    for k in rng.choice(len(lengths), size=occlude, replace=False):
+        events[k, t_len - int(rng.integers(1, lengths[k] + 1))] = h
+    return events, lengths, labels, scales
+
+
+def dense_inputs(events, scales, h: int):
+    """The one-hot input rows of an index batch, each scaled by its dropout
+    scale when given: what the dense oracles take."""
+    xs = one_hot(events, h)
+    return xs if scales is None else xs * scales[..., None]
 
 
 class TestForward:
@@ -113,8 +130,8 @@ class TestForward:
         model = random_model(rng, 4, 3, 10)
         sample = random_sample(rng, 5, 3, 4)
         wider = PrefixSample(
-            x=np.vstack([np.zeros((5, 3)), sample.x]),
-            true_length=4, label_index=sample.label_index, case_id="t")
+            events=np.concatenate([np.full(5, 3), sample.events]),
+            true_length=4, label_index=sample.label_index, case_id="t", n_classes=3)
         a = forward(model, sample)
         b = forward(model, wider)
         assert np.array_equal(a.logits, b.logits)
@@ -125,37 +142,68 @@ class TestForward:
         model = random_model(rng, 3, 4, 6)
         sample = random_sample(rng, 6, 4, 3)
         trace = forward(model, sample)
-        suffix = sample.x[3:]
-        assert np.array_equal(trace.fwd.inputs, suffix)
-        assert np.array_equal(trace.bwd.inputs, suffix[::-1])
+        suffix = sample.events[3:]
+        assert np.array_equal(trace.fwd.events, suffix)
+        assert np.array_equal(trace.bwd.events, suffix[::-1])
+        assert trace.fwd.scales is None and trace.bwd.scales is None
 
     def test_dropout_mask_applies_to_inputs(self):
         rng = np.random.default_rng(3)
         model = random_model(rng, 3, 3, 4)
         sample = random_sample(rng, 4, 3, 2)
-        mask = np.zeros((2, 3))
-        trace = forward(model, sample, dropout_mask=mask)
-        zeroed = forward(model, PrefixSample(np.zeros((4, 3)), 2, 0, "t"))
-        assert np.allclose(trace.logits, zeroed.logits)
+        trace = forward(model, sample, dropout_mask=np.zeros(2))
+        zeroed = forward(model, PrefixSample(np.full(4, 3), 2, 0, "t", 3))
+        assert np.array_equal(trace.logits, zeroed.logits)
+        half = forward(model, sample, dropout_mask=np.asarray([0.5, 2.0]))
+        scaled = naive_bilstm_probs(model, (sample.x[2:] * [[0.5], [2.0]]).tolist())[0]
+        assert np.max(np.abs(half.logits - scaled)) < 1e-12
 
     def test_non_finite_input_or_weight_raises(self):
         rng = np.random.default_rng(4)
         model = random_model(rng, 3, 3, 4)
         sample = random_sample(rng, 4, 3, 3)
-        x = sample.x.copy()
-        x[-2, 0] = np.nan
         with pytest.raises(NonFiniteInput):
-            forward(model, PrefixSample(x, 3, 0, "t"))
+            forward(model, sample, dropout_mask=np.asarray([1.0, np.nan, 1.0]))
         model.backward_params.U[0, 0] = np.inf  # reached through h = 0 at step one
         with pytest.raises(NonFiniteInput):
             forward(model, random_sample(rng, 4, 3, 1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["W_read", "W_unread", "U", "b"])
+    def test_any_non_finite_weight_raises(self, where, bad):
+        rng = np.random.default_rng(6)
+        model = random_model(rng, 3, 4, 5)
+        events = np.asarray([4, 4, 0, 2, 0])  # activity 1 and 3 never occur
+        sample = PrefixSample(events, 3, 1, "t", 4)
+        predict(model, sample)  # finite weights run
+        p = model.forward_params
+        if where == "W_read":
+            p.W[5, 2] = bad
+        elif where == "W_unread":
+            p.W[5, 3] = bad  # a column no event reads: the gather never touches it
+        elif where == "U":
+            p.U[7, 1] = bad
+        else:
+            p.b[2] = bad
+        with pytest.raises(NonFiniteInput):
+            predict(model, sample)
+        with pytest.raises(NonFiniteInput):
+            predict_dataset(model, assemble_dataset(
+                make_log([["a0", "a2", "a0"]]), model.vocab, 5))
 
     def test_mask_shape_checked(self):
         rng = np.random.default_rng(3)
         model = random_model(rng, 3, 3, 4)
         sample = random_sample(rng, 4, 3, 2)
+        for mask in (np.ones(3), np.ones((2, 3))):  # one scale per true event
+            with pytest.raises(ShapeMismatch):
+                forward(model, sample, dropout_mask=mask)
+
+    def test_sample_of_another_vocabulary_rejected(self):
+        rng = np.random.default_rng(3)
+        model = random_model(rng, 3, 3, 4)
         with pytest.raises(ShapeMismatch):
-            forward(model, sample, dropout_mask=np.ones((3, 3)))
+            predict(model, random_sample(rng, 4, 4, 2))
 
 
 class TestPredict:
@@ -189,7 +237,7 @@ class TestPredict:
 
 
 def mean_loss(model, samples):
-    return sum(tc.cross_entropy(forward(model, s).probs, s.label_index)
+    return sum(cross_entropy(forward(model, s).probs, s.label_index)
                for s in samples) / len(samples)
 
 
@@ -253,12 +301,12 @@ class TestBackward:
         d, h, m = 3, 3, 4
         model = random_model(rng, d, h, m)
         sample = random_sample(rng, m, h, 3)
-        mask = (rng.random((3, h)) < 0.8) / 0.8
+        mask = (rng.random(3) < 0.8) / 0.8
         grads = backward(model, sample, sample.label_index, dropout_mask=mask)
 
         def loss():
             probs = forward(model, sample, dropout_mask=mask).probs
-            return tc.cross_entropy(probs, sample.label_index)
+            return cross_entropy(probs, sample.label_index)
 
         step = 1e-5
         for name, arr in model.param_items():
@@ -286,49 +334,57 @@ class TestBackward:
         samples = [random_sample(rng, m, h, int(n), f"s{i}") for i, n in enumerate(lengths)]
         labels = np.asarray([s.label_index for s in samples])
         t_len = int(lengths.max())
-        dropouts = [(rng.random((n, h)) < 0.7) / 0.7 for n in lengths]
+        events = np.stack([s.events[m - t_len:] for s in samples])
+        dropouts = [(rng.random(n) < 0.7) / 0.7 for n in lengths]
         for masks in ([None] * len(samples), dropouts):
-            xs = np.stack([s.x[m - t_len:] for s in samples])
+            scales = None
+            if masks[0] is not None:
+                scales = np.zeros(events.shape)
+                for k, mask in enumerate(masks):
+                    scales[k, t_len - lengths[k]:] = mask
             total = {name: np.zeros_like(arr) for name, arr in model.param_items()}
-            for k, (s, mask) in enumerate(zip(samples, masks)):
+            for s, mask in zip(samples, masks):
                 for name, g in backward(model, s, s.label_index, dropout_mask=mask).items():
                     total[name] += g
-                if mask is not None:
-                    xs[k, t_len - lengths[k]:] *= mask
             order = np.argsort(-lengths, kind="stable")
-            run = _run_batch(model, xs[order], lengths[order])
+            run = _run_batch(model, events[order], lengths[order],
+                             None if scales is None else scales[order])
             for row, k in enumerate(order):
                 trace = forward(model, samples[k], dropout_mask=masks[k])
                 assert np.max(np.abs(run.logits[row] - trace.logits)) <= 1e-12
                 assert np.max(np.abs(run.probs[row] - trace.probs)) <= 1e-12
             batched = _zero_grads(model)
-            _batch_backward(model, xs, lengths, labels, batched)
+            _batch_backward(model, events, lengths, scales, labels, batched)
             for name, g in _named(batched):
                 assert np.max(np.abs(total[name] - g)) <= 1e-12, name
 
     def test_batched_dropout_draw_matches_per_sample_draws(self):
+        # The scales are the dense per-sample masks at each event's active
+        # unit: the values the one-hot rows kept when masked whole.
         rng = np.random.default_rng(19)
         h, m, keep = 5, 7, 0.8
         lengths = np.asarray([3, 1, 6, 2, 6])
         samples = [random_sample(rng, m, h, int(n)) for n in lengths]
         t_len = int(lengths.max())
-        xs = np.stack([s.x[m - t_len:] for s in samples])
-        expected = xs.copy()
+        events = np.stack([s.events[m - t_len:] for s in samples])
+        expected = one_hot(events, h)
         per_sample = np.random.default_rng(23)
         for k, n in enumerate(lengths):  # one draw per sample, in batch order
             mask = (per_sample.random((n, h)) < keep).astype(np.float64) / keep
             expected[k, t_len - n:] = expected[k, t_len - n:] * mask
-        _drop_inputs(xs, lengths, np.random.default_rng(23), keep)
-        assert np.array_equal(xs, expected)
+        scales = _drop_inputs(events, lengths, h, np.random.default_rng(23), keep)
+        assert np.array_equal(dense_inputs(events, scales, h), expected)
+        assert not scales[events == h].any()  # nothing before a sample starts
 
 
-# Batches the packed kernel must agree with the masked oracle on, each
-# in a mixed order.
+# Batches the packed index kernel must agree with the dense masked oracle
+# on, each in a mixed order: (lengths, rows with one event occluded).
 ORACLE_BATCHES = {
-    "mixed": [4, 1, 6, 2, 4, 6, 3],
-    "all_equal": [5, 5, 5, 5],
-    "with_length_one": [3, 1, 2, 3],
-    "one_long_among_short": [2, 1, 9, 2, 1, 2],
+    "mixed": ([4, 1, 6, 2, 4, 6, 3], 0),
+    "all_equal": ([5, 5, 5, 5], 0),
+    "with_length_one": ([3, 1, 2, 3], 0),
+    "one_long_among_short": ([2, 1, 9, 2, 1, 2], 0),
+    "pad_inside_the_window": ([4, 2, 6, 3, 6, 1], 3),
 }
 
 
@@ -342,21 +398,23 @@ class TestPackedKernelAgainstMaskedOracle:
     def setup_batch(self, batch, keep):
         rng = np.random.default_rng(sorted(ORACLE_BATCHES).index(batch))
         model = random_model(rng, 3, 4, 10)
-        return model, *random_batch(rng, 4, ORACLE_BATCHES[batch], keep)
+        lengths, occlude = ORACLE_BATCHES[batch]
+        return model, *random_batch(rng, 4, lengths, keep, occlude)
 
     def test_forward_and_started_rows_of_the_traces(self, batch, keep):
-        model, xs, lengths, _ = self.setup_batch(batch, keep)
+        model, events, lengths, _, scales = self.setup_batch(batch, keep)
         order = np.argsort(-lengths, kind="stable")
-        xs, lengths = xs[order], lengths[order]
-        got = _run_batch(model, xs, lengths, PoisonedWorkspace())
-        want = masked_run_batch(model, xs, lengths)
+        events, lengths = events[order], lengths[order]
+        scales = None if scales is None else scales[order]
+        got = _run_batch(model, events, lengths, scales, PoisonedWorkspace())
+        want = masked_run_batch(model, dense_inputs(events, scales, 4), lengths)
         assert max_diff(got.logits, want.logits) <= 1e-12
         assert max_diff(got.probs, want.probs) <= 1e-12
-        t_len = xs.shape[1]
+        t_len = events.shape[1]
         for run, ref in ((got.fwd, want.fwd), (got.bwd, want.bwd)):
+            assert np.array_equal(dense_inputs(run.events, run.scales, 4), ref.inputs)
             for k, n in enumerate(lengths):
                 first = t_len - n  # first step of sample k
-                assert np.array_equal(run.inputs[:, k], ref.inputs[:, k])
                 for name in ("pre", "act"):
                     assert max_diff(getattr(run, name)[first:, k],
                                     getattr(ref, name)[first:, k]) <= 1e-12, name
@@ -370,11 +428,13 @@ class TestPackedKernelAgainstMaskedOracle:
                     assert not arr.any()
 
     def test_gradients_losses_and_predictions(self, batch, keep):
-        model, xs, lengths, labels = self.setup_batch(batch, keep)
+        model, events, lengths, labels, scales = self.setup_batch(batch, keep)
         grads = _zero_grads(model)
-        losses, preds = _batch_backward(model, xs, lengths, labels, grads, PoisonedWorkspace())
+        losses, preds = _batch_backward(model, events, lengths, scales, labels, grads,
+                                        PoisonedWorkspace())
         want = _zero_grads(model)
-        want_losses, want_preds = masked_batch_backward(model, xs, lengths, labels, want)
+        want_losses, want_preds = masked_batch_backward(
+            model, dense_inputs(events, scales, 4), lengths, labels, want)
         for (name, g), (_, w) in zip(_named(grads), _named(want)):
             assert max_diff(g, w) <= 1e-12, name
         assert max_diff(losses, want_losses) <= 1e-12
@@ -384,11 +444,67 @@ class TestPackedKernelAgainstMaskedOracle:
 def test_run_batch_rejects_a_batch_not_longest_first():
     rng = np.random.default_rng(5)
     model = random_model(rng, 2, 3, 5)
-    xs, lengths, _ = random_batch(rng, 3, [2, 4, 3])
+    events, lengths, _, _ = random_batch(rng, 3, [2, 4, 3])
     with pytest.raises(ValueError, match="longest first"):
-        _run_batch(model, xs, lengths)
+        _run_batch(model, events, lengths)
     with pytest.raises(ValueError, match="longest first"):
-        _run_batch(model, np.concatenate([np.zeros((3, 1, 3)), xs], axis=1), lengths)
+        _run_batch(model, np.concatenate([np.full((3, 1), 3), events], axis=1), lengths)
+
+
+class TestSoftmax:
+    def test_symmetry(self):
+        assert np.allclose(softmax(np.zeros(3)), [1 / 3] * 3)
+
+    def test_stability(self):
+        p = softmax(np.array([1000.0, 0.0]))
+        assert np.all(np.isfinite(p))
+        assert p[0] == pytest.approx(1.0)
+
+    def test_properties_random(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            x = rng.normal(scale=10, size=rng.integers(1, 12))
+            p = softmax(x)
+            assert np.all(p >= 0)
+            assert abs(p.sum() - 1.0) < 1e-12
+            assert np.argmax(p) == np.argmax(x)
+
+    def test_nonfinite_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NonFiniteInput):
+                softmax(np.array([1.0, bad]))
+
+    def test_matches_scalar_math(self):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            x = rng.normal(scale=4, size=int(rng.integers(1, 9)))
+            top = max(x)
+            exps = [math.exp(v - top) for v in x]
+            soft = [e / sum(exps) for e in exps]
+            assert np.max(np.abs(softmax(x) - soft)) < 1e-12
+
+
+class TestCrossEntropyOracle:
+    """The loss oracle behind ``mean_loss``."""
+
+    def test_certain_prediction(self):
+        assert cross_entropy(np.array([1.0, 0.0, 0.0]), 0) == 0.0
+
+    def test_fifty_fifty(self):
+        assert cross_entropy(np.array([0.5, 0.5]), 1) == pytest.approx(math.log(2))
+
+    def test_zero_probability_clipped(self):
+        loss = cross_entropy(np.array([1.0, 0.0]), 1)
+        assert loss == pytest.approx(-math.log(1e-12))
+        assert math.isfinite(loss)
+
+    def test_bad_index(self):
+        with pytest.raises(ShapeMismatch):
+            cross_entropy(np.array([0.5, 0.5]), 2)
+
+    def test_not_a_distribution(self):
+        with pytest.raises(ValueError):
+            cross_entropy(np.array([0.7, 0.7]), 0)
 
 
 class TestNadam:

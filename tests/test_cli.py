@@ -321,6 +321,8 @@ class TestOptionRanges:
         ("train", "--dropout", "1.0", "dropout_rate"),
         ("train", "--batch-size", "0", "batch_size"),
         ("train", "--epochs", "0", "max_epochs"),
+        ("train", "--hidden", "0", "hidden_size"),
+        ("train", "--sample-fraction", "0", "sample_fraction"),
         ("evaluate", "--folds", "1", "--folds"),
     ])
     def test_out_of_range_value_exits_2(self, workdir, tmp_path, capsys,

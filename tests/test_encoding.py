@@ -5,6 +5,7 @@ from xnap import bilstm
 from xnap.encoding import (
     END_SYMBOL,
     ActivityVocabulary,
+    PrefixSample,
     assemble_dataset,
     augment_with_end,
     build_vocabulary,
@@ -12,17 +13,17 @@ from xnap.encoding import (
     generate_prefixes,
     max_augmented_length,
     occlude_event,
-    one_hot,
 )
 from xnap.errors import (
     PrefixTooLong,
     ReservedLabelCollision,
+    ShapeMismatch,
     TraceTooShort,
     UnknownActivity,
 )
 
 from conftest import make_log, make_trace
-from oracles import dense_dataset, pad_one_hot
+from oracles import dense_dataset, one_hot, pad_one_hot
 
 
 class TestVocabulary:
@@ -78,7 +79,7 @@ class TestAssembleDataset:
         vocab = build_vocabulary(log)
         ds = assemble_dataset(log, vocab, m=3)
         assert np.array_equal(ds.events, [[3, 3, 0], [3, 0, 1]])  # 3 pads
-        x = ds.one_hot(np.arange(len(ds)))
+        x = one_hot(ds.events, 3)
         assert x.shape == (2, 3, 3)
         assert np.array_equal(x[0], [[0, 0, 0], [0, 0, 0], [1, 0, 0]])
         assert np.array_equal(one_hot(ds.label_indices[0], 3), [0, 1, 0])  # label B
@@ -93,7 +94,7 @@ class TestAssembleDataset:
         ds = assemble_dataset(log, vocab, m=2)
         assert len(ds) == 0
         assert ds.events.shape == (0, 2)
-        assert ds.one_hot(np.arange(0)).shape == (0, 2, 3)
+        assert one_hot(ds.events, 3).shape == (0, 2, 3)
 
     def test_sample_count_is_augmented_length_minus_one(self):
         # n - 1 samples from augmented length n, except single-event traces
@@ -113,7 +114,7 @@ class TestAssembleDataset:
         vocab = build_vocabulary(log)
         ds = assemble_dataset(log, vocab, max_augmented_length(log))
         for i in range(len(ds)):
-            x = ds.one_hot(i)
+            x = ds.sample(i).x
             assert x.sum() == ds.true_lengths[i]
             lead = ds.M - ds.true_lengths[i]
             assert not x[:lead].any()
@@ -126,7 +127,7 @@ class TestAssembleDataset:
         seq = augment_with_end(log.traces[0], vocab)
         for i in range(len(ds)):
             lead = ds.M - ds.true_lengths[i]
-            decoded = [int(np.argmax(row)) for row in ds.one_hot(i)[lead:]]
+            decoded = [int(np.argmax(row)) for row in ds.sample(i).x[lead:]]
             assert decoded == seq[:int(ds.true_lengths[i])]
             assert ds.events[i, lead:].tolist() == seq[:int(ds.true_lengths[i])]
 
@@ -143,7 +144,7 @@ def assert_matches_dense(log, vocab, m):
     x, y, lengths, labels, cases = dense_dataset(log, vocab, m)
     ds = assemble_dataset(log, vocab, m)
     assert np.issubdtype(ds.events.dtype, np.integer)
-    dense = ds.one_hot(np.arange(len(ds)))
+    dense = one_hot(ds.events, vocab.size)
     assert dense.dtype == x.dtype == np.float64
     assert np.array_equal(dense, x)
     assert np.array_equal(one_hot(ds.label_indices, vocab.size), y)
@@ -152,6 +153,7 @@ def assert_matches_dense(log, vocab, m):
     assert ds.case_ids == cases
     for i in range(len(ds)):
         sample = ds.sample(i)
+        assert np.array_equal(sample.events, ds.events[i])
         assert np.array_equal(sample.x, x[i])
         assert (sample.true_length, sample.label_index, sample.case_id) == \
             (lengths[i], labels[i], cases[i])
@@ -162,8 +164,9 @@ class TestIndexEncoding:
     """The integer dataset against the dense one-hot assembly it replaced."""
 
     def test_pad_index_is_a_zero_row(self):
-        assert np.array_equal(one_hot(np.array([2, 0, 3]), 3),
-                              [[0, 0, 1], [1, 0, 0], [0, 0, 0]])
+        sample = PrefixSample(np.array([3, 2, 0]), 2, None, "c", 3)
+        assert sample.x.dtype == np.float64
+        assert np.array_equal(sample.x, [[0, 0, 0], [0, 0, 1], [1, 0, 0]])
 
     def test_random_logs_match_dense_oracle(self):
         rng = np.random.default_rng(5)
@@ -186,7 +189,8 @@ class TestIndexEncoding:
         assert sorted(np.concatenate(parts).tolist()) == list(range(len(ds)))
         for part in parts:
             t_len = int(ds.true_lengths[part[0]])
-            assert np.array_equal(ds.one_hot(part, t_len), x[part, ds.M - t_len:])
+            batch = ds.events[part, ds.M - t_len:]
+            assert np.array_equal(one_hot(batch, vocab.size), x[part, ds.M - t_len:])
 
     def test_training_batches_match_dense_oracle(self):
         log = make_log([["A", "B", "C", "B"], ["B", "C", "A"], ["C", "A"]])
@@ -196,14 +200,15 @@ class TestIndexEncoding:
         for start in range(0, len(ds), 3):
             batch = order[start:start + 3]
             t_len = int(ds.true_lengths[batch].max())
-            assert np.array_equal(ds.one_hot(batch, t_len), x[batch, ds.M - t_len:])
+            events = ds.events[batch, ds.M - t_len:]
+            assert np.array_equal(one_hot(events, vocab.size), x[batch, ds.M - t_len:])
 
     def test_running_trace_matches_dense_oracle(self):
         vocab = ActivityVocabulary(("A", "B", "C", END_SYMBOL))
         for acts in (["A", "B"], ["C", "C", "A", "B"], ["B"] * 6):
             sample = encode_running_trace(make_trace("c", acts), vocab, m=6)
             want = pad_one_hot([vocab.index_of(a) for a in acts], 6, vocab.size, "c")
-            assert sample.x.dtype == np.float64
+            assert sample.events.dtype == np.int32
             assert np.array_equal(sample.x, want)
 
     def test_memory_is_integers_per_step(self):
@@ -226,6 +231,7 @@ class TestEncodeRunningTrace:
         sample = encode_running_trace(make_trace("c", ["A", "B"]), vocab, m=4)
         assert sample.true_length == 2
         assert sample.label_index is None
+        assert sample.events.tolist() == [3, 3, 0, 1]
         assert not sample.x[:2].any()
         assert np.array_equal(sample.x[2:], [[1, 0, 0], [0, 1, 0]])
 
@@ -235,11 +241,37 @@ class TestEncodeRunningTrace:
             encode_running_trace(make_trace("c", ["A"] * 5), vocab, m=4)
 
 
+class TestPrefixSample:
+    """A sample's events must be indices the network can read: anything
+    else would be clamped to the last class by the input gather."""
+
+    def test_accepts_the_pad_index_anywhere(self):
+        sample = PrefixSample(np.array([2, 2, 0, 2], dtype=np.int64), 2, 1, "c", 2)
+        assert sample.events.dtype == np.int32 and sample.max_len == 4
+
+    @pytest.mark.parametrize("events", [
+        np.array([0.0, 1.0]),  # floats, even integral ones
+        np.array([True, False]),
+        np.array([[0, 1]]),  # not one row of steps
+        np.array([0, -1]),
+        np.array([0, 4]),  # past the pad index 3
+    ], ids=["float", "bool", "two_dimensional", "negative", "above_pad"])
+    def test_rejects_events_that_are_not_indices(self, events):
+        with pytest.raises(ShapeMismatch):
+            PrefixSample(events, 1, None, "c", 3)
+
+    @pytest.mark.parametrize("length", [0, -1, 3])
+    def test_rejects_true_length_outside_the_steps(self, length):
+        with pytest.raises(ShapeMismatch):
+            PrefixSample(np.array([3, 0]), length, None, "c", 3)
+
+
 class TestOcclusion:
     def test_zeroes_one_event_row(self):
         vocab = ActivityVocabulary(("A", "B", END_SYMBOL))
         sample = encode_running_trace(make_trace("c", ["A", "B"]), vocab, m=4)
         occluded = occlude_event(sample, 0)
+        assert occluded.events.tolist() == [3, 3, 3, 1]  # the pad index
         assert not occluded.x[2].any()
         assert np.array_equal(occluded.x[3], sample.x[3])
         assert sample.x[2].any()  # original untouched

@@ -3,6 +3,7 @@ import pytest
 
 from xnap import bilstm
 from xnap.bilstm import TrainConfig, init_model, forward
+from xnap.encoding import occlude_event
 from xnap.errors import ShapeMismatch, TraceTooShort
 from xnap.lrp import (
     LrpConfig,
@@ -267,6 +268,20 @@ class TestExplainMany:
         assert [len(r) for r in results] == [s.true_length for s in samples]
         for sample, result in zip(samples, results):
             assert_matches_oracle(result, explain_per_sample(model, sample, config))
+
+    @pytest.mark.parametrize("config", ORACLE_CONFIGS[:2])
+    def test_occluded_samples_match_oracle(self, config):
+        # A pad index inside the window: the step runs on a zero input row,
+        # and the event's own relevance is only its share of the stabiliser.
+        rng = np.random.default_rng(44)
+        model = random_model(rng, 4, 5, 8)
+        samples = [random_sample(rng, 8, 5, n, f"s{n}") for n in (6, 3, 8, 2)]
+        occluded = [occlude_event(s, k) for s, k in zip(samples, (2, 0, 7, 1))]
+        occluded.append(occlude_event(occluded[0], 5))
+        results = explain_many(model, samples + occluded, config)
+        for sample, result in zip(samples + occluded, results):
+            assert_matches_oracle(result, explain_per_sample(model, sample, config))
+        assert not np.array_equal(results[0].raw, results[len(samples)].raw)
 
     def test_empty_and_guards(self):
         rng = np.random.default_rng(43)
