@@ -11,6 +11,7 @@ from .bilstm import (
     init_model,
     load_model,
     predict,
+    predict_many,
     save_model,
     train,
 )

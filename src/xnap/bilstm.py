@@ -254,8 +254,9 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 class Workspace:
     """Grow-only float64 work memory for the batch kernels. A ``train``,
-    ``predict_dataset`` or ``explain_many`` call runs all its batches in
-    one workspace, taken over from the previous call when one is idle.
+    ``predict_dataset``, ``predict_many`` or ``explain_many`` call runs all
+    its batches in one workspace, taken over from the previous call when
+    one is idle.
 
     ``take(key, shape)`` returns a C-contiguous view of that shape into the
     buffer kept under ``key``. A buffer only grows, at least doubling, so a
@@ -511,17 +512,31 @@ def predict_dataset(model: BiLstmModel, dataset: PrefixDataset) -> np.ndarray:
         raise ShapeMismatch(
             f"dataset rows have {dataset.vocab.size} classes, model expects {model.n_classes}")
     with _borrowed_workspace() as ws:
-        return _predict_probs(model, dataset, ws)
+        return _predict_probs(model, dataset.events, dataset.true_lengths, ws)
 
 
-def _predict_probs(model: BiLstmModel, dataset: PrefixDataset, ws: Workspace) -> np.ndarray:
-    """:func:`predict_dataset` with every batch's arrays taken from ``ws``."""
-    lengths = dataset.true_lengths
-    probs = np.empty((len(dataset), model.n_classes))
+def predict_many(model: BiLstmModel, samples: list[PrefixSample]) -> np.ndarray:
+    """Class distributions (n, H) of many samples, in input order, batched
+    like :func:`predict_dataset`. A row can differ from :func:`predict`'s
+    in its last bits: the batch shape changes the rounding."""
+    if not samples:
+        return np.empty((0, model.n_classes))
+    events, lengths = _stack_events(model, samples)
+    with _borrowed_workspace() as ws:
+        return _predict_probs(model, events, lengths, ws)
+
+
+def _predict_probs(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
+                   ws: Workspace) -> np.ndarray:
+    """Class distributions of the right-aligned rows ``events`` (n, T) of
+    true lengths ``lengths``, in row order, every batch's arrays taken
+    from ``ws``."""
+    probs = np.empty((len(lengths), model.n_classes))
+    width = events.shape[1]
     for part in _inference_chunks(lengths):
         t_len = int(lengths[part[0]])
-        events = dataset.events[part, dataset.M - t_len:]
-        probs[part] = _run_batch(model, events, lengths[part], None, ws).probs
+        probs[part] = _run_batch(model, events[part, width - t_len:], lengths[part],
+                                 None, ws).probs
     return probs
 
 
@@ -672,7 +687,7 @@ def _drop_inputs(events: np.ndarray, lengths: np.ndarray, n_classes: int,
 def _dataset_loss(model: BiLstmModel, dataset: PrefixDataset,
                   ws: Workspace) -> tuple[float, float]:
     """Mean loss and accuracy over a dataset, no dropout."""
-    probs = _predict_probs(model, dataset, ws)
+    probs = _predict_probs(model, dataset.events, dataset.true_lengths, ws)
     labels = dataset.label_indices
     picked = np.maximum(probs[np.arange(len(dataset)), labels], LOSS_CLIP)
     accuracy = float((np.argmax(probs, axis=1) == labels).mean())

@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import __version__
-from .bilstm import TrainConfig, load_model, predict, save_model, train
+from .bilstm import TrainConfig, load_model, predict_many, save_model, train
 from .encoding import (
     END_SYMBOL,
     PrefixSample,
@@ -136,11 +136,7 @@ def _prefix_samples(model, trace: Trace, min_prefix: int,
     full = _encode_or_skip(Trace(trace.case_id, trace.events[:top]), model)
     if full is None:
         return None
-    # Every shorter prefix is a slice of the longest one's events.
-    first = full.max_len - top
-    return [PrefixSample(full.events[first:first + length], length, None, trace.case_id,
-                         full.n_classes)
-            for length in range(min_prefix, top + 1)]
+    return [full.prefix(length) for length in range(min_prefix, top + 1)]
 
 
 def _explained_rows(model, trace: Trace, samples: list[PrefixSample],
@@ -172,6 +168,7 @@ def _relevance_json(row: dict) -> str:
         "model_output": r.model_output,
         "bias_absorbed": r.bias_absorbed,
         "initial_state_relevance": r.initial_state_relevance,
+        "conservation_residual": r.conservation_residual,
     })
 
 
@@ -288,7 +285,7 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     log = _load_log(args)
     traces = [log.trace_by_case(args.case)] if args.case else list(log)
-    lines = []
+    samples = []
     for trace in traces:
         try:
             sample = _encode_or_skip(trace, model)
@@ -296,18 +293,19 @@ def cmd_predict(args) -> int:
             print(f"case {trace.case_id}: trace too short to predict on "
                   f"({len(trace)} event)", file=sys.stderr)
             continue
-        if sample is None:
-            continue
-        idx, probs = predict(model, sample)
-        lines.append((trace.case_id, model.vocab.label_of(idx), float(probs[idx])))
-    if not lines:
+        if sample is not None:
+            samples.append(sample)
+    if not samples:
         raise TraceTooShort("no trace could be predicted on")
+    probs = predict_many(model, samples)
+    best = probs.argmax(axis=1)  # ties break toward the lowest index
     out = _out_stream(args.out)
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["case", "predicted", "probability"])
-        for case_id, label, prob in lines:
-            writer.writerow([case_id, label, f"{prob:.6f}"])
+        for sample, row, idx in zip(samples, probs, best):
+            writer.writerow([sample.case_id, model.vocab.label_of(idx),
+                             f"{float(row[idx]):.6f}"])
     finally:
         if args.out:
             out.close()

@@ -98,6 +98,20 @@ class PrefixSample:
         """The one-hot input rows (M, H), padding as zero rows."""
         return np.eye(self.n_classes + 1, self.n_classes)[self.events]
 
+    def prefix(self, length: int) -> "PrefixSample":
+        """The unlabeled sample of this one's first ``length`` true events,
+        cropped to them. Its events are a view of these, which passed the
+        index check already, so it skips that scan."""
+        if not 1 <= length <= self.true_length:
+            raise ShapeMismatch(
+                f"prefix length {length} out of range for {self.true_length} true events")
+        first = self.max_len - self.true_length
+        sample = object.__new__(PrefixSample)
+        sample.__dict__.update(events=self.events[first:first + length], true_length=length,
+                               label_index=None, case_id=self.case_id,
+                               n_classes=self.n_classes)
+        return sample
+
 
 @dataclass(frozen=True)
 class PrefixDataset:

@@ -84,6 +84,14 @@ class RelevanceTrace:
     def __len__(self) -> int:
         return len(self.raw)
 
+    @property
+    def conservation_residual(self) -> float:
+        """``model_output`` minus what the decomposition accounts for: the
+        raw relevances, the initial states' share and the absorbed bias.
+        Zero up to rounding."""
+        return self.model_output - (float(self.raw.sum()) + self.initial_state_relevance
+                                    + self.bias_absorbed)
+
 
 def as_f64(x) -> np.ndarray:
     """Coerce to a float64 array without copying when already one."""

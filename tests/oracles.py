@@ -8,16 +8,17 @@ every step runs every row of a right-aligned batch in any order, and a
 at zero. The LRP oracle is the per-sample relevance walk: one prefix at a
 time, one dense message matrix per linear layer, no batch axis. The
 dataset oracle is the dense assembly: every prefix padded to its own
-(M, H) one-hot block, then stacked. The batch and LRP oracles take dense
-one-hot inputs; :func:`one_hot` densifies the package's activity indices
-for them.
+(M, H) one-hot block, then stacked. The prediction oracle is the
+per-case loop: one single-sample ``predict`` call per running trace. The
+batch and LRP oracles take dense one-hot inputs; :func:`one_hot`
+densifies the package's activity indices for them.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from xnap.bilstm import _NEW_ARRAYS, LOSS_CLIP, forward, softmax
+from xnap.bilstm import _NEW_ARRAYS, LOSS_CLIP, forward, predict, softmax
 from xnap.encoding import augment_with_end, generate_prefixes
 from xnap.errors import NonFiniteInput, PrefixTooLong, ShapeMismatch, TraceTooShort
 from xnap.lrp import LrpConfig, RelevanceTrace, rescale_for_display
@@ -393,3 +394,12 @@ def explain_per_sample(model, sample, config=LrpConfig()):
         gate_relevance=gates_f + gates_b,
         case_id=sample.case_id,
     )
+
+
+def predict_per_sample(model, samples):
+    """Class distributions (n, H), one :func:`predict` call (a batch of
+    one on new arrays) per sample, in input order."""
+    probs = np.empty((len(samples), model.n_classes))
+    for k, sample in enumerate(samples):
+        probs[k] = predict(model, sample)[1]
+    return probs

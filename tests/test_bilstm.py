@@ -21,6 +21,7 @@ from xnap.bilstm import (
     load_model,
     predict,
     predict_dataset,
+    predict_many,
     save_model,
     softmax,
     train,
@@ -32,6 +33,7 @@ from xnap.encoding import (
     assemble_dataset,
     build_vocabulary,
     max_augmented_length,
+    occlude_event,
 )
 from xnap.errors import (
     CorruptModel,
@@ -50,6 +52,7 @@ from oracles import (
     masked_run_batch,
     naive_bilstm_probs,
     one_hot,
+    predict_per_sample,
 )
 
 
@@ -234,6 +237,44 @@ class TestPredict:
         second = predict(model, sample)
         assert first[0] == second[0]
         assert np.array_equal(first[1], second[1])
+
+
+class TestPredictMany:
+    def test_matches_per_sample_oracle(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        model = random_model(rng, 5, 4, 9)
+        samples = [random_sample(rng, 9, 4, n, f"s{k}")
+                   for k, n in enumerate([3, 9, 1, 5, 9, 2, 7, 4, 6, 2, 8])]
+        samples[1] = occlude_event(samples[1], 0)  # pad index as the first event
+        samples[3] = occlude_event(samples[3], 2)
+        samples[6] = occlude_event(samples[6], 6)  # ... and as the last one
+        monkeypatch.setattr(bilstm, "_INFERENCE_ROWS", 20)
+        lengths = np.asarray([s.true_length for s in samples])
+        assert len(list(bilstm._inference_chunks(lengths))) > 3
+        probs = predict_many(model, samples)
+        want = predict_per_sample(model, samples)
+        assert probs.shape == (len(samples), 4)
+        assert max_diff(probs, want) <= 1e-12
+        assert np.array_equal(probs.argmax(axis=1), want.argmax(axis=1))
+
+    def test_ties_break_low(self):
+        model = init_model(dummy_vocab(4), 5, TrainConfig(hidden_size=3, seed=0))
+        for _, arr in model.param_items():
+            arr[...] = 0.0
+        rng = np.random.default_rng(0)
+        probs = predict_many(model, [random_sample(rng, 5, 4, n) for n in (2, 5, 3)])
+        assert np.allclose(probs, 0.25)
+        assert probs.argmax(axis=1).tolist() == [0, 0, 0]
+
+    def test_no_samples_no_rows(self):
+        model = random_model(np.random.default_rng(1), 3, 4, 5)
+        assert predict_many(model, []).shape == (0, 4)
+
+    def test_sample_of_another_vocabulary_rejected(self):
+        rng = np.random.default_rng(2)
+        model = random_model(rng, 3, 4, 5)
+        with pytest.raises(ShapeMismatch):
+            predict_many(model, [random_sample(rng, 5, 4, 2), random_sample(rng, 5, 3, 2)])
 
 
 def mean_loss(model, samples):
@@ -661,6 +702,9 @@ class TestWorkspace:
         for i in range(len(dataset)):
             _, want = predict(model, dataset.sample(i))
             assert np.allclose(probs[i], want, rtol=0, atol=1e-12)
+        # predict_many runs the same batches through the same loop: the same bits.
+        samples = [dataset.sample(i) for i in range(len(dataset))]
+        assert np.array_equal(predict_many(model, samples), probs)
 
     def test_results_do_not_alias_reused_buffers(self):
         rng = np.random.default_rng(4)

@@ -1,16 +1,21 @@
 """Property tests of the packed batch kernel: the order of a batch's rows
 changes neither its gradients nor which loss and prediction belong to
-which sample."""
+which sample, and permuting the samples of a many-sample prediction
+permutes its rows."""
+from unittest import mock
+
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from xnap.bilstm import _batch_backward, _named, _zero_grads
+from xnap import bilstm
+from xnap.bilstm import _batch_backward, _named, _zero_grads, predict_many
+from xnap.encoding import occlude_event
 
 from oracles import masked_batch_backward
-from test_bilstm import dense_inputs, random_batch, random_model
+from test_bilstm import dense_inputs, random_batch, random_model, random_sample
 
 
 @st.composite
@@ -48,3 +53,31 @@ def test_row_order_changes_nothing(case):
     assert np.array_equal(preds, want_preds)
     assert np.max(np.abs(p_losses - want_losses[perm])) <= 1e-12
     assert np.array_equal(p_preds, want_preds[perm])
+
+
+@st.composite
+def permuted_samples(draw):
+    """A seeded random model, 1-12 samples of lengths 1..8, some with an
+    occluded event, a permutation of them and a batch row cap."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    h = draw(st.integers(2, 5))
+    model = random_model(rng, draw(st.integers(1, 4)), h, 8)
+    samples = []
+    for k, n in enumerate(draw(st.lists(st.integers(1, 8), min_size=1, max_size=12))):
+        sample = random_sample(rng, 8, h, n, f"s{k}")
+        if draw(st.booleans()):
+            sample = occlude_event(sample, int(rng.integers(n)))
+        samples.append(sample)
+    perm = draw(st.permutations(range(len(samples))))
+    return model, samples, perm, draw(st.sampled_from([1, 9, 20, 1024]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(permuted_samples())
+def test_permuted_samples_permute_the_rows(case):
+    model, samples, perm, rows = case
+    with mock.patch.object(bilstm, "_INFERENCE_ROWS", rows):
+        probs = predict_many(model, samples)
+        permuted = predict_many(model, [samples[k] for k in perm])
+    assert np.max(np.abs(permuted - probs[perm])) <= 1e-12
+    assert np.array_equal(permuted.argmax(axis=1), probs[perm].argmax(axis=1))

@@ -11,6 +11,7 @@ from xnap.eventlog import parse_log
 from xnap.lrp import LrpConfig, explain
 
 from conftest import make_trace
+from oracles import predict_per_sample
 
 
 def write_log(path, cases: dict) -> str:
@@ -104,6 +105,31 @@ class TestPredict:
         # a full length-5 trace of the linear grammar should predict the end
         assert lines[1].split(",")[1] == "__END__"
 
+    @pytest.mark.parametrize("cases", [None, {"c1": "ABCDE", "c2": "AB", "c3": "EDCBAB",
+                                              "c4": "BC", "c5": "CADB", "c6": "ABCDEA"}],
+                             ids=["fixture_log", "mixed_lengths"])
+    def test_csv_equals_per_sample_predictions(self, workdir, tmp_path, capsys, cases):
+        log = str(workdir / "log.csv") if cases is None else write_log(tmp_path / "l.csv", cases)
+        assert main(["predict", "--model", str(workdir / "model.json"), "--log", log]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        model = load_model(workdir / "model.json")
+        samples = [encode_running_trace(t, model.vocab, model.max_len) for t in parse_log(log)]
+        probs = predict_per_sample(model, samples)
+        assert rows == [[s.case_id, model.vocab.label_of(int(np.argmax(p))),
+                         f"{float(p.max()):.6f}"] for s, p in zip(samples, probs)]
+
+    def test_bad_cases_skipped_each_with_one_warning(self, workdir, tmp_path, capsys):
+        log = write_log(tmp_path / "mixed.csv", {
+            "c1": "ABC", "c2": "AZB", "c3": "ABCDEAB", "c4": "A", "c5": "BCDE"})
+        assert main(["predict", "--model", str(workdir / "model.json"), "--log", log]) == 0
+        captured = capsys.readouterr()
+        assert [line.split(",")[0] for line in captured.out.splitlines()[1:]] == ["c1", "c5"]
+        warnings = captured.err.splitlines()
+        assert len(warnings) == 3
+        for case, warning in zip(("c2", "c3", "c4"), warnings):
+            assert warning.startswith(f"case {case}: ")
+        assert "'Z'" in warnings[0] and "skipped" in warnings[1] and "too short" in warnings[2]
+
     def test_unknown_activity_skipped_with_warning(self, workdir, tmp_path, capsys):
         log = tmp_path / "unknown.csv"
         log.write_text("case,activity,timestamp\n"
@@ -154,12 +180,15 @@ class TestExplain:
         for r in rows:
             assert set(r) == {"case_id", "prefix", "target_class", "target_prob",
                               "raw_relevance", "display", "model_output",
-                              "bias_absorbed", "initial_state_relevance"}
+                              "bias_absorbed", "initial_state_relevance",
+                              "conservation_residual"}
             assert len(r["raw_relevance"]) == len(r["prefix"])
             assert all(0 <= d <= 1 for d in r["display"])
             total = (sum(r["raw_relevance"]) + r["initial_state_relevance"]
                      + r["bias_absorbed"])
-            assert abs(total - r["model_output"]) <= 1e-9 * max(1.0, abs(r["model_output"]))
+            scale = max(1.0, abs(r["model_output"]))
+            assert abs(total - r["model_output"]) <= 1e-9 * scale
+            assert abs(r["conservation_residual"] - (r["model_output"] - total)) <= 1e-12 * scale
 
     def test_short_range_on_short_trace(self, workdir, tmp_path, capsys):
         two = tmp_path / "two.csv"

@@ -265,6 +265,28 @@ class TestPrefixSample:
         with pytest.raises(ShapeMismatch):
             PrefixSample(np.array([3, 0]), length, None, "c", 3)
 
+    def test_prefix_equals_a_checked_sample(self):
+        sample = PrefixSample(np.array([3, 3, 1, 3, 0, 2]), 4, 2, "c", 3)
+        for length in range(1, 5):
+            prefix = sample.prefix(length)
+            want = PrefixSample(np.array([1, 3, 0, 2][:length]), length, None, "c", 3)
+            assert prefix.events.dtype == np.int32
+            assert np.array_equal(prefix.events, want.events)
+            assert (prefix.true_length, prefix.label_index, prefix.case_id, prefix.n_classes,
+                    prefix.max_len) == (length, None, "c", 3, length)
+            assert np.shares_memory(prefix.events, sample.events)
+
+    @pytest.mark.parametrize("length", [0, 5])
+    def test_prefix_outside_the_true_events_rejected(self, length):
+        sample = PrefixSample(np.array([3, 3, 1, 3, 0, 2]), 4, 2, "c", 3)
+        with pytest.raises(ShapeMismatch):
+            sample.prefix(length)
+
+    def test_bad_index_rejected_before_any_prefix(self):
+        # A prefix skips the index scan: only a checked sample can make one.
+        with pytest.raises(ShapeMismatch):
+            PrefixSample(np.array([3, 1, 4, 0]), 3, None, "c", 3).prefix(2)
+
 
 class TestOcclusion:
     def test_zeroes_one_event_row(self):
