@@ -24,7 +24,6 @@ from .encoding import (
     augment_with_end,
     build_vocabulary,
     encode_running_trace,
-    generate_prefixes,
     max_augmented_length,
     occlude_event,
 )

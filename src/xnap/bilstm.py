@@ -60,9 +60,6 @@ class TrainConfig:
     max_epochs: int = 100
     patience: int = 10
     learning_rate: float = 0.002
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon_opt: float = 1e-7
     seed: int = 42
 
     def __post_init__(self):
@@ -74,6 +71,10 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.patience < 1:
+            raise ValueError(f"patience must be >= 1, got {self.patience}")
+        if not 0 < self.learning_rate < math.inf:  # NaN fails too
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 @dataclass
@@ -170,10 +171,6 @@ class DirectionTrace:
     @property
     def gate_f(self) -> np.ndarray:
         return self._block(self.act, 1)
-
-    @property
-    def gate_o(self) -> np.ndarray:
-        return self._block(self.act, 2)
 
     @property
     def cand(self) -> np.ndarray:
@@ -572,26 +569,13 @@ def _stack_events(model: BiLstmModel, samples) -> tuple[np.ndarray, np.ndarray]:
     return events, lengths
 
 
-def _sample_scales(sample: PrefixSample, dropout_mask: np.ndarray | None):
-    """The (1, L) input scales of one sample's true events, or None."""
-    if dropout_mask is None:
-        return None
-    if dropout_mask.shape != (sample.true_length,):
-        raise ShapeMismatch(f"dropout mask {dropout_mask.shape} does not match "
-                            f"the {sample.true_length} true events")
-    return dropout_mask[None, :]
-
-
-def forward(model: BiLstmModel, sample: PrefixSample,
-            dropout_mask: np.ndarray | None = None) -> ForwardTrace:
+def forward(model: BiLstmModel, sample: PrefixSample) -> ForwardTrace:
     """Run the network over one sample, recording every intermediate value.
 
     Only the true-length suffix enters the recurrence; padding is never
-    touched. ``dropout_mask`` (training only, one scale per true event)
-    multiplies each event's input row.
+    touched.
     """
-    events, lengths = _stack_events(model, [sample])
-    run = _run_batch(model, events, lengths, _sample_scales(sample, dropout_mask))
+    run = _run_batch(model, *_stack_events(model, [sample]))
     return ForwardTrace(fwd=run.fwd.sample(0), bwd=run.bwd.sample(0),
                         logits=run.logits[0], probs=run.probs[0])
 
@@ -605,32 +589,30 @@ def predict(model: BiLstmModel, sample: PrefixSample) -> tuple[int, np.ndarray]:
     return int(np.argmax(probs)), probs
 
 
-def backward(model: BiLstmModel, sample: PrefixSample, label_index: int,
-             dropout_mask: np.ndarray | None = None) -> dict:
+def backward(model: BiLstmModel, sample: PrefixSample, label_index: int) -> dict:
     """Analytic gradients of this sample's cross-entropy loss, keyed like
     ``model.param_items()``."""
     if not 0 <= label_index < model.n_classes:
         raise ShapeMismatch(f"label index {label_index} out of range")
     events, lengths = _stack_events(model, [sample])
     grads = _zero_grads(model)
-    _batch_backward(model, events, lengths, _sample_scales(sample, dropout_mask),
-                    np.asarray([label_index]), grads)
+    _batch_backward(model, events, lengths, None, np.asarray([label_index]), grads)
     return dict(_named(grads))
 
 
 # --- Nadam optimizer --------------------------------------------------------
 
 class Nadam:
-    """Adam with Nesterov momentum, following the usual framework defaults
+    """Adam with Nesterov momentum at the usual framework defaults
     (incl. the 0.96-based momentum schedule)."""
 
-    def __init__(self, params: list[np.ndarray], learning_rate: float = 0.002,
-                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-7):
+    beta1 = 0.9
+    beta2 = 0.999
+    epsilon = 1e-7
+
+    def __init__(self, params: list[np.ndarray], learning_rate: float):
         self.params = params
         self.lr = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self._work = [(np.empty_like(p), np.empty_like(p)) for p in params]
@@ -714,8 +696,7 @@ def train(dataset: PrefixDataset, val_dataset: PrefixDataset,
     shuffle_rng = np.random.default_rng(seeds[1])
     dropout_rng = np.random.default_rng(seeds[2])
     params = model.arrays()
-    optimizer = Nadam(params, config.learning_rate, config.beta1,
-                      config.beta2, config.epsilon_opt)
+    optimizer = Nadam(params, config.learning_rate)
     keep = 1.0 - config.dropout_rate
     grads = _zero_grads(model)
 

@@ -113,14 +113,12 @@ def _hex_color(d: float) -> str:
 
 def _encode_or_skip(trace: Trace, model) -> PrefixSample | None:
     """The trace as one running sample, or None with a warning on stderr
-    when it holds an unknown activity or is longer than the model allows."""
+    when it holds an activity the model does not know."""
     try:
         return encode_running_trace(trace, model.vocab, model.max_len)
     except UnknownActivity as exc:
         print(f"case {trace.case_id}: skipped, activity {exc.activity!r} "
               f"is not in the model's vocabulary", file=sys.stderr)
-    except PrefixTooLong as exc:
-        print(f"case {trace.case_id}: skipped, {exc}", file=sys.stderr)
     return None
 
 
@@ -258,6 +256,8 @@ def _train_config(args, seed: int) -> TrainConfig:
 def cmd_train(args) -> int:
     seed = _resolve_seed(args.seed)
     config = _train_config(args, seed)
+    if not 0 < args.val_fraction < 1:
+        raise UsageError(f"--val-fraction must lie in (0, 1), got {args.val_fraction}")
     log = _load_log(args)
     vocab = build_vocabulary(log)
     m = max_augmented_length(log)

@@ -150,23 +150,9 @@ def augment_with_end(trace: Trace, vocab: ActivityVocabulary) -> list[int]:
     return seq
 
 
-def generate_prefixes(index_seq: list[int]) -> list[tuple[list[int], int]]:
-    """All proper prefixes with their next-activity label.
-
-    A sequence of length n yields n-1 pairs; length-1 sequences yield none.
-    """
-    return [(index_seq[:k], index_seq[k]) for k in range(1, len(index_seq))]
-
-
 def max_augmented_length(log: EventLog) -> int:
     """Longest trace length in the log after end-symbol augmentation."""
     return max(len(t) for t in log) + 1
-
-
-def _check_fits(length: int, m: int, case_id: str) -> None:
-    if length > m:
-        raise PrefixTooLong(
-            f"prefix of length {length} in case {case_id!r} exceeds padding length {m}")
 
 
 def assemble_dataset(log: EventLog, vocab: ActivityVocabulary, m: int) -> PrefixDataset:
@@ -184,7 +170,9 @@ def assemble_dataset(log: EventLog, vocab: ActivityVocabulary, m: int) -> Prefix
     row = 0
     for trace in traces:
         seq = np.asarray(augment_with_end(trace, vocab))
-        _check_fits(len(trace), m, trace.case_id)  # the longest prefix
+        if len(trace) > m:  # the longest prefix
+            raise PrefixTooLong(f"prefix of length {len(trace)} in case {trace.case_id!r} "
+                                f"exceeds padding length {m}")
         for k in range(1, len(seq)):
             events[row + k - 1, m - k:] = seq[:k]
         count = len(trace)
@@ -197,7 +185,8 @@ def assemble_dataset(log: EventLog, vocab: ActivityVocabulary, m: int) -> Prefix
 
 
 def encode_running_trace(trace: Trace, vocab: ActivityVocabulary, m: int) -> PrefixSample:
-    """Encode a running trace as one unlabeled padded sample.
+    """Encode a running trace as one unlabeled sample, padded to ``m`` or
+    to its own length if longer: the recurrence runs at any length.
 
     No end symbol is appended; traces of length <= 1 are rejected because
     there is too little history to predict from.
@@ -205,9 +194,8 @@ def encode_running_trace(trace: Trace, vocab: ActivityVocabulary, m: int) -> Pre
     if len(trace) <= 1:
         raise TraceTooShort(f"running trace {trace.case_id!r} has fewer than 2 events")
     indices = [vocab.index_of(a, trace.case_id) for a in trace.activities]
-    _check_fits(len(indices), m, trace.case_id)
-    events = np.full(m, vocab.size, dtype=np.int32)
-    events[m - len(indices):] = indices
+    events = np.full(max(m, len(indices)), vocab.size, dtype=np.int32)
+    events[len(events) - len(indices):] = indices
     return PrefixSample(events, len(indices), None, trace.case_id, vocab.size)
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bilstm import BiLstmModel, EpochStats, TrainConfig, predict_dataset, train
+from .bilstm import BiLstmModel, TrainConfig, predict_dataset, train
 from .encoding import assemble_dataset, build_vocabulary, max_augmented_length
 from .errors import LengthMismatch, TooFewTraces
 from .eventlog import EventLog
@@ -57,9 +57,7 @@ class MetricsReport:
 class CvResult:
     report: MetricsReport
     models: list[BiLstmModel]
-    histories: list[list[EpochStats]]
     best_fold: int  # highest F1, for downstream explanation demos
-    plan: FoldPlan
 
 
 def shuffle_cases(log: EventLog, seed: int) -> list[str]:
@@ -146,17 +144,15 @@ def run_cv(log: EventLog, train_config: TrainConfig, k: int = 10,
     plan = make_folds(log, k=k, seed=seed)
     vocab = build_vocabulary(log)
     m = max_augmented_length(log)
-    rows, models, histories = [], [], []
+    rows, models = [], []
     for fold in plan.folds:
         train_set = assemble_dataset(log.select_cases(fold.train_cases), vocab, m)
         val_set = assemble_dataset(log.select_cases(fold.val_cases), vocab, m)
         test_set = assemble_dataset(log.select_cases(fold.test_cases), vocab, m)
-        model, history = train(train_set, val_set, train_config)
+        model, _ = train(train_set, val_set, train_config)
         y_true, y_pred = evaluate_model(model, test_set)
         rows.append(weighted_metrics(y_true, y_pred, vocab.size))
         models.append(model)
-        histories.append(history)
     report = MetricsReport(tuple(rows))
     best_fold = int(np.argmax([r.f1 for r in rows]))
-    return CvResult(report=report, models=models, histories=histories,
-                    best_fold=best_fold, plan=plan)
+    return CvResult(report=report, models=models, best_fold=best_fold)

@@ -52,8 +52,8 @@ class LrpConfig:
     start_from: str = "logit"
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < np.inf:  # NaN fails too
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.delta not in (0.0, 1.0):
             raise ValueError(f"delta must be 0.0 or 1.0, got {self.delta}")
         if self.start_from not in ("logit", "probability"):

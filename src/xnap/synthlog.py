@@ -45,6 +45,10 @@ class GrammarSpec:
     def __post_init__(self):
         if self.n_traces < 1:
             raise InvalidSpec("n_traces must be >= 1")
+        labels = [*self.transitions, *self.key_choices, *self.key_targets, *self.fillers,
+                  *(nxt for choices in self.transitions.values() for nxt, _ in choices)]
+        if "" in labels:
+            raise InvalidSpec("activity labels must be non-empty")
         if self.mode == "markov":
             self._check_markov()
         elif self.mode == "copy":

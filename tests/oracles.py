@@ -7,8 +7,9 @@ every step runs every row of a right-aligned batch in any order, and a
 0/1 ``hold`` mask keeps the cell state of samples that have not started
 at zero. The LRP oracle is the per-sample relevance walk: one prefix at a
 time, one dense message matrix per linear layer, no batch axis. The
-dataset oracle is the dense assembly: every prefix padded to its own
-(M, H) one-hot block, then stacked. The prediction oracle is the
+dataset oracle is the dense assembly: every prefix listed by
+:func:`generate_prefixes`, padded to its own (M, H) one-hot block, then
+stacked. The prediction oracle is the
 per-case loop: one single-sample ``predict`` call per running trace. The
 batch and LRP oracles take dense one-hot inputs; :func:`one_hot`
 densifies the package's activity indices for them.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from xnap.bilstm import _NEW_ARRAYS, LOSS_CLIP, forward, predict, softmax
-from xnap.encoding import augment_with_end, generate_prefixes
+from xnap.encoding import augment_with_end
 from xnap.errors import NonFiniteInput, PrefixTooLong, ShapeMismatch, TraceTooShort
 from xnap.lrp import LrpConfig, RelevanceTrace, rescale_for_display
 
@@ -256,6 +257,14 @@ def masked_batch_backward(model, xs, lengths, labels, grads, ws=_NEW_ARRAYS):
 
 
 # --- dense dataset ----------------------------------------------------------
+
+def generate_prefixes(index_seq: list[int]) -> list[tuple[list[int], int]]:
+    """All proper prefixes with their next-activity label.
+
+    A sequence of length n yields n-1 pairs; length-1 sequences yield none.
+    """
+    return [(index_seq[:k], index_seq[k]) for k in range(1, len(index_seq))]
+
 
 def pad_one_hot(prefix, m, h, case_id):
     if len(prefix) > m:

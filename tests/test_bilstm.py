@@ -14,6 +14,7 @@ from xnap.bilstm import (
     _drop_inputs,
     _named,
     _run_batch,
+    _stack_events,
     _zero_grads,
     backward,
     forward,
@@ -100,6 +101,23 @@ def dense_inputs(events, scales, h: int):
     return xs if scales is None else xs * scales[..., None]
 
 
+def one_sample_run(model, sample, mask=None):
+    """The kernel's forward pass over one sample as a batch of one, its
+    true events scaled by ``mask`` (one scale per event) when given."""
+    return _run_batch(model, *_stack_events(model, [sample]),
+                      None if mask is None else mask[None, :])
+
+
+def one_sample_grads(model, sample, mask=None) -> dict:
+    """The kernel's gradients of one sample's loss, as a training batch of
+    one with input scales ``mask`` when given."""
+    grads = _zero_grads(model)
+    _batch_backward(model, *_stack_events(model, [sample]),
+                    None if mask is None else mask[None, :],
+                    np.asarray([sample.label_index]), grads)
+    return dict(_named(grads))
+
+
 class TestForward:
     def test_zero_weights_force_uniform_output(self):
         model = init_model(dummy_vocab(3), 4, TrainConfig(hidden_size=5, seed=0))
@@ -154,19 +172,19 @@ class TestForward:
         rng = np.random.default_rng(3)
         model = random_model(rng, 3, 3, 4)
         sample = random_sample(rng, 4, 3, 2)
-        trace = forward(model, sample, dropout_mask=np.zeros(2))
+        trace = one_sample_run(model, sample, np.zeros(2))
         zeroed = forward(model, PrefixSample(np.full(4, 3), 2, 0, "t", 3))
-        assert np.array_equal(trace.logits, zeroed.logits)
-        half = forward(model, sample, dropout_mask=np.asarray([0.5, 2.0]))
+        assert np.array_equal(trace.logits[0], zeroed.logits)
+        half = one_sample_run(model, sample, np.asarray([0.5, 2.0]))
         scaled = naive_bilstm_probs(model, (sample.x[2:] * [[0.5], [2.0]]).tolist())[0]
-        assert np.max(np.abs(half.logits - scaled)) < 1e-12
+        assert np.max(np.abs(half.logits[0] - scaled)) < 1e-12
 
     def test_non_finite_input_or_weight_raises(self):
         rng = np.random.default_rng(4)
         model = random_model(rng, 3, 3, 4)
         sample = random_sample(rng, 4, 3, 3)
         with pytest.raises(NonFiniteInput):
-            forward(model, sample, dropout_mask=np.asarray([1.0, np.nan, 1.0]))
+            one_sample_run(model, sample, np.asarray([1.0, np.nan, 1.0]))
         model.backward_params.U[0, 0] = np.inf  # reached through h = 0 at step one
         with pytest.raises(NonFiniteInput):
             forward(model, random_sample(rng, 4, 3, 1))
@@ -193,14 +211,6 @@ class TestForward:
         with pytest.raises(NonFiniteInput):
             predict_dataset(model, assemble_dataset(
                 make_log([["a0", "a2", "a0"]]), model.vocab, 5))
-
-    def test_mask_shape_checked(self):
-        rng = np.random.default_rng(3)
-        model = random_model(rng, 3, 3, 4)
-        sample = random_sample(rng, 4, 3, 2)
-        for mask in (np.ones(3), np.ones((2, 3))):  # one scale per true event
-            with pytest.raises(ShapeMismatch):
-                forward(model, sample, dropout_mask=mask)
 
     def test_sample_of_another_vocabulary_rejected(self):
         rng = np.random.default_rng(3)
@@ -343,10 +353,10 @@ class TestBackward:
         model = random_model(rng, d, h, m)
         sample = random_sample(rng, m, h, 3)
         mask = (rng.random(3) < 0.8) / 0.8
-        grads = backward(model, sample, sample.label_index, dropout_mask=mask)
+        grads = one_sample_grads(model, sample, mask)
 
         def loss():
-            probs = forward(model, sample, dropout_mask=mask).probs
+            probs = one_sample_run(model, sample, mask).probs[0]
             return cross_entropy(probs, sample.label_index)
 
         step = 1e-5
@@ -364,10 +374,9 @@ class TestBackward:
                 assert abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-4) < 1e-4
 
     def test_batched_equals_per_sample_sum(self):
-        # A mixed-length batch through the packed kernel against the
-        # per-sample path, without and with input dropout. The forward
-        # pass takes the batch longest first; _batch_backward takes it in
-        # any order.
+        # A mixed-length batch through the packed kernel against batches
+        # of one, without and with input dropout. The forward pass takes
+        # the batch longest first; _batch_backward takes it in any order.
         rng = np.random.default_rng(17)
         d, h, m = 3, 4, 8
         model = random_model(rng, d, h, m)
@@ -385,15 +394,15 @@ class TestBackward:
                     scales[k, t_len - lengths[k]:] = mask
             total = {name: np.zeros_like(arr) for name, arr in model.param_items()}
             for s, mask in zip(samples, masks):
-                for name, g in backward(model, s, s.label_index, dropout_mask=mask).items():
+                for name, g in one_sample_grads(model, s, mask).items():
                     total[name] += g
             order = np.argsort(-lengths, kind="stable")
             run = _run_batch(model, events[order], lengths[order],
                              None if scales is None else scales[order])
             for row, k in enumerate(order):
-                trace = forward(model, samples[k], dropout_mask=masks[k])
-                assert np.max(np.abs(run.logits[row] - trace.logits)) <= 1e-12
-                assert np.max(np.abs(run.probs[row] - trace.probs)) <= 1e-12
+                trace = one_sample_run(model, samples[k], masks[k])
+                assert np.max(np.abs(run.logits[row] - trace.logits[0])) <= 1e-12
+                assert np.max(np.abs(run.probs[row] - trace.probs[0])) <= 1e-12
             batched = _zero_grads(model)
             _batch_backward(model, events, lengths, scales, labels, batched)
             for name, g in _named(batched):
@@ -553,7 +562,7 @@ class TestNadam:
         rng = np.random.default_rng(23)
         params = [rng.normal(size=(3, 2)), rng.normal(size=4)]
         before = [p.copy() for p in params]
-        opt = Nadam(params)
+        opt = Nadam(params, 0.002)
         opt.step([np.zeros_like(p) for p in params])
         for p, b in zip(params, before):
             assert np.array_equal(p, b)
@@ -564,6 +573,30 @@ class TestNadam:
         for _ in range(500):
             opt.step([2 * theta])  # gradient of ||theta||^2
         assert np.linalg.norm(theta) < 1e-2
+
+    def test_two_steps_match_hand_computed_update(self):
+        # Scalar Nadam with beta1 = 0.9, beta2 = 0.999 and epsilon = 1e-7,
+        # in the kernel's order of operations, so the bits must agree. The
+        # tiny gradients make epsilon and beta2 visible in the result.
+        b1, b2, eps, lr = 0.9, 0.999, 1e-7, 0.01
+        start = [1.0, -0.5, 0.25, 2.0]
+        steps = [[0.3, -2e-7, 1.5e-8, 0.0], [-0.1, 4e-7, 0.0, 3e-8]]
+        theta = np.array(start)
+        opt = Nadam([theta], learning_rate=lr)
+        for g in steps:
+            opt.step([np.array(g)])
+        for i, p in enumerate(start):
+            m = v = 0.0
+            prod = 1.0
+            for t, g in enumerate((step[i] for step in steps), start=1):
+                mu_t = b1 * (1.0 - 0.5 * 0.96 ** t)
+                mu_next = b1 * (1.0 - 0.5 * 0.96 ** (t + 1))
+                prod *= mu_t
+                m += (g - m) * (1.0 - b1)
+                v += (g * g - v) * (1.0 - b2)
+                m_hat = m * mu_next / (1.0 - prod * mu_next) + g * (1.0 - mu_t) / (1.0 - prod)
+                p -= lr * m_hat / (math.sqrt(v / (1.0 - b2 ** t)) + eps)
+            assert theta[i] == p, i
 
 
 def grammar_datasets(n_traces=60, seed=3, val_traces=6):
@@ -787,6 +820,22 @@ class TestSerialization:
             save_model(model, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+    def test_file_with_optimiser_settings_loads_and_predicts(self):
+        # Model files once stored the Nadam settings among the hyperparameters.
+        rng = np.random.default_rng(38)
+        model = random_model(rng, 3, 4, 5)
+        buf = io.StringIO()
+        save_model(model, buf)
+        doc = json.loads(buf.getvalue())
+        assert not {"beta1", "beta2", "epsilon_opt"} & set(doc["hyperparams"])
+        doc["hyperparams"].update(beta1=0.9, beta2=0.999, epsilon_opt=1e-7)
+        loaded = load_model(io.StringIO(json.dumps(doc)))
+        assert loaded.hyperparams["beta2"] == 0.999
+        sample = random_sample(rng, 5, 4, 3)
+        want_index, want = predict(model, sample)
+        index, probs = predict(loaded, sample)
+        assert index == want_index and np.array_equal(probs, want)
 
     def test_missing_key(self):
         rng = np.random.default_rng(35)

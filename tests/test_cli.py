@@ -4,14 +4,14 @@ import re
 import numpy as np
 import pytest
 
-from xnap.bilstm import load_model
+from xnap.bilstm import load_model, predict_many
 from xnap.cli import _resolve_seed, main, relevance_color
 from xnap.encoding import encode_running_trace
 from xnap.eventlog import parse_log
 from xnap.lrp import LrpConfig, explain
 
 from conftest import make_trace
-from oracles import predict_per_sample
+from oracles import naive_bilstm_probs, predict_per_sample
 
 
 def write_log(path, cases: dict) -> str:
@@ -119,16 +119,18 @@ class TestPredict:
                          f"{float(p.max()):.6f}"] for s, p in zip(samples, probs)]
 
     def test_bad_cases_skipped_each_with_one_warning(self, workdir, tmp_path, capsys):
+        # c3 is longer than any training trace: it is predicted, not skipped.
         log = write_log(tmp_path / "mixed.csv", {
             "c1": "ABC", "c2": "AZB", "c3": "ABCDEAB", "c4": "A", "c5": "BCDE"})
         assert main(["predict", "--model", str(workdir / "model.json"), "--log", log]) == 0
         captured = capsys.readouterr()
-        assert [line.split(",")[0] for line in captured.out.splitlines()[1:]] == ["c1", "c5"]
+        assert [line.split(",")[0] for line in captured.out.splitlines()[1:]] == \
+            ["c1", "c3", "c5"]
         warnings = captured.err.splitlines()
-        assert len(warnings) == 3
-        for case, warning in zip(("c2", "c3", "c4"), warnings):
+        assert len(warnings) == 2
+        for case, warning in zip(("c2", "c4"), warnings):
             assert warning.startswith(f"case {case}: ")
-        assert "'Z'" in warnings[0] and "skipped" in warnings[1] and "too short" in warnings[2]
+        assert "'Z'" in warnings[0] and "too short" in warnings[1]
 
     def test_unknown_activity_skipped_with_warning(self, workdir, tmp_path, capsys):
         log = tmp_path / "unknown.csv"
@@ -152,14 +154,22 @@ class TestPredict:
         assert code == 2
         assert "NaN" in capsys.readouterr().err
 
-    def test_case_longer_than_model_skipped(self, workdir, tmp_path, capsys):
+    def test_case_longer_than_model_predicted(self, workdir, tmp_path, capsys):
         # the model was trained on length-5 traces: its padding length is 6
         log = write_log(tmp_path / "long.csv", {"c1": "ABCDEAB", "c2": "AB"})
         assert main(["predict", "--model", str(workdir / "model.json"),
                      "--log", log]) == 0
         captured = capsys.readouterr()
-        assert "c1" in captured.err and "skipped" in captured.err
-        assert [line.split(",")[0] for line in captured.out.splitlines()[1:]] == ["c2"]
+        assert captured.err == ""
+        rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+        model = load_model(workdir / "model.json")
+        samples = [encode_running_trace(t, model.vocab, model.max_len) for t in parse_log(log)]
+        assert samples[0].max_len == 7 > model.max_len
+        want = np.asarray([naive_bilstm_probs(model, s.x[s.max_len - s.true_length:].tolist())[1]
+                           for s in samples])
+        assert np.abs(predict_many(model, samples) - want).max() <= 1e-10
+        assert rows == [[s.case_id, model.vocab.label_of(int(np.argmax(p))),
+                         f"{float(p.max()):.6f}"] for s, p in zip(samples, want)]
 
     def test_trace_too_short_exits_3(self, workdir, tmp_path, capsys):
         short = tmp_path / "short.csv"
@@ -249,14 +259,22 @@ class TestExplain:
                      "--log", log, "--case", "c1"])
         assert code == 3
 
-    def test_case_longer_than_model_skipped(self, workdir, tmp_path, capsys):
-        log = write_log(tmp_path / "long.csv", {"c1": "ABCDEAB", "c2": "ABC"})
+    def test_case_longer_than_model_explained(self, workdir, tmp_path, capsys):
+        # the model's padding length is 6; c1's prefixes of 7 and 8 events exceed it
+        log = write_log(tmp_path / "long.csv", {"c1": "ABCDEABC", "c2": "ABC"})
         assert main(["explain", "--model", str(workdir / "model.json"),
-                     "--log", log, "--render", "json"]) == 0
+                     "--log", log, "--delta", "1", "--render", "json"]) == 0
         captured = capsys.readouterr()
-        assert "c1" in captured.err and "skipped" in captured.err
-        assert [json.loads(l)["case_id"] for l in captured.out.splitlines()] == ["c2"]
-        # a prefix range that stays within the model's length still explains it
+        assert captured.err == ""
+        rows = [json.loads(l) for l in captured.out.splitlines()]
+        assert [(r["case_id"], len(r["prefix"])) for r in rows] == \
+            [("c1", k) for k in range(3, 9)] + [("c2", 3)]
+        for r in rows:  # delta = 1 conserves relevance: nothing is absorbed
+            scale = max(1.0, abs(r["model_output"]))
+            assert abs(r["bias_absorbed"]) <= 1e-12 * scale
+            assert abs(sum(r["raw_relevance"]) + r["initial_state_relevance"]
+                       - r["model_output"]) <= 1e-9 * scale
+        # a positive --max-prefix caps the explained range
         assert main(["explain", "--model", str(workdir / "model.json"),
                      "--log", log, "--case", "c1", "--max-prefix", "6",
                      "--render", "json"]) == 0
@@ -353,6 +371,18 @@ class TestOptionRanges:
         ("train", "--hidden", "0", "hidden_size"),
         ("train", "--sample-fraction", "0", "sample_fraction"),
         ("evaluate", "--folds", "1", "--folds"),
+        ("explain", "--epsilon", "nan", "epsilon"),
+        ("explain", "--epsilon", "inf", "epsilon"),
+        ("train", "--lr", "nan", "learning_rate"),
+        ("train", "--lr", "inf", "learning_rate"),
+        ("train", "--lr", "0", "learning_rate"),
+        ("evaluate", "--lr", "-1", "learning_rate"),
+        ("train", "--patience", "0", "patience"),
+        ("evaluate", "--patience", "-1", "patience"),
+        ("train", "--val-fraction", "nan", "--val-fraction"),
+        ("train", "--val-fraction", "0", "--val-fraction"),
+        ("train", "--val-fraction", "1", "--val-fraction"),
+        ("train", "--val-fraction", "2", "--val-fraction"),
     ])
     def test_out_of_range_value_exits_2(self, workdir, tmp_path, capsys,
                                         command, option, value, named):
@@ -368,3 +398,16 @@ class TestOptionRanges:
         assert err.startswith("error: ") and "\n" not in err
         assert named in err and value in err
         assert list(tmp_path.iterdir()) == []  # nothing written
+
+    @pytest.mark.parametrize("grammar, option, value", [
+        ("linear", "--activities", "A,,B"),
+        ("copy", "--fillers", "F1,"),
+    ])
+    def test_empty_activity_label_exits_2(self, tmp_path, capsys, grammar, option, value):
+        assert main(["synth", "--out", str(tmp_path / "log.csv"), "--grammar", grammar,
+                     option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("error: ") and "\n" not in err and "non-empty" in err
+        assert list(tmp_path.iterdir()) == []

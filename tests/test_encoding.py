@@ -10,7 +10,6 @@ from xnap.encoding import (
     augment_with_end,
     build_vocabulary,
     encode_running_trace,
-    generate_prefixes,
     max_augmented_length,
     occlude_event,
 )
@@ -23,7 +22,7 @@ from xnap.errors import (
 )
 
 from conftest import make_log, make_trace
-from oracles import dense_dataset, one_hot, pad_one_hot
+from oracles import dense_dataset, generate_prefixes, one_hot, pad_one_hot
 
 
 class TestVocabulary:
@@ -62,6 +61,7 @@ class TestAugmentAndPrefixes:
         assert exc.value.activity == "Z"
         assert exc.value.case_id == "c9"
 
+    # generate_prefixes lists the prefixes the dense dataset oracle pads.
     def test_three_element_sequence(self):
         assert generate_prefixes([7, 8, 9]) == [([7], 8), ([7, 8], 9)]
 
@@ -235,10 +235,14 @@ class TestEncodeRunningTrace:
         assert not sample.x[:2].any()
         assert np.array_equal(sample.x[2:], [[1, 0, 0], [0, 1, 0]])
 
-    def test_longer_than_padding(self):
-        vocab = ActivityVocabulary(("A", END_SYMBOL))
-        with pytest.raises(PrefixTooLong):
-            encode_running_trace(make_trace("c", ["A"] * 5), vocab, m=4)
+    def test_pads_to_its_own_length(self):
+        # A running trace longer than the training traces still encodes:
+        # the recurrence runs at any length, so nothing is cut off.
+        vocab = ActivityVocabulary(("A", "B", END_SYMBOL))
+        sample = encode_running_trace(make_trace("c", ["A", "B", "B", "A", "B"]), vocab, m=4)
+        assert sample.max_len == 5 and sample.true_length == 5
+        assert sample.events.tolist() == [0, 1, 1, 0, 1]
+        assert encode_running_trace(make_trace("c", ["B", "A"]), vocab, m=4).max_len == 4
 
 
 class TestPrefixSample:
