@@ -70,9 +70,9 @@ def _resolve_seed(value: int | None) -> int:
 
 
 def _log_format(args) -> LogFormat:
-    return LogFormat(case_col=args.case_col, activity_col=args.activity_col,
-                     time_col=args.time_col, timestamp_format=args.time_format,
-                     delimiter=args.delimiter)
+    return _configured(LogFormat, case_col=args.case_col, activity_col=args.activity_col,
+                       time_col=args.time_col, timestamp_format=args.time_format,
+                       delimiter=args.delimiter)
 
 
 def _load_log(args) -> EventLog:
@@ -113,9 +113,13 @@ def _hex_color(d: float) -> str:
 
 def _encode_or_skip(trace: Trace, model) -> PrefixSample | None:
     """The trace as one running sample, or None with a warning on stderr
-    when it holds an activity the model does not know."""
+    when it is too short to predict on or holds an activity the model does
+    not know."""
     try:
         return encode_running_trace(trace, model.vocab, model.max_len)
+    except TraceTooShort:
+        print(f"case {trace.case_id}: trace too short to predict on "
+              f"({len(trace)} event)", file=sys.stderr)
     except UnknownActivity as exc:
         print(f"case {trace.case_id}: skipped, activity {exc.activity!r} "
               f"is not in the model's vocabulary", file=sys.stderr)
@@ -287,12 +291,7 @@ def cmd_predict(args) -> int:
     traces = [log.trace_by_case(args.case)] if args.case else list(log)
     samples = []
     for trace in traces:
-        try:
-            sample = _encode_or_skip(trace, model)
-        except TraceTooShort:
-            print(f"case {trace.case_id}: trace too short to predict on "
-                  f"({len(trace)} event)", file=sys.stderr)
-            continue
+        sample = _encode_or_skip(trace, model)
         if sample is not None:
             samples.append(sample)
     if not samples:
@@ -320,8 +319,7 @@ def cmd_explain(args) -> int:
     config = _configured(
         LrpConfig, epsilon=args.epsilon, delta=args.delta,
         target=None if args.target_class is None
-        else model.vocab.index_of(args.target_class),
-        start_from=args.start_from)
+        else model.vocab.index_of(args.target_class))
     log = parse_log(args.log, _log_format(args))
     traces = [log.trace_by_case(args.case)] if args.case else list(log)
     jobs = []
@@ -376,7 +374,7 @@ def cmd_evaluate(args) -> int:
         if args.out:
             out.close()
     if args.save_best_model:
-        save_model(result.models[result.best_fold], args.save_best_model)
+        save_model(result.best_model, args.save_best_model)
         print(f"best model (fold {result.best_fold + 1}) -> {args.save_best_model}",
               file=sys.stderr)
     return 0
@@ -476,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--target-class", default=None,
                    help="explain this activity instead of the prediction")
-    p.add_argument("--start-from", choices=["logit", "probability"], default="logit")
     p.add_argument("--render", choices=["html", "ansi", "json"], default="ansi")
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=None)

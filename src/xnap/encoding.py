@@ -130,10 +130,6 @@ class PrefixDataset:
     def __len__(self) -> int:
         return self.events.shape[0]
 
-    def sample(self, i: int) -> PrefixSample:
-        return PrefixSample(self.events[i], int(self.true_lengths[i]),
-                            int(self.label_indices[i]), self.case_ids[i], self.vocab.size)
-
 
 def build_vocabulary(log: EventLog) -> ActivityVocabulary:
     """Sorted data labels plus the end symbol; collides loudly, never silently."""

@@ -25,8 +25,6 @@ class FoldSplit:
 
 @dataclass(frozen=True)
 class FoldPlan:
-    k: int
-    seed: int
     folds: tuple[FoldSplit, ...]
 
 
@@ -36,7 +34,6 @@ class MetricsRow:
     precision: float
     recall: float
     f1: float
-    support: int
 
 
 @dataclass(frozen=True)
@@ -56,8 +53,8 @@ class MetricsReport:
 @dataclass
 class CvResult:
     report: MetricsReport
-    models: list[BiLstmModel]
-    best_fold: int  # highest F1, for downstream explanation demos
+    best_model: BiLstmModel  # the model of best_fold
+    best_fold: int  # highest F1 (the first on ties), for downstream explanation demos
 
 
 def shuffle_cases(log: EventLog, seed: int) -> list[str]:
@@ -69,6 +66,8 @@ def shuffle_cases(log: EventLog, seed: int) -> list[str]:
 
 def split_validation(cases: list[str], fraction: float = 0.1) -> tuple[list[str], list[str]]:
     """Carve the last ``fraction`` (rounded down, at least one) off as validation."""
+    if not 0 < fraction < 1:  # NaN fails too
+        raise ValueError(f"validation fraction must lie in (0, 1), got {fraction}")
     n_val = max(1, int(len(cases) * fraction))
     return cases[:-n_val], cases[-n_val:]
 
@@ -92,7 +91,7 @@ def make_folds(log: EventLog, k: int = 10, seed: int = 42) -> FoldPlan:
         rest = [c for j, chunk in enumerate(chunks) if j != i for c in chunk]
         tr, val = split_validation(rest)
         folds.append(FoldSplit(tuple(tr), tuple(val), tuple(test)))
-    return FoldPlan(k=k, seed=seed, folds=tuple(folds))
+    return FoldPlan(folds=tuple(folds))
 
 
 def weighted_metrics(y_true, y_pred, n_classes: int) -> MetricsRow:
@@ -122,8 +121,7 @@ def weighted_metrics(y_true, y_pred, n_classes: int) -> MetricsRow:
         precision += weight * p
         recall += weight * r
         f1 += weight * f
-    return MetricsRow(accuracy=accuracy, precision=precision, recall=recall,
-                      f1=f1, support=total)
+    return MetricsRow(accuracy=accuracy, precision=precision, recall=recall, f1=f1)
 
 
 def evaluate_model(model: BiLstmModel, dataset) -> tuple[list[int], list[int]]:
@@ -144,15 +142,15 @@ def run_cv(log: EventLog, train_config: TrainConfig, k: int = 10,
     plan = make_folds(log, k=k, seed=seed)
     vocab = build_vocabulary(log)
     m = max_augmented_length(log)
-    rows, models = [], []
-    for fold in plan.folds:
+    rows, best_fold, best_model = [], 0, None
+    for i, fold in enumerate(plan.folds):
         train_set = assemble_dataset(log.select_cases(fold.train_cases), vocab, m)
         val_set = assemble_dataset(log.select_cases(fold.val_cases), vocab, m)
         test_set = assemble_dataset(log.select_cases(fold.test_cases), vocab, m)
         model, _ = train(train_set, val_set, train_config)
         y_true, y_pred = evaluate_model(model, test_set)
         rows.append(weighted_metrics(y_true, y_pred, vocab.size))
-        models.append(model)
-    report = MetricsReport(tuple(rows))
-    best_fold = int(np.argmax([r.f1 for r in rows]))
-    return CvResult(report=report, models=models, best_fold=best_fold)
+        if best_model is None or rows[i].f1 > rows[best_fold].f1:  # first maximum wins
+            best_fold, best_model = i, model
+    return CvResult(report=MetricsReport(tuple(rows)), best_model=best_model,
+                    best_fold=best_fold)

@@ -7,18 +7,17 @@ traces with unique case ids. All types are immutable after construction.
 from __future__ import annotations
 
 import csv
-import io
 import statistics
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Union
+from typing import Iterable, Iterator, TextIO, Union
 
 import numpy as np
 
 from .errors import BadTimestamp, EmptyLog, MissingColumn
 
-Source = Union[str, Path, IO]
+Source = Union[str, Path, TextIO]  # a path or a text stream
 
 
 @dataclass(frozen=True)
@@ -107,6 +106,10 @@ class LogFormat:
     timestamp_format: str | None = None  # None: ISO-8601 / "YYYY-MM-DD HH:MM:SS"
     delimiter: str = ","
 
+    def __post_init__(self):
+        if len(self.delimiter) != 1:
+            raise ValueError(f"delimiter must be one character, got {self.delimiter!r}")
+
 
 @dataclass(frozen=True)
 class LogStats:
@@ -133,33 +136,30 @@ def _parse_timestamp(raw: str, fmt: str | None, row: int) -> datetime:
         raise BadTimestamp(row, raw) from None
 
 
-def _open_text(source: Source):
-    """Yield a text reader for a path, text stream, or byte stream."""
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, io.TextIOBase):
-        return source
-    return io.TextIOWrapper(source, encoding="utf-8", newline="")
-
-
 def parse_log(source: Source, fmt: LogFormat = LogFormat()) -> EventLog:
     """Read a CSV event log and group it into timestamp-ordered traces.
 
     Traces appear in order of first occurrence of their case id; within a
     case, events are stably sorted by timestamp, so ties keep file order.
+    A path is opened and closed here; a text stream is left open.
     """
-    f = _open_text(source)
-    reader = csv.DictReader(f, delimiter=fmt.delimiter)
-    header = reader.fieldnames or []
-    for col in (fmt.case_col, fmt.activity_col, fmt.time_col):
-        if col not in header:
-            raise MissingColumn(col)
+    own = isinstance(source, (str, Path))
+    f = open(source, "r", encoding="utf-8", newline="") if own else source
+    try:
+        reader = csv.DictReader(f, delimiter=fmt.delimiter)
+        header = reader.fieldnames or []
+        for col in (fmt.case_col, fmt.activity_col, fmt.time_col):
+            if col not in header:
+                raise MissingColumn(col)
 
-    groups: dict[str, list[Event]] = {}
-    for i, row in enumerate(reader, start=2):  # header is row 1
-        case = row[fmt.case_col]
-        ts = _parse_timestamp(row[fmt.time_col], fmt.timestamp_format, i)
-        groups.setdefault(case, []).append(Event(case, row[fmt.activity_col], ts))
+        groups: dict[str, list[Event]] = {}
+        for i, row in enumerate(reader, start=2):  # header is row 1
+            case = row[fmt.case_col]
+            ts = _parse_timestamp(row[fmt.time_col], fmt.timestamp_format, i)
+            groups.setdefault(case, []).append(Event(case, row[fmt.activity_col], ts))
+    finally:
+        if own:
+            f.close()
 
     if not groups:
         raise EmptyLog("log has no traces")
@@ -170,13 +170,14 @@ def parse_log(source: Source, fmt: LogFormat = LogFormat()) -> EventLog:
     return EventLog(tuple(traces))
 
 
-def serialize_log(log: EventLog, sink: Source, fmt: LogFormat = LogFormat()) -> None:
-    """Write a log back to CSV (UTC timestamps, traces in log order)."""
+def serialize_log(log: EventLog, sink: Source) -> None:
+    """Write a log back to CSV in the default :class:`LogFormat` layout
+    (UTC timestamps, traces in log order)."""
     own = isinstance(sink, (str, Path))
     f = open(sink, "w", encoding="utf-8", newline="") if own else sink
     try:
-        writer = csv.writer(f, delimiter=fmt.delimiter, lineterminator="\n")
-        writer.writerow([fmt.case_col, fmt.activity_col, fmt.time_col])
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(["case", "activity", "timestamp"])
         for trace in log:
             for e in trace.events:
                 stamp = e.timestamp.astimezone(timezone.utc).replace(tzinfo=None)

@@ -43,33 +43,31 @@ class LrpConfig:
     """Knobs of the relevance decomposition.
 
     ``target`` None explains the predicted class, an int explains that
-    class. ``start_from`` picks the output value the decomposition starts
-    from: the pre-softmax logit (default) or the softmax probability.
+    class. The decomposition starts from the target's pre-softmax logit.
     """
     epsilon: float = 0.001
     delta: float = 0.0
     target: int | None = None
-    start_from: str = "logit"
 
     def __post_init__(self):
         if not 0 < self.epsilon < np.inf:  # NaN fails too
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.delta not in (0.0, 1.0):
             raise ValueError(f"delta must be 0.0 or 1.0, got {self.delta}")
-        if self.start_from not in ("logit", "probability"):
-            raise ValueError(f"unknown start_from {self.start_from!r}")
 
 
 @dataclass(frozen=True)
 class RelevanceTrace:
     """Signed per-event relevance for one prediction, oldest event first.
 
-    ``model_output`` is the output-layer value the decomposition started
-    from. ``initial_state_relevance`` is what flowed into the zero initial
-    states, and ``bias_absorbed`` what the biases soaked up (zero when
-    delta = 1); together with ``raw.sum()`` they reconstruct
+    ``model_output`` is the target's logit, the value the decomposition
+    started from. ``initial_state_relevance`` is what flowed into the zero
+    initial states, and ``bias_absorbed`` what the biases soaked up (zero
+    when delta = 1); together with ``raw.sum()`` they reconstruct
     ``model_output`` exactly. ``gate_relevance`` collects everything
-    assigned to gate neurons and is structurally zero.
+    assigned to gate neurons and is structurally zero. The rules are
+    linear in the starting value, so ``raw * target_prob / model_output``
+    decomposes the target's probability instead.
     """
     raw: np.ndarray
     display: np.ndarray
@@ -260,9 +258,8 @@ def _explain_chunk(model: BiLstmModel, samples: list[PrefixSample],
     rows = np.arange(len(samples))
     targets = np.argmax(run.probs, axis=1) if config.target is None \
         else np.full(len(samples), config.target)
-    outputs = run.logits if config.start_from == "logit" else run.probs
-    r_out = np.zeros_like(outputs)
-    r_out[rows, targets] = outputs[rows, targets]
+    r_out = np.zeros_like(run.logits)
+    r_out[rows, targets] = run.logits[rows, targets]
 
     d = model.hidden_size
     h_cat = np.concatenate([run.fwd.h[-1], run.bwd.h[-1]], axis=1)
@@ -290,7 +287,7 @@ def _explain_chunk(model: BiLstmModel, samples: list[PrefixSample],
             raw=event_raw,
             display=rescale_for_display(event_raw),
             target_class=target,
-            model_output=float(outputs[k, target]),
+            model_output=float(run.logits[k, target]),
             target_prob=float(run.probs[k, target]),
             initial_state_relevance=float(initial[k]),
             bias_absorbed=float(bias[k]),

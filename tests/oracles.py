@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from xnap.bilstm import _NEW_ARRAYS, LOSS_CLIP, forward, predict, softmax
-from xnap.encoding import augment_with_end
+from xnap.encoding import PrefixSample, augment_with_end
 from xnap.errors import NonFiniteInput, PrefixTooLong, ShapeMismatch, TraceTooShort
 from xnap.lrp import LrpConfig, RelevanceTrace, rescale_for_display
 
@@ -266,6 +266,12 @@ def generate_prefixes(index_seq: list[int]) -> list[tuple[list[int], int]]:
     return [(index_seq[:k], index_seq[k]) for k in range(1, len(index_seq))]
 
 
+def dataset_sample(ds, i):
+    """Row ``i`` of a :class:`PrefixDataset` as a labeled sample."""
+    return PrefixSample(ds.events[i], int(ds.true_lengths[i]), int(ds.label_indices[i]),
+                        ds.case_ids[i], ds.vocab.size)
+
+
 def pad_one_hot(prefix, m, h, case_id):
     if len(prefix) > m:
         raise PrefixTooLong(
@@ -373,8 +379,7 @@ def explain_per_sample(model, sample, config=LrpConfig()):
         raise TraceTooShort(f"true_length {sample.true_length}; need >= 2")
     trace = forward(model, sample)
     target = int(np.argmax(trace.probs)) if config.target is None else config.target
-    r_init = float(trace.logits[target]) if config.start_from == "logit" \
-        else float(trace.probs[target])
+    r_init = float(trace.logits[target])
     r_out = np.zeros(model.n_classes)
     r_out[target] = r_init
 

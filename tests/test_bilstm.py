@@ -49,6 +49,7 @@ from xnap.synthlog import generate, linear_grammar
 from conftest import make_log
 from oracles import (
     cross_entropy,
+    dataset_sample,
     masked_batch_backward,
     masked_run_batch,
     naive_bilstm_probs,
@@ -618,7 +619,7 @@ class TestTrain:
         assert history[-1].val_accuracy >= 0.99 or \
             max(h.val_accuracy for h in history) >= 0.99
         # overfit check from the spec: A -> B
-        sample = train_set.sample(0)
+        sample = dataset_sample(train_set, 0)
         idx, _ = predict(model, sample)
         assert idx == sample.label_index
 
@@ -710,7 +711,7 @@ class TestWorkspace:
         config = TrainConfig(hidden_size=4, batch_size=16, max_epochs=2, seed=3)
         model, history = train(train_set, val_set, config)
         probs = predict_dataset(model, val_set)
-        samples = [val_set.sample(i) for i in range(len(val_set))
+        samples = [dataset_sample(val_set, i) for i in range(len(val_set))
                    if val_set.true_lengths[i] >= 2]
         relevance = explain_many(model, samples)
         monkeypatch.setattr(bilstm, "_idle_workspaces", [PoisonedWorkspace()])
@@ -733,10 +734,10 @@ class TestWorkspace:
         assert len(list(bilstm._inference_chunks(dataset.true_lengths))) > 3
         probs = predict_dataset(model, dataset)
         for i in range(len(dataset)):
-            _, want = predict(model, dataset.sample(i))
+            _, want = predict(model, dataset_sample(dataset, i))
             assert np.allclose(probs[i], want, rtol=0, atol=1e-12)
         # predict_many runs the same batches through the same loop: the same bits.
-        samples = [dataset.sample(i) for i in range(len(dataset))]
+        samples = [dataset_sample(dataset, i) for i in range(len(dataset))]
         assert np.array_equal(predict_many(model, samples), probs)
 
     def test_results_do_not_alias_reused_buffers(self):

@@ -4,9 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from xnap.bilstm import load_model, predict_many
+from xnap.bilstm import TrainConfig, load_model, predict_many, save_model
 from xnap.cli import _resolve_seed, main, relevance_color
-from xnap.encoding import encode_running_trace
+from xnap.encoding import assemble_dataset, encode_running_trace, max_augmented_length
+from xnap.evaluation import evaluate_model, make_folds, run_cv, weighted_metrics
 from xnap.eventlog import parse_log
 from xnap.lrp import LrpConfig, explain
 
@@ -304,6 +305,13 @@ class TestExplain:
         assert exc.value.code == 2
         assert "--min-prefix" in capsys.readouterr().err
 
+    def test_start_from_is_not_an_option(self, workdir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["explain", "--model", str(workdir / "model.json"),
+                  "--log", str(workdir / "log.csv"), "--start-from", "logit"])
+        assert exc.value.code == 2
+        assert "--start-from" in capsys.readouterr().err
+
     def test_max_prefix_zero_is_a_limit(self, workdir, capsys):
         code = main(["explain", "--model", str(workdir / "model.json"),
                      "--log", str(workdir / "log.csv"), "--max-prefix", "0",
@@ -342,6 +350,33 @@ class TestEvaluate:
         assert len(lines) == 1 + 10 + 2  # ten fold rows plus AVG and SD
         assert lines[-2].startswith("AVG,")
         assert lines[-1].startswith("SD,")
+
+    def test_save_best_model_writes_the_best_folds_model(self, tmp_path, capsys):
+        log = str(tmp_path / "copy.csv")
+        assert main(["synth", "--out", log, "--grammar", "copy", "--traces", "40",
+                     "--seed", "3"]) == 0
+        out, saved = tmp_path / "metrics.csv", tmp_path / "best.json"
+        assert main(["evaluate", "--log", log, "--out", str(out), "--folds", "3",
+                     "--seed", "4", "--hidden", "4", "--epochs", "8", "--patience", "2",
+                     "--batch-size", "32", "--save-best-model", str(saved)]) == 0
+        config = TrainConfig(hidden_size=4, dropout_rate=0.2, batch_size=32, max_epochs=8,
+                             patience=2, learning_rate=0.002, seed=4)
+        save_model(run_cv(parse_log(log), config, k=3, seed=4).best_model,
+                   tmp_path / "library.json")
+        assert saved.read_bytes() == (tmp_path / "library.json").read_bytes()
+        f1 = [line.split(",")[4] for line in out.read_text().splitlines()[1:4]]
+        assert sorted(f1)[-1] > sorted(f1)[-2]  # one fold is best
+        err = capsys.readouterr().err
+        fold = int(re.fullmatch(rf"best model \(fold (\d)\) -> {re.escape(str(saved))}\n",
+                                err).group(1))
+        assert f1[fold - 1] == max(f1)
+        # the saved model is that fold's: it scores the fold's F1 on its test cases
+        model, parsed = load_model(saved), parse_log(log)
+        test_cases = make_folds(parsed, k=3, seed=4).folds[fold - 1].test_cases
+        test_set = assemble_dataset(parsed.select_cases(test_cases), model.vocab,
+                                    max_augmented_length(parsed))
+        score = weighted_metrics(*evaluate_model(model, test_set), model.vocab.size).f1
+        assert f"{score:.6f}" == f1[fold - 1]
 
     def test_unknown_case_exits_2(self, workdir, capsys):
         code = main(["predict", "--model", str(workdir / "model.json"),
@@ -383,6 +418,8 @@ class TestOptionRanges:
         ("train", "--val-fraction", "0", "--val-fraction"),
         ("train", "--val-fraction", "1", "--val-fraction"),
         ("train", "--val-fraction", "2", "--val-fraction"),
+        ("stats", "--delimiter", "", "delimiter"),
+        ("explain", "--delimiter", ";;", "delimiter"),
     ])
     def test_out_of_range_value_exits_2(self, workdir, tmp_path, capsys,
                                         command, option, value, named):
@@ -390,6 +427,7 @@ class TestOptionRanges:
         model = tmp_path / "model.json"
         needs = {"explain": ["--model", str(workdir / "model.json"), "--log", log],
                  "train": ["--log", log, "--out", str(model)],
+                 "stats": ["--log", log],
                  "evaluate": ["--log", log, "--out", str(tmp_path / "metrics.csv")]}
         assert main([command, *needs[command], option, value]) == 2
         captured = capsys.readouterr()

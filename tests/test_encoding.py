@@ -22,7 +22,7 @@ from xnap.errors import (
 )
 
 from conftest import make_log, make_trace
-from oracles import dense_dataset, generate_prefixes, one_hot, pad_one_hot
+from oracles import dataset_sample, dense_dataset, generate_prefixes, one_hot, pad_one_hot
 
 
 class TestVocabulary:
@@ -114,7 +114,7 @@ class TestAssembleDataset:
         vocab = build_vocabulary(log)
         ds = assemble_dataset(log, vocab, max_augmented_length(log))
         for i in range(len(ds)):
-            x = ds.sample(i).x
+            x = dataset_sample(ds, i).x
             assert x.sum() == ds.true_lengths[i]
             lead = ds.M - ds.true_lengths[i]
             assert not x[:lead].any()
@@ -127,7 +127,7 @@ class TestAssembleDataset:
         seq = augment_with_end(log.traces[0], vocab)
         for i in range(len(ds)):
             lead = ds.M - ds.true_lengths[i]
-            decoded = [int(np.argmax(row)) for row in ds.sample(i).x[lead:]]
+            decoded = [int(np.argmax(row)) for row in dataset_sample(ds, i).x[lead:]]
             assert decoded == seq[:int(ds.true_lengths[i])]
             assert ds.events[i, lead:].tolist() == seq[:int(ds.true_lengths[i])]
 
@@ -152,7 +152,7 @@ def assert_matches_dense(log, vocab, m):
     assert np.array_equal(ds.label_indices, labels)
     assert ds.case_ids == cases
     for i in range(len(ds)):
-        sample = ds.sample(i)
+        sample = dataset_sample(ds, i)
         assert np.array_equal(sample.events, ds.events[i])
         assert np.array_equal(sample.x, x[i])
         assert (sample.true_length, sample.label_index, sample.case_id) == \

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xnap.bilstm import TrainConfig
+from xnap.bilstm import BiLstmModel, TrainConfig
 from xnap.errors import LengthMismatch, TooFewTraces
 from xnap.evaluation import (
     MetricsReport,
@@ -52,6 +52,11 @@ class TestMakeFolds:
         train, val = split_validation(cases)
         assert len(val) == 3  # floor(34 * 0.1)
         assert train + val == cases
+
+    @pytest.mark.parametrize("fraction", [float("nan"), 0.0, -0.1, 1.0, 1.5])
+    def test_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ValueError, match=f"got {fraction}"):
+            split_validation(["a", "b", "c"], fraction)
 
 
 class TestWeightedMetrics:
@@ -131,7 +136,7 @@ class TestRunCv:
                              patience=4, seed=2)
         result = run_cv(log, config, k=2, seed=3)
         assert len(result.report.rows) == 2
-        assert len(result.models) == 2
+        assert isinstance(result.best_model, BiLstmModel)
         assert result.best_fold in (0, 1)
         best_f1 = result.report.rows[result.best_fold].f1
         assert best_f1 == max(r.f1 for r in result.report.rows)
@@ -142,3 +147,6 @@ class TestRunCv:
                              patience=10, seed=6)
         result = run_cv(log, config, k=2, seed=7)
         assert result.report.mean("accuracy") >= 0.99
+        # both folds score F1 1.0: a tie keeps the first, like argmax
+        assert [r.f1 for r in result.report.rows] == [1.0, 1.0]
+        assert result.best_fold == 0

@@ -37,8 +37,8 @@ ORACLE_CONFIGS = [
     LrpConfig(),
     LrpConfig(delta=1.0),
     LrpConfig(target=1),
-    LrpConfig(target=2, start_from="probability"),
-    LrpConfig(epsilon=1e-6, delta=1.0, start_from="probability"),
+    LrpConfig(target=2),
+    LrpConfig(epsilon=1e-6, delta=1.0),
 ]
 
 
@@ -212,7 +212,7 @@ class TestExplain:
         with pytest.raises(ShapeMismatch):
             explain(model, sample, LrpConfig(target=3))
 
-    def test_explicit_target_and_probability_start(self):
+    def test_explicit_target_starts_from_its_logit(self):
         rng = np.random.default_rng(26)
         model = random_model(rng, 3, 3, 4)
         sample = random_sample(rng, 4, 3, 3)
@@ -220,12 +220,7 @@ class TestExplain:
         by_logit = explain(model, sample, LrpConfig(target=1))
         assert by_logit.target_class == 1
         assert by_logit.model_output == pytest.approx(float(trace.logits[1]))
-        by_prob = explain(model, sample,
-                          LrpConfig(target=1, start_from="probability"))
-        assert by_prob.model_output == pytest.approx(float(trace.probs[1]))
-        # same decomposition up to the scalar output rescaling
-        ratio = by_prob.model_output / by_logit.model_output
-        assert np.allclose(by_prob.raw, by_logit.raw * ratio, atol=1e-9)
+        assert by_logit.target_prob == pytest.approx(float(trace.probs[1]))
 
     def test_relevance_length_matches_events(self):
         rng = np.random.default_rng(27)
@@ -239,8 +234,6 @@ class TestExplain:
             LrpConfig(epsilon=0.0)
         with pytest.raises(ValueError):
             LrpConfig(delta=0.5)
-        with pytest.raises(ValueError):
-            LrpConfig(start_from="elsewhere")
 
 
 class TestExplainMany:

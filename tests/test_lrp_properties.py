@@ -45,7 +45,7 @@ def test_conservation_at_delta_one(case):
 @settings(max_examples=60, deadline=None)
 @given(models_and_batches(),
        st.sampled_from([LrpConfig(), LrpConfig(delta=1.0),
-                        LrpConfig(target=1, start_from="probability")]))
+                        LrpConfig(target=1)]))
 def test_batched_walk_equals_per_sample_oracle(case, config):
     model, samples, rows = case
     with mock.patch.object(bilstm, "_INFERENCE_ROWS", rows):
