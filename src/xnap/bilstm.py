@@ -23,6 +23,8 @@ step runs those rows only, like a packed sequence.
 """
 from __future__ import annotations
 
+import base64
+import binascii
 import json
 import math
 import os
@@ -43,7 +45,10 @@ from .errors import (
     VersionMismatch,
 )
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
+# Version 1 stored every gate block as nested decimal lists; it is still read.
+_READABLE_VERSIONS = (1, 2)
+_STORED_DTYPE = "<f8"
 GATES = ("i", "f", "o", "g")
 # Probabilities are clipped at this floor before taking logs.
 LOSS_CLIP = 1e-12
@@ -96,7 +101,7 @@ class LstmWeights:
         return slice(k * d, (k + 1) * d)
 
     def items(self):
-        """Per-gate views W_i, U_i, b_i, W_f, ... (the model-file keys)."""
+        """Per-gate views W_i, U_i, b_i, W_f, ... (the keys of format 1 files)."""
         for gate in GATES:
             rows = self.rows(gate)
             yield f"W_{gate}", self.W[rows]
@@ -762,9 +767,18 @@ def _write_json(doc: dict, f: IO) -> None:
     f.write("\n")
 
 
+def _encode_array(arr: np.ndarray) -> dict:
+    """An array as stored: its little-endian float64 bytes in base64."""
+    raw = arr.astype(_STORED_DTYPE, copy=False).tobytes()  # C order
+    return {"dtype": _STORED_DTYPE, "shape": list(arr.shape),
+            "base64": base64.b64encode(raw).decode("ascii")}
+
+
 def save_model(model: BiLstmModel, sink: Union[str, Path, IO]) -> None:
     """Write the model as versioned JSON; floats round-trip exactly.
 
+    Each direction holds its stacked ``W``, ``U`` and ``b``; every array
+    is stored as ``{"dtype": "<f8", "shape": [...], "base64": "..."}``.
     A path is written through a temporary file in the same directory and
     renamed over the target, so a failed write leaves any old file intact.
     """
@@ -774,11 +788,11 @@ def save_model(model: BiLstmModel, sink: Union[str, Path, IO]) -> None:
         "vocab": list(model.vocab.labels),
         "max_len": model.max_len,
         "hyperparams": dict(model.hyperparams, trained_epochs=model.trained_epochs),
-        "forward": {name: arr.tolist() for name, arr in model.forward_params.items()},
-        "backward": {name: arr.tolist() for name, arr in model.backward_params.items()},
-        "W_out": model.W_out.tolist(),
-        "b_out": model.b_out.tolist(),
     }
+    for key, p in (("forward", model.forward_params), ("backward", model.backward_params)):
+        doc[key] = {"W": _encode_array(p.W), "U": _encode_array(p.U), "b": _encode_array(p.b)}
+    doc["W_out"] = _encode_array(model.W_out)
+    doc["b_out"] = _encode_array(model.b_out)
     if not isinstance(sink, (str, Path)):
         _write_json(doc, sink)
         return
@@ -794,7 +808,32 @@ def save_model(model: BiLstmModel, sink: Union[str, Path, IO]) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _direction_from_json(doc: dict, d: int, h: int) -> LstmWeights:
+def _decode_array(doc: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A stored array of format 2 as a new, writable, native float64 array."""
+    if doc["dtype"] != _STORED_DTYPE:
+        raise CorruptModel(f"{name} has dtype {doc['dtype']!r}, expected {_STORED_DTYPE!r}")
+    if doc["shape"] != list(shape):
+        raise CorruptModel(f"{name} has shape {doc['shape']}, expected {list(shape)}")
+    try:
+        raw = base64.b64decode(doc["base64"], validate=True)
+    except (binascii.Error, ValueError) as exc:
+        raise CorruptModel(f"{name} is not valid base64: {exc}") from None
+    size = 8 * math.prod(shape)
+    if len(raw) != size:
+        raise CorruptModel(f"{name} holds {len(raw)} bytes, expected {size}")
+    return np.frombuffer(raw, dtype=_STORED_DTYPE).astype(np.float64).reshape(shape)
+
+
+def _arrays_v2(doc: dict, d: int, h: int) -> list[np.ndarray]:
+    """The arrays of a format 2 file, laid out like ``BiLstmModel.arrays()``."""
+    shapes = {"W": (4 * d, h), "U": (4 * d, d), "b": (4 * d,)}
+    arrays = [_decode_array(doc[key][kind], f"{key}.{kind}", shape)
+              for key in ("forward", "backward") for kind, shape in shapes.items()]
+    return arrays + [_decode_array(doc["W_out"], "W_out", (h, 2 * d)),
+                     _decode_array(doc["b_out"], "b_out", (h,))]
+
+
+def _direction_v1(doc: dict, d: int, h: int) -> list[np.ndarray]:
     blocks = {"W": [], "U": [], "b": []}
     for gate in GATES:
         for kind, shape in (("W", (d, h)), ("U", (d, d)), ("b", (d,))):
@@ -803,12 +842,18 @@ def _direction_from_json(doc: dict, d: int, h: int) -> LstmWeights:
             if arr.shape != shape:
                 raise CorruptModel(f"{name} has shape {arr.shape}, expected {shape}")
             blocks[kind].append(arr)
-    return LstmWeights(np.vstack(blocks["W"]), np.vstack(blocks["U"]),
-                       np.concatenate(blocks["b"]))
+    return [np.vstack(blocks["W"]), np.vstack(blocks["U"]), np.concatenate(blocks["b"])]
+
+
+def _arrays_v1(doc: dict, d: int, h: int) -> list[np.ndarray]:
+    """The arrays of a format 1 file, which names every gate block."""
+    return (_direction_v1(doc["forward"], d, h) + _direction_v1(doc["backward"], d, h)
+            + [np.asarray(doc["W_out"], dtype=np.float64),
+               np.asarray(doc["b_out"], dtype=np.float64)])
 
 
 def load_model(source: Union[str, Path, IO]) -> BiLstmModel:
-    """Read a model written by :func:`save_model`."""
+    """Read a model written by :func:`save_model`, in format 2 or 1."""
     own = isinstance(source, (str, Path))
     f = open(source, "r", encoding="utf-8") if own else source
     try:
@@ -821,19 +866,21 @@ def load_model(source: Union[str, Path, IO]) -> BiLstmModel:
     if not isinstance(doc, dict):
         raise CorruptModel("model file does not hold a JSON object")
     version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise VersionMismatch(f"model format {version!r}, expected {MODEL_FORMAT_VERSION}")
+    if version not in _READABLE_VERSIONS:
+        raise VersionMismatch(f"model format {version!r}, expected one of "
+                              f"{', '.join(map(str, _READABLE_VERSIONS))}")
     try:
         d = int(doc["hidden_size"])
         vocab = ActivityVocabulary(tuple(doc["vocab"]))
         h = vocab.size
         hyper = dict(doc["hyperparams"])
         trained = int(hyper.pop("trained_epochs", 0))
+        arrays = (_arrays_v2 if version == 2 else _arrays_v1)(doc, d, h)
         model = BiLstmModel(
-            forward_params=_direction_from_json(doc["forward"], d, h),
-            backward_params=_direction_from_json(doc["backward"], d, h),
-            W_out=np.asarray(doc["W_out"], dtype=np.float64),
-            b_out=np.asarray(doc["b_out"], dtype=np.float64),
+            forward_params=LstmWeights(*arrays[0:3]),
+            backward_params=LstmWeights(*arrays[3:6]),
+            W_out=arrays[6],
+            b_out=arrays[7],
             vocab=vocab,
             max_len=int(doc["max_len"]),
             hyperparams=hyper,

@@ -23,6 +23,7 @@ from .encoding import (
     max_augmented_length,
 )
 from .errors import (
+    BadRow,
     BadTimestamp,
     CorruptModel,
     EmptyDataset,
@@ -30,6 +31,7 @@ from .errors import (
     InvalidSpec,
     MissingColumn,
     NotACopyTask,
+    NotUtf8,
     PrefixTooLong,
     ReservedLabelCollision,
     TooFewTraces,
@@ -43,8 +45,8 @@ from .evaluation import run_cv, shuffle_cases, split_validation
 from .lrp import LrpConfig, RelevanceTrace, explain_many
 from .synthlog import copy_task, generate, linear_grammar
 
-_PARSE_ERRORS = (OSError, MissingColumn, BadTimestamp, EmptyLog, CorruptModel,
-                 VersionMismatch, InvalidSpec)
+_PARSE_ERRORS = (OSError, MissingColumn, BadTimestamp, BadRow, NotUtf8, EmptyLog,
+                 CorruptModel, VersionMismatch, InvalidSpec)
 _DOMAIN_ERRORS = (TraceTooShort, PrefixTooLong, UnknownActivity, TooFewTraces,
                   EmptyDataset, NotACopyTask, ReservedLabelCollision)
 
@@ -286,8 +288,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    fmt = _log_format(args)
     model = load_model(args.model)
-    log = _load_log(args)
+    log = parse_log(args.log, fmt)
     traces = [log.trace_by_case(args.case)] if args.case else list(log)
     samples = []
     for trace in traces:
@@ -312,6 +315,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    fmt = _log_format(args)
     model = load_model(args.model)
     if args.target_class is not None and args.target_class not in model.vocab.labels:
         raise UsageError(f"--target-class {args.target_class!r} is not an activity "
@@ -320,7 +324,7 @@ def cmd_explain(args) -> int:
         LrpConfig, epsilon=args.epsilon, delta=args.delta,
         target=None if args.target_class is None
         else model.vocab.index_of(args.target_class))
-    log = parse_log(args.log, _log_format(args))
+    log = parse_log(args.log, fmt)
     traces = [log.trace_by_case(args.case)] if args.case else list(log)
     jobs = []
     for trace in traces:

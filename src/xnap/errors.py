@@ -29,6 +29,21 @@ class BadTimestamp(XnapError):
         self.value = value
 
 
+class BadRow(XnapError):
+    """A CSV row that cannot become an event: a missing field or an empty
+    activity."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"row {row}: {reason}")
+
+
+class NotUtf8(XnapError):
+    """A log file whose bytes are not UTF-8 text."""
+
+    def __init__(self, source: str):
+        super().__init__(f"{source}: not UTF-8 text")
+
+
 class EmptyLog(XnapError):
     """An event log with zero traces where at least one is required."""
 

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, TextIO, Union
 
 import numpy as np
 
-from .errors import BadTimestamp, EmptyLog, MissingColumn
+from .errors import BadRow, BadTimestamp, EmptyLog, MissingColumn, NotUtf8
 
 Source = Union[str, Path, TextIO]  # a path or a text stream
 
@@ -141,7 +141,9 @@ def parse_log(source: Source, fmt: LogFormat = LogFormat()) -> EventLog:
 
     Traces appear in order of first occurrence of their case id; within a
     case, events are stably sorted by timestamp, so ties keep file order.
-    A path is opened and closed here; a text stream is left open.
+    A path is opened and closed here; a text stream is left open. A row
+    with fewer fields than the header or an empty activity raises
+    :class:`BadRow`, a file that is not UTF-8 :class:`NotUtf8`.
     """
     own = isinstance(source, (str, Path))
     f = open(source, "r", encoding="utf-8", newline="") if own else source
@@ -154,9 +156,17 @@ def parse_log(source: Source, fmt: LogFormat = LogFormat()) -> EventLog:
 
         groups: dict[str, list[Event]] = {}
         for i, row in enumerate(reader, start=2):  # header is row 1
-            case = row[fmt.case_col]
-            ts = _parse_timestamp(row[fmt.time_col], fmt.timestamp_format, i)
-            groups.setdefault(case, []).append(Event(case, row[fmt.activity_col], ts))
+            fields = (row[fmt.case_col], row[fmt.activity_col], row[fmt.time_col])
+            if None in fields:  # DictReader fills the fields a short row lacks with None
+                present = sum(value is not None for value in row.values())
+                raise BadRow(i, f"{present} fields, the header has {len(header)}")
+            case, activity, stamp = fields
+            if not activity:
+                raise BadRow(i, "empty activity")
+            ts = _parse_timestamp(stamp, fmt.timestamp_format, i)
+            groups.setdefault(case, []).append(Event(case, activity, ts))
+    except UnicodeDecodeError:
+        raise NotUtf8(str(getattr(f, "name", "the log"))) from None
     finally:
         if own:
             f.close()

@@ -12,8 +12,10 @@ dataset oracle is the dense assembly: every prefix listed by
 stacked. The prediction oracle is the
 per-case loop: one single-sample ``predict`` call per running trace. The
 batch and LRP oracles take dense one-hot inputs; :func:`one_hot`
-densifies the package's activity indices for them.
+densifies the package's activity indices for them. The model-file oracle
+is the format 1 writer: every gate block as nested decimal lists.
 """
+import json
 import math
 from dataclasses import dataclass
 
@@ -417,3 +419,21 @@ def predict_per_sample(model, samples):
     for k, sample in enumerate(samples):
         probs[k] = predict(model, sample)[1]
     return probs
+
+
+def save_model_v1(model, f):
+    """Write ``model`` to the text stream ``f`` in model format 1: one
+    nested decimal list per gate block (``W_i``, ``U_i``, ``b_i``, ...)."""
+    doc = {
+        "format_version": 1,
+        "hidden_size": model.hidden_size,
+        "vocab": list(model.vocab.labels),
+        "max_len": model.max_len,
+        "hyperparams": dict(model.hyperparams, trained_epochs=model.trained_epochs),
+        "forward": {name: arr.tolist() for name, arr in model.forward_params.items()},
+        "backward": {name: arr.tolist() for name, arr in model.backward_params.items()},
+        "W_out": model.W_out.tolist(),
+        "b_out": model.b_out.tolist(),
+    }
+    json.dump(doc, f)
+    f.write("\n")

@@ -1,3 +1,4 @@
+import base64
 import io
 import json
 import math
@@ -55,6 +56,7 @@ from oracles import (
     naive_bilstm_probs,
     one_hot,
     predict_per_sample,
+    save_model_v1,
 )
 
 
@@ -765,6 +767,15 @@ class TestWorkspace:
                 assert not np.shares_memory(buf, probs)
 
 
+def saved_v1_and_v2(model) -> tuple[str, str]:
+    """The model file of ``model`` in format 1 (the oracle writer) and in
+    format 2 (``save_model``)."""
+    v1, v2 = io.StringIO(), io.StringIO()
+    save_model_v1(model, v1)
+    save_model(model, v2)
+    return v1.getvalue(), v2.getvalue()
+
+
 class TestSerialization:
     def test_round_trip_bit_identical_forward(self):
         rng = np.random.default_rng(31)
@@ -788,7 +799,61 @@ class TestSerialization:
         save_model(model, buf)
         doc = json.loads(buf.getvalue())
         doc["format_version"] = 0
-        with pytest.raises(VersionMismatch):
+        with pytest.raises(VersionMismatch, match="model format 0, expected one of 1, 2"):
+            load_model(io.StringIO(json.dumps(doc)))
+
+    def test_v1_and_v2_files_load_identically(self):
+        rng = np.random.default_rng(39)
+        model = random_model(rng, 4, 5, 6)
+        v1, v2 = saved_v1_and_v2(model)
+        assert json.loads(v1)["format_version"] == 1
+        assert json.loads(v2)["format_version"] == 2
+        from_v1, from_v2 = load_model(io.StringIO(v1)), load_model(io.StringIO(v2))
+        names = [name for name, _ in model.param_items()]
+        assert [name for name, _ in from_v1.param_items()] == names
+        assert [name for name, _ in from_v2.param_items()] == names
+        for (_, want), (_, a), (_, b) in zip(model.param_items(), from_v1.param_items(),
+                                             from_v2.param_items()):
+            assert a.tobytes() == b.tobytes() == want.tobytes()
+        assert from_v1.hyperparams == from_v2.hyperparams
+        assert from_v1.trained_epochs == from_v2.trained_epochs
+        samples = [random_sample(rng, 6, 5, n, f"t{n}") for n in range(2, 7)]
+        assert np.array_equal(predict_many(from_v1, samples), predict_many(from_v2, samples))
+        for a, b in zip(explain_many(from_v1, samples), explain_many(from_v2, samples)):
+            assert np.array_equal(a.raw, b.raw)
+            assert a.model_output == b.model_output and a.target_class == b.target_class
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_loaded_arrays_are_writable_and_unshared(self, version):
+        model = random_model(np.random.default_rng(40), 3, 4, 5)
+        loaded = load_model(io.StringIO(saved_v1_and_v2(model)[version - 1]))
+        arrays = loaded.arrays()
+        for arr in arrays:
+            assert arr.dtype == np.float64 and arr.dtype.isnative
+            assert arr.flags.writeable and arr.flags.c_contiguous
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+        dict(loaded.param_items())["forward.W_f"][0, 0] = 5.0  # writes reach the model
+        assert loaded.forward_params.W[loaded.forward_params.rows("f")][0, 0] == 5.0
+
+    @pytest.mark.parametrize("field, spoil", [
+        ("base64", lambda v: "*" + v[1:]),
+        ("base64", lambda v: v[:-1]),
+        ("base64", lambda v: base64.b64encode(base64.b64decode(v) + bytes(8)).decode()),
+        ("base64", lambda v: base64.b64encode(base64.b64decode(v)[:-8]).decode()),
+        ("shape", lambda v: v[::-1]),
+        ("shape", lambda v: v + [1]),
+        ("dtype", lambda v: "<f4"),
+        ("dtype", lambda v: ">f8"),
+    ], ids=["bad_character", "bad_padding", "8_bytes_more", "8_bytes_fewer",
+            "transposed_shape", "extra_axis", "float32", "big_endian"])
+    def test_corrupt_array_rejected(self, field, spoil):
+        model = random_model(np.random.default_rng(41), 2, 3, 3)
+        doc = json.loads(saved_v1_and_v2(model)[1])
+        entry = doc["forward"]["W"]  # (8, 3)
+        entry[field] = spoil(entry[field])
+        with pytest.raises(CorruptModel, match=r"forward\.W "):
             load_model(io.StringIO(json.dumps(doc)))
 
     def test_truncated_file(self):

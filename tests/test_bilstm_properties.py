@@ -1,7 +1,8 @@
 """Property tests of the packed batch kernel: the order of a batch's rows
 changes neither its gradients nor which loss and prediction belong to
-which sample, and permuting the samples of a many-sample prediction
-permutes its rows."""
+which sample, permuting the samples of a many-sample prediction
+permutes its rows, and a saved model loads back bit for bit."""
+import io
 from unittest import mock
 
 import numpy as np
@@ -9,13 +10,23 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from xnap import bilstm
-from xnap.bilstm import _batch_backward, _named, _zero_grads, predict_many
+from xnap.bilstm import (
+    TrainConfig,
+    _batch_backward,
+    _named,
+    _zero_grads,
+    init_model,
+    load_model,
+    predict_many,
+    save_model,
+)
 from xnap.encoding import occlude_event
 
 from oracles import masked_batch_backward
-from test_bilstm import dense_inputs, random_batch, random_model, random_sample
+from test_bilstm import dense_inputs, dummy_vocab, random_batch, random_model, random_sample
 
 
 @st.composite
@@ -81,3 +92,38 @@ def test_permuted_samples_permute_the_rows(case):
         permuted = predict_many(model, [samples[k] for k in perm])
     assert np.max(np.abs(permuted - probs[perm])) <= 1e-12
     assert np.array_equal(permuted.argmax(axis=1), probs[perm].argmax(axis=1))
+
+
+# Values a decimal or a float32 detour would not keep: the sign of zero,
+# subnormals and the edges of the float64 range.
+SPECIAL_WEIGHTS = [-0.0, 5e-324, -2.5e-310, 1e308, -1e308]
+
+
+@st.composite
+def stored_models(draw):
+    """A model of hidden size 1-3 over 2-4 classes, every weight drawn from
+    all finite float64 values, the first input weights set to
+    ``SPECIAL_WEIGHTS``."""
+    model = init_model(dummy_vocab(draw(st.integers(2, 4))), draw(st.integers(2, 9)),
+                       TrainConfig(hidden_size=draw(st.integers(1, 3))))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    for arr in model.arrays():
+        arr[...] = draw(hnp.arrays(np.float64, arr.shape, elements=finite))
+    model.forward_params.W.reshape(-1)[:len(SPECIAL_WEIGHTS)] = SPECIAL_WEIGHTS
+    model.trained_epochs = draw(st.integers(0, 100))
+    return model
+
+
+@settings(max_examples=60, deadline=None)
+@given(stored_models())
+def test_saved_model_loads_back_bit_for_bit(model):
+    buf = io.StringIO()
+    save_model(model, buf)
+    loaded = load_model(io.StringIO(buf.getvalue()))
+    for (name, want), (got_name, got) in zip(model.param_items(), loaded.param_items(),
+                                             strict=True):
+        assert got_name == name
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    assert loaded.vocab == model.vocab and loaded.max_len == model.max_len
+    assert loaded.hyperparams == model.hyperparams
+    assert loaded.trained_epochs == model.trained_epochs

@@ -1,5 +1,7 @@
+import base64
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from xnap.eventlog import parse_log
 from xnap.lrp import LrpConfig, explain
 
 from conftest import make_trace
-from oracles import naive_bilstm_probs, predict_per_sample
+from oracles import naive_bilstm_probs, predict_per_sample, save_model_v1
 
 
 def write_log(path, cases: dict) -> str:
@@ -59,6 +61,20 @@ class TestStats:
                      "--activity-col", "wrong"])
         assert code == 2
         assert "wrong" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("row, reason", [
+        ("c1,,2024-01-01 10:01:00", "row 3: empty activity"),
+        ("c1,B", "row 3: 2 fields, the header has 3"),
+    ], ids=["empty_activity", "short_row"])
+    def test_bad_row_exits_2_naming_it(self, tmp_path, capsys, row, reason):
+        log = tmp_path / "bad.csv"
+        log.write_text("case,activity,timestamp\nc1,A,2024-01-01 10:00:00\n"
+                       f"{row}\nc1,C,2024-01-01 10:02:00\n")
+        assert main(["stats", "--log", str(log)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {reason}\n"
 
 
 class TestSynth:
@@ -146,11 +162,22 @@ class TestPredict:
         assert lines[0] == "case,predicted,probability"
         assert [line.split(",")[0] for line in lines[1:]] == ["c2"]
 
-    def test_non_finite_model_exits_2(self, workdir, tmp_path, capsys):
-        doc = json.loads((workdir / "model.json").read_text())
-        doc["forward"]["W_f"][0][0] = float("nan")
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_non_finite_model_exits_2(self, workdir, tmp_path, capsys, version):
         bad = tmp_path / "nan.json"
-        bad.write_text(json.dumps(doc))
+        if version == 1:
+            model = load_model(workdir / "model.json")
+            dict(model.param_items())["forward.W_f"][0, 0] = float("nan")
+            with open(bad, "w", encoding="utf-8") as f:
+                save_model_v1(model, f)
+        else:
+            doc = json.loads((workdir / "model.json").read_text())
+            assert doc["format_version"] == 2
+            stored = doc["forward"]["W"]
+            payload = bytearray(base64.b64decode(stored["base64"]))
+            payload[:8] = struct.pack("<d", float("nan"))
+            stored["base64"] = base64.b64encode(payload).decode("ascii")
+            bad.write_text(json.dumps(doc))
         code = main(["predict", "--model", str(bad), "--log", str(workdir / "log.csv")])
         assert code == 2
         assert "NaN" in capsys.readouterr().err
@@ -436,6 +463,31 @@ class TestOptionRanges:
         assert err.startswith("error: ") and "\n" not in err
         assert named in err and value in err
         assert list(tmp_path.iterdir()) == []  # nothing written
+
+    @pytest.mark.parametrize("command", ["predict", "explain"])
+    def test_bad_delimiter_exits_2_before_the_model_is_read(self, workdir, tmp_path, capsys,
+                                                             command):
+        assert main([command, "--model", str(tmp_path / "missing.json"),
+                     "--log", str(workdir / "log.csv"), "--delimiter", ";;"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("error: ") and "\n" not in err
+        assert "delimiter" in err and "missing.json" not in err
+
+    @pytest.mark.parametrize("command", ["stats", "train", "predict", "explain", "evaluate"])
+    def test_log_not_utf8_exits_2(self, workdir, tmp_path, capsys, command):
+        log = tmp_path / "latin1.csv"
+        log.write_bytes(b"case,activity,timestamp\nc1,A\xff,2024-01-01 10:00:00\n")
+        model = ["--model", str(workdir / "model.json")]
+        out = ["--out", str(tmp_path / "out")]
+        needs = {"stats": [], "train": out, "predict": model, "explain": model,
+                 "evaluate": out}
+        assert main([command, "--log", str(log), *needs[command]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {log}: not UTF-8 text\n"
+        assert list(tmp_path.iterdir()) == [log]  # nothing written
 
     @pytest.mark.parametrize("grammar, option, value", [
         ("linear", "--activities", "A,,B"),
