@@ -852,6 +852,20 @@ def _arrays_v1(doc: dict, d: int, h: int) -> list[np.ndarray]:
                np.asarray(doc["b_out"], dtype=np.float64)])
 
 
+def _header_size(doc: dict, key: str) -> int:
+    value = doc[key]
+    if type(value) is not int or value < 1:  # a JSON true is a bool, not a size
+        raise CorruptModel(f"{key} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _header_vocab(doc: dict) -> ActivityVocabulary:
+    labels = doc["vocab"]
+    if not (isinstance(labels, list) and labels and all(isinstance(x, str) for x in labels)):
+        raise CorruptModel("vocab must be a non-empty list of strings")
+    return ActivityVocabulary(tuple(labels))
+
+
 def load_model(source: Union[str, Path, IO]) -> BiLstmModel:
     """Read a model written by :func:`save_model`, in format 2 or 1."""
     own = isinstance(source, (str, Path))
@@ -870,8 +884,8 @@ def load_model(source: Union[str, Path, IO]) -> BiLstmModel:
         raise VersionMismatch(f"model format {version!r}, expected one of "
                               f"{', '.join(map(str, _READABLE_VERSIONS))}")
     try:
-        d = int(doc["hidden_size"])
-        vocab = ActivityVocabulary(tuple(doc["vocab"]))
+        d, max_len = _header_size(doc, "hidden_size"), _header_size(doc, "max_len")
+        vocab = _header_vocab(doc)
         h = vocab.size
         hyper = dict(doc["hyperparams"])
         trained = int(hyper.pop("trained_epochs", 0))
@@ -882,7 +896,7 @@ def load_model(source: Union[str, Path, IO]) -> BiLstmModel:
             W_out=arrays[6],
             b_out=arrays[7],
             vocab=vocab,
-            max_len=int(doc["max_len"]),
+            max_len=max_len,
             hyperparams=hyper,
             trained_epochs=trained,
         )

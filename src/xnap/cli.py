@@ -1,12 +1,14 @@
 """Command-line frontend: ingestion, training, prediction, explanation,
 evaluation and synthetic-log generation.
 
-Exit codes: 0 ok, 2 I/O, parse or usage error, 3 domain guard (e.g. trace
-too short), 4 internal invariant violation.
+Exit codes follow the error types: 0 ok, 2 I/O, usage or ``InputError``,
+3 ``DomainError`` (e.g. trace too short), 4 any other ``XnapError``, an
+internal invariant violation.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -23,33 +25,17 @@ from .encoding import (
     max_augmented_length,
 )
 from .errors import (
-    BadRow,
-    BadTimestamp,
-    CorruptModel,
-    EmptyDataset,
+    DomainError,
     EmptyLog,
-    InvalidSpec,
-    MissingColumn,
-    NotACopyTask,
-    NotUtf8,
-    PrefixTooLong,
-    ReservedLabelCollision,
-    TooFewTraces,
+    InputError,
     TraceTooShort,
     UnknownActivity,
-    VersionMismatch,
     XnapError,
 )
 from .eventlog import EventLog, LogFormat, Trace, compute_stats, filter_log, parse_log, serialize_log
 from .evaluation import run_cv, shuffle_cases, split_validation
 from .lrp import LrpConfig, RelevanceTrace, explain_many
 from .synthlog import copy_task, generate, linear_grammar
-
-_PARSE_ERRORS = (OSError, MissingColumn, BadTimestamp, BadRow, NotUtf8, EmptyLog,
-                 CorruptModel, VersionMismatch, InvalidSpec)
-_DOMAIN_ERRORS = (TraceTooShort, PrefixTooLong, UnknownActivity, TooFewTraces,
-                  EmptyDataset, NotACopyTask, ReservedLabelCollision)
-
 
 class UsageError(Exception):
     """An option value the command cannot run with (exit 2)."""
@@ -62,13 +48,6 @@ def _configured(build, **options):
         return build(**options)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
-
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("XNAP_SEED")
-    return int(env) if env else 42
 
 
 def _log_format(args) -> LogFormat:
@@ -84,7 +63,7 @@ def _load_log(args) -> EventLog:
     if max_len is not None or fraction != 1.0:
         try:
             log = filter_log(log, max_trace_len=max_len, sample_fraction=fraction,
-                             seed=_resolve_seed(args.seed))
+                             seed=args.seed)
         except ValueError as exc:
             raise UsageError(f"--sample-fraction: {exc}") from None
         if len(log) == 0:
@@ -92,8 +71,14 @@ def _load_log(args) -> EventLog:
     return log
 
 
-def _out_stream(path: str | None):
-    return open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The ``--out`` file, closed on leaving, or stdout when there is none."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        yield f
 
 
 # --- rendering ---------------------------------------------------------------
@@ -237,11 +222,10 @@ def cmd_stats(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    seed = _resolve_seed(args.seed)
     if args.grammar == "linear":
-        spec = linear_grammar(args.activities.split(","), args.traces, seed)
+        spec = linear_grammar(args.activities.split(","), args.traces, args.seed)
     else:
-        spec = copy_task(args.traces, seed,
+        spec = copy_task(args.traces, args.seed,
                          key_choices=args.keys.split(","),
                          key_targets=args.targets.split(","),
                          key_position=args.key_position,
@@ -253,21 +237,20 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _train_config(args, seed: int) -> TrainConfig:
+def _train_config(args) -> TrainConfig:
     return _configured(TrainConfig, hidden_size=args.hidden, dropout_rate=args.dropout,
                        batch_size=args.batch_size, max_epochs=args.epochs,
-                       patience=args.patience, learning_rate=args.lr, seed=seed)
+                       patience=args.patience, learning_rate=args.lr, seed=args.seed)
 
 
 def cmd_train(args) -> int:
-    seed = _resolve_seed(args.seed)
-    config = _train_config(args, seed)
+    config = _train_config(args)
     if not 0 < args.val_fraction < 1:
         raise UsageError(f"--val-fraction must lie in (0, 1), got {args.val_fraction}")
     log = _load_log(args)
     vocab = build_vocabulary(log)
     m = max_augmented_length(log)
-    train_cases, val_cases = split_validation(shuffle_cases(log, seed),
+    train_cases, val_cases = split_validation(shuffle_cases(log, args.seed),
                                               args.val_fraction)
     train_set = assemble_dataset(log.select_cases(train_cases), vocab, m)
     val_set = assemble_dataset(log.select_cases(val_cases), vocab, m)
@@ -301,16 +284,12 @@ def cmd_predict(args) -> int:
         raise TraceTooShort("no trace could be predicted on")
     probs = predict_many(model, samples)
     best = probs.argmax(axis=1)  # ties break toward the lowest index
-    out = _out_stream(args.out)
-    try:
+    with _output(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["case", "predicted", "probability"])
         for sample, row, idx in zip(samples, probs, best):
             writer.writerow([sample.case_id, model.vocab.label_of(idx),
                              f"{float(row[idx]):.6f}"])
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
@@ -338,8 +317,7 @@ def cmd_explain(args) -> int:
     per_trace = [(trace, _explained_rows(model, trace, samples,
                                          [next(results) for _ in samples]))
                  for trace, samples in jobs]
-    out = _out_stream(args.out)
-    try:
+    with _output(args.out) as out:
         if args.render == "json":
             for _, rows in per_trace:
                 for row in rows:
@@ -349,21 +327,16 @@ def cmd_explain(args) -> int:
         else:
             for trace, rows in per_trace:
                 _render_ansi(rows, trace, out)
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    seed = _resolve_seed(args.seed)
-    config = _train_config(args, seed)
+    config = _train_config(args)
     if args.folds < 2:
         raise UsageError(f"--folds must be >= 2, got {args.folds}")
     log = _load_log(args)
-    result = run_cv(log, config, k=args.folds, seed=seed)
-    out = _out_stream(args.out)
-    try:
+    result = run_cv(log, config, k=args.folds, seed=args.seed)
+    with _output(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["fold", "accuracy", "precision", "recall", "f1"])
         for i, row in enumerate(result.report.rows, start=1):
@@ -374,9 +347,6 @@ def cmd_evaluate(args) -> int:
                                    for n in ("accuracy", "precision", "recall", "f1")])
         writer.writerow(["SD"] + [f"{report.std(n):.6f}"
                                   for n in ("accuracy", "precision", "recall", "f1")])
-    finally:
-        if args.out:
-            out.close()
     if args.save_best_model:
         save_model(result.best_model, args.save_best_model)
         print(f"best model (fold {result.best_fold + 1}) -> {args.save_best_model}",
@@ -429,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="summarize an event log")
     p.add_argument("--log", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=42)
     _add_log_columns(p)
     _add_filters(p)
     p.set_defaults(func=cmd_stats)
@@ -438,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--grammar", choices=["linear", "copy"], default="linear")
     p.add_argument("--traces", type=int, default=200)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--activities", default="A,B,C")
     p.add_argument("--keys", default="X,Y")
     p.add_argument("--targets", default="P,Q")
@@ -451,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", required=True)
     p.add_argument("--out", required=True, help="model file to write")
     p.add_argument("--history", default=None, help="per-epoch history CSV")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--val-fraction", type=float, default=0.1)
     _add_log_columns(p)
     _add_filters(p)
@@ -463,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", required=True)
     p.add_argument("--case", default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=42)
     _add_log_columns(p)
     p.set_defaults(func=cmd_predict)
 
@@ -480,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="explain this activity instead of the prediction")
     p.add_argument("--render", choices=["html", "ansi", "json"], default="ansi")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=42)
     _add_log_columns(p)
     p.set_defaults(func=cmd_explain)
 
@@ -488,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", required=True)
     p.add_argument("--out", default=None, help="metrics CSV")
     p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--save-best-model", default=None)
     _add_log_columns(p)
     _add_filters(p)
@@ -506,13 +476,10 @@ def main(argv: list[str] | None = None) -> int:
         # downstream pager/head closed the pipe; not an error
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except KeyError as exc:
-        print(f"error: unknown case id {exc}", file=sys.stderr)
-        return 2
-    except (UsageError, *_PARSE_ERRORS) as exc:
+    except (UsageError, OSError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _DOMAIN_ERRORS as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except XnapError as exc:

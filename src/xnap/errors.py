@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all xnap modules.
 
-Every error raised on a documented failure path derives from ``XnapError``
-so callers (and the CLI) can map failures to exit codes without matching
-on message text.
+Every error raised on a documented failure path derives from ``XnapError``.
+Its base class picks the CLI exit code, so callers map failures without
+matching on message text: ``InputError`` 2, ``DomainError`` 3, any other
+``XnapError`` 4.
 """
 
 
@@ -10,9 +11,18 @@ class XnapError(Exception):
     """Base class for all xnap errors."""
 
 
+class InputError(XnapError):
+    """An input that cannot be read as what it claims to be: a log, a model
+    file, a grammar (CLI exit code 2)."""
+
+
+class DomainError(XnapError):
+    """A readable input the task cannot run on (CLI exit code 3)."""
+
+
 # --- input / parse errors -------------------------------------------------
 
-class MissingColumn(XnapError):
+class MissingColumn(InputError):
     """A configured CSV column is absent from the header."""
 
     def __init__(self, column: str):
@@ -20,7 +30,7 @@ class MissingColumn(XnapError):
         self.column = column
 
 
-class BadTimestamp(XnapError):
+class BadTimestamp(InputError):
     """A timestamp cell could not be parsed."""
 
     def __init__(self, row: int, value: str):
@@ -29,7 +39,7 @@ class BadTimestamp(XnapError):
         self.value = value
 
 
-class BadRow(XnapError):
+class BadRow(InputError):
     """A CSV row that cannot become an event: a missing field or an empty
     activity."""
 
@@ -37,36 +47,46 @@ class BadRow(XnapError):
         super().__init__(f"row {row}: {reason}")
 
 
-class NotUtf8(XnapError):
+class NotUtf8(InputError):
     """A log file whose bytes are not UTF-8 text."""
 
     def __init__(self, source: str):
         super().__init__(f"{source}: not UTF-8 text")
 
 
-class EmptyLog(XnapError):
+class EmptyLog(InputError):
     """An event log with zero traces where at least one is required."""
 
 
-class InvalidSpec(XnapError):
+class InvalidSpec(InputError):
     """A synthetic-log grammar that violates its own invariants."""
 
 
-class VersionMismatch(XnapError):
+class VersionMismatch(InputError):
     """Model file written by an incompatible format version."""
 
 
-class CorruptModel(XnapError):
+class CorruptModel(InputError):
     """Model file is unreadable or structurally broken."""
+
+
+class UnknownCase(InputError, KeyError):
+    """A case id the log does not hold."""
+
+    __str__ = Exception.__str__  # KeyError's would quote the whole message
+
+    def __init__(self, case_id: str):
+        super().__init__(f"unknown case id {case_id!r}")
+        self.case_id = case_id
 
 
 # --- domain guards --------------------------------------------------------
 
-class ReservedLabelCollision(XnapError):
+class ReservedLabelCollision(DomainError):
     """The end-of-trace symbol appears as a data activity label."""
 
 
-class UnknownActivity(XnapError):
+class UnknownActivity(DomainError):
     """An activity label not present in the vocabulary."""
 
     def __init__(self, activity: str, case_id: str):
@@ -75,27 +95,27 @@ class UnknownActivity(XnapError):
         self.case_id = case_id
 
 
-class TraceTooShort(XnapError):
+class TraceTooShort(DomainError):
     """Running trace too short to predict on (needs at least two events)."""
 
 
-class PrefixTooLong(XnapError):
+class PrefixTooLong(DomainError):
     """A prefix exceeds the model's padding length."""
 
 
-class EmptyDataset(XnapError):
+class EmptyDataset(DomainError):
     """A dataset with zero samples where training requires at least one."""
 
 
-class TooFewTraces(XnapError):
+class TooFewTraces(DomainError):
     """Fewer traces than cross-validation folds."""
 
 
-class NotACopyTask(XnapError):
+class NotACopyTask(DomainError):
     """Ground-truth key position requested from a grammar without one."""
 
 
-# --- numeric errors -------------------------------------------------------
+# --- internal (numeric) errors ------------------------------------------
 
 class ShapeMismatch(XnapError, ValueError):
     """Operand dimensions do not agree."""

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, TextIO, Union
 
 import numpy as np
 
-from .errors import BadRow, BadTimestamp, EmptyLog, MissingColumn, NotUtf8
+from .errors import BadRow, BadTimestamp, EmptyLog, MissingColumn, NotUtf8, UnknownCase
 
 Source = Union[str, Path, TextIO]  # a path or a text stream
 
@@ -83,7 +83,7 @@ class EventLog:
         for t in self.traces:
             if t.case_id == case_id:
                 return t
-        raise KeyError(case_id)
+        raise UnknownCase(case_id)
 
     def select_cases(self, case_ids: Iterable[str]) -> "EventLog":
         """Sub-log with the given cases, in the given order."""
@@ -141,32 +141,42 @@ def parse_log(source: Source, fmt: LogFormat = LogFormat()) -> EventLog:
 
     Traces appear in order of first occurrence of their case id; within a
     case, events are stably sorted by timestamp, so ties keep file order.
-    A path is opened and closed here; a text stream is left open. A row
-    with fewer fields than the header or an empty activity raises
-    :class:`BadRow`, a file that is not UTF-8 :class:`NotUtf8`.
+    A path is opened and closed here, and a UTF-8 byte-order mark at its
+    start is dropped; a text stream is left open. A row with fewer fields
+    than the header, an empty activity or a field the csv module rejects
+    (one longer than ``csv.field_size_limit()``) raises :class:`BadRow`,
+    a file that is not UTF-8 :class:`NotUtf8`. ``BadRow`` and
+    :class:`BadTimestamp` name the 1-based file line, counting blank lines
+    and the lines of quoted multi-line fields.
     """
     own = isinstance(source, (str, Path))
-    f = open(source, "r", encoding="utf-8", newline="") if own else source
+    f = open(source, "r", encoding="utf-8-sig", newline="") if own else source
     try:
-        reader = csv.DictReader(f, delimiter=fmt.delimiter)
-        header = reader.fieldnames or []
-        for col in (fmt.case_col, fmt.activity_col, fmt.time_col):
+        reader = csv.reader(f, delimiter=fmt.delimiter)
+        header = next(reader, [])
+        wanted = (fmt.case_col, fmt.activity_col, fmt.time_col)
+        for col in wanted:
             if col not in header:
                 raise MissingColumn(col)
+        column = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+        ci, ai, ti = (column[col] for col in wanted)
+        needed = max(ci, ai, ti) + 1
 
         groups: dict[str, list[Event]] = {}
-        for i, row in enumerate(reader, start=2):  # header is row 1
-            fields = (row[fmt.case_col], row[fmt.activity_col], row[fmt.time_col])
-            if None in fields:  # DictReader fills the fields a short row lacks with None
-                present = sum(value is not None for value in row.values())
-                raise BadRow(i, f"{present} fields, the header has {len(header)}")
-            case, activity, stamp = fields
+        for row in reader:
+            if not row:  # a blank line
+                continue
+            if len(row) < needed:
+                raise BadRow(reader.line_num, f"{len(row)} fields, the header has {len(header)}")
+            case, activity, stamp = row[ci], row[ai], row[ti]
             if not activity:
-                raise BadRow(i, "empty activity")
-            ts = _parse_timestamp(stamp, fmt.timestamp_format, i)
+                raise BadRow(reader.line_num, "empty activity")
+            ts = _parse_timestamp(stamp, fmt.timestamp_format, reader.line_num)
             groups.setdefault(case, []).append(Event(case, activity, ts))
     except UnicodeDecodeError:
         raise NotUtf8(str(getattr(f, "name", "the log"))) from None
+    except csv.Error as exc:
+        raise BadRow(reader.line_num, str(exc)) from None
     finally:
         if own:
             f.close()

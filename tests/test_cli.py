@@ -1,4 +1,5 @@
 import base64
+import io
 import json
 import re
 import struct
@@ -6,8 +7,9 @@ import struct
 import numpy as np
 import pytest
 
+from xnap import cli, errors
 from xnap.bilstm import TrainConfig, load_model, predict_many, save_model
-from xnap.cli import _resolve_seed, main, relevance_color
+from xnap.cli import main, relevance_color
 from xnap.encoding import assemble_dataset, encode_running_trace, max_augmented_length
 from xnap.evaluation import evaluate_model, make_folds, run_cv, weighted_metrics
 from xnap.eventlog import parse_log
@@ -76,6 +78,28 @@ class TestStats:
         assert captured.out == ""
         assert captured.err == f"error: {reason}\n"
 
+    def test_byte_order_mark_accepted(self, workdir, tmp_path, capsys):
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + (workdir / "log.csv").read_bytes())
+        assert main(["stats", "--log", str(workdir / "log.csv")]) == 0
+        plain = capsys.readouterr()
+        assert main(["stats", "--log", str(marked)]) == 0
+        assert capsys.readouterr() == plain
+
+    @pytest.mark.parametrize("command", ["stats", "predict"])
+    def test_over_long_field_exits_2(self, workdir, tmp_path, capsys, command):
+        log = tmp_path / "long.csv"
+        log.write_text("case,activity,timestamp\nc1,A,2024-01-01 10:00:00\n"
+                       f"c1,{'B' * 131073},2024-01-01 10:01:00\n")
+        needs = {"stats": [],
+                 "predict": ["--model", str(workdir / "model.json"),
+                             "--out", str(tmp_path / "out.csv")]}
+        assert main([command, "--log", str(log), *needs[command]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: row 3: field larger than field limit (131072)\n"
+        assert list(tmp_path.iterdir()) == [log]  # nothing written
+
 
 class TestSynth:
     def test_copy_log_obeys_rule(self, tmp_path):
@@ -88,13 +112,11 @@ class TestSynth:
             acts = trace.activities
             assert acts[3] == {"X": "P", "Y": "Q"}[acts[0]]
 
-    def test_seed_env_fallback(self, monkeypatch):
-        monkeypatch.delenv("XNAP_SEED", raising=False)
-        assert _resolve_seed(None) == 42
-        assert _resolve_seed(7) == 7
-        monkeypatch.setenv("XNAP_SEED", "99")
-        assert _resolve_seed(None) == 99
-        assert _resolve_seed(7) == 7
+    def test_seed_defaults_to_42(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XNAP_SEED", "abc")  # no longer read
+        assert main(["synth", "--out", str(tmp_path / "default.csv")]) == 0
+        assert main(["synth", "--out", str(tmp_path / "seeded.csv"), "--seed", "42"]) == 0
+        assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "seeded.csv").read_bytes()
 
 
 class TestTrain:
@@ -181,6 +203,34 @@ class TestPredict:
         code = main(["predict", "--model", str(bad), "--log", str(workdir / "log.csv")])
         assert code == 2
         assert "NaN" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("key, value", [
+        ("hidden_size", "6"),
+        ("hidden_size", 6.0),
+        ("hidden_size", True),
+        ("hidden_size", 0),
+        ("max_len", -1),
+        ("max_len", 0),
+        ("max_len", True),
+        ("max_len", "6"),
+        ("vocab", [1, "B", "C", "D", "E", "__END__"]),
+        ("vocab", []),
+        ("vocab", "ABCDE"),
+    ])
+    def test_bad_model_header_exits_2(self, workdir, tmp_path, capsys, version, key, value):
+        text = io.StringIO()
+        (save_model_v1 if version == 1 else save_model)(load_model(workdir / "model.json"), text)
+        doc = json.loads(text.getvalue())
+        doc[key] = value
+        bad, out = tmp_path / "bad.json", tmp_path / "out.csv"
+        bad.write_text(json.dumps(doc))
+        assert main(["predict", "--model", str(bad), "--log", str(workdir / "log.csv"),
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(rf"error: {key} must be [^\n]*\n", captured.err)
+        assert not out.exists()
 
     def test_case_longer_than_model_predicted(self, workdir, tmp_path, capsys):
         # the model was trained on length-5 traces: its padding length is 6
@@ -409,7 +459,33 @@ class TestEvaluate:
         code = main(["predict", "--model", str(workdir / "model.json"),
                      "--log", str(workdir / "log.csv"), "--case", "ghost"])
         assert code == 2
-        assert "unknown case" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: unknown case id 'ghost'\n"
+
+
+class TestExitCodes:
+    def test_internal_error_exits_4(self, workdir, tmp_path, monkeypatch, capsys):
+        def diverge(*args, **kwargs):
+            raise errors.NonFiniteLoss(3)
+
+        monkeypatch.setattr(cli, "train", diverge)
+        assert main(["train", "--log", str(workdir / "log.csv"),
+                     "--out", str(tmp_path / "model.json")]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: non-finite loss at epoch 3\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_every_error_class_chooses_an_exit_code(self):
+        internal = {errors.ShapeMismatch, errors.NonFiniteInput, errors.NonFiniteLoss,
+                    errors.LengthMismatch}
+        bases = {errors.XnapError, errors.InputError, errors.DomainError}
+        classes = {c for c in vars(errors).values()
+                   if isinstance(c, type) and issubclass(c, BaseException)}
+        assert bases | internal <= classes
+        for cls in classes - bases:
+            kinds = [issubclass(cls, errors.InputError), issubclass(cls, errors.DomainError),
+                     cls in internal]
+            assert issubclass(cls, errors.XnapError) and kinds.count(True) == 1, cls
 
 
 class TestColors:

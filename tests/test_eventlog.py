@@ -4,7 +4,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from xnap.errors import BadTimestamp, EmptyLog, MissingColumn
+from xnap.errors import BadRow, BadTimestamp, EmptyLog, MissingColumn, UnknownCase
 from xnap.eventlog import (
     LogFormat,
     compute_stats,
@@ -61,6 +61,40 @@ class TestParseLog:
             _parse(text)
         assert exc.value.row == 3
         assert exc.value.value == "not-a-time"
+
+    @pytest.mark.parametrize("before, line", [
+        ("\n", 4),
+        ('c0,"two\nlines",2024-01-01 09:00:00\n', 5),
+    ], ids=["blank_line", "multi_line_field"])
+    @pytest.mark.parametrize("row, error, message", [
+        ("c1,,2024-01-01 10:01:00", BadRow, "empty activity"),
+        ("c1,B", BadRow, "2 fields, the header has 3"),
+        ("c1,B,not-a-time", BadTimestamp, "cannot parse timestamp 'not-a-time'"),
+    ], ids=["empty_activity", "short_row", "bad_timestamp"])
+    def test_errors_name_the_file_line(self, before, line, row, error, message):
+        text = f"case,activity,timestamp\nc1,A,2024-01-01 10:00:00\n{before}{row}\n"
+        with pytest.raises(error) as exc:
+            _parse(text)
+        assert str(exc.value) == f"row {line}: {message}"
+
+    def test_over_long_field_is_a_bad_row(self):
+        text = f"case,activity,timestamp\nc1,A,2024-01-01 10:00:00\nc1,{'B' * 131073},x\n"
+        with pytest.raises(BadRow) as exc:
+            _parse(text)
+        assert str(exc.value) == "row 3: field larger than field limit (131072)"
+
+    def test_byte_order_mark_dropped_from_a_path(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(CSV_BASIC, encoding="utf-8")
+        marked.write_text(CSV_BASIC, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert parse_log(marked) == parse_log(plain)
+
+    def test_unknown_case_is_a_key_error(self):
+        with pytest.raises(KeyError) as exc:
+            _parse(CSV_BASIC).trace_by_case("ghost")
+        assert isinstance(exc.value, UnknownCase)
+        assert str(exc.value) == "unknown case id 'ghost'"
 
     def test_empty_log(self):
         with pytest.raises(EmptyLog):
