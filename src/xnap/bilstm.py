@@ -28,7 +28,7 @@ import binascii
 import json
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import IO, Union
@@ -151,12 +151,13 @@ class BiLstmModel:
 @dataclass
 class DirectionTrace:
     """Per-timestep quantities of one direction, time first, in its own
-    reading order. Batched runs have a batch axis after the time axis;
-    the per-sample traces of :func:`forward` do not. The input at a step
-    is the one-hot row of ``events`` (the pad index H reads a zero row),
-    times its dropout scale in training. At the steps before a sample's
-    first event its rows of ``act``, ``c``, ``h`` and ``tanh_c`` are zero,
-    and its ``pre`` rows hold the bias alone."""
+    reading order (the backward one reads each window reversed in place,
+    see ``ForwardTrace.rev``). Batched runs have a batch axis after the
+    time axis; the per-sample traces of :func:`forward` do not. The input
+    at a step is the one-hot row of ``events`` (the pad index H reads a
+    zero row), times its dropout scale in training. At the steps before a
+    sample's first event its rows of ``act``, ``c``, ``h`` and ``tanh_c``
+    are zero, and its ``pre`` rows hold the bias alone."""
     events: np.ndarray  # (T,) int activity indices as read, H for a zero input
     scales: np.ndarray | None  # (T,) input dropout scales, None without dropout
     pre: np.ndarray  # (T, 4D) gate pre-activations, blocks i, f, o, g
@@ -196,10 +197,16 @@ class DirectionTrace:
 
 @dataclass
 class ForwardTrace:
+    """One forward pass: both directions, the output logits and class
+    probabilities, and the ``spans`` and backward order ``rev`` of the
+    batch layout it ran in, as :func:`_alignment` derives them. The trace
+    of :func:`forward` is one sample's, without the batch axis."""
     fwd: DirectionTrace
     bwd: DirectionTrace
-    logits: np.ndarray
-    probs: np.ndarray
+    logits: np.ndarray  # (B, H) or (H,)
+    probs: np.ndarray  # same shape as logits
+    spans: list[tuple[int, int, int]]
+    rev: np.ndarray  # (T, B) or (T,)
 
 
 @dataclass
@@ -469,7 +476,7 @@ def _run_batch(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
                            model.backward_params, spans, ws, "bwd")
     hcat = np.concatenate([run_f.h[-1], run_b.h[-1]], axis=1)
     logits = hcat @ model.W_out.T + model.b_out
-    return ForwardTrace(run_f, run_b, logits, softmax(logits, axis=-1))
+    return ForwardTrace(run_f, run_b, logits, softmax(logits, axis=-1), spans, rev)
 
 
 def _batch_backward(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
@@ -486,7 +493,6 @@ def _batch_backward(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
     events, lengths, labels = events[order], lengths[order], labels[order]
     scales = None if scales is None else scales[order]
     run = _run_batch(model, events, lengths, scales, ws)
-    spans, _ = _alignment(lengths, events.shape[1])
     b = events.shape[0]
     d = model.hidden_size
     dlogits = run.probs.copy()
@@ -495,8 +501,8 @@ def _batch_backward(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
     grads[6] += dlogits.T @ hcat
     grads[7] += dlogits.sum(axis=0)
     dhcat = dlogits @ model.W_out
-    _direction_backward(run.fwd, model.forward_params, spans, dhcat[:, :d], grads[0:3], ws)
-    _direction_backward(run.bwd, model.backward_params, spans, dhcat[:, d:], grads[3:6], ws)
+    _direction_backward(run.fwd, model.forward_params, run.spans, dhcat[:, :d], grads[0:3], ws)
+    _direction_backward(run.bwd, model.backward_params, run.spans, dhcat[:, d:], grads[3:6], ws)
     losses = np.empty(b)
     preds = np.empty(b, dtype=np.intp)
     losses[order] = -np.log(np.maximum(run.probs[np.arange(b), labels], LOSS_CLIP))
@@ -521,8 +527,6 @@ def predict_many(model: BiLstmModel, samples: list[PrefixSample]) -> np.ndarray:
     """Class distributions (n, H) of many samples, in input order, batched
     like :func:`predict_dataset`. A row can differ from :func:`predict`'s
     in its last bits: the batch shape changes the rounding."""
-    if not samples:
-        return np.empty((0, model.n_classes))
     events, lengths = _stack_events(model, samples)
     with _borrowed_workspace() as ws:
         return _predict_probs(model, events, lengths, ws)
@@ -531,25 +535,27 @@ def predict_many(model: BiLstmModel, samples: list[PrefixSample]) -> np.ndarray:
 def _predict_probs(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
                    ws: Workspace) -> np.ndarray:
     """Class distributions of the right-aligned rows ``events`` (n, T) of
-    true lengths ``lengths``, in row order, every batch's arrays taken
-    from ``ws``."""
+    true lengths ``lengths``, in row order."""
     probs = np.empty((len(lengths), model.n_classes))
-    width = events.shape[1]
-    for part in _inference_chunks(lengths):
-        t_len = int(lengths[part[0]])
-        probs[part] = _run_batch(model, events[part, width - t_len:], lengths[part],
-                                 None, ws).probs
+    for part, run in _inference_runs(model, events, lengths, ws):
+        probs[part] = run.probs
     return probs
 
 
-def _inference_chunks(lengths: np.ndarray):
-    """Yield index arrays over ``lengths``, longest first, each a batch of
-    at most ``_INFERENCE_ROWS`` (sample, step) rows, or one sample."""
+def _inference_runs(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
+                    ws: Workspace):
+    """Yield (row indices, :class:`ForwardTrace`) per inference batch of
+    the right-aligned rows ``events`` (n, T) of true lengths ``lengths``:
+    longest first, each batch cropped to its longest row and holding at
+    most ``_INFERENCE_ROWS`` (sample, step) rows, or one row. The traces
+    live in ``ws``, each valid until the next one is drawn."""
     order = np.argsort(-lengths, kind="stable")
+    width = events.shape[1]
     start = 0
     while start < len(order):
-        part = order[start:start + max(1, _INFERENCE_ROWS // int(lengths[order[start]]))]
-        yield part
+        t_len = int(lengths[order[start]])
+        part = order[start:start + max(1, _INFERENCE_ROWS // t_len)]
+        yield part, _run_batch(model, events[part, width - t_len:], lengths[part], None, ws)
         start += len(part)
 
 
@@ -566,8 +572,8 @@ def _stack_events(model: BiLstmModel, samples) -> tuple[np.ndarray, np.ndarray]:
     if len(samples) == 1:  # a single prediction reads a view of its events
         n = samples[0].true_length
         return samples[0].events[None, samples[0].max_len - n:], np.asarray([n])
-    lengths = np.asarray([sample.true_length for sample in samples])
-    t_len = int(lengths.max())
+    lengths = np.asarray([sample.true_length for sample in samples], dtype=np.int64)
+    t_len = int(lengths.max(initial=0))
     events = np.full((len(samples), t_len), h, dtype=np.int32)
     for row, sample, n in zip(events, samples, lengths):
         row[t_len - n:] = sample.events[sample.max_len - n:]
@@ -581,8 +587,8 @@ def forward(model: BiLstmModel, sample: PrefixSample) -> ForwardTrace:
     touched.
     """
     run = _run_batch(model, *_stack_events(model, [sample]))
-    return ForwardTrace(fwd=run.fwd.sample(0), bwd=run.bwd.sample(0),
-                        logits=run.logits[0], probs=run.probs[0])
+    return ForwardTrace(run.fwd.sample(0), run.bwd.sample(0), run.logits[0], run.probs[0],
+                        run.spans, run.rev[:, 0])
 
 
 def predict(model: BiLstmModel, sample: PrefixSample) -> tuple[int, np.ndarray]:
@@ -869,14 +875,11 @@ def _header_vocab(doc: dict) -> ActivityVocabulary:
 def load_model(source: Union[str, Path, IO]) -> BiLstmModel:
     """Read a model written by :func:`save_model`, in format 2 or 1."""
     own = isinstance(source, (str, Path))
-    f = open(source, "r", encoding="utf-8") if own else source
-    try:
-        doc = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CorruptModel(f"model file is not valid JSON: {exc}") from None
-    finally:
-        if own:
-            f.close()
+    with open(source, "r", encoding="utf-8") if own else nullcontext(source) as f:
+        try:
+            doc = json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise CorruptModel(f"model file is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise CorruptModel("model file does not hold a JSON object")
     version = doc.get("format_version")

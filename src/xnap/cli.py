@@ -58,12 +58,10 @@ def _log_format(args) -> LogFormat:
 
 def _load_log(args) -> EventLog:
     log = parse_log(args.log, _log_format(args))
-    max_len = getattr(args, "max_trace_len", None)
-    fraction = getattr(args, "sample_fraction", 1.0)
-    if max_len is not None or fraction != 1.0:
+    if args.max_trace_len is not None or args.sample_fraction != 1.0:
         try:
-            log = filter_log(log, max_trace_len=max_len, sample_fraction=fraction,
-                             seed=args.seed)
+            log = filter_log(log, max_trace_len=args.max_trace_len,
+                             sample_fraction=args.sample_fraction, seed=args.seed)
         except ValueError as exc:
             raise UsageError(f"--sample-fraction: {exc}") from None
         if len(log) == 0:
@@ -433,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", required=True)
     p.add_argument("--case", default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=42,
+                   help="accepted and ignored: predict draws no random numbers")
     _add_log_columns(p)
     p.set_defaults(func=cmd_predict)
 
@@ -450,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="explain this activity instead of the prediction")
     p.add_argument("--render", choices=["html", "ansi", "json"], default="ansi")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=42,
+                   help="accepted and ignored: explain draws no random numbers")
     _add_log_columns(p)
     p.set_defaults(func=cmd_explain)
 

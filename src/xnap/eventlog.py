@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import csv
 import statistics
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO, Union
@@ -61,13 +62,15 @@ class Trace:
 @dataclass(frozen=True)
 class EventLog:
     traces: tuple[Trace, ...]
+    _by_case: dict[str, Trace] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
+        by_case = {}
         for t in self.traces:
-            if t.case_id in seen:
+            if t.case_id in by_case:
                 raise ValueError(f"duplicate case id {t.case_id!r}")
-            seen.add(t.case_id)
+            by_case[t.case_id] = t
+        object.__setattr__(self, "_by_case", by_case)
 
     def __len__(self) -> int:
         return len(self.traces)
@@ -80,15 +83,14 @@ class EventLog:
         return tuple(t.case_id for t in self.traces)
 
     def trace_by_case(self, case_id: str) -> Trace:
-        for t in self.traces:
-            if t.case_id == case_id:
-                return t
-        raise UnknownCase(case_id)
+        try:
+            return self._by_case[case_id]
+        except KeyError:
+            raise UnknownCase(case_id) from None
 
     def select_cases(self, case_ids: Iterable[str]) -> "EventLog":
         """Sub-log with the given cases, in the given order."""
-        by_id = {t.case_id: t for t in self.traces}
-        return EventLog(tuple(by_id[c] for c in case_ids))
+        return EventLog(tuple(map(self.trace_by_case, case_ids)))
 
     def n_events(self) -> int:
         return sum(len(t) for t in self.traces)
@@ -150,36 +152,34 @@ def parse_log(source: Source, fmt: LogFormat = LogFormat()) -> EventLog:
     and the lines of quoted multi-line fields.
     """
     own = isinstance(source, (str, Path))
-    f = open(source, "r", encoding="utf-8-sig", newline="") if own else source
-    try:
-        reader = csv.reader(f, delimiter=fmt.delimiter)
-        header = next(reader, [])
-        wanted = (fmt.case_col, fmt.activity_col, fmt.time_col)
-        for col in wanted:
-            if col not in header:
-                raise MissingColumn(col)
-        column = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
-        ci, ai, ti = (column[col] for col in wanted)
-        needed = max(ci, ai, ti) + 1
+    with open(source, "r", encoding="utf-8-sig", newline="") if own else nullcontext(source) as f:
+        try:
+            reader = csv.reader(f, delimiter=fmt.delimiter)
+            header = next(reader, [])
+            wanted = (fmt.case_col, fmt.activity_col, fmt.time_col)
+            for col in wanted:
+                if col not in header:
+                    raise MissingColumn(col)
+            column = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+            ci, ai, ti = (column[col] for col in wanted)
+            needed = max(ci, ai, ti) + 1
 
-        groups: dict[str, list[Event]] = {}
-        for row in reader:
-            if not row:  # a blank line
-                continue
-            if len(row) < needed:
-                raise BadRow(reader.line_num, f"{len(row)} fields, the header has {len(header)}")
-            case, activity, stamp = row[ci], row[ai], row[ti]
-            if not activity:
-                raise BadRow(reader.line_num, "empty activity")
-            ts = _parse_timestamp(stamp, fmt.timestamp_format, reader.line_num)
-            groups.setdefault(case, []).append(Event(case, activity, ts))
-    except UnicodeDecodeError:
-        raise NotUtf8(str(getattr(f, "name", "the log"))) from None
-    except csv.Error as exc:
-        raise BadRow(reader.line_num, str(exc)) from None
-    finally:
-        if own:
-            f.close()
+            groups: dict[str, list[Event]] = {}
+            for row in reader:
+                if not row:  # a blank line
+                    continue
+                if len(row) < needed:
+                    raise BadRow(reader.line_num,
+                                 f"{len(row)} fields, the header has {len(header)}")
+                case, activity, stamp = row[ci], row[ai], row[ti]
+                if not activity:
+                    raise BadRow(reader.line_num, "empty activity")
+                ts = _parse_timestamp(stamp, fmt.timestamp_format, reader.line_num)
+                groups.setdefault(case, []).append(Event(case, activity, ts))
+        except UnicodeDecodeError:
+            raise NotUtf8(str(getattr(f, "name", "the log"))) from None
+        except csv.Error as exc:
+            raise BadRow(reader.line_num, str(exc)) from None
 
     if not groups:
         raise EmptyLog("log has no traces")
@@ -194,17 +194,13 @@ def serialize_log(log: EventLog, sink: Source) -> None:
     """Write a log back to CSV in the default :class:`LogFormat` layout
     (UTC timestamps, traces in log order)."""
     own = isinstance(sink, (str, Path))
-    f = open(sink, "w", encoding="utf-8", newline="") if own else sink
-    try:
+    with open(sink, "w", encoding="utf-8", newline="") if own else nullcontext(sink) as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["case", "activity", "timestamp"])
         for trace in log:
             for e in trace.events:
                 stamp = e.timestamp.astimezone(timezone.utc).replace(tzinfo=None)
                 writer.writerow([e.case_id, e.activity, stamp.isoformat(sep=" ")])
-    finally:
-        if own:
-            f.close()
 
 
 def compute_stats(log: EventLog) -> LogStats:

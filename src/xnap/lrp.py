@@ -25,13 +25,12 @@ import numpy as np
 from .bilstm import (
     BiLstmModel,
     DirectionTrace,
+    ForwardTrace,
     LstmWeights,
     Workspace,
     _NEW_ARRAYS,
-    _alignment,
     _borrowed_workspace,
-    _inference_chunks,
-    _run_batch,
+    _inference_runs,
     _stack_events,
 )
 from .encoding import PrefixSample
@@ -248,13 +247,10 @@ def _propagate_direction(trace: DirectionTrace, params: LstmWeights,
     return rx, leftover, absorbed, gate_total.sum(axis=(0, 2))
 
 
-def _explain_chunk(model: BiLstmModel, samples: list[PrefixSample],
-                   config: LrpConfig, ws: Workspace) -> list[RelevanceTrace]:
-    """Explain one batch: one forward pass, one relevance walk per direction."""
-    events, lengths = _stack_events(model, samples)
-    t_len = events.shape[1]
-    run = _run_batch(model, events, lengths, None, ws)
-    spans, rev = _alignment(lengths, t_len)
+def _explain_run(model: BiLstmModel, run: ForwardTrace, samples: list[PrefixSample],
+                 config: LrpConfig, ws: Workspace) -> list[RelevanceTrace]:
+    """Explain the batch ``samples`` of the forward pass ``run``: one
+    relevance walk per direction."""
     rows = np.arange(len(samples))
     targets = np.argmax(run.probs, axis=1) if config.target is None \
         else np.full(len(samples), config.target)
@@ -269,19 +265,19 @@ def _explain_chunk(model: BiLstmModel, samples: list[PrefixSample],
                                config.epsilon, config.delta)
 
     rx_f, left_f, abs_f, gates_f = _propagate_direction(
-        run.fwd, model.forward_params, r_hcat[:, :d], spans, config, ws)
+        run.fwd, model.forward_params, r_hcat[:, :d], run.spans, config, ws)
     rx_b, left_b, abs_b, gates_b = _propagate_direction(
-        run.bwd, model.backward_params, r_hcat[:, d:], spans, config, ws)
+        run.bwd, model.backward_params, r_hcat[:, d:], run.spans, config, ws)
 
     # The backward direction read each window newest-first; gather its
     # steps back to event order before adding the two directions.
-    raw = rx_f + rx_b[rev, rows]
+    raw = rx_f + rx_b[run.rev, rows]
     initial = left_f + left_b
     bias = absorbed + abs_f + abs_b
     gates = gates_f + gates_b
     out = []
     for k, sample in enumerate(samples):
-        event_raw = raw[t_len - lengths[k]:, k].copy()
+        event_raw = raw[-sample.true_length:, k].copy()  # its own steps, the last ones
         target = int(targets[k])
         out.append(RelevanceTrace(
             raw=event_raw,
@@ -302,9 +298,9 @@ def explain_many(model: BiLstmModel, samples: list[PrefixSample],
     """Per-event relevance of many predictions, in input order.
 
     Each prediction is decomposed through both directions and summed per
-    event. Samples run longest first, in batches cropped to their longest
-    sample and capped at ``_INFERENCE_ROWS`` (sample, step) rows, all taking
-    their arrays from one workspace (a single sample takes new arrays).
+    event, walking back through the batches of :func:`predict_many`, all
+    taking their arrays from one workspace (a single sample takes new
+    arrays).
     """
     for sample in samples:
         if sample.true_length < 2:
@@ -313,13 +309,13 @@ def explain_many(model: BiLstmModel, samples: list[PrefixSample],
     if config.target is not None and not 0 <= config.target < model.n_classes:
         raise ShapeMismatch(
             f"target class {config.target} out of range for {model.n_classes} classes")
+    events, lengths = _stack_events(model, samples)
     results: list[RelevanceTrace] = [None] * len(samples)
-    lengths = np.asarray([sample.true_length for sample in samples])
     arrays = _borrowed_workspace() if len(samples) > 1 else nullcontext(_NEW_ARRAYS)
     with arrays as ws:
-        for part in _inference_chunks(lengths):
-            chunk = _explain_chunk(model, [samples[k] for k in part], config, ws)
-            for k, result in zip(part, chunk):
+        for part, run in _inference_runs(model, events, lengths, ws):
+            batch = _explain_run(model, run, [samples[k] for k in part], config, ws)
+            for k, result in zip(part, batch):
                 results[k] = result
     return results
 

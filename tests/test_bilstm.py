@@ -262,8 +262,8 @@ class TestPredictMany:
         samples[3] = occlude_event(samples[3], 2)
         samples[6] = occlude_event(samples[6], 6)  # ... and as the last one
         monkeypatch.setattr(bilstm, "_INFERENCE_ROWS", 20)
-        lengths = np.asarray([s.true_length for s in samples])
-        assert len(list(bilstm._inference_chunks(lengths))) > 3
+        events, lengths = _stack_events(model, samples)
+        assert len(list(bilstm._inference_runs(model, events, lengths, Workspace()))) > 3
         probs = predict_many(model, samples)
         want = predict_per_sample(model, samples)
         assert probs.shape == (len(samples), 4)
@@ -492,6 +492,20 @@ class TestPackedKernelAgainstMaskedOracle:
             assert max_diff(g, w) <= 1e-12, name
         assert max_diff(losses, want_losses) <= 1e-12
         assert np.array_equal(preds, want_preds)
+
+
+def test_run_carries_the_layout_of_its_batch():
+    # The spans and backward order a run ran with are the ones _alignment
+    # derives, so the backward pass and the relevance walk can reuse them.
+    rng = np.random.default_rng(6)
+    model = random_model(rng, 2, 4, 7)
+    events, lengths, _, _ = random_batch(rng, 4, [7, 7, 5, 3, 3, 3, 1])
+    run = _run_batch(model, events, lengths)
+    spans, rev = bilstm._alignment(lengths, 7)
+    assert len(spans) == 4
+    assert run.spans == spans
+    assert np.array_equal(run.rev, rev)
+    assert np.array_equal(run.bwd.events, events.T[rev, np.arange(7)])
 
 
 def test_run_batch_rejects_a_batch_not_longest_first():
@@ -733,7 +747,8 @@ class TestWorkspace:
                         ["a1", "a0"], ["a2", "a2", "a0", "a1"], ["a0", "a1", "a2"]])
         dataset = assemble_dataset(log, model.vocab, 9)
         monkeypatch.setattr(bilstm, "_INFERENCE_ROWS", 7)
-        assert len(list(bilstm._inference_chunks(dataset.true_lengths))) > 3
+        runs = bilstm._inference_runs(model, dataset.events, dataset.true_lengths, Workspace())
+        assert len(list(runs)) > 3
         probs = predict_dataset(model, dataset)
         for i in range(len(dataset)):
             _, want = predict(model, dataset_sample(dataset, i))

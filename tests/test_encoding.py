@@ -184,13 +184,17 @@ class TestIndexEncoding:
         vocab = build_vocabulary(log)
         ds, x = assert_matches_dense(log, vocab, max_augmented_length(log))
         monkeypatch.setattr(bilstm, "_INFERENCE_ROWS", 9)
-        parts = list(bilstm._inference_chunks(ds.true_lengths))
-        assert len(parts) > 3  # the cap splits the dataset
-        assert sorted(np.concatenate(parts).tolist()) == list(range(len(ds)))
-        for part in parts:
+        model = bilstm.init_model(vocab, ds.M, bilstm.TrainConfig(hidden_size=2))
+        parts = []
+        for part, run in bilstm._inference_runs(model, ds.events, ds.true_lengths,
+                                                bilstm.Workspace()):
+            parts.append(part)
             t_len = int(ds.true_lengths[part[0]])
             batch = ds.events[part, ds.M - t_len:]
+            assert np.array_equal(run.fwd.events, batch.T)  # the batch the run read
             assert np.array_equal(one_hot(batch, vocab.size), x[part, ds.M - t_len:])
+        assert len(parts) > 3  # the cap splits the dataset
+        assert sorted(np.concatenate(parts).tolist()) == list(range(len(ds)))
 
     def test_training_batches_match_dense_oracle(self):
         log = make_log([["A", "B", "C", "B"], ["B", "C", "A"], ["C", "A"]])

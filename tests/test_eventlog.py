@@ -96,6 +96,12 @@ class TestParseLog:
         assert isinstance(exc.value, UnknownCase)
         assert str(exc.value) == "unknown case id 'ghost'"
 
+    def test_select_unknown_case(self):
+        log = _parse(CSV_BASIC)
+        with pytest.raises(UnknownCase, match="unknown case id 'ghost'"):
+            log.select_cases(["c1", "ghost"])
+        assert log.select_cases(["c2", "c1"]).case_ids == ("c2", "c1")
+
     def test_empty_log(self):
         with pytest.raises(EmptyLog):
             _parse("case,activity,timestamp\n")

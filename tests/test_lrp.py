@@ -276,10 +276,40 @@ class TestExplainMany:
             assert_matches_oracle(result, explain_per_sample(model, sample, config))
         assert not np.array_equal(results[0].raw, results[len(samples)].raw)
 
+    def test_batches_equal_their_members_explained_alone(self, monkeypatch):
+        # Explaining walks the prediction batches of one stacked index array:
+        # a batch's members explained on their own, stacked apart, give the
+        # same bits, and target_prob is the probability predict_many gives
+        # the target class.
+        monkeypatch.setattr(bilstm, "_INFERENCE_ROWS", 12)
+        rng = np.random.default_rng(45)
+        model = random_model(rng, 3, 5, 9)
+        samples = [random_sample(rng, 9, 5, int(n), f"s{i}")
+                   for i, n in enumerate([4, 9, 2, 6, 3, 9, 5, 2, 7, 4, 3])]
+        events, lengths = bilstm._stack_events(model, samples)
+        parts = [part for part, _ in
+                 bilstm._inference_runs(model, events, lengths, bilstm.Workspace())]
+        assert len(parts) >= 3
+        assert any(len(part) > 1 for part in parts)
+        results = explain_many(model, samples)
+        probs = bilstm.predict_many(model, samples)
+        for part in parts:
+            alone = explain_many(model, [samples[k] for k in part])
+            for k, want in zip(part, alone):
+                got = results[k]
+                assert np.array_equal(got.raw, want.raw)
+                assert np.array_equal(got.display, want.display)
+                for name in ("target_class", "model_output", "target_prob", "case_id",
+                             "initial_state_relevance", "bias_absorbed", "gate_relevance"):
+                    assert getattr(got, name) == getattr(want, name), name
+        for k, result in enumerate(results):
+            assert result.target_prob == probs[k, result.target_class]
+
     def test_empty_and_guards(self):
         rng = np.random.default_rng(43)
         model = random_model(rng, 3, 3, 4)
         assert explain_many(model, []) == []
+        assert explain_many(model, [], LrpConfig(target=2)) == []
         samples = [random_sample(rng, 4, 3, 3), random_sample(rng, 4, 3, 1)]
         with pytest.raises(TraceTooShort):
             explain_many(model, samples)
