@@ -155,11 +155,11 @@ class DirectionTrace:
     see ``ForwardTrace.rev``). Batched runs have a batch axis after the
     time axis; the per-sample traces of :func:`forward` do not. The input
     at a step is the one-hot row of ``events`` (the pad index H reads a
-    zero row), times its dropout scale in training. At the steps before a
+    zero row; training reads it for a dropped event too), times the run's
+    one input scale (1/keep in training, else 1). At the steps before a
     sample's first event its rows of ``act``, ``c``, ``h`` and ``tanh_c``
     are zero, and its ``pre`` rows hold the bias alone."""
     events: np.ndarray  # (T,) int activity indices as read, H for a zero input
-    scales: np.ndarray | None  # (T,) input dropout scales, None without dropout
     pre: np.ndarray  # (T, 4D) gate pre-activations, blocks i, f, o, g
     act: np.ndarray  # (T, 4D) gate activations, same blocks
     c: np.ndarray  # (T+1, D), c[0] is the zero initial state
@@ -189,9 +189,7 @@ class DirectionTrace:
 
     def sample(self, k: int) -> "DirectionTrace":
         """The trace of batch member ``k``."""
-        return DirectionTrace(self.events[:, k],
-                              None if self.scales is None else self.scales[:, k],
-                              self.pre[:, k], self.act[:, k],
+        return DirectionTrace(self.events[:, k], self.pre[:, k], self.act[:, k],
                               self.c[:, k], self.h[:, k], self.tanh_c[:, k])
 
 
@@ -262,17 +260,17 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 # --- batched recurrence core ----------------------------------------------
 
 class Workspace:
-    """Grow-only float64 work memory for the batch kernels. A ``train``,
-    ``predict_dataset``, ``predict_many`` or ``explain_many`` call runs all
-    its batches in one workspace, taken over from the previous call when
-    one is idle.
+    """Grow-only float64 work memory for the batch kernels. Every call
+    that runs the kernels runs all its batches in one workspace, taken
+    over from the previous call when one is idle; only :func:`forward`,
+    which returns its arrays, runs in a new one of its own.
 
     ``take(key, shape)`` returns a C-contiguous view of that shape into the
     buffer kept under ``key``. A buffer only grows, at least doubling, so a
     loop over batches keeps touching the same pages instead of mapping
     fresh ones for every batch. A view holds garbage until written and
-    stays valid only until the next ``take`` of its key; nothing returned
-    to a caller may be one.
+    stays valid only until the next ``take`` of its key; nothing a
+    borrowing call returns may be one.
     """
 
     def __init__(self):
@@ -288,17 +286,6 @@ class Workspace:
         view = buf[:size].reshape(shape)
         self._slots[key] = (buf, view)
         return view
-
-
-class _NewArrays(Workspace):
-    """A workspace that reuses nothing, for single predictions: ``take``
-    returns a new array, so a result may keep it."""
-
-    def take(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
-        return np.empty(shape)
-
-
-_NEW_ARRAYS = _NewArrays()
 
 
 # Workspaces between calls: the next call takes one over, so the pages an
@@ -328,23 +315,26 @@ def _borrowed_workspace():
 # first n samples have started; a batch's spans come oldest first and
 # the last one runs every sample.
 
-def _run_direction(events: np.ndarray, scales: np.ndarray | None, p: LstmWeights,
-                   spans: list[tuple[int, int, int]], ws: Workspace, key: str) -> DirectionTrace:
+def _run_direction(events: np.ndarray, p: LstmWeights, spans: list[tuple[int, int, int]],
+                   ws: Workspace, key: str, scale: float) -> DirectionTrace:
     """One direction over time-major activity indices ``events`` (T, B),
-    each input scaled by ``scales`` (T, B) when given, its arrays taken
-    from ``ws`` under ``key``. Each step runs the started rows its span
-    names; the other rows keep zero states and activations."""
+    every input scaled by ``scale``, its arrays taken from ``ws`` under
+    ``key``. Each step runs the started rows its span names; the other
+    rows keep zero states and activations."""
     t_len, b = events.shape
     d = p.hidden_size
     s = 3 * d  # sigmoid gates i, f, o come first
     # W x of a one-hot x is a column of W, so the input projection gathers
-    # rows of a table holding W.T and a zero row for the pad index. The
-    # table sits in front of the pre-activations in one buffer, so the one
-    # finiteness check below covers every input weight, read or not.
+    # rows of a table holding W.T (times the input scale) and a zero row
+    # for the pad index. The table sits in front of the pre-activations in
+    # one buffer, so the one finiteness check below covers every input
+    # weight, read or not.
     h_dim = p.W.shape[1]
     checked = ws.take(key + ".pre", (h_dim + 1 + t_len * b, 4 * d))
     table, pre = checked[:h_dim + 1], checked[h_dim + 1:].reshape(t_len, b, 4 * d)
     table[:h_dim] = p.W.T
+    if scale != 1.0:  # only training scales; a multiply by 1 costs a D=16 predict ~3%
+        table[:h_dim] *= scale
     table[h_dim] = 0.0
     act = ws.take(key + ".act", (t_len, b, 4 * d))
     states = ws.take(key + ".states", (3, t_len + 1, b, d))
@@ -355,8 +345,6 @@ def _run_direction(events: np.ndarray, scales: np.ndarray | None, p: LstmWeights
     # Non-finite values run through and are reported once, below.
     with np.errstate(invalid="ignore", over="ignore"):
         table.take(events, axis=0, out=pre, mode="clip")
-        if scales is not None:
-            pre *= scales[:, :, None]
         pre += p.b
         for t0, t1, n in spans:
             if n < b:
@@ -381,15 +369,16 @@ def _run_direction(events: np.ndarray, scales: np.ndarray | None, p: LstmWeights
                 np.multiply(tanh_c, a[:, 2 * d:s], out=hs[t + 1])
     if not np.isfinite(checked).all():
         raise NonFiniteInput("LSTM input weights or gate pre-activations contain NaN or infinity")
-    return DirectionTrace(events, scales, pre, act, *states)
+    return DirectionTrace(events, pre, act, *states)
 
 
 def _direction_backward(run: DirectionTrace, p: LstmWeights,
                         spans: list[tuple[int, int, int]], dh_last: np.ndarray,
-                        grads: list[np.ndarray], ws: Workspace) -> None:
+                        grads: list[np.ndarray], ws: Workspace, scale: float) -> None:
     """Accumulate one direction's gradients, summed over the batch, into
-    ``grads`` = [dW, dU, db]. Each step runs the rows its span names; the
-    gate gradients of those rows are stored packed, step after step."""
+    ``grads`` = [dW, dU, db], its inputs scaled by ``scale`` as the run
+    read them. Each step runs the rows its span names; the gate gradients
+    of those rows are stored packed, step after step."""
     t_len, b = run.events.shape
     d = p.hidden_size
     s = 3 * d
@@ -416,19 +405,15 @@ def _direction_backward(run: DirectionTrace, p: LstmWeights,
             dh = dz @ p.U
             dc = dc * f_t
     events = run.events.reshape(t_len * b)
-    scales = None if run.scales is None else run.scales.reshape(t_len * b)
     hs = run.h[:-1].reshape(t_len * b, d)
     if len(dpre) < t_len * b:  # gather the started (step, sample) rows
         counts = np.repeat([n for _, _, n in spans], [t1 - t0 for t0, t1, _ in spans])
         rows = np.flatnonzero(np.arange(b) < counts[:, None])
         events, hs = events[rows], hs[rows]
-        scales = None if scales is None else scales[rows]
-    # The started rows' inputs as one-hot rows: one dense product sums the
+    # The started rows' scaled one-hot inputs: one dense product sums the
     # gradients of every column of W, which beats scattering them by index.
     h_dim = p.W.shape[1]
-    xs = np.eye(h_dim + 1, h_dim).take(events, axis=0)
-    if scales is not None:
-        xs *= scales[:, None]
+    xs = (np.eye(h_dim + 1, h_dim) * scale).take(events, axis=0)
     grads[0] += np.matmul(dpre.T, xs, out=ws.take("grad.W", grads[0].shape))
     grads[1] += np.matmul(dpre.T, hs, out=ws.take("grad.U", grads[1].shape))
     grads[2] += dpre.sum(axis=0)
@@ -462,26 +447,24 @@ def _alignment(lengths: np.ndarray, t_len: int
 
 
 def _run_batch(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
-               scales: np.ndarray | None = None, ws: Workspace = _NEW_ARRAYS) -> ForwardTrace:
+               ws: Workspace, scale: float = 1.0) -> ForwardTrace:
     """Both directions and the output layer over a right-aligned batch of
-    activity indices ``events`` (B, T), ordered longest first, inputs
-    scaled by ``scales`` (B, T) when given; the traces carry the batch
-    axis. Their arrays come from ``ws`` (new ones by default)."""
+    activity indices ``events`` (B, T), ordered longest first, every input
+    scaled by ``scale``; the traces carry the batch axis. Their arrays
+    come from ``ws``."""
     b, t_len = events.shape
     spans, rev = _alignment(lengths, t_len)
     reverse = (rev, np.arange(b))  # time-major, each window reversed in place
-    scales_t = None if scales is None else scales.T
-    run_f = _run_direction(events.T, scales_t, model.forward_params, spans, ws, "fwd")
-    run_b = _run_direction(events.T[reverse], None if scales is None else scales_t[reverse],
-                           model.backward_params, spans, ws, "bwd")
+    run_f = _run_direction(events.T, model.forward_params, spans, ws, "fwd", scale)
+    run_b = _run_direction(events.T[reverse], model.backward_params, spans, ws, "bwd", scale)
     hcat = np.concatenate([run_f.h[-1], run_b.h[-1]], axis=1)
     logits = hcat @ model.W_out.T + model.b_out
     return ForwardTrace(run_f, run_b, logits, softmax(logits, axis=-1), spans, rev)
 
 
 def _batch_backward(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
-                    scales: np.ndarray | None, labels: np.ndarray, grads: list[np.ndarray],
-                    ws: Workspace = _NEW_ARRAYS) -> tuple[np.ndarray, np.ndarray]:
+                    labels: np.ndarray, grads: list[np.ndarray], ws: Workspace,
+                    scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Accumulate summed gradients of per-sample cross-entropy into
     ``grads`` (laid out like ``model.arrays()``) over a right-aligned
     batch in any order, as :func:`_run_batch` takes it; it runs longest
@@ -491,8 +474,7 @@ def _batch_backward(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
     """
     order = np.argsort(-lengths, kind="stable")
     events, lengths, labels = events[order], lengths[order], labels[order]
-    scales = None if scales is None else scales[order]
-    run = _run_batch(model, events, lengths, scales, ws)
+    run = _run_batch(model, events, lengths, ws, scale)
     b = events.shape[0]
     d = model.hidden_size
     dlogits = run.probs.copy()
@@ -501,8 +483,10 @@ def _batch_backward(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
     grads[6] += dlogits.T @ hcat
     grads[7] += dlogits.sum(axis=0)
     dhcat = dlogits @ model.W_out
-    _direction_backward(run.fwd, model.forward_params, run.spans, dhcat[:, :d], grads[0:3], ws)
-    _direction_backward(run.bwd, model.backward_params, run.spans, dhcat[:, d:], grads[3:6], ws)
+    _direction_backward(run.fwd, model.forward_params, run.spans, dhcat[:, :d], grads[0:3],
+                        ws, scale)
+    _direction_backward(run.bwd, model.backward_params, run.spans, dhcat[:, d:], grads[3:6],
+                        ws, scale)
     losses = np.empty(b)
     preds = np.empty(b, dtype=np.intp)
     losses[order] = -np.log(np.maximum(run.probs[np.arange(b), labels], LOSS_CLIP))
@@ -555,7 +539,7 @@ def _inference_runs(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
     while start < len(order):
         t_len = int(lengths[order[start]])
         part = order[start:start + max(1, _INFERENCE_ROWS // t_len)]
-        yield part, _run_batch(model, events[part, width - t_len:], lengths[part], None, ws)
+        yield part, _run_batch(model, events[part, width - t_len:], lengths[part], ws)
         start += len(part)
 
 
@@ -584,9 +568,9 @@ def forward(model: BiLstmModel, sample: PrefixSample) -> ForwardTrace:
     """Run the network over one sample, recording every intermediate value.
 
     Only the true-length suffix enters the recurrence; padding is never
-    touched.
+    touched. The trace's arrays live in a workspace of their own.
     """
-    run = _run_batch(model, *_stack_events(model, [sample]))
+    run = _run_batch(model, *_stack_events(model, [sample]), Workspace())
     return ForwardTrace(run.fwd.sample(0), run.bwd.sample(0), run.logits[0], run.probs[0],
                         run.spans, run.rev[:, 0])
 
@@ -596,7 +580,8 @@ def predict(model: BiLstmModel, sample: PrefixSample) -> tuple[int, np.ndarray]:
 
     Ties break toward the lowest index.
     """
-    probs = _run_batch(model, *_stack_events(model, [sample])).probs[0]
+    with _borrowed_workspace() as ws:
+        probs = _run_batch(model, *_stack_events(model, [sample]), ws).probs[0]
     return int(np.argmax(probs)), probs
 
 
@@ -607,7 +592,8 @@ def backward(model: BiLstmModel, sample: PrefixSample, label_index: int) -> dict
         raise ShapeMismatch(f"label index {label_index} out of range")
     events, lengths = _stack_events(model, [sample])
     grads = _zero_grads(model)
-    _batch_backward(model, events, lengths, None, np.asarray([label_index]), grads)
+    with _borrowed_workspace() as ws:
+        _batch_backward(model, events, lengths, np.asarray([label_index]), grads, ws)
     return dict(_named(grads))
 
 
@@ -661,20 +647,23 @@ class Nadam:
 
 def _drop_inputs(events: np.ndarray, lengths: np.ndarray, n_classes: int,
                  rng: np.random.Generator, keep: float) -> np.ndarray:
-    """Inverted input dropout scales (B, T) of a right-aligned batch.
+    """The right-aligned batch ``events`` (B, T) under input dropout: a
+    new array with each dropped event set to the pad index ``n_classes``.
 
-    A mask is drawn for every unit of every true input row, in one call,
-    sample after sample in time order: the same values from the stream as
-    one ``(length, H)`` draw per sample in turn. A one-hot row keeps only
-    its active unit, so an event's scale is its mask at that unit; steps
-    before a sample's first event get scale 0.
+    A keep mask is drawn for every unit of every true input row, in one
+    call, sample after sample in time order: the same values from the
+    stream as one ``(length, H)`` draw per sample in turn. A one-hot row
+    keeps only its active unit, so an event is dropped when its mask at
+    that unit is; the kept ones all share the inverted-dropout scale
+    1/keep, which the kernels apply.
     """
     t_len = events.shape[1]
     started = np.arange(t_len) >= (t_len - lengths)[:, None]
-    masks = (rng.random((int(lengths.sum()), n_classes)) < keep) / keep
-    scales = np.zeros(events.shape)
-    scales[started] = masks[np.arange(len(masks)), events[started]]
-    return scales
+    kept = rng.random((int(lengths.sum()), n_classes)) < keep
+    read = events[started]
+    dropped = events.copy()
+    dropped[started] = np.where(kept[np.arange(len(kept)), read], read, n_classes)
+    return dropped
 
 
 def _dataset_loss(model: BiLstmModel, dataset: PrefixDataset,
@@ -691,7 +680,8 @@ def train(dataset: PrefixDataset, val_dataset: PrefixDataset,
           config: TrainConfig) -> tuple[BiLstmModel, list[EpochStats]]:
     """Mini-batch Nadam training with input dropout and early stopping.
 
-    Per-event inverted-dropout scales are drawn fresh every epoch. After
+    Input dropout is drawn fresh every epoch: a dropped event reads the
+    pad index, and the kept ones are scaled by 1/keep. After
     each epoch the validation loss is computed without dropout; training
     stops once it has not improved for ``config.patience`` consecutive
     epochs (or at ``config.max_epochs``), and the parameter snapshot with
@@ -728,12 +718,12 @@ def train(dataset: PrefixDataset, val_dataset: PrefixDataset,
                 lengths = dataset.true_lengths[batch]
                 labels = dataset.label_indices[batch]
                 events = dataset.events[batch, dataset.M - int(lengths.max()):]
-                scales = None if config.dropout_rate == 0.0 else \
-                    _drop_inputs(events, lengths, model.n_classes, dropout_rng, keep)
+                if config.dropout_rate > 0.0:
+                    events = _drop_inputs(events, lengths, model.n_classes, dropout_rng, keep)
                 for g in grads:
                     g.fill(0.0)
-                losses, preds = _batch_backward(model, events, lengths, scales, labels,
-                                                grads, ws)
+                losses, preds = _batch_backward(model, events, lengths, labels, grads, ws,
+                                                1.0 / keep)
                 epoch_loss += float(losses.sum())
                 epoch_correct += int((preds == labels).sum())
                 scale = 1.0 / len(batch)

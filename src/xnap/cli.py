@@ -117,7 +117,8 @@ def _prefix_samples(model, trace: Trace, min_prefix: int,
     the range is empty or the longest prefix cannot be encoded."""
     top = len(trace) if max_prefix is None else min(len(trace), max_prefix)
     if top < min_prefix:
-        print(f"case {trace.case_id}: skipped (shorter than prefix range)",
+        print(f"case {trace.case_id}: skipped, {len(trace)} events, no prefix length "
+              f"in [{min_prefix}, {top if max_prefix is None else max_prefix}]",
               file=sys.stderr)
         return None
     full = _encode_or_skip(Trace(trace.case_id, trace.events[:top]), model)

@@ -17,7 +17,6 @@ the bias terms absorb part of it. This is the LSTM scheme of Arras et al.
 """
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,6 @@ from .bilstm import (
     ForwardTrace,
     LstmWeights,
     Workspace,
-    _NEW_ARRAYS,
     _borrowed_workspace,
     _inference_runs,
     _stack_events,
@@ -299,8 +297,7 @@ def explain_many(model: BiLstmModel, samples: list[PrefixSample],
 
     Each prediction is decomposed through both directions and summed per
     event, walking back through the batches of :func:`predict_many`, all
-    taking their arrays from one workspace (a single sample takes new
-    arrays).
+    taking their arrays from one workspace.
     """
     for sample in samples:
         if sample.true_length < 2:
@@ -311,8 +308,7 @@ def explain_many(model: BiLstmModel, samples: list[PrefixSample],
             f"target class {config.target} out of range for {model.n_classes} classes")
     events, lengths = _stack_events(model, samples)
     results: list[RelevanceTrace] = [None] * len(samples)
-    arrays = _borrowed_workspace() if len(samples) > 1 else nullcontext(_NEW_ARRAYS)
-    with arrays as ws:
+    with _borrowed_workspace() as ws:
         for part, run in _inference_runs(model, events, lengths, ws):
             batch = _explain_run(model, run, [samples[k] for k in part], config, ws)
             for k, result in zip(part, batch):

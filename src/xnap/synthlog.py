@@ -108,13 +108,15 @@ class GrammarSpec:
 
 
 def linear_grammar(activities: Sequence[str], n_traces: int, seed: int = 0) -> GrammarSpec:
-    """Deterministic chain: every trace is exactly ``activities``."""
+    """Deterministic chain: every trace is exactly ``activities``. Each
+    label is a state with one successor, so no label may repeat."""
     if not activities:
         raise InvalidSpec("need at least one activity")
     transitions = {}
-    for a, b in zip(activities, activities[1:]):
+    for a, b in zip(activities, [*activities[1:], None]):
+        if a in transitions:
+            raise InvalidSpec(f"linear grammar repeats activity {a!r}")
         transitions[a] = ((b, 1.0),)
-    transitions[activities[-1]] = ((None, 1.0),)
     return GrammarSpec(mode="markov", n_traces=n_traces, seed=seed,
                        start=activities[0], transitions=transitions)
 

@@ -5,8 +5,10 @@ math.*) so that it shares no code path with the package's vectorized
 kernels. The masked batch oracle is the batch kernel before packing:
 every step runs every row of a right-aligned batch in any order, and a
 0/1 ``hold`` mask keeps the cell state of samples that have not started
-at zero. The LRP oracle is the per-sample relevance walk: one prefix at a
-time, one dense message matrix per linear layer, no batch axis. The
+at zero; under input dropout it reads each event's one-hot row times the
+event's own scale from :func:`dropout_scales`. The LRP oracle is the
+per-sample relevance walk: one prefix at a time, one dense message
+matrix per linear layer, no batch axis. The
 dataset oracle is the dense assembly: every prefix listed by
 :func:`generate_prefixes`, padded to its own (M, H) one-hot block, then
 stacked. The prediction oracle is the
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from xnap.bilstm import _NEW_ARRAYS, LOSS_CLIP, forward, predict, softmax
+from xnap.bilstm import LOSS_CLIP, Workspace, forward, predict, softmax
 from xnap.encoding import PrefixSample, augment_with_end
 from xnap.errors import NonFiniteInput, PrefixTooLong, ShapeMismatch, TraceTooShort
 from xnap.lrp import LrpConfig, RelevanceTrace, rescale_for_display
@@ -141,7 +143,7 @@ class MaskedRun:
     probs: np.ndarray
 
 
-def masked_run_direction(xs, p, hold, ws=_NEW_ARRAYS, key="fwd"):
+def masked_run_direction(xs, p, hold, ws, key):
     """One direction over time-major inputs ``xs`` (T, B, H).
 
     ``hold`` (S, B, 1) zeroes the cell state of samples that have not
@@ -180,7 +182,7 @@ def masked_run_direction(xs, p, hold, ws=_NEW_ARRAYS, key="fwd"):
     return MaskedTrace(xs, pre, act, c, h, hold)
 
 
-def masked_direction_backward(run, p, dh_last, grads, ws=_NEW_ARRAYS):
+def masked_direction_backward(run, p, dh_last, grads, ws):
     """Accumulate one direction's gradients, summed over the batch, into
     ``grads`` = [dW, dU, db]."""
     t_len, b, h_dim = run.inputs.shape
@@ -223,9 +225,11 @@ def masked_alignment(lengths, t_len):
     return started, rev
 
 
-def masked_run_batch(model, xs, lengths, ws=_NEW_ARRAYS):
+def masked_run_batch(model, xs, lengths, ws=None):
     """Both directions and the output layer over a right-aligned batch
-    ``xs`` (B, T, H) whose samples may come in any order."""
+    ``xs`` (B, T, H) whose samples may come in any order, its arrays taken
+    from ``ws`` (a new workspace by default)."""
+    ws = Workspace() if ws is None else ws
     b, t_len, _ = xs.shape
     started, rev = masked_alignment(lengths, t_len)
     hold = started[:t_len - lengths.min(), :, None].astype(np.float64)
@@ -239,10 +243,11 @@ def masked_run_batch(model, xs, lengths, ws=_NEW_ARRAYS):
     return MaskedRun(run_f, run_b, logits, softmax(logits, axis=-1))
 
 
-def masked_batch_backward(model, xs, lengths, labels, grads, ws=_NEW_ARRAYS):
+def masked_batch_backward(model, xs, lengths, labels, grads):
     """Accumulate summed gradients of per-sample cross-entropy into
     ``grads`` (laid out like ``model.arrays()``); returns (per-sample
     losses, predicted indices)."""
+    ws = Workspace()
     run = masked_run_batch(model, xs, lengths, ws)
     b = xs.shape[0]
     d = model.hidden_size
@@ -256,6 +261,25 @@ def masked_batch_backward(model, xs, lengths, labels, grads, ws=_NEW_ARRAYS):
     masked_direction_backward(run.bwd, model.backward_params, dhcat[:, d:], grads[3:6], ws)
     losses = -np.log(np.maximum(run.probs[np.arange(b), labels], LOSS_CLIP))
     return losses, np.argmax(run.probs, axis=1)
+
+
+def dropout_scales(events, lengths, n_classes, rng, keep):
+    """Inverted input dropout scales (B, T) of a right-aligned batch, one
+    per event, for the masked oracle's dense inputs ``one_hot(events) *
+    scales[..., None]``.
+
+    A mask is drawn for every unit of every true input row, in one call,
+    sample after sample in time order: the same values from the stream as
+    one ``(length, H)`` draw per sample in turn. A one-hot row keeps only
+    its active unit, so an event's scale is its mask at that unit; steps
+    before a sample's first event get scale 0.
+    """
+    t_len = events.shape[1]
+    started = np.arange(t_len) >= (t_len - lengths)[:, None]
+    masks = (rng.random((int(lengths.sum()), n_classes)) < keep) / keep
+    scales = np.zeros(events.shape)
+    scales[started] = masks[np.arange(len(masks)), events[started]]
+    return scales
 
 
 # --- dense dataset ----------------------------------------------------------
@@ -414,7 +438,7 @@ def explain_per_sample(model, sample, config=LrpConfig()):
 
 def predict_per_sample(model, samples):
     """Class distributions (n, H), one :func:`predict` call (a batch of
-    one on new arrays) per sample, in input order."""
+    one) per sample, in input order."""
     probs = np.empty((len(samples), model.n_classes))
     for k, sample in enumerate(samples):
         probs[k] = predict(model, sample)[1]

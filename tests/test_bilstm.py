@@ -1,4 +1,5 @@
 import base64
+import copy
 import io
 import json
 import math
@@ -44,13 +45,14 @@ from xnap.errors import (
     ShapeMismatch,
     VersionMismatch,
 )
-from xnap.lrp import explain_many
+from xnap.lrp import explain, explain_many
 from xnap.synthlog import generate, linear_grammar
 
 from conftest import make_log
 from oracles import (
     cross_entropy,
     dataset_sample,
+    dropout_scales,
     masked_batch_backward,
     masked_run_batch,
     naive_bilstm_probs,
@@ -82,42 +84,44 @@ def random_sample(rng, m: int, h: int, length: int, case_id: str = "t") -> Prefi
 
 def random_batch(rng, h: int, lengths, keep: float | None = None, occlude: int = 0):
     """A right-aligned batch (B, T) of random activity indices in the given
-    order, with its lengths, random labels, and input dropout scales when
-    ``keep`` is given (else None). ``occlude`` rows then get one true event
-    set to the pad index ``h``."""
+    order, with its lengths, random labels, input scale and dense inputs.
+    ``occlude`` rows then get one true event set to the pad index ``h``.
+
+    With ``keep``, one input dropout draw is taken two ways: the returned
+    events are the kernel's, each dropped one set to the pad index and
+    the input scale 1/keep; the dense inputs (B, T, H) are the masked
+    oracle's, every one-hot row times its event's own scale from
+    :func:`dropout_scales`. Without it the scale is 1 and the dense inputs
+    are the plain one-hot rows."""
     lengths = np.asarray(lengths)
     t_len = int(lengths.max())
     events = np.full((len(lengths), t_len), h, dtype=np.int32)
     for k, n in enumerate(lengths):
         events[k, t_len - n:] = rng.integers(h, size=n)
-    scales = None if keep is None else _drop_inputs(events, lengths, h, rng, keep)
+    dropped, scales = events.copy(), np.ones(events.shape)
+    if keep is not None:
+        dropped = _drop_inputs(events, lengths, h, copy.deepcopy(rng), keep)
+        scales = dropout_scales(events, lengths, h, rng, keep)
     labels = rng.integers(h, size=len(lengths))
     for k in rng.choice(len(lengths), size=occlude, replace=False):
-        events[k, t_len - int(rng.integers(1, lengths[k] + 1))] = h
-    return events, lengths, labels, scales
+        at = t_len - int(rng.integers(1, lengths[k] + 1))
+        events[k, at] = dropped[k, at] = h
+    xs = one_hot(events, h) * scales[..., None]
+    return dropped, lengths, labels, 1.0 if keep is None else 1.0 / keep, xs
 
 
-def dense_inputs(events, scales, h: int):
-    """The one-hot input rows of an index batch, each scaled by its dropout
-    scale when given: what the dense oracles take."""
-    xs = one_hot(events, h)
-    return xs if scales is None else xs * scales[..., None]
-
-
-def one_sample_run(model, sample, mask=None):
+def one_sample_run(model, sample, scale: float = 1.0):
     """The kernel's forward pass over one sample as a batch of one, its
-    true events scaled by ``mask`` (one scale per event) when given."""
-    return _run_batch(model, *_stack_events(model, [sample]),
-                      None if mask is None else mask[None, :])
+    inputs scaled by ``scale``."""
+    return _run_batch(model, *_stack_events(model, [sample]), Workspace(), scale)
 
 
-def one_sample_grads(model, sample, mask=None) -> dict:
+def one_sample_grads(model, sample, scale: float = 1.0) -> dict:
     """The kernel's gradients of one sample's loss, as a training batch of
-    one with input scales ``mask`` when given."""
+    one with input scale ``scale``."""
     grads = _zero_grads(model)
-    _batch_backward(model, *_stack_events(model, [sample]),
-                    None if mask is None else mask[None, :],
-                    np.asarray([sample.label_index]), grads)
+    _batch_backward(model, *_stack_events(model, [sample]), np.asarray([sample.label_index]),
+                    grads, Workspace(), scale)
     return dict(_named(grads))
 
 
@@ -169,25 +173,25 @@ class TestForward:
         suffix = sample.events[3:]
         assert np.array_equal(trace.fwd.events, suffix)
         assert np.array_equal(trace.bwd.events, suffix[::-1])
-        assert trace.fwd.scales is None and trace.bwd.scales is None
 
     def test_dropout_mask_applies_to_inputs(self):
         rng = np.random.default_rng(3)
         model = random_model(rng, 3, 3, 4)
         sample = random_sample(rng, 4, 3, 2)
-        trace = one_sample_run(model, sample, np.zeros(2))
+        # Dropout at keep 0.5: the first event is dropped, the second kept
+        # and doubled.
+        dropped = occlude_event(sample, 0)
+        half = one_sample_run(model, dropped, 2.0)
+        scaled = naive_bilstm_probs(model, (sample.x[2:] * [[0.0], [2.0]]).tolist())[0]
+        assert np.max(np.abs(half.logits[0] - scaled)) < 1e-12
+        # With every event dropped the scale reaches nothing.
+        trace = one_sample_run(model, occlude_event(dropped, 1), 2.0)
         zeroed = forward(model, PrefixSample(np.full(4, 3), 2, 0, "t", 3))
         assert np.array_equal(trace.logits[0], zeroed.logits)
-        half = one_sample_run(model, sample, np.asarray([0.5, 2.0]))
-        scaled = naive_bilstm_probs(model, (sample.x[2:] * [[0.5], [2.0]]).tolist())[0]
-        assert np.max(np.abs(half.logits[0] - scaled)) < 1e-12
 
     def test_non_finite_input_or_weight_raises(self):
         rng = np.random.default_rng(4)
         model = random_model(rng, 3, 3, 4)
-        sample = random_sample(rng, 4, 3, 3)
-        with pytest.raises(NonFiniteInput):
-            one_sample_run(model, sample, np.asarray([1.0, np.nan, 1.0]))
         model.backward_params.U[0, 0] = np.inf  # reached through h = 0 at step one
         with pytest.raises(NonFiniteInput):
             forward(model, random_sample(rng, 4, 3, 1))
@@ -355,11 +359,14 @@ class TestBackward:
         d, h, m = 3, 3, 4
         model = random_model(rng, d, h, m)
         sample = random_sample(rng, m, h, 3)
-        mask = (rng.random(3) < 0.8) / 0.8
-        grads = one_sample_grads(model, sample, mask)
+        kept = rng.random(3) < 0.8
+        assert not kept.all()
+        for k in np.flatnonzero(~kept):
+            sample = occlude_event(sample, int(k))
+        grads = one_sample_grads(model, sample, 1.0 / 0.8)
 
         def loss():
-            probs = one_sample_run(model, sample, mask).probs[0]
+            probs = one_sample_run(model, sample, 1.0 / 0.8).probs[0]
             return cross_entropy(probs, sample.label_index)
 
         step = 1e-5
@@ -388,31 +395,39 @@ class TestBackward:
         labels = np.asarray([s.label_index for s in samples])
         t_len = int(lengths.max())
         events = np.stack([s.events[m - t_len:] for s in samples])
-        dropouts = [(rng.random(n) < 0.7) / 0.7 for n in lengths]
-        for masks in ([None] * len(samples), dropouts):
-            scales = None
-            if masks[0] is not None:
-                scales = np.zeros(events.shape)
-                for k, mask in enumerate(masks):
-                    scales[k, t_len - lengths[k]:] = mask
+        # One dropout draw, as the dropped events the kernel reads and as
+        # the old path's per-event scales: their dense inputs agree.
+        kept = [rng.random(n) < 0.7 for n in lengths]
+        scales = np.zeros(events.shape)
+        dropped = []
+        for k, (s, keep) in enumerate(zip(samples, kept)):
+            scales[k, t_len - lengths[k]:] = keep / 0.7
+            for i in np.flatnonzero(~keep):
+                s = occlude_event(s, int(i))
+            dropped.append(s)
+        dropped_events = np.stack([s.events[m - t_len:] for s in dropped])
+        assert np.array_equal(one_hot(dropped_events, h) * (1.0 / 0.7),
+                              one_hot(events, h) * scales[..., None])
+        for batch, events, scale in ((samples, events, 1.0),
+                                     (dropped, dropped_events, 1.0 / 0.7)):
             total = {name: np.zeros_like(arr) for name, arr in model.param_items()}
-            for s, mask in zip(samples, masks):
-                for name, g in one_sample_grads(model, s, mask).items():
+            for s in batch:
+                for name, g in one_sample_grads(model, s, scale).items():
                     total[name] += g
             order = np.argsort(-lengths, kind="stable")
-            run = _run_batch(model, events[order], lengths[order],
-                             None if scales is None else scales[order])
+            run = _run_batch(model, events[order], lengths[order], Workspace(), scale)
             for row, k in enumerate(order):
-                trace = one_sample_run(model, samples[k], masks[k])
+                trace = one_sample_run(model, batch[k], scale)
                 assert np.max(np.abs(run.logits[row] - trace.logits[0])) <= 1e-12
                 assert np.max(np.abs(run.probs[row] - trace.probs[0])) <= 1e-12
             batched = _zero_grads(model)
-            _batch_backward(model, events, lengths, scales, labels, batched)
+            _batch_backward(model, events, lengths, labels, batched, Workspace(), scale)
             for name, g in _named(batched):
                 assert np.max(np.abs(total[name] - g)) <= 1e-12, name
 
     def test_batched_dropout_draw_matches_per_sample_draws(self):
-        # The scales are the dense per-sample masks at each event's active
+        # The dropped events times 1/keep, and the old path's per-event
+        # scales, are the dense per-sample masks at each event's active
         # unit: the values the one-hot rows kept when masked whole.
         rng = np.random.default_rng(19)
         h, m, keep = 5, 7, 0.8
@@ -425,9 +440,12 @@ class TestBackward:
         for k, n in enumerate(lengths):  # one draw per sample, in batch order
             mask = (per_sample.random((n, h)) < keep).astype(np.float64) / keep
             expected[k, t_len - n:] = expected[k, t_len - n:] * mask
-        scales = _drop_inputs(events, lengths, h, np.random.default_rng(23), keep)
-        assert np.array_equal(dense_inputs(events, scales, h), expected)
-        assert not scales[events == h].any()  # nothing before a sample starts
+        dropped = _drop_inputs(events, lengths, h, np.random.default_rng(23), keep)
+        assert np.array_equal(one_hot(dropped, h) * (1.0 / keep), expected)
+        scales = dropout_scales(events, lengths, h, np.random.default_rng(23), keep)
+        assert np.array_equal(one_hot(events, h) * scales[..., None], expected)
+        assert (dropped[events == h] == h).all()  # padding stays padding
+        assert ((dropped == events) | (dropped == h)).all()  # events are dropped, not moved
 
 
 # Batches the packed index kernel must agree with the dense masked oracle
@@ -455,17 +473,16 @@ class TestPackedKernelAgainstMaskedOracle:
         return model, *random_batch(rng, 4, lengths, keep, occlude)
 
     def test_forward_and_started_rows_of_the_traces(self, batch, keep):
-        model, events, lengths, _, scales = self.setup_batch(batch, keep)
+        model, events, lengths, _, scale, xs = self.setup_batch(batch, keep)
         order = np.argsort(-lengths, kind="stable")
-        events, lengths = events[order], lengths[order]
-        scales = None if scales is None else scales[order]
-        got = _run_batch(model, events, lengths, scales, PoisonedWorkspace())
-        want = masked_run_batch(model, dense_inputs(events, scales, 4), lengths)
+        events, lengths, xs = events[order], lengths[order], xs[order]
+        got = _run_batch(model, events, lengths, PoisonedWorkspace(), scale)
+        want = masked_run_batch(model, xs, lengths)
         assert max_diff(got.logits, want.logits) <= 1e-12
         assert max_diff(got.probs, want.probs) <= 1e-12
         t_len = events.shape[1]
         for run, ref in ((got.fwd, want.fwd), (got.bwd, want.bwd)):
-            assert np.array_equal(dense_inputs(run.events, run.scales, 4), ref.inputs)
+            assert np.array_equal(one_hot(run.events, 4) * scale, ref.inputs)
             for k, n in enumerate(lengths):
                 first = t_len - n  # first step of sample k
                 for name in ("pre", "act"):
@@ -481,13 +498,12 @@ class TestPackedKernelAgainstMaskedOracle:
                     assert not arr.any()
 
     def test_gradients_losses_and_predictions(self, batch, keep):
-        model, events, lengths, labels, scales = self.setup_batch(batch, keep)
+        model, events, lengths, labels, scale, xs = self.setup_batch(batch, keep)
         grads = _zero_grads(model)
-        losses, preds = _batch_backward(model, events, lengths, scales, labels, grads,
-                                        PoisonedWorkspace())
+        losses, preds = _batch_backward(model, events, lengths, labels, grads,
+                                        PoisonedWorkspace(), scale)
         want = _zero_grads(model)
-        want_losses, want_preds = masked_batch_backward(
-            model, dense_inputs(events, scales, 4), lengths, labels, want)
+        want_losses, want_preds = masked_batch_backward(model, xs, lengths, labels, want)
         for (name, g), (_, w) in zip(_named(grads), _named(want)):
             assert max_diff(g, w) <= 1e-12, name
         assert max_diff(losses, want_losses) <= 1e-12
@@ -499,8 +515,8 @@ def test_run_carries_the_layout_of_its_batch():
     # derives, so the backward pass and the relevance walk can reuse them.
     rng = np.random.default_rng(6)
     model = random_model(rng, 2, 4, 7)
-    events, lengths, _, _ = random_batch(rng, 4, [7, 7, 5, 3, 3, 3, 1])
-    run = _run_batch(model, events, lengths)
+    events, lengths, _, _, _ = random_batch(rng, 4, [7, 7, 5, 3, 3, 3, 1])
+    run = _run_batch(model, events, lengths, Workspace())
     spans, rev = bilstm._alignment(lengths, 7)
     assert len(spans) == 4
     assert run.spans == spans
@@ -511,11 +527,12 @@ def test_run_carries_the_layout_of_its_batch():
 def test_run_batch_rejects_a_batch_not_longest_first():
     rng = np.random.default_rng(5)
     model = random_model(rng, 2, 3, 5)
-    events, lengths, _, _ = random_batch(rng, 3, [2, 4, 3])
+    events, lengths, _, _, _ = random_batch(rng, 3, [2, 4, 3])
     with pytest.raises(ValueError, match="longest first"):
-        _run_batch(model, events, lengths)
+        _run_batch(model, events, lengths, Workspace())
     with pytest.raises(ValueError, match="longest first"):
-        _run_batch(model, np.concatenate([np.full((3, 1), 3), events], axis=1), lengths)
+        _run_batch(model, np.concatenate([np.full((3, 1), 3), events], axis=1), lengths,
+                   Workspace())
 
 
 class TestSoftmax:
@@ -764,13 +781,15 @@ class TestWorkspace:
         trace = forward(model, samples[2])
         frozen = [arr.copy() for arr in (trace.fwd.act, trace.fwd.c, trace.bwd.h,
                                          trace.bwd.pre, trace.logits, trace.probs)]
-        results = explain_many(model, samples)
+        results = explain_many(model, samples) + [explain(model, samples[3])]
         raws = [r.raw.copy() for r in results]
         _, probs = predict(model, samples[0])
         kept = probs.copy()
         # Later calls reuse the idle workspace with other shapes and values.
-        explain_many(random_model(rng, 4, 5, 8), [random_sample(rng, 8, 5, 7)] * 30)
-        predict(model, samples[1])
+        other = random_model(rng, 4, 5, 8)
+        explain_many(other, [random_sample(rng, 8, 5, 7)] * 30)
+        explain(other, random_sample(rng, 8, 5, 6))
+        predict(other, samples[1])
         assert all(np.array_equal(a, b) for a, b in zip(
             frozen, (trace.fwd.act, trace.fwd.c, trace.bwd.h, trace.bwd.pre,
                      trace.logits, trace.probs)))
@@ -780,6 +799,25 @@ class TestWorkspace:
             for buf, _ in ws._slots.values():
                 assert not any(np.shares_memory(buf, r.raw) for r in results)
                 assert not np.shares_memory(buf, probs)
+
+    @pytest.mark.parametrize("call", [predict_many, explain_many])
+    def test_forward_keeps_its_own_workspace(self, monkeypatch, call):
+        # forward returns its arrays, so it must not run in a workspace
+        # that a later call takes over and fills. The first call grows
+        # the idle workspace's buffers, so the later one would write over
+        # every array a borrowing forward had taken from them.
+        rng = np.random.default_rng(12)
+        model = random_model(rng, 3, 4, 6)
+        samples = [random_sample(rng, 6, 4, n, f"s{n}") for n in (6, 4, 2)]
+        monkeypatch.setattr(bilstm, "_idle_workspaces", [PoisonedWorkspace()])
+        call(model, samples)
+        trace = forward(model, samples[0])
+        frozen = [arr.copy() for arr in (trace.fwd.pre, trace.fwd.act, trace.fwd.c,
+                                         trace.bwd.h, trace.bwd.tanh_c, trace.logits)]
+        call(model, samples)
+        assert all(np.array_equal(a, b) for a, b in zip(
+            frozen, (trace.fwd.pre, trace.fwd.act, trace.fwd.c, trace.bwd.h,
+                     trace.bwd.tanh_c, trace.logits)))
 
 
 def saved_v1_and_v2(model) -> tuple[str, str]:

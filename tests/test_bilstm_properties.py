@@ -15,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 from xnap import bilstm
 from xnap.bilstm import (
     TrainConfig,
+    Workspace,
     _batch_backward,
     _named,
     _zero_grads,
@@ -26,7 +27,7 @@ from xnap.bilstm import (
 from xnap.encoding import occlude_event
 
 from oracles import masked_batch_backward
-from test_bilstm import dense_inputs, dummy_vocab, random_batch, random_model, random_sample
+from test_bilstm import dummy_vocab, random_batch, random_model, random_sample
 
 
 @st.composite
@@ -39,27 +40,25 @@ def permuted_batches(draw):
     lengths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=8))
     keep = draw(st.sampled_from([None, 0.7]))
     model = random_model(rng, d, h, 8)
-    events, lengths, labels, scales = random_batch(rng, h, lengths, keep)
+    batch = random_batch(rng, h, lengths, keep)
     perm = np.asarray(draw(st.permutations(range(len(lengths)))), dtype=np.intp)
-    return model, events, lengths, labels, scales, perm
+    return model, *batch, perm
 
 
 @settings(max_examples=60, deadline=None)
 @given(permuted_batches())
 def test_row_order_changes_nothing(case):
-    model, events, lengths, labels, scales, perm = case
+    model, events, lengths, labels, scale, xs, perm = case
     grads = _zero_grads(model)
-    losses, preds = _batch_backward(model, events, lengths, scales, labels, grads)
+    losses, preds = _batch_backward(model, events, lengths, labels, grads, Workspace(), scale)
     permuted = _zero_grads(model)
-    p_losses, p_preds = _batch_backward(model, events[perm], lengths[perm],
-                                        None if scales is None else scales[perm],
-                                        labels[perm], permuted)
+    p_losses, p_preds = _batch_backward(model, events[perm], lengths[perm], labels[perm],
+                                        permuted, Workspace(), scale)
     for (name, g), (_, p) in zip(_named(grads), _named(permuted)):
         assert np.max(np.abs(g - p)) <= 1e-12, name
     # Losses and predictions come back in the order the rows went in.
-    want_losses, want_preds = masked_batch_backward(
-        model, dense_inputs(events, scales, model.n_classes), lengths, labels,
-        _zero_grads(model))
+    want_losses, want_preds = masked_batch_backward(model, xs, lengths, labels,
+                                                    _zero_grads(model))
     assert np.max(np.abs(losses - want_losses)) <= 1e-12
     assert np.array_equal(preds, want_preds)
     assert np.max(np.abs(p_losses - want_losses[perm])) <= 1e-12

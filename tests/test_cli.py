@@ -112,6 +112,15 @@ class TestSynth:
             acts = trace.activities
             assert acts[3] == {"X": "P", "Y": "Q"}[acts[0]]
 
+    @pytest.mark.parametrize("activities", ["A,B,A", "A,B,A,C"])
+    def test_repeated_linear_activity_exits_2(self, tmp_path, capsys, activities):
+        assert main(["synth", "--out", str(tmp_path / "bad.csv"), "--grammar", "linear",
+                     "--activities", activities]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: linear grammar repeats activity 'A'\n"
+        assert list(tmp_path.iterdir()) == []  # nothing written
+
     def test_seed_defaults_to_42(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XNAP_SEED", "abc")  # no longer read
         assert main(["synth", "--out", str(tmp_path / "default.csv")]) == 0
@@ -302,6 +311,20 @@ class TestExplain:
         assert "skipped" in captured.err
         assert all(json.loads(l)["case_id"] == "c2"
                    for l in captured.out.splitlines())
+
+    def test_skip_warning_names_length_and_range(self, workdir, tmp_path, capsys):
+        log = write_log(tmp_path / "two.csv", {"c1": "AB", "c2": "ABCD"})
+        model = ["--model", str(workdir / "model.json"), "--log", log]
+        assert main(["explain", *model, "--render", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "case c1: skipped, 2 events, no prefix length in [3, 2]\n"
+        # A maximum below the minimum skips traces that are long enough.
+        assert main(["explain", *model, "--max-prefix", "2", "--render", "json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("case c1: skipped, 2 events, no prefix length in [3, 2]\n"
+                                "case c2: skipped, 4 events, no prefix length in [3, 2]\n"
+                                "error: no trace fits the requested prefix range\n")
 
     def test_json_rows_equal_library_explain(self, workdir, tmp_path, capsys):
         log = write_log(tmp_path / "mixed.csv", {

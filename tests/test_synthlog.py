@@ -31,6 +31,16 @@ class TestLinearGrammar:
             stamps = [e.timestamp for e in trace.events]
             assert all(a < b for a, b in zip(stamps, stamps[1:]))
 
+    @pytest.mark.parametrize("activities, label", [
+        (["A", "B", "A"], "A"), (["A", "B", "A", "C"], "A"), (["A", "B", "C", "C"], "C")])
+    def test_repeated_activity_rejected(self, activities, label):
+        # A label is one state, so a repeat would overwrite its successor.
+        with pytest.raises(InvalidSpec, match=f"repeats activity '{label}'"):
+            linear_grammar(activities, 5)
+
+    def test_single_activity(self):
+        assert {t.activities for t in generate(linear_grammar(["A"], 3))} == {("A",)}
+
 
 class TestStochasticGrammar:
     def test_transition_frequencies_converge(self):
