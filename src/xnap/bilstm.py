@@ -195,16 +195,24 @@ class DirectionTrace:
 
 @dataclass
 class ForwardTrace:
-    """One forward pass: both directions, the output logits and class
-    probabilities, and the ``spans`` and backward order ``rev`` of the
-    batch layout it ran in, as :func:`_alignment` derives them. The trace
-    of :func:`forward` is one sample's, without the batch axis."""
+    """One forward pass: both directions, their final hidden states
+    ``hcat``, the output logits and class probabilities, and the ``spans``
+    and backward order ``rev`` of the batch layout it ran in, as
+    :func:`_alignment` derives them. The trace of :func:`forward` is one
+    sample's, without the batch axis.
+
+    A batch of prefixes that share a longer row's forward run (see
+    :func:`_inference_runs`) has ``fwd`` the run over those longer rows,
+    the roots, and ``fwd_map`` (step offset, root column) per row: row k's
+    step t is the root run's step t + offset[k] in column col[k]."""
     fwd: DirectionTrace
     bwd: DirectionTrace
+    hcat: np.ndarray  # (B, 2D) or (2D,): forward then backward
     logits: np.ndarray  # (B, H) or (H,)
     probs: np.ndarray  # same shape as logits
     spans: list[tuple[int, int, int]]
     rev: np.ndarray  # (T, B) or (T,)
+    fwd_map: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass
@@ -447,19 +455,30 @@ def _alignment(lengths: np.ndarray, t_len: int
 
 
 def _run_batch(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
-               ws: Workspace, scale: float = 1.0) -> ForwardTrace:
+               ws: Workspace, scale: float = 1.0, root: DirectionTrace | None = None,
+               fwd_map: tuple[np.ndarray, np.ndarray] | None = None) -> ForwardTrace:
     """Both directions and the output layer over a right-aligned batch of
     activity indices ``events`` (B, T), ordered longest first, every input
     scaled by ``scale``; the traces carry the batch axis. Their arrays
-    come from ``ws``."""
+    come from ``ws``.
+
+    Given a ``root`` run whose rows the batch's rows are prefixes of, the
+    forward direction is not run again: each row reads its forward states
+    from the root run through ``fwd_map`` (see :class:`ForwardTrace`)."""
     b, t_len = events.shape
     spans, rev = _alignment(lengths, t_len)
+    if root is None:
+        run_f = _run_direction(events.T, model.forward_params, spans, ws, "fwd", scale)
+        h_fwd = run_f.h[-1]
+    else:
+        offset, col = fwd_map
+        run_f, h_fwd = root, root.h[t_len + offset, col]  # after each row's last step
     reverse = (rev, np.arange(b))  # time-major, each window reversed in place
-    run_f = _run_direction(events.T, model.forward_params, spans, ws, "fwd", scale)
     run_b = _run_direction(events.T[reverse], model.backward_params, spans, ws, "bwd", scale)
-    hcat = np.concatenate([run_f.h[-1], run_b.h[-1]], axis=1)
+    hcat = np.concatenate([h_fwd, run_b.h[-1]], axis=1)
     logits = hcat @ model.W_out.T + model.b_out
-    return ForwardTrace(run_f, run_b, logits, softmax(logits, axis=-1), spans, rev)
+    return ForwardTrace(run_f, run_b, hcat, logits, softmax(logits, axis=-1), spans, rev,
+                        fwd_map)
 
 
 def _batch_backward(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
@@ -479,8 +498,7 @@ def _batch_backward(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
     d = model.hidden_size
     dlogits = run.probs.copy()
     dlogits[np.arange(b), labels] -= 1.0
-    hcat = np.concatenate([run.fwd.h[-1], run.bwd.h[-1]], axis=1)
-    grads[6] += dlogits.T @ hcat
+    grads[6] += dlogits.T @ run.hcat
     grads[7] += dlogits.sum(axis=0)
     dhcat = dlogits @ model.W_out
     _direction_backward(run.fwd, model.forward_params, run.spans, dhcat[:, :d], grads[0:3],
@@ -498,13 +516,14 @@ def predict_dataset(model: BiLstmModel, dataset: PrefixDataset) -> np.ndarray:
     """Class distributions (n, H) of every sample of a dataset, in order.
 
     Samples run longest first, in batches cropped to their longest sample
-    and capped at ``_INFERENCE_ROWS`` (sample, step) rows.
+    and capped at ``_INFERENCE_ROWS`` (sample, step) rows; the prefixes of
+    one case share its forward run (see :func:`_inference_runs`).
     """
     if dataset.vocab.size != model.n_classes:
         raise ShapeMismatch(
             f"dataset rows have {dataset.vocab.size} classes, model expects {model.n_classes}")
     with _borrowed_workspace() as ws:
-        return _predict_probs(model, dataset.events, dataset.true_lengths, ws)
+        return _predict_probs(model, dataset.events, dataset.true_lengths, ws, dataset.case_ids)
 
 
 def predict_many(model: BiLstmModel, samples: list[PrefixSample]) -> np.ndarray:
@@ -513,34 +532,105 @@ def predict_many(model: BiLstmModel, samples: list[PrefixSample]) -> np.ndarray:
     in its last bits: the batch shape changes the rounding."""
     events, lengths = _stack_events(model, samples)
     with _borrowed_workspace() as ws:
-        return _predict_probs(model, events, lengths, ws)
+        return _predict_probs(model, events, lengths, ws, [s.case_id for s in samples])
 
 
 def _predict_probs(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
-                   ws: Workspace) -> np.ndarray:
+                   ws: Workspace, case_ids=None) -> np.ndarray:
     """Class distributions of the right-aligned rows ``events`` (n, T) of
     true lengths ``lengths``, in row order."""
     probs = np.empty((len(lengths), model.n_classes))
-    for part, run in _inference_runs(model, events, lengths, ws):
+    for part, run in _inference_runs(model, events, lengths, ws, case_ids):
         probs[part] = run.probs
     return probs
 
 
+def _cut(rows: np.ndarray, lengths: np.ndarray):
+    """Consecutive runs of ``rows``, ordered longest first, each holding
+    at most ``_INFERENCE_ROWS`` (row, step) cells or one row; yields each
+    with its longest length."""
+    start = 0
+    while start < len(rows):
+        t_len = int(lengths[rows[start]])
+        part = rows[start:start + max(1, _INFERENCE_ROWS // t_len)]
+        yield part, t_len
+        start += len(part)
+
+
+def _prefix_roots(events: np.ndarray, lengths: np.ndarray, order: np.ndarray,
+                  case_ids) -> np.ndarray | None:
+    """Per row of ``events`` (n, T), the row whose forward run it reads,
+    or -1 for a row that runs its own; None when every row runs its own.
+
+    Each case id's root is its longest row, the first in ``order``
+    (longest first). A row reads the root's run when its events are a
+    prefix of the root's; a root reads its own when some other row does.
+    A row that is not a prefix (an occluded copy, or another trace under
+    the same id) runs its own, and so does a root nothing shares.
+    """
+    n, width = events.shape
+    if case_ids is None or len(set(case_ids)) == n:  # no case id repeats
+        return None
+    _, first, code = np.unique(np.asarray(case_ids)[order], return_index=True,
+                               return_inverse=True)
+    root = np.empty(n, dtype=np.intp)
+    root[order] = order[first[code.ravel()]]
+    rows = np.flatnonzero(root != np.arange(n))
+    q = root[rows]
+    # A right-aligned row's column j holds the root's column j - shift,
+    # counted over the row's own steps only.
+    steps = np.arange(width)
+    shift = (lengths[q] - lengths[rows])[:, None]
+    same = events[q[:, None], np.maximum(steps - shift, 0)] == events[rows]
+    same |= steps < width - lengths[rows][:, None]
+    prefix = same.all(axis=1)
+    root[rows[~prefix]] = -1
+    read = np.zeros(n, dtype=bool)
+    read[q[prefix]] = True
+    root[(root == np.arange(n)) & ~read] = -1
+    return root if read.any() else None
+
+
 def _inference_runs(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
-                    ws: Workspace):
+                    ws: Workspace, case_ids=None):
     """Yield (row indices, :class:`ForwardTrace`) per inference batch of
     the right-aligned rows ``events`` (n, T) of true lengths ``lengths``:
     longest first, each batch cropped to its longest row and holding at
     most ``_INFERENCE_ROWS`` (sample, step) rows, or one row. The traces
-    live in ``ws``, each valid until the next one is drawn."""
+    live in ``ws``, each valid until the next one is drawn.
+
+    Given ``case_ids`` (n,), the rows that are prefixes of a longer row
+    of their case (see :func:`_prefix_roots`) share its forward run: the
+    forward direction runs once over the roots, in longest-first chunks
+    capped like the batches, and each chunk's prefix rows follow it in
+    batches of their own, which read their forward states from the
+    chunk's run. The other rows run both directions in batches of their
+    own first."""
     order = np.argsort(-lengths, kind="stable")
+    root = _prefix_roots(events, lengths, order, case_ids)
     width = events.shape[1]
-    start = 0
-    while start < len(order):
-        t_len = int(lengths[order[start]])
-        part = order[start:start + max(1, _INFERENCE_ROWS // t_len)]
+    for part, t_len in _cut(order if root is None else order[root[order] < 0], lengths):
         yield part, _run_batch(model, events[part, width - t_len:], lengths[part], ws)
-        start += len(part)
+    if root is None:
+        return
+    shared = order[root[order] >= 0]
+    chunks = list(_cut(shared[root[shared] == shared], lengths))
+    chunk_of = np.empty(len(lengths), dtype=np.intp)  # per root
+    col = np.empty(len(lengths), dtype=np.intp)  # its column in the chunk's run
+    for k, (roots, _) in enumerate(chunks):
+        chunk_of[roots] = k
+        col[roots] = np.arange(len(roots))
+    shared = shared[np.argsort(chunk_of[root[shared]], kind="stable")]
+    counts = np.bincount(chunk_of[root[shared]], minlength=len(chunks))
+    for (roots, t_root), rows in zip(chunks, np.split(shared, np.cumsum(counts)[:-1])):
+        spans, _ = _alignment(lengths[roots], t_root)
+        run_f = _run_direction(events[roots, width - t_root:].T, model.forward_params,
+                               spans, ws, "fwd", 1.0)
+        for part, t_len in _cut(rows, lengths):
+            q = root[part]
+            offset = t_root - lengths[q] - t_len + lengths[part]
+            yield part, _run_batch(model, events[part, width - t_len:], lengths[part], ws,
+                                   root=run_f, fwd_map=(offset, col[q]))
 
 
 # --- public per-sample operations -----------------------------------------
@@ -571,8 +661,8 @@ def forward(model: BiLstmModel, sample: PrefixSample) -> ForwardTrace:
     touched. The trace's arrays live in a workspace of their own.
     """
     run = _run_batch(model, *_stack_events(model, [sample]), Workspace())
-    return ForwardTrace(run.fwd.sample(0), run.bwd.sample(0), run.logits[0], run.probs[0],
-                        run.spans, run.rev[:, 0])
+    return ForwardTrace(run.fwd.sample(0), run.bwd.sample(0), run.hcat[0], run.logits[0],
+                        run.probs[0], run.spans, run.rev[:, 0])
 
 
 def predict(model: BiLstmModel, sample: PrefixSample) -> tuple[int, np.ndarray]:
@@ -669,7 +759,7 @@ def _drop_inputs(events: np.ndarray, lengths: np.ndarray, n_classes: int,
 def _dataset_loss(model: BiLstmModel, dataset: PrefixDataset,
                   ws: Workspace) -> tuple[float, float]:
     """Mean loss and accuracy over a dataset, no dropout."""
-    probs = _predict_probs(model, dataset.events, dataset.true_lengths, ws)
+    probs = _predict_probs(model, dataset.events, dataset.true_lengths, ws, dataset.case_ids)
     labels = dataset.label_indices
     picked = np.maximum(probs[np.arange(len(dataset)), labels], LOSS_CLIP)
     accuracy = float((np.argmax(probs, axis=1) == labels).mean())

@@ -151,8 +151,8 @@ def _relevance_json(row: dict) -> str:
         "prefix": row["prefix"],
         "target_class": row["predicted"],
         "target_prob": r.target_prob,
-        "raw_relevance": [float(v) for v in r.raw],
-        "display": [float(v) for v in r.display],
+        "raw_relevance": r.raw.tolist(),
+        "display": r.display.tolist(),
         "model_output": r.model_output,
         "bias_absorbed": r.bias_absorbed,
         "initial_state_relevance": r.initial_state_relevance,

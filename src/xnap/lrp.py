@@ -103,14 +103,6 @@ def _stabilise(z_upper: np.ndarray, epsilon: float, stab: np.ndarray | None = No
     return stab, np.add(z_upper, stab, out=denom)
 
 
-def _epsilon_rule(z_lower: np.ndarray, w: np.ndarray, share: np.ndarray,
-                  scale: np.ndarray) -> np.ndarray:
-    """Sum over upper neurons j of the messages
-    (w[j, i] * z_lower[i] + share[j]) * scale[j], as one matrix product;
-    ``scale`` is R_upper / denom."""
-    return z_lower * (scale @ w) + (share * scale).sum(axis=-1, keepdims=True)
-
-
 def lrp_linear(z_lower: np.ndarray, w: np.ndarray, b: np.ndarray,
                z_upper: np.ndarray, r_upper: np.ndarray,
                epsilon: float, delta: float) -> np.ndarray:
@@ -137,7 +129,11 @@ def lrp_linear(z_lower: np.ndarray, w: np.ndarray, b: np.ndarray,
             f"lrp_linear shapes disagree: W {w.shape}, lower {z_lower.shape}, "
             f"bias {b.shape}, upper {z_upper.shape}, R {r_upper.shape}")
     stab, denom = _stabilise(z_upper, epsilon)
-    return _epsilon_rule(z_lower, w, (stab + delta * b) / n, r_upper / denom)
+    # The messages (w[j, i] * z_lower[i] + share[j]) * scale[j], summed
+    # over j as one matrix product.
+    scale = r_upper / denom
+    share = (stab + delta * b) / n
+    return z_lower * (scale @ w) + (share * scale).sum(axis=-1, keepdims=True)
 
 
 def bias_absorption(b: np.ndarray, z_upper: np.ndarray, r_upper: np.ndarray,
@@ -159,133 +155,178 @@ def lrp_multiplicative(r_product: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros(r_product.shape), r_product.copy()
 
 
-def _propagate_direction(trace: DirectionTrace, params: LstmWeights,
-                         r_h_final: np.ndarray, spans: list[tuple[int, int, int]],
-                         config: LrpConfig, ws: Workspace
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Walk one direction of a right-aligned batch, ordered longest first,
-    from its final step back to its first, the walk's arrays taken from
-    ``ws``.
+def _walk_cells(trace: DirectionTrace, params: LstmWeights, config: LrpConfig,
+                ws: Workspace, key: str) -> np.ndarray:
+    """What one direction's relevance walk reads at each (step, row) cell
+    of ``trace``, as an array (6, T, B, D) taken from ``ws`` under
+    ``key``: the two summands of c_t, each with its half of the
+    stabiliser, c_t's stabilised denominator, h_{t-1}, and the share term
+    and stabilised denominator of g_t's pre-activation."""
+    t_len, b = trace.events.shape
+    d = trace.c.shape[-1]
+    h_dim = params.W.shape[1]
+    eps = config.epsilon
+    cells = ws.take(key, (6, t_len, b, d))
+    summ_f, summ_i, denom_c, h_prev, share_g, denom_g = cells
+    # c_t = f_t*c_{t-1} + i_t*g_t: the two summands, each with its share
+    # of the stabiliser (no bias).
+    share_c = h_prev  # free until h_{t-1} is copied in
+    _stabilise(trace.c[1:], eps, share_c, denom_c)
+    share_c /= 2.0
+    np.multiply(trace.gate_f, trace.c[:-1], out=summ_f)
+    np.multiply(trace.gate_i, trace.cand, out=summ_i)
+    cells[:2] += share_c
+    np.copyto(h_prev, trace.h[:-1])
+    # The lower layer of g_t's pre-activation is [x_t ; h_{t-1}]: H input
+    # units and D hidden ones share the stabiliser and bias term.
+    _stabilise(trace.pre_g, eps, share_g, denom_g)
+    share_g += config.delta * params.b[params.rows("g")]
+    share_g /= h_dim + d
+    return cells
 
-    ``trace`` carries the batch axis. Each step updates the started rows
-    its span (see :mod:`xnap.bilstm`) names; before a sample's first step
-    its relevance stays where it is. Returns the per-step input relevance
+
+def _propagate_direction(cells: np.ndarray, params: LstmWeights, r_h_final: np.ndarray,
+                         events: np.ndarray, spans: list[tuple[int, int, int]],
+                         config: LrpConfig, ws: Workspace, cell_at: np.ndarray | None = None
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Walk one direction of a right-aligned batch of time-major events
+    ``events`` (T, B), ordered longest first, from its final step back to
+    its first, the walk's arrays taken from ``ws``.
+
+    ``cells`` are the batch's :func:`_walk_cells`, or, given ``cell_at``
+    (T, B), those of a longer run: (step t, row k) then reads its flat
+    cell ``cell_at[t, k]``. Each step updates the started rows its span
+    (see :mod:`xnap.bilstm`) names; before a sample's first step its
+    relevance stays where it is. Returns the per-step input relevance
     (T, B) in the direction's reading order (zero before a sample's first
     step) and, per sample, the relevance left on the zero initial states,
     the bias-absorbed total of the gate pre-activation layers, and the
     gate-assigned total.
     """
-    t_len, b = trace.events.shape
+    t_len, b = events.shape
     d = r_h_final.shape[1]
     h_dim = params.W.shape[1]
-    eps, delta = config.epsilon, config.delta
     g = params.rows("g")
-    u_g, b_g = params.U[g], params.b[g]
-    share_c, denom_c, share_g, denom_g, absorb_g, r_cands = ws.take(
-        "lrp.steps", (6, t_len, b, d))
-    # c_t = f_t*c_{t-1} + i_t*g_t: the two summands, stacked per step, each
-    # with its share of the stabiliser (no bias).
-    summands = ws.take("lrp.summands", (t_len, 2, b, d))
-    np.multiply(trace.gate_f, trace.c[:-1], out=summands[:, 0])
-    np.multiply(trace.gate_i, trace.cand, out=summands[:, 1])
-    _stabilise(trace.c[1:], eps, share_c, denom_c)
-    share_c /= 2.0
-    summands += share_c[:, None]
-    # The lower layer of g_t's pre-activation is [x_t ; h_{t-1}]: H input
-    # units and D hidden ones share the stabiliser and bias term.
-    _stabilise(trace.pre_g, eps, share_g, denom_g)
-    share_g += delta * b_g
-    share_g /= h_dim + d
-    np.divide((1.0 - delta) * b_g, denom_g, out=absorb_g)
+    u_g = params.U[g]
+    # Per cell, the rule's scale R/denom at g_t's pre-activation and the
+    # total of its share term, S = share . scale, kept for the input
+    # units and the per-sample totals after the walk.
+    scales = ws.take("lrp.scales", (t_len, b, d))
+    shares = ws.take("lrp.shares", (t_len, b))
+    if cell_at is None:
+        def span_cells(t0, t1, n):  # newest step first
+            span = cells[:, t0:t1, :n]
+            summands, (denom_c, h_prev, share_g, denom_g) = span[:2].swapaxes(0, 1), span[2:]
+            for t in reversed(range(t1 - t0)):
+                yield summands[t], denom_c[t], h_prev[t], share_g[t], denom_g[t]
+    else:
+        flat = cells.reshape(6, -1, d)
 
-    # Per-step relevance of the candidate pre-activations (r_cands), kept
-    # for the input units and the per-sample totals after the walk. What
-    # the gates receive is summed as the walk goes.
+        def span_cells(t0, t1, n):  # each step's cells valid until the next
+            read = ws.take("lrp.read", (6, n, d))
+            for t in reversed(range(t0, t1)):
+                flat.take(cell_at[t, :n], axis=1, out=read, mode="clip")
+                yield read[:2], read[2], read[3], read[4], read[5]
     r_gates = ws.take("lrp.r_gates", (3, b, d))  # o, f, i at the current step
     gate_total = np.zeros((3, b, d))
     r_h = r_h_final.copy()
     r_c = np.zeros_like(r_h)
     for t0, t1, n in reversed(spans):
         if n < b:
-            r_cands[t0:t1, n:] = 0.0
+            scales[t0:t1, n:] = 0.0
+            shares[t0:t1, n:] = 0.0
         rg, gates = r_gates[:, :n], gate_total[:, :n]
-        summ, den_c = summands[t0:t1, :, :n], denom_c[t0:t1, :n]
-        h_prev, sh_g, den_g = trace.h[t0:t1, :n], share_g[t0:t1, :n], denom_g[t0:t1, :n]
-        cands = r_cands[t0:t1, :n]
         rh, rc = r_h[:n], r_c[:n]
-        for t in reversed(range(t1 - t0)):
+        steps = zip(reversed(scales[t0:t1, :n]), reversed(shares[t0:t1, :n]),
+                    span_cells(t0, t1, n))
+        for scale_g, share, (summands, denom_c, h_prev, share_g, denom_g) in steps:
             # h_t = o_t * tanh(c_t): output gate is zeroed, tanh passes through.
             rg[0], r_tanh_c = lrp_multiplicative(rh)
             # The epsilon rule over the two summands of c_t, then the forget
             # and input gates are zeroed.
-            scale = (rc + r_tanh_c) / den_c[t]
-            rg[1:], (rc, cands[t]) = lrp_multiplicative(summ[t] * scale)
+            scale = (rc + r_tanh_c) / denom_c
+            rg[1:], (rc, r_cand) = lrp_multiplicative(summands * scale)
             gates += np.abs(rg, out=rg)
             # g_t = tanh(W_g x_t + U_g h_{t-1} + b_g): identity through tanh,
             # then the linear rule; here its messages to h_{t-1}.
-            rh = _epsilon_rule(h_prev[t], u_g, sh_g[t], cands[t] / den_g[t])
+            np.divide(r_cand, denom_g, out=scale_g)
+            np.multiply(share_g, scale_g).sum(axis=1, out=share)
+            rh = h_prev * (scale_g @ u_g) + share[:, None]
         r_h[:n], r_c[:n] = rh, rc
     leftover = r_h.sum(axis=1) + r_c.sum(axis=1)
     # The rule's messages to the input units, for all steps at once. A
     # one-hot x_t has one active unit, which receives W_g[:, e] . scale
     # for event e (nothing for the pad index's zero row); each of the H
-    # units receives the share term S = share . scale.
-    scale = np.divide(r_cands, denom_g, out=share_c)  # share_c, denom_c are free now
-    active = denom_c
+    # units receives the share term S.
     w_in = ws.take("lrp.w_in", (h_dim + 1, d))
     w_in[:h_dim] = params.W[g].T
     w_in[h_dim] = 0.0
-    w_in.take(trace.events, axis=0, out=active, mode="clip")
-    active *= scale
-    share_g *= scale
-    rx = active.sum(axis=2) + h_dim * share_g.sum(axis=2)
-    # Totals over each sample's own steps, newest first.
-    absorb_g *= r_cands
-    absorbed = absorb_g.sum(axis=2)[::-1].sum(axis=0)
+    active = w_in.take(events, axis=0, out=ws.take("lrp.active", (t_len, b, d)), mode="clip")
+    active *= scales
+    rx = active.sum(axis=2) + h_dim * shares
+    # What the biases absorbed, (1 - delta) b_g . scale per step, totalled
+    # over each sample's own steps, newest first.
+    absorbed = (scales @ ((1.0 - config.delta) * params.b[g]))[::-1].sum(axis=0)
     return rx, leftover, absorbed, gate_total.sum(axis=(0, 2))
 
 
 def _explain_run(model: BiLstmModel, run: ForwardTrace, samples: list[PrefixSample],
-                 config: LrpConfig, ws: Workspace) -> list[RelevanceTrace]:
+                 config: LrpConfig, ws: Workspace,
+                 root_cells: np.ndarray | None = None) -> list[RelevanceTrace]:
     """Explain the batch ``samples`` of the forward pass ``run``: one
-    relevance walk per direction."""
-    rows = np.arange(len(samples))
+    relevance walk per direction. A batch that shares a root run's
+    forward direction walks it on ``root_cells``, that run's
+    :func:`_walk_cells`."""
+    b = len(samples)
+    rows = np.arange(b)
     targets = np.argmax(run.probs, axis=1) if config.target is None \
-        else np.full(len(samples), config.target)
+        else np.full(b, config.target)
     r_out = np.zeros_like(run.logits)
     r_out[rows, targets] = run.logits[rows, targets]
 
     d = model.hidden_size
-    h_cat = np.concatenate([run.fwd.h[-1], run.bwd.h[-1]], axis=1)
-    r_hcat = lrp_linear(h_cat, model.W_out, model.b_out, run.logits, r_out,
+    r_hcat = lrp_linear(run.hcat, model.W_out, model.b_out, run.logits, r_out,
                         config.epsilon, config.delta)
     absorbed = bias_absorption(model.b_out, run.logits, r_out,
                                config.epsilon, config.delta)
 
+    if run.fwd_map is None:
+        fwd_cells = _walk_cells(run.fwd, model.forward_params, config, ws, "lrp.cells")
+        fwd_events, cell_at = run.fwd.events, None
+    else:
+        # The backward direction read each window reversed in place, and
+        # the reversal is its own inverse.
+        offset, col = run.fwd_map
+        fwd_cells, fwd_events = root_cells, run.bwd.events[run.rev, rows]
+        cell_at = (np.arange(len(run.rev))[:, None] + offset) * run.fwd.events.shape[1] + col
     rx_f, left_f, abs_f, gates_f = _propagate_direction(
-        run.fwd, model.forward_params, r_hcat[:, :d], run.spans, config, ws)
+        fwd_cells, model.forward_params, r_hcat[:, :d], fwd_events, run.spans, config, ws,
+        cell_at)
+    bwd_cells = _walk_cells(run.bwd, model.backward_params, config, ws, "lrp.cells")
     rx_b, left_b, abs_b, gates_b = _propagate_direction(
-        run.bwd, model.backward_params, r_hcat[:, d:], run.spans, config, ws)
+        bwd_cells, model.backward_params, r_hcat[:, d:], run.bwd.events, run.spans, config, ws)
 
     # The backward direction read each window newest-first; gather its
     # steps back to event order before adding the two directions.
     raw = rx_f + rx_b[run.rev, rows]
-    initial = left_f + left_b
-    bias = absorbed + abs_f + abs_b
-    gates = gates_f + gates_b
+    display = _rescale_columns(raw)
+    initial = (left_f + left_b).tolist()
+    bias = (absorbed + abs_f + abs_b).tolist()
+    gates = (gates_f + gates_b).tolist()
+    outputs = run.logits[rows, targets].tolist()
+    probs = run.probs[rows, targets].tolist()
     out = []
     for k, sample in enumerate(samples):
-        event_raw = raw[-sample.true_length:, k].copy()  # its own steps, the last ones
-        target = int(targets[k])
+        own = slice(-sample.true_length, None)  # its own steps, the last ones
         out.append(RelevanceTrace(
-            raw=event_raw,
-            display=rescale_for_display(event_raw),
-            target_class=target,
-            model_output=float(run.logits[k, target]),
-            target_prob=float(run.probs[k, target]),
-            initial_state_relevance=float(initial[k]),
-            bias_absorbed=float(bias[k]),
-            gate_relevance=float(gates[k]),
+            raw=raw[own, k].copy(),
+            display=display[own, k].copy(),
+            target_class=int(targets[k]),
+            model_output=outputs[k],
+            target_prob=probs[k],
+            initial_state_relevance=initial[k],
+            bias_absorbed=bias[k],
+            gate_relevance=gates[k],
             case_id=sample.case_id,
         ))
     return out
@@ -297,7 +338,9 @@ def explain_many(model: BiLstmModel, samples: list[PrefixSample],
 
     Each prediction is decomposed through both directions and summed per
     event, walking back through the batches of :func:`predict_many`, all
-    taking their arrays from one workspace.
+    taking their arrays from one workspace. The prefixes of one case
+    share its forward run, and that run's :func:`_walk_cells` too; the
+    walks stay per prefix, each from its own output relevance.
     """
     for sample in samples:
         if sample.true_length < 2:
@@ -308,9 +351,14 @@ def explain_many(model: BiLstmModel, samples: list[PrefixSample],
             f"target class {config.target} out of range for {model.n_classes} classes")
     events, lengths = _stack_events(model, samples)
     results: list[RelevanceTrace] = [None] * len(samples)
+    root = root_cells = None
     with _borrowed_workspace() as ws:
-        for part, run in _inference_runs(model, events, lengths, ws):
-            batch = _explain_run(model, run, [samples[k] for k in part], config, ws)
+        for part, run in _inference_runs(model, events, lengths, ws,
+                                         [s.case_id for s in samples]):
+            if run.fwd_map is not None and run.fwd is not root:
+                root = run.fwd
+                root_cells = _walk_cells(root, model.forward_params, config, ws, "lrp.root")
+            batch = _explain_run(model, run, [samples[k] for k in part], config, ws, root_cells)
             for k, result in zip(part, batch):
                 results[k] = result
     return results
@@ -321,6 +369,16 @@ def explain(model: BiLstmModel, sample: PrefixSample,
     """Per-event relevance of one prediction: :func:`explain_many` on a
     batch of one."""
     return explain_many(model, [sample], config)[0]
+
+
+def _rescale_columns(raw: np.ndarray) -> np.ndarray:
+    """:func:`rescale_for_display` of every column of ``raw`` (T, B) at
+    once, bit for bit. The zeros before a sample's first step change
+    neither its largest positive value nor its largest negative one."""
+    scale = np.where(raw > 0, raw.max(axis=0), -raw.min(axis=0))
+    out = np.divide(0.5 * raw, scale, out=np.zeros(raw.shape), where=raw != 0)
+    out += 0.5
+    return out
 
 
 def rescale_for_display(raw) -> np.ndarray:

@@ -524,6 +524,80 @@ def test_run_carries_the_layout_of_its_batch():
     assert np.array_equal(run.bwd.events, events.T[rev, np.arange(7)])
 
 
+class TestSharedForward:
+    """The prefixes of one case read the forward run of its longest row."""
+
+    def test_roots(self):
+        rng = np.random.default_rng(13)
+        trace = rng.integers(4, size=6).astype(np.int32)
+        occluded = trace[:4].copy()
+        occluded[1] = 4
+        rows = [trace, trace[:3], trace[:5], trace[:5],  # c: the root, prefixes, a repeat
+                occluded, trace[:2],  # d: the longer row occluded where the other reads
+                np.r_[trace[:2], (trace[2] + 1) % 4],  # e: two rows, neither a prefix
+                np.r_[(trace[0] + 1) % 4, trace[1]],  # of the other
+                trace[:4]]  # f: one row
+        events = np.full((len(rows), 6), 4, dtype=np.int32)
+        for row, values in zip(events, rows):
+            row[6 - len(values):] = values
+        lengths = np.asarray([len(v) for v in rows])
+        order = np.argsort(-lengths, kind="stable")
+        ids = ["c", "c", "c", "c", "d", "d", "e", "e", "f"]
+        root = bilstm._prefix_roots(events, lengths, order, ids)
+        assert root.tolist() == [0, 0, 0, 0, -1, -1, -1, -1, -1]
+        assert bilstm._prefix_roots(events, lengths, order, [str(k) for k in range(9)]) is None
+        assert bilstm._prefix_roots(events, lengths, order, None) is None
+
+    @pytest.mark.parametrize("cap", [6, 40, 1024])
+    def test_batches_read_each_row_from_its_root(self, monkeypatch, cap):
+        # The forward states of a prefix row at step t are the root run's
+        # at step t + offset in the row's root column; the batches stay
+        # longest first and within the cap.
+        monkeypatch.setattr(bilstm, "_INFERENCE_ROWS", cap)
+        rng = np.random.default_rng(14)
+        model = random_model(rng, 3, 4, 9)
+        log = make_log([["a0", "a1", "a2", "a0", "a1", "a1", "a2", "a0"], ["a1", "a0"],
+                        ["a2", "a2", "a0", "a1"], ["a0", "a1", "a2"]])
+        dataset = assemble_dataset(log, model.vocab, 9)
+        seen, shared = [], 0
+        for part, run in bilstm._inference_runs(model, dataset.events, dataset.true_lengths,
+                                                Workspace(), dataset.case_ids):
+            lengths = dataset.true_lengths[part]
+            t_len = int(lengths[0])
+            assert (np.diff(lengths) <= 0).all()
+            assert len(part) == 1 or len(part) * t_len <= cap
+            batch = dataset.events[part, 9 - t_len:]
+            assert np.array_equal(run.bwd.events, batch.T[run.rev, np.arange(len(part))])
+            if run.fwd_map is None:
+                assert np.array_equal(run.fwd.events, batch.T)
+                continue
+            shared += 1
+            offset, col = run.fwd_map
+            for k, n in enumerate(lengths):
+                steps = np.arange(t_len - n, t_len)
+                assert np.array_equal(run.fwd.events[steps + offset[k], col[k]],
+                                      batch[k, t_len - n:])
+                assert np.array_equal(run.hcat[k, :3], run.fwd.h[t_len + offset[k], col[k]])
+            seen += part.tolist()
+        assert shared >= 1
+        assert sorted(seen) == list(range(len(dataset)))  # every row of the 4 cases shares
+
+    def test_repeated_ids_without_prefixes_run_as_before(self):
+        # Rows under one id that are no prefixes of the longest run their own
+        # forward pass, in the batches they ran in without ids: the same bits.
+        rng = np.random.default_rng(15)
+        model = random_model(rng, 3, 4, 6)
+        rows = [[0, 1, 2, 3, 0, 1], [1, 0, 2, 3], [0, 1, 3, 3, 0], [2, 2]]
+        samples = [PrefixSample(np.asarray(r, dtype=np.int32), len(r), None, "c", 4)
+                   for r in rows]
+        events, lengths = _stack_events(model, samples)
+        order = np.argsort(-lengths, kind="stable")
+        assert bilstm._prefix_roots(events, lengths, order, ["c"] * 4) is None
+        apart = [PrefixSample(s.events, s.true_length, None, f"{k}", 4)
+                 for k, s in enumerate(samples)]
+        assert np.array_equal(predict_many(model, samples), predict_many(model, apart))
+
+
 def test_run_batch_rejects_a_batch_not_longest_first():
     rng = np.random.default_rng(5)
     model = random_model(rng, 2, 3, 5)
@@ -774,31 +848,47 @@ class TestWorkspace:
         samples = [dataset_sample(dataset, i) for i in range(len(dataset))]
         assert np.array_equal(predict_many(model, samples), probs)
 
-    def test_results_do_not_alias_reused_buffers(self):
+    def test_results_do_not_alias_reused_buffers(self, monkeypatch):
+        # Start from an empty pool: the first call makes the workspace that
+        # every later call takes over.
+        monkeypatch.setattr(bilstm, "_idle_workspaces", [])
         rng = np.random.default_rng(4)
         model = random_model(rng, 4, 5, 8)
         samples = [random_sample(rng, 8, 5, n, f"s{n}") for n in (2, 5, 8, 3)]
         trace = forward(model, samples[2])
         frozen = [arr.copy() for arr in (trace.fwd.act, trace.fwd.c, trace.bwd.h,
                                          trace.bwd.pre, trace.logits, trace.probs)]
-        results = explain_many(model, samples) + [explain(model, samples[3])]
+        # The prefixes of one case share its forward run and walk cells.
+        log = make_log([["a0", "a1", "a3", "a2", "a0", "a1", "a2"]])
+        dataset = assemble_dataset(log, model.vocab, 8)
+        prefixes = [dataset_sample(dataset, i) for i in range(1, len(dataset))]
+        results = explain_many(model, samples) + [explain(model, samples[3])] \
+            + explain_many(model, prefixes)
         raws = [r.raw.copy() for r in results]
+        displays = [r.display.copy() for r in results]
         _, probs = predict(model, samples[0])
-        kept = probs.copy()
+        shared = predict_dataset(model, dataset)
+        kept, kept_shared = probs.copy(), shared.copy()
         # Later calls reuse the idle workspace with other shapes and values.
         other = random_model(rng, 4, 5, 8)
         explain_many(other, [random_sample(rng, 8, 5, 7)] * 30)
         explain(other, random_sample(rng, 8, 5, 6))
         predict(other, samples[1])
+        explain_many(other, prefixes[::-1])
+        predict_dataset(other, dataset)
+        assert len(bilstm._idle_workspaces) == 1
         assert all(np.array_equal(a, b) for a, b in zip(
             frozen, (trace.fwd.act, trace.fwd.c, trace.bwd.h, trace.bwd.pre,
                      trace.logits, trace.probs)))
         assert all(np.array_equal(r.raw, raw) for r, raw in zip(results, raws))
+        assert all(np.array_equal(r.display, d) for r, d in zip(results, displays))
         assert np.array_equal(probs, kept)
-        for ws in bilstm._idle_workspaces:
-            for buf, _ in ws._slots.values():
-                assert not any(np.shares_memory(buf, r.raw) for r in results)
-                assert not np.shares_memory(buf, probs)
+        assert np.array_equal(shared, kept_shared)
+        for buf, _ in bilstm._idle_workspaces[0]._slots.values():
+            assert not any(np.shares_memory(buf, r.raw) or np.shares_memory(buf, r.display)
+                           for r in results)
+            assert not np.shares_memory(buf, probs)
+            assert not np.shares_memory(buf, shared)
 
     @pytest.mark.parametrize("call", [predict_many, explain_many])
     def test_forward_keeps_its_own_workspace(self, monkeypatch, call):

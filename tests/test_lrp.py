@@ -7,6 +7,7 @@ from xnap.encoding import occlude_event
 from xnap.errors import ShapeMismatch, TraceTooShort
 from xnap.lrp import (
     LrpConfig,
+    _rescale_columns,
     bias_absorption,
     explain,
     explain_many,
@@ -328,6 +329,22 @@ class TestRescale:
     def test_one_sided(self):
         assert np.allclose(rescale_for_display([3.0, 1.0]), [1.0, 2 / 3])
         assert np.allclose(rescale_for_display([-4.0, -1.0]), [0.0, 0.375])
+
+    def test_columns_rescale_like_single_traces(self):
+        # One vectorised pass over a batch's (T, B) relevances gives each
+        # column's own steps the bits rescale_for_display gives them alone;
+        # the zeros before a column's first step change nothing.
+        rng = np.random.default_rng(30)
+        lengths = [7, 5, 5, 3, 2, 1]
+        raw = np.zeros((7, len(lengths)))
+        for k, n in enumerate(lengths):
+            raw[7 - n:, k] = rng.normal(size=n) * 10.0 ** rng.integers(-3, 3)
+        raw[-2:, 2] = np.abs(raw[-2:, 2])  # only positives
+        raw[-3:, 3] = -np.abs(raw[-3:, 3])  # only negatives
+        raw[-2:, 4] = 0.0
+        display = _rescale_columns(raw)
+        for k, n in enumerate(lengths):
+            assert np.array_equal(display[7 - n:, k], rescale_for_display(raw[7 - n:, k]))
 
     def test_order_and_sign_preserved(self):
         rng = np.random.default_rng(29)
