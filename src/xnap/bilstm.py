@@ -201,10 +201,12 @@ class ForwardTrace:
     :func:`_alignment` derives them. The trace of :func:`forward` is one
     sample's, without the batch axis.
 
-    A batch of prefixes that share a longer row's forward run (see
-    :func:`_inference_runs`) has ``fwd`` the run over those longer rows,
-    the roots, and ``fwd_map`` (step offset, root column) per row: row k's
-    step t is the root run's step t + offset[k] in column col[k]."""
+    Every row reads its forward states from ``fwd``, the run over its
+    root rows (see :func:`_inference_runs`), through ``fwd_map`` (step
+    offset, root column): row k's step t is the root run's step
+    t + offset[k] in column col[k]. A batch that ran its own forward
+    direction is its own root, with offset 0 and column k; the trace of
+    :func:`forward` has the map (0, 0)."""
     fwd: DirectionTrace
     bwd: DirectionTrace
     hcat: np.ndarray  # (B, 2D) or (2D,): forward then backward
@@ -212,7 +214,7 @@ class ForwardTrace:
     probs: np.ndarray  # same shape as logits
     spans: list[tuple[int, int, int]]
     rev: np.ndarray  # (T, B) or (T,)
-    fwd_map: tuple[np.ndarray, np.ndarray] | None = None
+    fwd_map: tuple[np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -455,30 +457,30 @@ def _alignment(lengths: np.ndarray, t_len: int
 
 
 def _run_batch(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
-               ws: Workspace, scale: float = 1.0, root: DirectionTrace | None = None,
-               fwd_map: tuple[np.ndarray, np.ndarray] | None = None) -> ForwardTrace:
+               ws: Workspace, scale: float = 1.0,
+               fwd: tuple[DirectionTrace, tuple[np.ndarray, np.ndarray]] | None = None
+               ) -> ForwardTrace:
     """Both directions and the output layer over a right-aligned batch of
     activity indices ``events`` (B, T), ordered longest first, every input
     scaled by ``scale``; the traces carry the batch axis. Their arrays
     come from ``ws``.
 
-    Given a ``root`` run whose rows the batch's rows are prefixes of, the
-    forward direction is not run again: each row reads its forward states
-    from the root run through ``fwd_map`` (see :class:`ForwardTrace`)."""
+    ``fwd`` is (root run, map): the forward run the rows are prefixes of
+    and where each row reads it (see :class:`ForwardTrace`). Without it
+    the batch runs its forward direction and is its own root."""
     b, t_len = events.shape
     spans, rev = _alignment(lengths, t_len)
-    if root is None:
-        run_f = _run_direction(events.T, model.forward_params, spans, ws, "fwd", scale)
-        h_fwd = run_f.h[-1]
-    else:
-        offset, col = fwd_map
-        run_f, h_fwd = root, root.h[t_len + offset, col]  # after each row's last step
+    if fwd is None:
+        fwd = (_run_direction(events.T, model.forward_params, spans, ws, "fwd", scale),
+               (np.zeros(b, dtype=np.intp), np.arange(b)))
+    root, (offset, col) = fwd
     reverse = (rev, np.arange(b))  # time-major, each window reversed in place
     run_b = _run_direction(events.T[reverse], model.backward_params, spans, ws, "bwd", scale)
-    hcat = np.concatenate([h_fwd, run_b.h[-1]], axis=1)
+    # Each row's forward state after its last step, then the backward one.
+    hcat = np.concatenate([root.h[t_len + offset, col], run_b.h[-1]], axis=1)
     logits = hcat @ model.W_out.T + model.b_out
-    return ForwardTrace(run_f, run_b, hcat, logits, softmax(logits, axis=-1), spans, rev,
-                        fwd_map)
+    return ForwardTrace(root, run_b, hcat, logits, softmax(logits, axis=-1), spans, rev,
+                        (offset, col))
 
 
 def _batch_backward(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
@@ -558,25 +560,26 @@ def _cut(rows: np.ndarray, lengths: np.ndarray):
 
 
 def _prefix_roots(events: np.ndarray, lengths: np.ndarray, order: np.ndarray,
-                  case_ids) -> np.ndarray | None:
-    """Per row of ``events`` (n, T), the row whose forward run it reads,
-    or -1 for a row that runs its own; None when every row runs its own.
+                  case_ids) -> np.ndarray:
+    """Per row of ``events`` (n, T), the row whose forward run it reads:
+    the longest row of its case id when its events are a prefix of that
+    row's, else the row itself.
 
-    Each case id's root is its longest row, the first in ``order``
-    (longest first). A row reads the root's run when its events are a
-    prefix of the root's; a root reads its own when some other row does.
-    A row that is not a prefix (an occluded copy, or another trace under
-    the same id) runs its own, and so does a root nothing shares.
+    Each case id's longest row is the first of them in ``order`` (longest
+    first). A row that is not a prefix of it (an occluded copy, or
+    another trace under the same id) is its own root, and so is every row
+    without ``case_ids``.
     """
     n, width = events.shape
+    root = np.arange(n)
     if case_ids is None or len(set(case_ids)) == n:  # no case id repeats
-        return None
+        return root
     _, first, code = np.unique(np.asarray(case_ids)[order], return_index=True,
                                return_inverse=True)
-    root = np.empty(n, dtype=np.intp)
-    root[order] = order[first[code.ravel()]]
-    rows = np.flatnonzero(root != np.arange(n))
-    q = root[rows]
+    longest = np.empty(n, dtype=np.intp)
+    longest[order] = order[first[code.ravel()]]
+    rows = np.flatnonzero(longest != root)
+    q = longest[rows]
     # A right-aligned row's column j holds the root's column j - shift,
     # counted over the row's own steps only.
     steps = np.arange(width)
@@ -584,53 +587,45 @@ def _prefix_roots(events: np.ndarray, lengths: np.ndarray, order: np.ndarray,
     same = events[q[:, None], np.maximum(steps - shift, 0)] == events[rows]
     same |= steps < width - lengths[rows][:, None]
     prefix = same.all(axis=1)
-    root[rows[~prefix]] = -1
-    read = np.zeros(n, dtype=bool)
-    read[q[prefix]] = True
-    root[(root == np.arange(n)) & ~read] = -1
-    return root if read.any() else None
+    root[rows[prefix]] = q[prefix]
+    return root
 
 
 def _inference_runs(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
                     ws: Workspace, case_ids=None):
     """Yield (row indices, :class:`ForwardTrace`) per inference batch of
-    the right-aligned rows ``events`` (n, T) of true lengths ``lengths``:
-    longest first, each batch cropped to its longest row and holding at
-    most ``_INFERENCE_ROWS`` (sample, step) rows, or one row. The traces
-    live in ``ws``, each valid until the next one is drawn.
+    the right-aligned rows ``events`` (n, T) of true lengths ``lengths``.
+    The traces live in ``ws``, each valid until the next one is drawn.
 
-    Given ``case_ids`` (n,), the rows that are prefixes of a longer row
-    of their case (see :func:`_prefix_roots`) share its forward run: the
-    forward direction runs once over the roots, in longest-first chunks
-    capped like the batches, and each chunk's prefix rows follow it in
-    batches of their own, which read their forward states from the
-    chunk's run. The other rows run both directions in batches of their
-    own first."""
+    Every row reads its forward states from its root's run (see
+    :func:`_prefix_roots`; given ``case_ids`` (n,), a prefix of a longer
+    row of its case reads that row's). The forward direction runs over
+    the roots in longest-first chunks, each cropped to its longest root
+    and holding at most ``_INFERENCE_ROWS`` (row, step) cells or one
+    root. Each chunk's rows, its roots among them, follow it longest
+    first, in batches capped the same way that run the backward
+    direction only."""
+    n, width = events.shape
     order = np.argsort(-lengths, kind="stable")
     root = _prefix_roots(events, lengths, order, case_ids)
-    width = events.shape[1]
-    for part, t_len in _cut(order if root is None else order[root[order] < 0], lengths):
-        yield part, _run_batch(model, events[part, width - t_len:], lengths[part], ws)
-    if root is None:
-        return
-    shared = order[root[order] >= 0]
-    chunks = list(_cut(shared[root[shared] == shared], lengths))
-    chunk_of = np.empty(len(lengths), dtype=np.intp)  # per root
-    col = np.empty(len(lengths), dtype=np.intp)  # its column in the chunk's run
-    for k, (roots, _) in enumerate(chunks):
-        chunk_of[roots] = k
-        col[roots] = np.arange(len(roots))
-    shared = shared[np.argsort(chunk_of[root[shared]], kind="stable")]
-    counts = np.bincount(chunk_of[root[shared]], minlength=len(chunks))
-    for (roots, t_root), rows in zip(chunks, np.split(shared, np.cumsum(counts)[:-1])):
-        spans, _ = _alignment(lengths[roots], t_root)
-        run_f = _run_direction(events[roots, width - t_root:].T, model.forward_params,
+    chunks = list(_cut(order[root[order] == order], lengths))
+    chunk_of = np.empty(n, dtype=np.intp)  # per root
+    col = np.empty(n, dtype=np.intp)  # per root, its column in the chunk's run
+    for k, (chunk, _) in enumerate(chunks):
+        chunk_of[chunk] = k
+        col[chunk] = np.arange(len(chunk))
+    # Per row: its root's column, and the steps its root runs past its end.
+    col, lag = col[root], lengths[root] - lengths
+    key = chunk_of[root[order]]
+    rows = order[np.argsort(key, kind="stable")]
+    ends = np.cumsum(np.bincount(key, minlength=len(chunks))).tolist()
+    for (chunk, t_root), begin, end in zip(chunks, [0] + ends, ends):
+        spans, _ = _alignment(lengths[chunk], t_root)
+        run_f = _run_direction(events[chunk, width - t_root:].T, model.forward_params,
                                spans, ws, "fwd", 1.0)
-        for part, t_len in _cut(rows, lengths):
-            q = root[part]
-            offset = t_root - lengths[q] - t_len + lengths[part]
+        for part, t_len in _cut(rows[begin:end], lengths):
             yield part, _run_batch(model, events[part, width - t_len:], lengths[part], ws,
-                                   root=run_f, fwd_map=(offset, col[q]))
+                                   fwd=(run_f, (t_root - t_len - lag[part], col[part])))
 
 
 # --- public per-sample operations -----------------------------------------
@@ -662,7 +657,7 @@ def forward(model: BiLstmModel, sample: PrefixSample) -> ForwardTrace:
     """
     run = _run_batch(model, *_stack_events(model, [sample]), Workspace())
     return ForwardTrace(run.fwd.sample(0), run.bwd.sample(0), run.hcat[0], run.logits[0],
-                        run.probs[0], run.spans, run.rev[:, 0])
+                        run.probs[0], run.spans, run.rev[:, 0], (0, 0))
 
 
 def predict(model: BiLstmModel, sample: PrefixSample) -> tuple[int, np.ndarray]:

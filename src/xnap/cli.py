@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import html
 import json
 import os
 import sys
@@ -173,6 +174,7 @@ def _render_ansi(rows: list[dict], trace: Trace, out) -> None:
 
 
 def _render_html(per_trace: list[tuple[Trace, list[dict]]], out) -> None:
+    # Case ids and activity labels come from the log: escape them as text.
     out.write("<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">"
               "<title>activity relevance</title>\n<style>\n"
               "table{border-collapse:collapse;margin:1em 0;}\n"
@@ -180,7 +182,7 @@ def _render_html(per_trace: list[tuple[Trace, list[dict]]], out) -> None:
               "</style></head><body>\n")
     for trace, rows in per_trace:
         width = max(row["length"] for row in rows)
-        out.write(f"<h2>case {trace.case_id}</h2>\n<table>\n<tr><th>prefix</th>")
+        out.write(f"<h2>case {html.escape(trace.case_id)}</h2>\n<table>\n<tr><th>prefix</th>")
         for i in range(1, width + 1):
             out.write(f"<th>t{i}</th>")
         out.write("<th>predicted</th><th>ground truth</th></tr>\n")
@@ -189,12 +191,12 @@ def _render_html(per_trace: list[tuple[Trace, list[dict]]], out) -> None:
             for label, raw, d in zip(row["prefix"], row["result"].raw,
                                      row["result"].display):
                 out.write(f'<td style="background:{_hex_color(float(d))}" '
-                          f'title="{float(raw):.6g}">{label}</td>')
+                          f'title="{float(raw):.6g}">{html.escape(label)}</td>')
             for _ in range(width - row["length"]):
                 out.write("<td></td>")
-            out.write(f"<td>{row['predicted']} "
+            out.write(f"<td>{html.escape(row['predicted'])} "
                       f"(p={row['result'].target_prob:.3f})</td>"
-                      f"<td>{row['ground_truth']}</td></tr>\n")
+                      f"<td>{html.escape(row['ground_truth'])}</td></tr>\n")
         out.write("</table>\n")
     out.write("</body></html>\n")
 

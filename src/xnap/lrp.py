@@ -187,21 +187,19 @@ def _walk_cells(trace: DirectionTrace, params: LstmWeights, config: LrpConfig,
 
 def _propagate_direction(cells: np.ndarray, params: LstmWeights, r_h_final: np.ndarray,
                          events: np.ndarray, spans: list[tuple[int, int, int]],
-                         config: LrpConfig, ws: Workspace, cell_at: np.ndarray | None = None
+                         config: LrpConfig, ws: Workspace
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Walk one direction of a right-aligned batch of time-major events
     ``events`` (T, B), ordered longest first, from its final step back to
-    its first, the walk's arrays taken from ``ws``.
+    its first, on its :func:`_walk_cells` ``cells`` (6, T, B, D), the
+    walk's arrays taken from ``ws``.
 
-    ``cells`` are the batch's :func:`_walk_cells`, or, given ``cell_at``
-    (T, B), those of a longer run: (step t, row k) then reads its flat
-    cell ``cell_at[t, k]``. Each step updates the started rows its span
-    (see :mod:`xnap.bilstm`) names; before a sample's first step its
-    relevance stays where it is. Returns the per-step input relevance
-    (T, B) in the direction's reading order (zero before a sample's first
-    step) and, per sample, the relevance left on the zero initial states,
-    the bias-absorbed total of the gate pre-activation layers, and the
-    gate-assigned total.
+    Each step updates the started rows its span (see :mod:`xnap.bilstm`)
+    names; before a sample's first step its relevance stays where it is.
+    Returns the per-step input relevance (T, B) in the direction's
+    reading order (zero before a sample's first step) and, per sample,
+    the relevance left on the zero initial states, the bias-absorbed
+    total of the gate pre-activation layers, and the gate-assigned total.
     """
     t_len, b = events.shape
     d = r_h_final.shape[1]
@@ -213,20 +211,6 @@ def _propagate_direction(cells: np.ndarray, params: LstmWeights, r_h_final: np.n
     # units and the per-sample totals after the walk.
     scales = ws.take("lrp.scales", (t_len, b, d))
     shares = ws.take("lrp.shares", (t_len, b))
-    if cell_at is None:
-        def span_cells(t0, t1, n):  # newest step first
-            span = cells[:, t0:t1, :n]
-            summands, (denom_c, h_prev, share_g, denom_g) = span[:2].swapaxes(0, 1), span[2:]
-            for t in reversed(range(t1 - t0)):
-                yield summands[t], denom_c[t], h_prev[t], share_g[t], denom_g[t]
-    else:
-        flat = cells.reshape(6, -1, d)
-
-        def span_cells(t0, t1, n):  # each step's cells valid until the next
-            read = ws.take("lrp.read", (6, n, d))
-            for t in reversed(range(t0, t1)):
-                flat.take(cell_at[t, :n], axis=1, out=read, mode="clip")
-                yield read[:2], read[2], read[3], read[4], read[5]
     r_gates = ws.take("lrp.r_gates", (3, b, d))  # o, f, i at the current step
     gate_total = np.zeros((3, b, d))
     r_h = r_h_final.copy()
@@ -237,9 +221,9 @@ def _propagate_direction(cells: np.ndarray, params: LstmWeights, r_h_final: np.n
             shares[t0:t1, n:] = 0.0
         rg, gates = r_gates[:, :n], gate_total[:, :n]
         rh, rc = r_h[:n], r_c[:n]
-        steps = zip(reversed(scales[t0:t1, :n]), reversed(shares[t0:t1, :n]),
-                    span_cells(t0, t1, n))
-        for scale_g, share, (summands, denom_c, h_prev, share_g, denom_g) in steps:
+        span = cells[:, t0:t1, :n]
+        steps = zip(scales[t0:t1, :n], shares[t0:t1, :n], span[:2].swapaxes(0, 1), *span[2:])
+        for scale_g, share, summands, denom_c, h_prev, share_g, denom_g in reversed(list(steps)):
             # h_t = o_t * tanh(c_t): output gate is zeroed, tanh passes through.
             rg[0], r_tanh_c = lrp_multiplicative(rh)
             # The epsilon rule over the two summands of c_t, then the forget
@@ -271,12 +255,12 @@ def _propagate_direction(cells: np.ndarray, params: LstmWeights, r_h_final: np.n
 
 
 def _explain_run(model: BiLstmModel, run: ForwardTrace, samples: list[PrefixSample],
-                 config: LrpConfig, ws: Workspace,
-                 root_cells: np.ndarray | None = None) -> list[RelevanceTrace]:
+                 config: LrpConfig, ws: Workspace, root_cells: np.ndarray
+                 ) -> list[RelevanceTrace]:
     """Explain the batch ``samples`` of the forward pass ``run``: one
-    relevance walk per direction. A batch that shares a root run's
-    forward direction walks it on ``root_cells``, that run's
-    :func:`_walk_cells`."""
+    relevance walk per direction. The forward walk reads ``root_cells``,
+    the :func:`_walk_cells` of the root run ``run.fwd``, gathered through
+    ``run.fwd_map`` in one take."""
     b = len(samples)
     rows = np.arange(b)
     targets = np.argmax(run.probs, axis=1) if config.target is None \
@@ -290,18 +274,20 @@ def _explain_run(model: BiLstmModel, run: ForwardTrace, samples: list[PrefixSamp
     absorbed = bias_absorption(model.b_out, run.logits, r_out,
                                config.epsilon, config.delta)
 
-    if run.fwd_map is None:
-        fwd_cells = _walk_cells(run.fwd, model.forward_params, config, ws, "lrp.cells")
-        fwd_events, cell_at = run.fwd.events, None
-    else:
-        # The backward direction read each window reversed in place, and
-        # the reversal is its own inverse.
-        offset, col = run.fwd_map
-        fwd_cells, fwd_events = root_cells, run.bwd.events[run.rev, rows]
-        cell_at = (np.arange(len(run.rev))[:, None] + offset) * run.fwd.events.shape[1] + col
+    # Row k's step t is the root run's flat cell (t + offset[k]) * width
+    # + col[k]; the steps before a row's first one are clipped into range
+    # and never read.
+    offset, col = run.fwd_map
+    t_len = len(run.rev)
+    cell_at = (np.arange(t_len)[:, None] + offset) * run.fwd.events.shape[1] + col
+    fwd_cells = ws.take("lrp.cells", (6, t_len, b, d))
+    root_cells.reshape(6, -1, d).take(cell_at.ravel(), axis=1, mode="clip",
+                                      out=fwd_cells.reshape(6, -1, d))
+    # The backward direction read each window reversed in place, and the
+    # reversal is its own inverse.
     rx_f, left_f, abs_f, gates_f = _propagate_direction(
-        fwd_cells, model.forward_params, r_hcat[:, :d], fwd_events, run.spans, config, ws,
-        cell_at)
+        fwd_cells, model.forward_params, r_hcat[:, :d], run.bwd.events[run.rev, rows],
+        run.spans, config, ws)
     bwd_cells = _walk_cells(run.bwd, model.backward_params, config, ws, "lrp.cells")
     rx_b, left_b, abs_b, gates_b = _propagate_direction(
         bwd_cells, model.backward_params, r_hcat[:, d:], run.bwd.events, run.spans, config, ws)
@@ -338,9 +324,10 @@ def explain_many(model: BiLstmModel, samples: list[PrefixSample],
 
     Each prediction is decomposed through both directions and summed per
     event, walking back through the batches of :func:`predict_many`, all
-    taking their arrays from one workspace. The prefixes of one case
-    share its forward run, and that run's :func:`_walk_cells` too; the
-    walks stay per prefix, each from its own output relevance.
+    taking their arrays from one workspace. Every batch reads its forward
+    run from a root run (its own when its rows share nothing), and the
+    forward walk cells too: :func:`_walk_cells` runs once per root run.
+    The walks stay per prefix, each from its own output relevance.
     """
     for sample in samples:
         if sample.true_length < 2:
@@ -355,7 +342,7 @@ def explain_many(model: BiLstmModel, samples: list[PrefixSample],
     with _borrowed_workspace() as ws:
         for part, run in _inference_runs(model, events, lengths, ws,
                                          [s.case_id for s in samples]):
-            if run.fwd_map is not None and run.fwd is not root:
+            if run.fwd is not root:
                 root = run.fwd
                 root_cells = _walk_cells(root, model.forward_params, config, ws, "lrp.root")
             batch = _explain_run(model, run, [samples[k] for k in part], config, ws, root_cells)

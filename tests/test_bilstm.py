@@ -544,22 +544,28 @@ class TestSharedForward:
         order = np.argsort(-lengths, kind="stable")
         ids = ["c", "c", "c", "c", "d", "d", "e", "e", "f"]
         root = bilstm._prefix_roots(events, lengths, order, ids)
-        assert root.tolist() == [0, 0, 0, 0, -1, -1, -1, -1, -1]
-        assert bilstm._prefix_roots(events, lengths, order, [str(k) for k in range(9)]) is None
-        assert bilstm._prefix_roots(events, lengths, order, None) is None
+        # Only c's rows share; a row that shares nothing is its own root.
+        assert root.tolist() == [0, 0, 0, 0, 4, 5, 6, 7, 8]
+        for apart in ([str(k) for k in range(9)], None):
+            assert bilstm._prefix_roots(events, lengths, order, apart).tolist() == list(range(9))
 
     @pytest.mark.parametrize("cap", [6, 40, 1024])
     def test_batches_read_each_row_from_its_root(self, monkeypatch, cap):
-        # The forward states of a prefix row at step t are the root run's
-        # at step t + offset in the row's root column; the batches stay
-        # longest first and within the cap.
+        # The forward states of a row at step t are its root run's at step
+        # t + offset in the row's root column, and a root reads its own
+        # column; the batches stay longest first and within the cap.
         monkeypatch.setattr(bilstm, "_INFERENCE_ROWS", cap)
         rng = np.random.default_rng(14)
         model = random_model(rng, 3, 4, 9)
         log = make_log([["a0", "a1", "a2", "a0", "a1", "a1", "a2", "a0"], ["a1", "a0"],
                         ["a2", "a2", "a0", "a1"], ["a0", "a1", "a2"]])
         dataset = assemble_dataset(log, model.vocab, 9)
-        seen, shared = [], 0
+        root = bilstm._prefix_roots(dataset.events, dataset.true_lengths,
+                                    np.argsort(-dataset.true_lengths, kind="stable"),
+                                    dataset.case_ids)
+        roots = set(np.flatnonzero(root == np.arange(len(dataset))).tolist())
+        assert len(roots) == 4  # one per case: every other row shares
+        seen, own = [], 0
         for part, run in bilstm._inference_runs(model, dataset.events, dataset.true_lengths,
                                                 Workspace(), dataset.case_ids):
             lengths = dataset.true_lengths[part]
@@ -568,23 +574,24 @@ class TestSharedForward:
             assert len(part) == 1 or len(part) * t_len <= cap
             batch = dataset.events[part, 9 - t_len:]
             assert np.array_equal(run.bwd.events, batch.T[run.rev, np.arange(len(part))])
-            if run.fwd_map is None:
-                assert np.array_equal(run.fwd.events, batch.T)
-                continue
-            shared += 1
-            offset, col = run.fwd_map
+            offset, col = run.fwd_map  # every batch carries a map
+            assert offset.shape == col.shape == (len(part),)
             for k, n in enumerate(lengths):
                 steps = np.arange(t_len - n, t_len)
                 assert np.array_equal(run.fwd.events[steps + offset[k], col[k]],
                                       batch[k, t_len - n:])
                 assert np.array_equal(run.hcat[k, :3], run.fwd.h[t_len + offset[k], col[k]])
+                if part[k] in roots:  # a root reads its own column to its end:
+                    own += 1  # offset 0 when its batch is as long as its run
+                    assert offset[k] == len(run.fwd.events) - t_len
+                    assert np.array_equal(run.fwd.events[-n:, col[k]], batch[k, t_len - n:])
             seen += part.tolist()
-        assert shared >= 1
-        assert sorted(seen) == list(range(len(dataset)))  # every row of the 4 cases shares
+        assert own == 4
+        assert sorted(seen) == list(range(len(dataset)))
 
     def test_repeated_ids_without_prefixes_run_as_before(self):
-        # Rows under one id that are no prefixes of the longest run their own
-        # forward pass, in the batches they ran in without ids: the same bits.
+        # Rows under one id that are no prefixes of the longest are their own
+        # roots, in the batches they ran in without ids: the same bits.
         rng = np.random.default_rng(15)
         model = random_model(rng, 3, 4, 6)
         rows = [[0, 1, 2, 3, 0, 1], [1, 0, 2, 3], [0, 1, 3, 3, 0], [2, 2]]
@@ -592,10 +599,27 @@ class TestSharedForward:
                    for r in rows]
         events, lengths = _stack_events(model, samples)
         order = np.argsort(-lengths, kind="stable")
-        assert bilstm._prefix_roots(events, lengths, order, ["c"] * 4) is None
+        assert bilstm._prefix_roots(events, lengths, order, ["c"] * 4).tolist() == [0, 1, 2, 3]
         apart = [PrefixSample(s.events, s.true_length, None, f"{k}", 4)
                  for k, s in enumerate(samples)]
         assert np.array_equal(predict_many(model, samples), predict_many(model, apart))
+
+    @pytest.mark.parametrize("cap", [12, 1024])
+    def test_distinct_ids_equal_batches_run_on_their_own(self, monkeypatch, cap):
+        # Rows that share nothing, one per case id as in xnap predict, are
+        # their own roots: predict_many gives the bits of each _cut batch
+        # run with its own forward pass.
+        monkeypatch.setattr(bilstm, "_INFERENCE_ROWS", cap)
+        rng = np.random.default_rng(16)
+        model = random_model(rng, 4, 5, 9)
+        samples = [random_sample(rng, 9, 5, n, f"s{k}")
+                   for k, n in enumerate([4, 9, 2, 6, 3, 9, 5, 2, 7, 4, 3])]
+        events, lengths = _stack_events(model, samples)
+        want = np.empty((len(samples), 5))
+        for part, t_len in bilstm._cut(np.argsort(-lengths, kind="stable"), lengths):
+            want[part] = _run_batch(model, events[part, 9 - t_len:], lengths[part],
+                                    Workspace()).probs
+        assert np.array_equal(predict_many(model, samples), want)
 
 
 def test_run_batch_rejects_a_batch_not_longest_first():

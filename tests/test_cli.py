@@ -1,4 +1,6 @@
 import base64
+import csv
+import html
 import io
 import json
 import re
@@ -436,6 +438,33 @@ class TestExplain:
                     for r in rows for d in r["display"]]
         assert colors == expected
         assert "<th>predicted</th><th>ground truth</th>" in html
+
+    def test_html_escapes_log_strings(self, tmp_path):
+        # Case ids and activity labels are text on the page, never markup.
+        labels = ["<i>A</i>", "B&C", 'say "hi"']
+        cases = ["c<1>", "c&2", 'c"3"']
+        log = tmp_path / "odd.csv"
+        with open(log, "w", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(["case", "activity", "timestamp"])
+            for k, case in enumerate(cases):
+                for i, a in enumerate(labels[k:] + labels[:k]):
+                    writer.writerow([case, a, f"2024-01-01 10:00:{i:02d}"])
+        model, page = tmp_path / "model.json", tmp_path / "heat.html"
+        assert main(["train", "--log", str(log), "--out", str(model), "--hidden", "3",
+                     "--epochs", "1", "--seed", "1"]) == 0
+        assert main(["explain", "--model", str(model), "--log", str(log),
+                     "--render", "html", "--out", str(page)]) == 0
+        text = page.read_text()
+        assert "<h2>case c&lt;1&gt;</h2>" in text
+        assert "<h2>case c&amp;2</h2>" in text
+        assert "<h2>case c&quot;3&quot;</h2>" in text
+        for label in labels:
+            assert f">{html.escape(label)}</td>" in text
+        # Every tag on the page is the renderer's own.
+        assert set(re.findall(r"</?([!\w]+)", text)) == {
+            "!DOCTYPE", "html", "head", "meta", "title", "style", "body", "h2", "table",
+            "tr", "th", "td"}
 
 
 class TestEvaluate:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xnap import bilstm
+from xnap import bilstm, lrp
 from xnap.bilstm import TrainConfig, init_model, forward
 from xnap.encoding import occlude_event
 from xnap.errors import ShapeMismatch, TraceTooShort
@@ -305,6 +305,36 @@ class TestExplainMany:
                     assert getattr(got, name) == getattr(want, name), name
         for k, result in enumerate(results):
             assert result.target_prob == probs[k, result.target_class]
+
+    def test_own_root_cells_gather_through_the_identity_map(self, monkeypatch):
+        # A batch that is its own root reads its forward walk cells through
+        # the identity map: what the forward walk gets are the batch's own
+        # _walk_cells, bit for bit.
+        monkeypatch.setattr(bilstm, "_INFERENCE_ROWS", 12)
+        rng = np.random.default_rng(46)
+        model = random_model(rng, 3, 5, 9)
+        samples = [random_sample(rng, 9, 5, n, f"s{i}")
+                   for i, n in enumerate([4, 9, 2, 6, 3, 9, 5, 2, 7])]
+        seen = []
+        walk = lrp._propagate_direction
+
+        def spy(cells, params, *args):
+            if params is model.forward_params:
+                seen.append(cells.copy())
+            return walk(cells, params, *args)
+
+        monkeypatch.setattr(lrp, "_propagate_direction", spy)
+        explain_many(model, samples)
+        events, lengths = bilstm._stack_events(model, samples)
+        runs = bilstm._inference_runs(model, events, lengths, bilstm.Workspace())
+        for k, (part, run) in enumerate(runs):
+            offset, col = run.fwd_map
+            assert np.array_equal(offset, np.zeros(len(part)))
+            assert np.array_equal(col, np.arange(len(part)))
+            want = lrp._walk_cells(run.fwd, model.forward_params, LrpConfig(),
+                                   bilstm.Workspace(), "cells")
+            assert np.array_equal(seen[k], want)
+        assert len(seen) == k + 1 >= 3
 
     def test_empty_and_guards(self):
         rng = np.random.default_rng(43)

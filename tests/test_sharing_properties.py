@@ -75,7 +75,9 @@ def test_shared_runs_equal_per_prefix_oracles(case, config):
         probs = predict_many(model, samples)
         from_dataset = predict_dataset(model, dataset)
         results = explain_many(model, samples, config)
-    assert any(run.fwd_map is not None for run in runs)  # every trace has 2+ prefixes
+    # Every trace has 2+ prefixes, so some row reads another row's run: its
+    # last step maps to a step before the root run's last one.
+    assert any((run.fwd_map[0] < len(run.fwd.events) - len(run.rev)).any() for run in runs)
     assert np.abs(probs - predict_per_sample(model, samples)).max() <= 1e-12
     assert np.array_equal(from_dataset, probs)  # the same groups, the same batches
     for sample, result in zip(samples, results):
