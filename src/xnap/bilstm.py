@@ -28,7 +28,7 @@ import binascii
 import json
 import math
 import os
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import IO, Union
@@ -305,16 +305,22 @@ class Workspace:
 _idle_workspaces: list[Workspace] = []
 
 
-@contextmanager
-def _borrowed_workspace():
-    try:
-        ws = _idle_workspaces.pop()
-    except IndexError:
-        ws = Workspace()
-    try:
-        yield ws
-    finally:
-        _idle_workspaces.append(ws)
+class _borrowed_workspace:
+    """``with _borrowed_workspace() as ws``: an idle workspace, or a new one
+    when none is idle, given back on leaving. A class, not a generator: every
+    ``predict`` and ``explain`` call pays for the borrow."""
+
+    __slots__ = ("ws",)
+
+    def __enter__(self) -> Workspace:
+        try:
+            self.ws = _idle_workspaces.pop()
+        except IndexError:
+            self.ws = Workspace()
+        return self.ws
+
+    def __exit__(self, *exc_info) -> None:
+        _idle_workspaces.append(self.ws)
 
 # A batch is right-aligned and ordered longest first: sample k's events
 # fill the last lengths[k] of its T rows, T being the longest length, so
@@ -562,32 +568,47 @@ def _cut(rows: np.ndarray, lengths: np.ndarray):
 def _prefix_roots(events: np.ndarray, lengths: np.ndarray, order: np.ndarray,
                   case_ids) -> np.ndarray:
     """Per row of ``events`` (n, T), the row whose forward run it reads:
-    the longest row of its case id when its events are a prefix of that
-    row's, else the row itself.
+    its case id's root when its events are a prefix of the root's, else
+    the row itself.
 
-    Each case id's longest row is the first of them in ``order`` (longest
-    first). A row that is not a prefix of it (an occluded copy, or
-    another trace under the same id) is its own root, and so is every row
-    without ``case_ids``.
+    An id's root is the one of its longest rows that the most of its rows
+    are prefixes of, the first in ``order`` (longest first) among equals.
+    So a row as long as the case's trace that is no prefix of it (an
+    occluded copy, or another trace under the same id) does not take the
+    trace's prefixes from it, whichever comes first. Every row without
+    ``case_ids`` is its own root.
     """
     n, width = events.shape
     root = np.arange(n)
     if case_ids is None or len(set(case_ids)) == n:  # no case id repeats
         return root
-    _, first, code = np.unique(np.asarray(case_ids)[order], return_index=True,
-                               return_inverse=True)
-    longest = np.empty(n, dtype=np.intp)
-    longest[order] = order[first[code.ravel()]]
-    rows = np.flatnonzero(longest != root)
-    q = longest[rows]
-    # A right-aligned row's column j holds the root's column j - shift,
+    code = np.unique(np.asarray(case_ids), return_inverse=True)[1].ravel()
+    longest = np.zeros(code.max() + 1, dtype=lengths.dtype)
+    np.maximum.at(longest, code, lengths)
+    cand = order[lengths[order] == longest[code[order]]]
+    # Pair every candidate root with every row of its id: the id's rows
+    # are a run of ``by_id``, from ``start`` on.
+    by_id = np.argsort(code, kind="stable")
+    size = np.bincount(code)
+    per = size[code[cand]]
+    start = (np.cumsum(size) - size)[code[cand]]
+    pair = np.repeat(np.arange(len(cand)), per)
+    rows = by_id[np.arange(per.sum()) + np.repeat(start - np.cumsum(per) + per, per)]
+    q = cand[pair]
+    # A right-aligned row's column j holds the candidate's column j - shift,
     # counted over the row's own steps only.
     steps = np.arange(width)
     shift = (lengths[q] - lengths[rows])[:, None]
     same = events[q[:, None], np.maximum(steps - shift, 0)] == events[rows]
     same |= steps < width - lengths[rows][:, None]
     prefix = same.all(axis=1)
-    root[rows[prefix]] = q[prefix]
+    # Per id, the candidate with the most prefixes, the first among equals.
+    count = np.bincount(pair, weights=prefix, minlength=len(cand))
+    best = np.lexsort((np.arange(len(cand)), -count, code[cand]))
+    chosen = np.zeros(len(cand), dtype=bool)
+    chosen[best[np.r_[True, np.diff(code[cand][best]) != 0]]] = True
+    reads = chosen[pair] & prefix
+    root[rows[reads]] = q[reads]
     return root
 
 

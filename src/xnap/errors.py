@@ -5,10 +5,16 @@ Its base class picks the CLI exit code, so callers map failures without
 matching on message text: ``InputError`` 2, ``DomainError`` 3, any other
 ``XnapError`` 4.
 """
+import copyreg
 
 
 class XnapError(Exception):
     """Base class for all xnap errors."""
+
+    def __reduce__(self):
+        # Unpickle without calling __init__: a subclass's constructor takes
+        # other arguments than the message it stores in ``args``.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class InputError(XnapError):

@@ -549,6 +549,27 @@ class TestSharedForward:
         for apart in ([str(k) for k in range(9)], None):
             assert bilstm._prefix_roots(events, lengths, order, apart).tolist() == list(range(9))
 
+    def test_occluded_copy_listed_first_leaves_the_trace_its_root(self):
+        # Found by tests/test_sharing_properties.py: a row as long as the
+        # case's trace but no prefix of it, drawn before it, took the root
+        # and left the trace's prefixes sharing nothing.
+        rng = np.random.default_rng(17)
+        model = random_model(rng, 3, 4, 6)
+        full = PrefixSample(rng.integers(4, size=6).astype(np.int32), 6, None, "c0", 4)
+        samples = [occlude_event(full, 1)] + [full.prefix(k) for k in range(2, 7)]
+        events, lengths = _stack_events(model, samples)
+        order = np.argsort(-lengths, kind="stable")
+        assert order[0] == 0  # the occluded copy comes first
+        root = bilstm._prefix_roots(events, lengths, order, ["c0"] * 6)
+        assert root.tolist() == [0, 5, 5, 5, 5, 5]
+        runs = [run for _, run in bilstm._inference_runs(model, events, lengths, Workspace(),
+                                                         ["c0"] * 6)]
+        # some row reads another row's run: its last step maps before the run's last
+        assert any((run.fwd_map[0] < len(run.fwd.events) - len(run.rev)).any() for run in runs)
+        apart = [PrefixSample(s.events, s.true_length, None, f"{k}", 4)
+                 for k, s in enumerate(samples)]
+        assert np.array_equal(predict_many(model, samples), predict_many(model, apart))
+
     @pytest.mark.parametrize("cap", [6, 40, 1024])
     def test_batches_read_each_row_from_its_root(self, monkeypatch, cap):
         # The forward states of a row at step t are its root run's at step

@@ -1,8 +1,17 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from xnap import evaluation
 from xnap.bilstm import BiLstmModel, TrainConfig
-from xnap.errors import LengthMismatch, TooFewTraces
+from xnap.cli import main
+from xnap.errors import LengthMismatch, NonFiniteLoss, TooFewTraces
 from xnap.evaluation import (
     MetricsReport,
     make_folds,
@@ -10,9 +19,30 @@ from xnap.evaluation import (
     split_validation,
     weighted_metrics,
 )
-from xnap.synthlog import generate, linear_grammar
+from xnap.synthlog import copy_task, generate, linear_grammar
 
 from conftest import make_log
+
+linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                reason="folds fork worker processes on Linux only")
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the usable CPU count run_cv sees; record each forked pool's size."""
+    pools = []
+    forked_folds = evaluation._forked_folds
+
+    def spy(job, k, workers, beat):
+        pools.append(workers)
+        return forked_folds(job, k, workers, beat)
+
+    def set_cpus(n):
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: n)
+        return pools
+
+    monkeypatch.setattr(evaluation, "_forked_folds", spy)
+    return set_cpus
 
 
 class TestMakeFolds:
@@ -150,3 +180,103 @@ class TestRunCv:
         # both folds score F1 1.0: a tie keeps the first, like argmax
         assert [r.f1 for r in result.report.rows] == [1.0, 1.0]
         assert result.best_fold == 0
+
+
+def _diverge(train_set, val_set, config):
+    raise NonFiniteLoss(2)
+
+
+@linux_only
+class TestParallelFolds:
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_workers_give_the_serial_bits(self, cpus, k):
+        log = generate(copy_task(40, seed=11))
+        config = TrainConfig(hidden_size=5, batch_size=16, max_epochs=3, patience=2,
+                             seed=12)
+        pools = cpus(1)
+        serial = run_cv(log, config, k=k, seed=13)
+        assert pools == []
+        assert len(set(serial.report.rows)) == k  # so the fold order shows
+        assert serial.best_fold > 0
+        cpus(2)
+        parallel = run_cv(log, config, k=k, seed=13)
+        assert pools == [2]  # k >= 2 folds on two workers
+        assert multiprocessing.active_children() == []
+        assert parallel.report == serial.report
+        assert parallel.best_fold == serial.best_fold
+        for a, b in zip(parallel.best_model.param_items(), serial.best_model.param_items()):
+            assert a[0] == b[0] and a[1].tobytes() == b[1].tobytes()
+
+    def test_pool_is_no_larger_than_the_fold_count(self, cpus):
+        log = generate(linear_grammar(["A", "B", "C"], 20, seed=1))
+        pools = cpus(64)
+        run_cv(log, TrainConfig(hidden_size=3, max_epochs=1, seed=2), k=3, seed=3)
+        assert pools == [3]
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_fold_error_keeps_its_type_and_message(self, cpus, monkeypatch, n_cpus):
+        monkeypatch.setattr(evaluation, "train", _diverge)
+        cpus(n_cpus)
+        log = generate(linear_grammar(["A", "B", "C"], 20, seed=1))
+        with pytest.raises(NonFiniteLoss) as caught:
+            run_cv(log, TrainConfig(hidden_size=3, max_epochs=1), k=5, seed=3)
+        assert str(caught.value) == "non-finite loss at epoch 2"
+        assert caught.value.epoch == 2
+        assert multiprocessing.active_children() == []
+
+    def test_cli_exits_4_with_one_error_line(self, cpus, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(evaluation, "train", _diverge)
+        pools = cpus(2)
+        log, out = tmp_path / "log.csv", tmp_path / "metrics.csv"
+        assert main(["synth", "--out", str(log), "--grammar", "linear", "--traces", "20"]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--log", str(log), "--out", str(out), "--folds", "3",
+                     "--hidden", "3", "--epochs", "1"]) == 4
+        assert pools == [2]
+        assert capsys.readouterr().err == "internal error: non-finite loss at epoch 2\n"
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+
+def _state_and_parent(pid) -> tuple[str, str]:
+    """A process's state letter and parent pid; ("X", "") once it is gone."""
+    try:
+        fields = Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()
+    except OSError:
+        return "X", ""
+    return fields[0], fields[1]
+
+
+def _alive(pid) -> bool:
+    return _state_and_parent(pid)[0] not in ("X", "Z")
+
+
+def _live_children(pid: int) -> list[int]:
+    return [int(p.name) for p in Path("/proc").iterdir() if p.name.isdigit()
+            and _state_and_parent(p.name)[1] == str(pid) and _alive(p.name)]
+
+
+@linux_only
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+                    reason="folds run in process on one CPU")
+def test_workers_die_with_a_killed_parent(tmp_path):
+    log = tmp_path / "log.csv"
+    assert main(["synth", "--out", str(log), "--grammar", "copy", "--traces", "200"]) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "xnap.cli", "evaluate", "--log", str(log), "--folds", "4",
+         "--hidden", "32", "--epochs", "200", "--patience", "200", "--out", os.devnull],
+        env={**os.environ, "PYTHONPATH": src}, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers := _live_children(proc.pid)) < 2 and time.monotonic() < deadline:
+            assert proc.poll() is None
+            time.sleep(0.05)
+        assert len(workers) == 2
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+    deadline = time.monotonic() + 30
+    while any(map(_alive, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_alive, workers))
