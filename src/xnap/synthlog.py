@@ -8,6 +8,7 @@ that causally decides the later prediction.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from typing import Mapping, Sequence
@@ -18,6 +19,7 @@ from .errors import InvalidSpec, NotACopyTask
 from .eventlog import Event, EventLog, Trace
 
 _BASE_TIME = datetime(2024, 1, 1, tzinfo=timezone.utc)
+_SECOND = timedelta(seconds=1)
 
 # Transition target None means "stop here".
 Choices = tuple[tuple[str | None, float], ...]
@@ -63,8 +65,8 @@ class GrammarSpec:
             total = sum(p for _, p in choices)
             if abs(total - 1.0) > 1e-9:
                 raise InvalidSpec(f"probabilities of state {state!r} sum to {total}")
-            if any(p < 0 for _, p in choices):
-                raise InvalidSpec(f"state {state!r} has a negative probability")
+            if not all(p >= 0 for _, p in choices):  # a NaN fails this, an infinity the sum
+                raise InvalidSpec(f"state {state!r} has a negative or NaN probability")
         # every reachable state must still be able to reach a stop
         reachable = {self.start}
         frontier = [self.start]
@@ -130,14 +132,27 @@ def copy_task(n_traces: int, seed: int = 0, key_choices: Sequence[str] = ("X", "
                        fillers=tuple(fillers))
 
 
-def _walk_markov(spec: GrammarSpec, rng: np.random.Generator) -> list[str]:
+def _markov_table(spec: GrammarSpec) -> dict[str, tuple[list[str | None], list[float]]]:
+    """Per state, its successors and their cumulative distribution, built
+    with the arithmetic of ``Generator.choice``: a bisection of one
+    ``rng.random()`` draw into this CDF picks what ``rng.choice`` picks."""
+    table = {}
+    for state, choices in spec.transitions.items():
+        probs = np.asarray([p for _, p in choices], dtype=np.float64)
+        cdf = (probs / probs.sum()).cumsum()
+        cdf /= cdf[-1]
+        table[state] = ([nxt for nxt, _ in choices], cdf.tolist())
+    return table
+
+
+def _walk_markov(spec: GrammarSpec, table, rng: np.random.Generator) -> list[str]:
+    """One walk of one ``rng.random()`` draw per transition, a
+    single-choice state included; ``table`` is :func:`_markov_table`."""
     for _ in range(10_000):
         walk = [spec.start]
         while len(walk) <= spec.max_length:
-            choices = spec.transitions[walk[-1]]
-            labels = [nxt for nxt, _ in choices]
-            probs = np.asarray([p for _, p in choices])
-            nxt = labels[rng.choice(len(labels), p=probs / probs.sum())]
+            labels, cdf = table[walk[-1]]
+            nxt = labels[bisect_right(cdf, rng.random())]
             if nxt is None:
                 break
             walk.append(nxt)
@@ -164,15 +179,21 @@ def _walk_copy(spec: GrammarSpec, rng: np.random.Generator) -> list[str]:
 
 
 def generate(spec: GrammarSpec) -> EventLog:
-    """Seeded, reproducible log; timestamps strictly increase within a case."""
+    """Seeded, reproducible log; timestamps strictly increase within a case.
+
+    A Markov grammar consumes one uniform draw of ``default_rng(seed)``
+    per transition, a copy task one integer draw per trace, so a seed
+    names the same log on every numpy version that keeps these streams.
+    """
     rng = np.random.default_rng(spec.seed)
+    table = _markov_table(spec) if spec.mode == "markov" else None
     traces = []
     for i in range(spec.n_traces):
-        activities = _walk_markov(spec, rng) if spec.mode == "markov" \
+        activities = _walk_markov(spec, table, rng) if table is not None \
             else _walk_copy(spec, rng)
         case_id = f"case_{i:05d}"
         start = _BASE_TIME + timedelta(minutes=i)
-        events = tuple(Event(case_id, a, start + timedelta(seconds=t))
+        events = tuple(Event(case_id, a, start + t * _SECOND)
                        for t, a in enumerate(activities))
         traces.append(Trace(case_id, events))
     return EventLog(tuple(traces))

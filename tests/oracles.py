@@ -15,17 +15,23 @@ stacked. The prediction oracle is the
 per-case loop: one single-sample ``predict`` call per running trace. The
 batch and LRP oracles take dense one-hot inputs; :func:`one_hot`
 densifies the package's activity indices for them. The model-file oracle
-is the format 1 writer: every gate block as nested decimal lists.
+is the format 1 writer: every gate block as nested decimal lists. The
+synthesis oracle is the Markov walk that draws each transition with
+``rng.choice``; the timestamp oracles are the ``replace``/``astimezone``
+round trips that turned a parsed timestamp into UTC and back to text.
 """
 import json
 import math
 from dataclasses import dataclass
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
 from xnap.bilstm import LOSS_CLIP, Workspace, forward, predict, softmax
 from xnap.encoding import PrefixSample, augment_with_end
-from xnap.errors import NonFiniteInput, PrefixTooLong, ShapeMismatch, TraceTooShort
+from xnap.errors import (InvalidSpec, NonFiniteInput, PrefixTooLong, ShapeMismatch,
+                         TraceTooShort)
+from xnap.eventlog import Event, EventLog, Trace
 from xnap.lrp import LrpConfig, RelevanceTrace, rescale_for_display
 
 
@@ -461,3 +467,60 @@ def save_model_v1(model, f):
     }
     json.dump(doc, f)
     f.write("\n")
+
+
+def walk_markov_choice(spec, rng):
+    """One Markov walk, each transition drawn by ``rng.choice`` over the
+    state's normalized probabilities; resampled when it passes
+    ``max_length`` or falls short of ``min_length``."""
+    for _ in range(10_000):
+        walk = [spec.start]
+        while len(walk) <= spec.max_length:
+            choices = spec.transitions[walk[-1]]
+            labels = [nxt for nxt, _ in choices]
+            probs = np.asarray([p for _, p in choices])
+            nxt = labels[rng.choice(len(labels), p=probs / probs.sum())]
+            if nxt is None:
+                break
+            walk.append(nxt)
+        else:
+            continue
+        if len(walk) >= spec.min_length:
+            return walk
+    raise InvalidSpec("grammar cannot produce a trace within the length range")
+
+
+def generate_markov_choice(spec):
+    """The log of a Markov ``spec``: case ``case_{i:05d}`` starts ``i``
+    minutes after 2024-01-01 UTC, one event per second."""
+    rng = np.random.default_rng(spec.seed)
+    base = datetime(2024, 1, 1, tzinfo=timezone.utc)
+    traces = []
+    for i in range(spec.n_traces):
+        case_id = f"case_{i:05d}"
+        start = base + timedelta(minutes=i)
+        traces.append(Trace(case_id, tuple(
+            Event(case_id, a, start + timedelta(seconds=t))
+            for t, a in enumerate(walk_markov_choice(spec, rng)))))
+    return EventLog(tuple(traces))
+
+
+def parse_timestamp_utc(raw, fmt=None):
+    """A log field as a UTC timestamp: ``strptime`` with ``fmt``, else
+    ISO-8601 with a trailing Z read as +00:00; a naive result is taken
+    as UTC by ``replace``, an aware one converted by ``astimezone``."""
+    text = raw.strip()
+    if fmt is not None:
+        ts = datetime.strptime(text, fmt)
+    else:
+        if text.endswith(("Z", "z")):
+            text = text[:-1] + "+00:00"
+        ts = datetime.fromisoformat(text)
+    if ts.tzinfo is None:
+        return ts.replace(tzinfo=timezone.utc)
+    return ts.astimezone(timezone.utc)
+
+
+def format_timestamp_utc(ts):
+    """A timestamp as a log field: its UTC wall time, no offset."""
+    return ts.astimezone(timezone.utc).replace(tzinfo=None).isoformat(sep=" ")

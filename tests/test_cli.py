@@ -69,8 +69,9 @@ class TestStats:
 
     @pytest.mark.parametrize("row, reason", [
         ("c1,,2024-01-01 10:01:00", "row 3: empty activity"),
+        (",B,2024-01-01 10:01:00", "row 3: empty case id"),
         ("c1,B", "row 3: 2 fields, the header has 3"),
-    ], ids=["empty_activity", "short_row"])
+    ], ids=["empty_activity", "empty_case_id", "short_row"])
     def test_bad_row_exits_2_naming_it(self, tmp_path, capsys, row, reason):
         log = tmp_path / "bad.csv"
         log.write_text("case,activity,timestamp\nc1,A,2024-01-01 10:00:00\n"

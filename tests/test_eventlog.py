@@ -6,7 +6,10 @@ import pytest
 
 from xnap.errors import BadRow, BadTimestamp, EmptyLog, MissingColumn, UnknownCase
 from xnap.eventlog import (
+    Event,
+    EventLog,
     LogFormat,
+    Trace,
     compute_stats,
     filter_log,
     parse_log,
@@ -68,9 +71,10 @@ class TestParseLog:
     ], ids=["blank_line", "multi_line_field"])
     @pytest.mark.parametrize("row, error, message", [
         ("c1,,2024-01-01 10:01:00", BadRow, "empty activity"),
+        (",B,2024-01-01 10:01:00", BadRow, "empty case id"),
         ("c1,B", BadRow, "2 fields, the header has 3"),
         ("c1,B,not-a-time", BadTimestamp, "cannot parse timestamp 'not-a-time'"),
-    ], ids=["empty_activity", "short_row", "bad_timestamp"])
+    ], ids=["empty_activity", "empty_case_id", "short_row", "bad_timestamp"])
     def test_errors_name_the_file_line(self, before, line, row, error, message):
         text = f"case,activity,timestamp\nc1,A,2024-01-01 10:00:00\n{before}{row}\n"
         with pytest.raises(error) as exc:
@@ -127,6 +131,32 @@ class TestParseLog:
                      timestamp_format="%d/%m/%Y %H:%M")
         assert log.trace_by_case("c1").events[0].timestamp == \
             datetime(2024, 2, 1, 10, 30, tzinfo=timezone.utc)
+
+
+class TestTypes:
+    @pytest.mark.parametrize("case, activity, message", [
+        ("", "A", "event case id must be non-empty"),
+        ("c1", "", "event activity must be non-empty"),
+    ])
+    def test_event_rejects_empty_fields(self, case, activity, message):
+        with pytest.raises(ValueError, match=message):
+            Event(case, activity, datetime(2024, 1, 1))
+
+    def test_case_ids_are_stored(self):
+        log = _parse(CSV_BASIC)
+        assert log.case_ids == ("c1", "c2")
+        assert log.case_ids is log.case_ids  # not rebuilt on each read
+
+    def test_duplicate_case_id_names_the_first_repeat(self):
+        a, b = make_log([["A"], ["B"]]).traces
+        with pytest.raises(ValueError, match="duplicate case id 'c1'"):
+            EventLog((a, b, b, a))
+
+    def test_activities_cached_and_outside_equality(self):
+        trace = make_log([["A", "B"]]).traces[0]
+        assert trace.activities is trace.activities
+        fresh = Trace(trace.case_id, trace.events)
+        assert fresh == trace and hash(fresh) == hash(trace)
 
 
 class TestRoundTrip:

@@ -1,10 +1,12 @@
+import hashlib
+import io
 import math
 
 import numpy as np
 import pytest
 
 from xnap.errors import InvalidSpec, NotACopyTask
-from xnap.eventlog import compute_stats
+from xnap.eventlog import compute_stats, serialize_log
 from xnap.synthlog import (
     GrammarSpec,
     copy_task,
@@ -69,6 +71,18 @@ class TestStochasticGrammar:
             GrammarSpec(mode="markov", n_traces=1, seed=0, start="A",
                         transitions={"A": (("A", 0.5), (None, 0.4))})
 
+    @pytest.mark.parametrize("bad, message", [
+        (math.nan, "state 'a' has a negative or NaN probability"),
+        (math.inf, "probabilities of state 'a' sum to inf"),
+        (-math.inf, "probabilities of state 'a' sum to -inf"),
+    ])
+    def test_non_finite_probability_rejected(self, bad, message):
+        # The sampler bisects a CDF, where a NaN would pass silently: the
+        # spec is refused instead.
+        with pytest.raises(InvalidSpec, match=message):
+            GrammarSpec(mode="markov", n_traces=1, seed=0, start="a",
+                        transitions={"a": ((None, 1.0), ("a", bad))})
+
     def test_unreachable_terminal_rejected(self):
         with pytest.raises(InvalidSpec):
             GrammarSpec(mode="markov", n_traces=1, seed=0, start="A",
@@ -120,3 +134,34 @@ class TestCopyTask:
             copy_task(10, key_distance=3, fillers=())
         with pytest.raises(InvalidSpec):
             copy_task(10, fillers=("X",))  # collides with a key
+
+
+# The benchmark's markov grammar, as in perfbench/workloads.py.
+_HELPDESK = {
+    "register": (("triage", 0.7), ("classify", 0.3)),
+    "triage": (("assign", 0.6), ("classify", 0.3), ("reject", 0.1)),
+    "classify": (("assign", 0.8), ("wait", 0.2)),
+    "assign": (("work", 1.0),),
+    "work": (("wait", 0.3), ("escalate", 0.15), ("resolve", 0.45), ("work", 0.1)),
+    "wait": (("work", 0.7), ("escalate", 0.2), ("close", 0.1)),
+    "escalate": (("assign", 0.5), ("work", 0.5)),
+    "resolve": (("close", 0.6), ("reopen", 0.4)),
+    "reopen": (("assign", 0.5), ("work", 0.5)),
+    "reject": ((None, 1.0),),
+    "close": ((None, 1.0),),
+}
+
+
+class TestSeededStream:
+    """A seed names the same log bytes: the benchmark's three logs at seed 1."""
+
+    @pytest.mark.parametrize("spec, digest", [
+        (GrammarSpec(mode="markov", n_traces=2000, seed=1, start="register",
+                     transitions=_HELPDESK, min_length=3, max_length=60), "1fc8f3a5f9567f59"),
+        (copy_task(2000, seed=1, key_position=1, key_distance=3), "e5ad0f72470fcd53"),
+        (linear_grammar(["A", "B", "C"], 200, seed=1), "5a40fe4c396a5b92"),
+    ], ids=["markov", "copy", "linear"])
+    def test_log_bytes_pinned(self, spec, digest):
+        buf = io.StringIO()
+        serialize_log(generate(spec), buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest()[:16] == digest
