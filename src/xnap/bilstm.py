@@ -150,70 +150,42 @@ class BiLstmModel:
 
 @dataclass
 class DirectionTrace:
-    """Per-timestep quantities of one direction, time first, in its own
-    reading order (the backward one reads each window reversed in place,
-    see ``ForwardTrace.rev``). Batched runs have a batch axis after the
-    time axis; the per-sample traces of :func:`forward` do not. The input
-    at a step is the one-hot row of ``events`` (the pad index H reads a
-    zero row; training reads it for a dropped event too), times the run's
-    one input scale (1/keep in training, else 1). At the steps before a
-    sample's first event its rows of ``act``, ``c``, ``h`` and ``tanh_c``
-    are zero, and its ``pre`` rows hold the bias alone."""
-    events: np.ndarray  # (T,) int activity indices as read, H for a zero input
-    pre: np.ndarray  # (T, 4D) gate pre-activations, blocks i, f, o, g
-    act: np.ndarray  # (T, 4D) gate activations, same blocks
-    c: np.ndarray  # (T+1, D), c[0] is the zero initial state
-    h: np.ndarray  # (T+1, D)
-    tanh_c: np.ndarray  # (T+1, D), tanh(c), kept for BPTT
-
-    def _block(self, arr: np.ndarray, k: int) -> np.ndarray:
-        d = self.c.shape[-1]
-        return arr[..., k * d:(k + 1) * d]
-
-    @property
-    def gate_i(self) -> np.ndarray:
-        return self._block(self.act, 0)
-
-    @property
-    def gate_f(self) -> np.ndarray:
-        return self._block(self.act, 1)
-
-    @property
-    def cand(self) -> np.ndarray:
-        """The tanh candidate g."""
-        return self._block(self.act, 3)
-
-    @property
-    def pre_g(self) -> np.ndarray:
-        return self._block(self.pre, 3)
-
-    def sample(self, k: int) -> "DirectionTrace":
-        """The trace of batch member ``k``."""
-        return DirectionTrace(self.events[:, k], self.pre[:, k], self.act[:, k],
-                              self.c[:, k], self.h[:, k], self.tanh_c[:, k])
+    """Per-timestep quantities of one direction over a batch, time first,
+    in its own reading order (the backward one reads each window reversed
+    in place, see ``ForwardTrace.rev``). The input at a step is the
+    one-hot row of ``events`` (the pad index H reads a zero row; training
+    reads it for a dropped event too), times the run's one input scale
+    (1/keep in training, else 1). At the steps before a sample's first
+    event its rows of ``act``, ``c``, ``h`` and ``tanh_c`` are zero, and
+    its ``pre`` rows hold the bias alone. The gate blocks of ``pre`` and
+    ``act`` are the row blocks of :meth:`LstmWeights.rows`."""
+    events: np.ndarray  # (T, B) int activity indices as read, H for a zero input
+    pre: np.ndarray  # (T, B, 4D) gate pre-activations, blocks i, f, o, g
+    act: np.ndarray  # (T, B, 4D) gate activations, same blocks
+    c: np.ndarray  # (T+1, B, D), c[0] is the zero initial state
+    h: np.ndarray  # (T+1, B, D)
+    tanh_c: np.ndarray  # (T+1, B, D), tanh(c), kept for BPTT
 
 
 @dataclass
 class ForwardTrace:
-    """One forward pass: both directions, their final hidden states
-    ``hcat``, the output logits and class probabilities, and the ``spans``
-    and backward order ``rev`` of the batch layout it ran in, as
-    :func:`_alignment` derives them. The trace of :func:`forward` is one
-    sample's, without the batch axis.
+    """One forward pass over a batch: both directions, their final hidden
+    states ``hcat``, the output logits and class probabilities, and the
+    ``spans`` and backward order ``rev`` of the batch layout it ran in, as
+    :func:`_alignment` derives them.
 
     Every row reads its forward states from ``fwd``, the run over its
     root rows (see :func:`_inference_runs`), through ``fwd_map`` (step
     offset, root column): row k's step t is the root run's step
     t + offset[k] in column col[k]. A batch that ran its own forward
-    direction is its own root, with offset 0 and column k; the trace of
-    :func:`forward` has the map (0, 0)."""
+    direction is its own root, with offset 0 and column k."""
     fwd: DirectionTrace
     bwd: DirectionTrace
-    hcat: np.ndarray  # (B, 2D) or (2D,): forward then backward
-    logits: np.ndarray  # (B, H) or (H,)
-    probs: np.ndarray  # same shape as logits
+    hcat: np.ndarray  # (B, 2D): forward then backward
+    logits: np.ndarray  # (B, H)
+    probs: np.ndarray  # (B, H)
     spans: list[tuple[int, int, int]]
-    rev: np.ndarray  # (T, B) or (T,)
+    rev: np.ndarray  # (T, B)
     fwd_map: tuple[np.ndarray, np.ndarray]
 
 
@@ -671,14 +643,14 @@ def _stack_events(model: BiLstmModel, samples) -> tuple[np.ndarray, np.ndarray]:
 
 
 def forward(model: BiLstmModel, sample: PrefixSample) -> ForwardTrace:
-    """Run the network over one sample, recording every intermediate value.
+    """Run the network over one sample as a batch of one, recording every
+    intermediate value: every array of the trace keeps a batch axis of
+    size 1.
 
     Only the true-length suffix enters the recurrence; padding is never
     touched. The trace's arrays live in a workspace of their own.
     """
-    run = _run_batch(model, *_stack_events(model, [sample]), Workspace())
-    return ForwardTrace(run.fwd.sample(0), run.bwd.sample(0), run.hcat[0], run.logits[0],
-                        run.probs[0], run.spans, run.rev[:, 0], (0, 0))
+    return _run_batch(model, *_stack_events(model, [sample]), Workspace())
 
 
 def predict(model: BiLstmModel, sample: PrefixSample) -> tuple[int, np.ndarray]:
@@ -979,7 +951,7 @@ def load_model(source: Union[str, Path, IO]) -> BiLstmModel:
     if not isinstance(doc, dict):
         raise CorruptModel("model file does not hold a JSON object")
     version = doc.get("format_version")
-    if version not in _READABLE_VERSIONS:
+    if type(version) is not int or version not in _READABLE_VERSIONS:  # not 2.0, not true
         raise VersionMismatch(f"model format {version!r}, expected one of "
                               f"{', '.join(map(str, _READABLE_VERSIONS))}")
     try:

@@ -98,11 +98,12 @@ def _hex_color(d: float) -> str:
 
 
 def _encode_or_skip(trace: Trace, model) -> PrefixSample | None:
-    """The trace as one running sample, or None with a warning on stderr
-    when it is too short to predict on or holds an activity the model does
-    not know."""
+    """The trace as one running sample at its own length, or None with a
+    warning on stderr when it is too short to predict on or holds an
+    activity the model does not know. The batches crop every sample to its
+    true events, so the model's ``max_len`` sizes nothing here."""
     try:
-        return encode_running_trace(trace, model.vocab, model.max_len)
+        return encode_running_trace(trace, model.vocab, len(trace))
     except TraceTooShort:
         print(f"case {trace.case_id}: trace too short to predict on "
               f"({len(trace)} event)", file=sys.stderr)

@@ -168,11 +168,8 @@ def _run_fold(job: _CvJob, i: int, beat: float) -> tuple[MetricsRow, BiLstmModel
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask, where the platform has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+    """CPUs this process may run on, its affinity mask (Linux only)."""
+    return len(os.sched_getaffinity(0))
 
 
 def _one_blas_thread() -> None:

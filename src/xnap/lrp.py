@@ -96,10 +96,10 @@ def as_f64(x) -> np.ndarray:
 def _stabilise(z_upper: np.ndarray, epsilon: float, stab: np.ndarray | None = None,
                denom: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The stabiliser epsilon * sign(z), with sign(0) = +1, and the
-    denominator z + stabiliser, written to ``stab`` and ``denom`` if given."""
-    stab = np.empty(z_upper.shape) if stab is None else stab
-    np.copyto(stab, -epsilon)
-    np.copyto(stab, epsilon, where=z_upper >= 0.0)
+    denominator z + stabiliser, written to ``stab`` and ``denom`` if given.
+    Adding 0.0 turns -0.0 into +0.0, so copysign gives sign(0) = +1."""
+    stab = np.add(z_upper, 0.0, out=stab)
+    np.copysign(epsilon, stab, out=stab)
     return stab, np.add(z_upper, stab, out=denom)
 
 
@@ -173,14 +173,15 @@ def _walk_cells(trace: DirectionTrace, params: LstmWeights, config: LrpConfig,
     share_c = h_prev  # free until h_{t-1} is copied in
     _stabilise(trace.c[1:], eps, share_c, denom_c)
     share_c /= 2.0
-    np.multiply(trace.gate_f, trace.c[:-1], out=summ_f)
-    np.multiply(trace.gate_i, trace.cand, out=summ_i)
+    i, f, g = params.rows("i"), params.rows("f"), params.rows("g")
+    np.multiply(trace.act[..., f], trace.c[:-1], out=summ_f)
+    np.multiply(trace.act[..., i], trace.act[..., g], out=summ_i)
     cells[:2] += share_c
     np.copyto(h_prev, trace.h[:-1])
     # The lower layer of g_t's pre-activation is [x_t ; h_{t-1}]: H input
     # units and D hidden ones share the stabiliser and bias term.
-    _stabilise(trace.pre_g, eps, share_g, denom_g)
-    share_g += config.delta * params.b[params.rows("g")]
+    _stabilise(trace.pre[..., g], eps, share_g, denom_g)
+    share_g += config.delta * params.b[g]
     share_g /= h_dim + d
     return cells
 

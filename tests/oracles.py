@@ -362,6 +362,15 @@ def _lrp_multiplicative(r_product):
     return np.zeros_like(r_product), r_product.copy()
 
 
+def stabilise_two_pass(z_upper, epsilon, stab=None, denom=None):
+    """``lrp._stabilise`` as two masked writes: -epsilon everywhere, then
+    +epsilon where z >= 0 (which holds for -0.0)."""
+    stab = np.empty(z_upper.shape) if stab is None else stab
+    np.copyto(stab, -epsilon)
+    np.copyto(stab, epsilon, where=z_upper >= 0.0)
+    return stab, np.add(z_upper, stab, out=denom)
+
+
 def _split_sum2(s1, s2, z_upper, r_upper, epsilon, delta):
     sign = _sign(z_upper)
     denom = z_upper + epsilon * sign
@@ -371,13 +380,17 @@ def _split_sum2(s1, s2, z_upper, r_upper, epsilon, delta):
 
 
 def _propagate_direction(trace, params, r_h_final, config):
-    inputs = one_hot(trace.events, params.W.shape[1])
+    """Walk batch member 0 of the direction trace ``trace``."""
+    events, act, pre, c, h = (arr[:, 0] for arr in (trace.events, trace.act, trace.pre,
+                                                    trace.c, trace.h))
+    inputs = one_hot(events, params.W.shape[1])
     t_len, h_dim = inputs.shape
     d = r_h_final.shape[0]
     g = params.rows("g")
     w_cat = np.hstack([params.W[g], params.U[g]])  # lower = [x_t ; h_{t-1}]
     b_g = params.b[g]
-    gate_i, gate_f, cand, pre_g = trace.gate_i, trace.gate_f, trace.cand, trace.pre_g
+    gate_i, gate_f = act[:, params.rows("i")], act[:, params.rows("f")]
+    cand, pre_g = act[:, g], pre[:, g]
     rx = np.zeros((t_len, h_dim))
     r_h = r_h_final
     r_c = np.zeros(d)
@@ -388,12 +401,12 @@ def _propagate_direction(trace, params, r_h_final, config):
         gate_total += float(np.abs(r_gate_o).sum())
         r_c = r_c + r_tanh_c
         r_forget_term, r_input_term = _split_sum2(
-            gate_f[t] * trace.c[t], gate_i[t] * cand[t],
-            trace.c[t + 1], r_c, config.epsilon, config.delta)
+            gate_f[t] * c[t], gate_i[t] * cand[t],
+            c[t + 1], r_c, config.epsilon, config.delta)
         r_gate_f, r_c_prev = _lrp_multiplicative(r_forget_term)
         r_gate_i, r_cand = _lrp_multiplicative(r_input_term)
         gate_total += float(np.abs(r_gate_f).sum() + np.abs(r_gate_i).sum())
-        z_low = np.concatenate([inputs[t], trace.h[t]])
+        z_low = np.concatenate([inputs[t], h[t]])
         r_low = _lrp_linear(z_low, w_cat, b_g, pre_g[t], r_cand,
                             config.epsilon, config.delta)
         absorbed += _bias_absorption(b_g, pre_g[t], r_cand,
@@ -409,17 +422,18 @@ def explain_per_sample(model, sample, config=LrpConfig()):
     """Relevance of one prediction, walked step by step through one sample."""
     if sample.true_length < 2:
         raise TraceTooShort(f"true_length {sample.true_length}; need >= 2")
-    trace = forward(model, sample)
-    target = int(np.argmax(trace.probs)) if config.target is None else config.target
-    r_init = float(trace.logits[target])
+    trace = forward(model, sample)  # a batch of one: its member 0
+    logits, probs = trace.logits[0], trace.probs[0]
+    target = int(np.argmax(probs)) if config.target is None else config.target
+    r_init = float(logits[target])
     r_out = np.zeros(model.n_classes)
     r_out[target] = r_init
 
     d = model.hidden_size
-    h_cat = np.concatenate([trace.fwd.h[-1], trace.bwd.h[-1]])
-    r_hcat = _lrp_linear(h_cat, model.W_out, model.b_out, trace.logits, r_out,
+    h_cat = np.concatenate([trace.fwd.h[-1, 0], trace.bwd.h[-1, 0]])
+    r_hcat = _lrp_linear(h_cat, model.W_out, model.b_out, logits, r_out,
                          config.epsilon, config.delta)
-    absorbed = _bias_absorption(model.b_out, trace.logits, r_out,
+    absorbed = _bias_absorption(model.b_out, logits, r_out,
                                 config.epsilon, config.delta)
 
     rx_f, left_f, abs_f, gates_f = _propagate_direction(
@@ -434,7 +448,7 @@ def explain_per_sample(model, sample, config=LrpConfig()):
         display=rescale_for_display(raw),
         target_class=target,
         model_output=r_init,
-        target_prob=float(trace.probs[target]),
+        target_prob=float(probs[target]),
         initial_state_relevance=left_f + left_b,
         bias_absorbed=absorbed + abs_f + abs_b,
         gate_relevance=gates_f + gates_b,

@@ -132,8 +132,8 @@ class TestForward:
             arr[...] = 0.0
         rng = np.random.default_rng(0)
         trace = forward(model, random_sample(rng, 4, 3, 3))
-        assert np.allclose(trace.fwd.gate_i, 0.5)
-        assert np.allclose(trace.fwd.cand, 0.0)
+        assert np.allclose(trace.fwd.act[..., model.forward_params.rows("i")], 0.5)
+        assert np.allclose(trace.fwd.act[..., model.forward_params.rows("g")], 0.0)
         assert np.allclose(trace.fwd.h, 0.0)
         assert np.allclose(trace.logits, 0.0)
         assert np.allclose(trace.probs, 1.0 / 3.0)
@@ -171,8 +171,8 @@ class TestForward:
         sample = random_sample(rng, 6, 4, 3)
         trace = forward(model, sample)
         suffix = sample.events[3:]
-        assert np.array_equal(trace.fwd.events, suffix)
-        assert np.array_equal(trace.bwd.events, suffix[::-1])
+        assert np.array_equal(trace.fwd.events[:, 0], suffix)
+        assert np.array_equal(trace.bwd.events[:, 0], suffix[::-1])
 
     def test_dropout_mask_applies_to_inputs(self):
         rng = np.random.default_rng(3)
@@ -187,7 +187,7 @@ class TestForward:
         # With every event dropped the scale reaches nothing.
         trace = one_sample_run(model, occlude_event(dropped, 1), 2.0)
         zeroed = forward(model, PrefixSample(np.full(4, 3), 2, 0, "t", 3))
-        assert np.array_equal(trace.logits[0], zeroed.logits)
+        assert np.array_equal(trace.logits, zeroed.logits)
 
     def test_non_finite_input_or_weight_raises(self):
         rng = np.random.default_rng(4)
@@ -295,7 +295,7 @@ class TestPredictMany:
 
 
 def mean_loss(model, samples):
-    return sum(cross_entropy(forward(model, s).probs, s.label_index)
+    return sum(cross_entropy(forward(model, s).probs[0], s.label_index)
                for s in samples) / len(samples)
 
 
@@ -304,7 +304,7 @@ class TestBackward:
         rng = np.random.default_rng(7)
         model = random_model(rng, 3, 4, 5)
         sample = random_sample(rng, 5, 4, 3)
-        probs = forward(model, sample).probs
+        probs = forward(model, sample).probs[0]
         grads = backward(model, sample, sample.label_index)
         expected = probs.copy()
         expected[sample.label_index] -= 1.0

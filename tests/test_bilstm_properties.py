@@ -1,8 +1,10 @@
 """Property tests of the packed batch kernel: the order of a batch's rows
 changes neither its gradients nor which loss and prediction belong to
 which sample, permuting the samples of a many-sample prediction
-permutes its rows, and a saved model loads back bit for bit."""
+permutes its rows, a single sample's trace is its batch of one, and a
+saved model loads back bit for bit."""
 import io
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -18,9 +20,13 @@ from xnap.bilstm import (
     Workspace,
     _batch_backward,
     _named,
+    _run_batch,
+    _stack_events,
     _zero_grads,
+    forward,
     init_model,
     load_model,
+    predict,
     predict_many,
     save_model,
 )
@@ -91,6 +97,35 @@ def test_permuted_samples_permute_the_rows(case):
         permuted = predict_many(model, [samples[k] for k in perm])
     assert np.max(np.abs(permuted - probs[perm])) <= 1e-12
     assert np.array_equal(permuted.argmax(axis=1), probs[perm].argmax(axis=1))
+
+
+@st.composite
+def single_samples(draw):
+    """A seeded random model and one sample of length 1..M, padded to M."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = draw(st.integers(1, 8))
+    model = random_model(rng, draw(st.integers(1, 4)), draw(st.integers(2, 5)), m)
+    return model, random_sample(rng, m, model.n_classes, draw(st.integers(1, m)))
+
+
+def trace_arrays(trace):
+    """Every array of a ForwardTrace, both directions' fields first."""
+    return [*astuple(trace.fwd), *astuple(trace.bwd), trace.hcat, trace.logits,
+            trace.probs, trace.rev, *trace.fwd_map]
+
+
+@settings(max_examples=60, deadline=None)
+@given(single_samples())
+def test_forward_is_its_batch_of_one(case):
+    model, sample = case
+    trace = forward(model, sample)
+    run = _run_batch(model, *_stack_events(model, [sample]), Workspace())
+    assert trace.spans == run.spans == [(0, sample.true_length, 1)]
+    for got, want in zip(trace_arrays(trace), trace_arrays(run), strict=True):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert trace.hcat.shape == (1, 2 * model.hidden_size)  # a batch axis of size 1
+    assert trace.fwd_map[0].tolist() == [0] and trace.fwd_map[1].tolist() == [0]
+    assert trace.probs[0].tobytes() == predict(model, sample)[1].tobytes()
 
 
 # Values a decimal or a float32 detour would not keep: the sign of zero,

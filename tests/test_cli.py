@@ -244,6 +244,36 @@ class TestPredict:
         assert re.fullmatch(rf"error: {key} must be [^\n]*\n", captured.err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [2.0, True], ids=["float", "bool"])
+    def test_format_version_not_an_int_exits_2(self, workdir, tmp_path, capsys, value):
+        doc = json.loads((workdir / "model.json").read_text())
+        doc["format_version"] = value
+        bad, out = tmp_path / "bad.json", tmp_path / "out.csv"
+        bad.write_text(json.dumps(doc))
+        assert main(["predict", "--model", str(bad), "--log", str(workdir / "log.csv"),
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: model format {value!r}, expected one of 1, 2\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "explain"])
+    def test_huge_max_len_sizes_nothing(self, workdir, tmp_path, capsys, command):
+        # Running traces are encoded at their own length, so a model's
+        # max_len allocates nothing and the output keeps its bytes.
+        doc = json.loads((workdir / "model.json").read_text())
+        doc["max_len"] = 10**12
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(doc))
+        log = write_log(tmp_path / "log.csv", {"c1": "ABCDEAB", "c2": "ABC"})
+        outputs = []
+        for model in (workdir / "model.json", huge):
+            out = tmp_path / f"{model.stem}.out"
+            assert main([command, "--model", str(model), "--log", log,
+                         "--out", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_case_longer_than_model_predicted(self, workdir, tmp_path, capsys):
         # the model was trained on length-5 traces: its padding length is 6
         log = write_log(tmp_path / "long.csv", {"c1": "ABCDEAB", "c2": "AB"})

@@ -220,8 +220,8 @@ class TestExplain:
         trace = forward(model, sample)
         by_logit = explain(model, sample, LrpConfig(target=1))
         assert by_logit.target_class == 1
-        assert by_logit.model_output == pytest.approx(float(trace.logits[1]))
-        assert by_logit.target_prob == pytest.approx(float(trace.probs[1]))
+        assert by_logit.model_output == pytest.approx(float(trace.logits[0, 1]))
+        assert by_logit.target_prob == pytest.approx(float(trace.probs[0, 1]))
 
     def test_relevance_length_matches_events(self):
         rng = np.random.default_rng(27)

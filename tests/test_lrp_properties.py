@@ -9,9 +9,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from xnap import bilstm
-from xnap.lrp import LrpConfig, explain_many
+from xnap.lrp import LrpConfig, _stabilise, explain_many
 
-from oracles import explain_per_sample
+from oracles import explain_per_sample, stabilise_two_pass
 from test_bilstm import random_model, random_sample
 from test_lrp import assert_matches_oracle
 
@@ -52,3 +52,27 @@ def test_batched_walk_equals_per_sample_oracle(case, config):
         results = explain_many(model, samples, config)
     for sample, result in zip(samples, results):
         assert_matches_oracle(result, explain_per_sample(model, sample, config))
+
+
+# Finite floats with the edge cases drawn often: both zeros, subnormals
+# and the largest magnitudes.
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e308, -1e308,
+          1.7976931348623157e308, -1.7976931348623157e308]
+_finite = st.one_of(st.sampled_from(_EDGES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_finite, min_size=1, max_size=24),
+       st.sampled_from([1e-3, 1e-6, 0.5, 5e-324, 1e308]),
+       st.booleans())
+def test_stabilise_equals_two_pass_oracle(values, epsilon, into):
+    z = np.asarray(values).reshape(-1, 2) if len(values) % 2 == 0 else np.asarray(values)
+    with np.errstate(over="ignore"):  # z + stabiliser may overflow, in both forms alike
+        if into:  # written to given arrays, as _walk_cells calls it
+            got = _stabilise(z, epsilon, np.full(z.shape, np.nan), np.full(z.shape, np.nan))
+            want = stabilise_two_pass(z, epsilon, np.empty(z.shape), np.empty(z.shape))
+        else:
+            got, want = _stabilise(z, epsilon), stabilise_two_pass(z, epsilon)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()  # bit for bit, the signs of zeros too
+    assert (got[0] > 0).tolist() == (z >= 0.0).tolist()  # sign(0) = +1, -0.0 included
