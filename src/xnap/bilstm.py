@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import base64
 import binascii
+import functools
 import json
 import math
 import os
@@ -136,6 +137,12 @@ class BiLstmModel:
     def n_classes(self) -> int:
         return self.vocab.size
 
+    @classmethod
+    def of(cls, arrays: list[np.ndarray], *args, **kwargs) -> BiLstmModel:
+        """A model over ``arrays`` laid out like :meth:`arrays`, then its other fields."""
+        return cls(LstmWeights(*arrays[0:3]), LstmWeights(*arrays[3:6]), *arrays[6:8],
+                   *args, **kwargs)
+
     def arrays(self) -> list[np.ndarray]:
         """The trainable arrays as stored: W, U, b of the forward and the
         backward direction, then W_out and b_out."""
@@ -205,29 +212,23 @@ def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
-def _init_direction(rng: np.random.Generator, d: int, h: int) -> LstmWeights:
+def _init_direction(rng: np.random.Generator, d: int, h: int) -> list[np.ndarray]:
     ws, us = [], []
     for _ in GATES:  # draw order W_i, U_i, W_f, U_f, ... fixes the seeded weights
         ws.append(_glorot(rng, d, h))
         us.append(_glorot(rng, d, d))
     b = np.zeros(4 * d)
     b[d:2 * d] = 1.0  # forget bias 1 helps early gradient flow
-    return LstmWeights(np.vstack(ws), np.vstack(us), b)
+    return [np.vstack(ws), np.vstack(us), b]
 
 
 def init_model(vocab: ActivityVocabulary, max_len: int, config: TrainConfig) -> BiLstmModel:
     """Fresh model with Glorot-uniform weights, seeded by the config."""
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
     d, h = config.hidden_size, vocab.size
-    return BiLstmModel(
-        forward_params=_init_direction(rng, d, h),
-        backward_params=_init_direction(rng, d, h),
-        W_out=_glorot(rng, h, 2 * d),
-        b_out=np.zeros(h),
-        vocab=vocab,
-        max_len=max_len,
-        hyperparams=asdict(config),
-    )
+    arrays = _init_direction(rng, d, h) + _init_direction(rng, d, h)
+    return BiLstmModel.of(arrays + [_glorot(rng, h, 2 * d), np.zeros(h)], vocab, max_len,
+                          asdict(config))
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -303,6 +304,24 @@ class _borrowed_workspace:
 # first n samples have started; a batch's spans come oldest first and
 # the last one runs every sample.
 
+@functools.cache
+def _gate_rows(d: int) -> np.ndarray:
+    """Read-only per-column (scale, shift) rows of :func:`_gate_step` at
+    hidden size ``d``: 0.5 and 1 on i, f, o; 1 and -0.0 on g."""
+    rows = np.repeat([[0.5, 1.0], [1.0, -0.0]], [3 * d, d], axis=1)
+    rows.flags.writeable = False
+    return rows
+
+
+def _gate_step(z: np.ndarray, a: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> None:
+    """Gate activations ``a`` of the contiguous rows ``z`` (n, 4D): sigm(x) = (1 +
+    tanh(x/2)) / 2 on i, f, o; tanh(x) * 1 + -0.0 on g (adding -0.0 keeps -0.0)."""
+    np.multiply(z, scale, out=a)
+    np.tanh(a, out=a)
+    a += shift
+    a *= scale
+
+
 def _run_direction(events: np.ndarray, p: LstmWeights, spans: list[tuple[int, int, int]],
                    ws: Workspace, key: str, scale: float) -> DirectionTrace:
     """One direction over time-major activity indices ``events`` (T, B),
@@ -330,6 +349,7 @@ def _run_direction(events: np.ndarray, p: LstmWeights, spans: list[tuple[int, in
     rec = ws.take("step.rec", (b, 4 * d))
     prod = ws.take("step.prod", (b, d))
     u_t = p.U.T
+    gate_scale, gate_shift = _gate_rows(d)
     # Non-finite values run through and are reported once, below.
     with np.errstate(invalid="ignore", over="ignore"):
         table.take(events, axis=0, out=pre, mode="clip")
@@ -344,12 +364,7 @@ def _run_direction(events: np.ndarray, p: LstmWeights, spans: list[tuple[int, in
             for t in range(t1 - t0):
                 z, a = zs[t], acts[t]
                 z += np.matmul(hs[t], u_t, out=rec_n)
-                sig = a[:, :s]
-                np.multiply(z[:, :s], 0.5, out=sig)  # sigm(x) = (1 + tanh(x/2)) / 2
-                np.tanh(sig, out=sig)
-                sig += 1.0
-                sig *= 0.5
-                np.tanh(z[:, s:], out=a[:, s:])
+                _gate_step(z, a, gate_scale, gate_shift)
                 c_next, tanh_c = cs[t + 1], tcs[t + 1]
                 np.multiply(a[:, d:2 * d], cs[t], out=c_next)
                 c_next += np.multiply(a[:, :d], a[:, s:], out=prod_n)
@@ -409,6 +424,12 @@ def _direction_backward(run: DirectionTrace, p: LstmWeights,
 
 def _zero_grads(model: BiLstmModel) -> list[np.ndarray]:
     return [np.zeros_like(arr) for arr in model.arrays()]
+
+
+def _views(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
+    """Consecutive C-contiguous views of ``flat`` shaped like ``like``."""
+    ends = np.cumsum([arr.size for arr in like]).tolist()
+    return [flat[end - arr.size:end].reshape(arr.shape) for arr, end in zip(like, ends)]
 
 
 def _alignment(lengths: np.ndarray, t_len: int
@@ -771,17 +792,22 @@ def train(dataset: PrefixDataset, val_dataset: PrefixDataset,
         raise ShapeMismatch("training and validation vocabularies differ")
 
     model = init_model(dataset.vocab, dataset.M, config)
+    # Weights, gradients, Nadam state and best snapshot each sit in one flat
+    # buffer, so a batch updates each in one call; arrays and grads are views.
+    weights = np.concatenate([arr.ravel() for arr in model.arrays()])
+    model = BiLstmModel.of(_views(weights, model.arrays()), model.vocab, model.max_len,
+                           model.hyperparams)
+    grad_buf = np.zeros_like(weights)
+    grads = _views(grad_buf, model.arrays())
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     shuffle_rng = np.random.default_rng(seeds[1])
     dropout_rng = np.random.default_rng(seeds[2])
-    params = model.arrays()
-    optimizer = Nadam(params, config.learning_rate)
+    optimizer = Nadam([weights], config.learning_rate)
     keep = 1.0 - config.dropout_rate
-    grads = _zero_grads(model)
 
     history: list[EpochStats] = []
     best_loss = math.inf
-    best_snapshot = [np.empty_like(arr) for arr in params]
+    best_snapshot = np.empty_like(weights)
     best_epoch = 0
     epochs_since_best = 0
     n = len(dataset)
@@ -798,16 +824,13 @@ def train(dataset: PrefixDataset, val_dataset: PrefixDataset,
                 events = dataset.events[batch, dataset.M - int(lengths.max()):]
                 if config.dropout_rate > 0.0:
                     events = _drop_inputs(events, lengths, model.n_classes, dropout_rng, keep)
-                for g in grads:
-                    g.fill(0.0)
+                grad_buf.fill(0.0)
                 losses, preds = _batch_backward(model, events, lengths, labels, grads, ws,
                                                 1.0 / keep)
                 epoch_loss += float(losses.sum())
                 epoch_correct += int((preds == labels).sum())
-                scale = 1.0 / len(batch)
-                for g in grads:
-                    g *= scale
-                optimizer.step(grads)
+                grad_buf *= 1.0 / len(batch)
+                optimizer.step([grad_buf])
 
             train_loss = epoch_loss / n
             val_loss, val_acc = _dataset_loss(model, val_dataset, ws)
@@ -819,16 +842,14 @@ def train(dataset: PrefixDataset, val_dataset: PrefixDataset,
             if val_loss < best_loss:
                 best_loss = val_loss
                 best_epoch = epoch
-                for best, arr in zip(best_snapshot, params):
-                    np.copyto(best, arr)
+                np.copyto(best_snapshot, weights)
                 epochs_since_best = 0
             else:
                 epochs_since_best += 1
                 if epochs_since_best >= config.patience:
                     break
 
-    for arr, best in zip(params, best_snapshot):
-        np.copyto(arr, best)
+    np.copyto(weights, best_snapshot)
     model.trained_epochs = len(history)
     model.hyperparams = dict(model.hyperparams, best_epoch=best_epoch)
     return model, history
@@ -959,18 +980,11 @@ def load_model(source: Union[str, Path, IO]) -> BiLstmModel:
         vocab = _header_vocab(doc)
         h = vocab.size
         hyper = dict(doc["hyperparams"])
-        trained = int(hyper.pop("trained_epochs", 0))
+        trained = hyper.pop("trained_epochs", 0)
+        if type(trained) is not int or trained < 0:  # not 1e400 (inf), 2.7 or true
+            raise CorruptModel(f"trained_epochs must be an integer >= 0, got {trained!r}")
         arrays = (_arrays_v2 if version == 2 else _arrays_v1)(doc, d, h)
-        model = BiLstmModel(
-            forward_params=LstmWeights(*arrays[0:3]),
-            backward_params=LstmWeights(*arrays[3:6]),
-            W_out=arrays[6],
-            b_out=arrays[7],
-            vocab=vocab,
-            max_len=max_len,
-            hyperparams=hyper,
-            trained_epochs=trained,
-        )
+        model = BiLstmModel.of(arrays, vocab, max_len, hyper, trained)
     except CorruptModel:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -19,6 +19,8 @@ is the format 1 writer: every gate block as nested decimal lists. The
 synthesis oracle is the Markov walk that draws each transition with
 ``rng.choice``; the timestamp oracles are the ``replace``/``astimezone``
 round trips that turned a parsed timestamp into UTC and back to text.
+The gate step oracle is the five-call step on strided gate blocks that
+the packed kernel ran before it computed whole rows.
 """
 import json
 import math
@@ -149,6 +151,18 @@ class MaskedRun:
     probs: np.ndarray
 
 
+def strided_gate_step(z, a, d):
+    """Gate activations ``a`` of pre-activations ``z`` (n, 4D), computed
+    on the sigmoid block i, f, o and the tanh block g apart."""
+    s = 3 * d
+    sig = a[:, :s]
+    np.multiply(z[:, :s], 0.5, out=sig)  # sigm(x) = (1 + tanh(x/2)) / 2
+    np.tanh(sig, out=sig)
+    sig += 1.0
+    sig *= 0.5
+    np.tanh(z[:, s:], out=a[:, s:])
+
+
 def masked_run_direction(xs, p, hold, ws, key):
     """One direction over time-major inputs ``xs`` (T, B, H).
 
@@ -171,12 +185,7 @@ def masked_run_direction(xs, p, hold, ws, key):
         for t in range(t_len):
             z, a = pre[t], act[t]
             z += np.matmul(h[t], u_t, out=rec)
-            sig = a[:, :s]
-            np.multiply(z[:, :s], 0.5, out=sig)  # sigm(x) = (1 + tanh(x/2)) / 2
-            np.tanh(sig, out=sig)
-            sig += 1.0
-            sig *= 0.5
-            np.tanh(z[:, s:], out=a[:, s:])
+            strided_gate_step(z, a, d)
             np.multiply(a[:, d:2 * d], c[t], out=c[t + 1])
             c[t + 1] += np.multiply(a[:, :d], a[:, s:], out=prod)
             if t < len(hold):

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -820,6 +821,45 @@ class TestTrain:
         empty = assemble_dataset(make_log([["A"]]), train_set.vocab, train_set.M)
         with pytest.raises(EmptyDataset):
             train(empty, val_set, TrainConfig())
+
+
+class TestFlatLayout:
+    """``train`` keeps its weights in one flat buffer: a trained model's
+    arrays are disjoint views into it."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        train_set, val_set = grammar_datasets(n_traces=20)
+        config = TrainConfig(hidden_size=4, batch_size=16, max_epochs=2, seed=4)
+        return train(train_set, val_set, config)[0], val_set
+
+    def test_arrays_are_disjoint_views_of_one_buffer(self, trained):
+        model, _ = trained
+        arrays = model.arrays()
+        buffer = arrays[0].base
+        assert buffer is not None and buffer.size == sum(arr.size for arr in arrays)
+        for k, arr in enumerate(arrays):
+            assert arr.base is buffer
+            assert arr.flags.c_contiguous and arr.flags.writeable
+            for other in arrays[k + 1:]:
+                assert not np.shares_memory(arr, other)
+
+    def test_a_write_through_param_items_reaches_the_model(self, trained):
+        model = copy.deepcopy(trained[0])
+        items = dict(model.param_items())
+        items["backward.U_g"][-1, -1] = 7.5
+        items["b_out"][0] = -2.5
+        assert model.backward_params.U[-1, -1] == 7.5
+        assert model.b_out[0] == -2.5
+
+    def test_saved_and_pickled_models_predict_the_same_bits(self, trained, tmp_path):
+        model, val_set = trained
+        save_model(model, tmp_path / "model.json")
+        want = predict_dataset(model, val_set)
+        sample = dataset_sample(val_set, 0)
+        for other in (load_model(tmp_path / "model.json"), pickle.loads(pickle.dumps(model))):
+            assert predict_dataset(other, val_set).tobytes() == want.tobytes()
+            assert predict(other, sample)[1].tobytes() == predict(model, sample)[1].tobytes()
 
 
 class PoisonedWorkspace(Workspace):

@@ -1,8 +1,10 @@
 """Property tests of the packed batch kernel: the order of a batch's rows
 changes neither its gradients nor which loss and prediction belong to
 which sample, permuting the samples of a many-sample prediction
-permutes its rows, a single sample's trace is its batch of one, and a
-saved model loads back bit for bit."""
+permutes its rows, a single sample's trace is its batch of one, a
+saved model loads back bit for bit, the whole-row gate step computes
+the bits of the strided one, and Nadam on one flat buffer steps the bits
+of Nadam on the same values as separate arrays."""
 import io
 from dataclasses import astuple
 from unittest import mock
@@ -16,9 +18,12 @@ from hypothesis.extra import numpy as hnp
 
 from xnap import bilstm
 from xnap.bilstm import (
+    Nadam,
     TrainConfig,
     Workspace,
     _batch_backward,
+    _gate_rows,
+    _gate_step,
     _named,
     _run_batch,
     _stack_events,
@@ -32,7 +37,7 @@ from xnap.bilstm import (
 )
 from xnap.encoding import occlude_event
 
-from oracles import masked_batch_backward
+from oracles import masked_batch_backward, strided_gate_step
 from test_bilstm import dummy_vocab, random_batch, random_model, random_sample
 
 
@@ -161,3 +166,84 @@ def test_saved_model_loads_back_bit_for_bit(model):
     assert loaded.vocab == model.vocab and loaded.max_len == model.max_len
     assert loaded.hyperparams == model.hyperparams
     assert loaded.trained_epochs == model.trained_epochs
+
+
+# Pre-activations that test a sign or a rounding: both zeros, subnormals,
+# the smallest normal, and values where tanh or tanh(x/2) saturates.
+SPECIAL_GATE_INPUTS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+                       1e-8, -1e-8, 19.0625, -19.0625, 38.125, 1e3, -1e3]
+
+
+@st.composite
+def gate_inputs(draw):
+    """Pre-activations (n, 4D), n 1-40 and D 1-24, starting 0-7 floats
+    into their buffer: values of every magnitude up to 1e3, the special
+    ones above mixed in, and some drawn by hypothesis."""
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    size = n * 4 * d
+    magnitude = 10.0 ** rng.uniform(-330, 3, size)  # below 5e-324 it rounds to 0
+    z = np.where(rng.random(size) < 0.5, -magnitude, magnitude)
+    moderate = rng.random(size) < 0.3
+    z[moderate] = rng.uniform(-10, 10, int(moderate.sum()))
+    spots = rng.random(size) < 0.2
+    z[spots] = rng.choice(SPECIAL_GATE_INPUTS, int(spots.sum()))
+    drawn = draw(st.lists(st.floats(-1e3, 1e3), max_size=min(size, 20)))
+    z[rng.permutation(size)[:len(drawn)]] = drawn
+    offset = draw(st.integers(0, 7))
+    buf = np.empty(offset + size)
+    buf[offset:] = z
+    return buf[offset:].reshape(n, 4 * d), d
+
+
+@settings(max_examples=200, deadline=None)
+@given(gate_inputs())
+def test_gate_step_equals_the_strided_step(case):
+    z, d = case
+    got, want = np.full_like(z, np.nan), np.full_like(z, np.nan)
+    with np.errstate(invalid="ignore", over="ignore"):  # as the kernel runs it
+        _gate_step(z, got, *_gate_rows(d))
+        strided_gate_step(z, want, d)
+    assert got.tobytes() == want.tobytes()  # every bit, the sign of zero too
+
+
+def test_gate_rows_are_read_only_and_shift_g_by_minus_zero():
+    scale, shift = _gate_rows(3)
+    assert scale.tolist() == [0.5] * 9 + [1.0] * 3
+    assert shift.tolist() == [1.0] * 9 + [0.0] * 3 and np.signbit(shift[9:]).all()
+    assert _gate_rows(3) is _gate_rows(3)
+    with pytest.raises(ValueError):
+        scale[0] = 1.0
+
+
+@st.composite
+def nadam_runs(draw):
+    """1-5 arrays of 1-2 axes, a learning rate and 1-6 steps of gradients
+    whose entries span many magnitudes and include zeros."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shapes = draw(st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=2).map(tuple),
+                           min_size=1, max_size=5))
+
+    def values(shape):
+        out = rng.normal(size=shape) * 10.0 ** rng.uniform(-12, 3, size=shape)
+        out[rng.random(shape) < 0.2] = 0.0
+        return out
+
+    steps = [[values(shape) for shape in shapes] for _ in range(draw(st.integers(1, 6)))]
+    lr = draw(st.sampled_from([1e-4, 0.002, 0.01, 0.5]))
+    return [values(shape) for shape in shapes], steps, lr
+
+
+@settings(max_examples=100, deadline=None)
+@given(nadam_runs())
+def test_nadam_on_one_flat_buffer_equals_separate_arrays(case):
+    arrays, steps, lr = case
+    flat = np.concatenate([arr.ravel() for arr in arrays])
+    separate = Nadam([arr.copy() for arr in arrays], lr)
+    joined = Nadam([flat], lr)
+    for grads in steps:
+        separate.step(grads)
+        joined.step([np.concatenate([g.ravel() for g in grads])])
+    for got, want in ((joined.params, separate.params), (joined.m, separate.m),
+                      (joined.v, separate.v)):
+        assert got[0].tobytes() == b"".join(arr.tobytes() for arr in want)

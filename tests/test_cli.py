@@ -256,6 +256,29 @@ class TestPredict:
         assert captured.err == f"error: model format {value!r}, expected one of 1, 2\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("raw", ["1e400", "2.7", "true", "-1"],
+                             ids=["inf", "float", "bool", "negative"])
+    def test_trained_epochs_not_a_count_exits_2(self, workdir, tmp_path, capsys, raw):
+        # JSON reads 1e400 as inf, which int() turned into an OverflowError
+        # traceback; 2.7, true and -1 used to load without a word.
+        doc = json.loads((workdir / "model.json").read_text())
+        doc["hyperparams"]["trained_epochs"] = "@"
+        bad, out = tmp_path / "bad.json", tmp_path / "out.csv"
+        bad.write_text(json.dumps(doc).replace('"@"', raw))
+        assert main(["predict", "--model", str(bad), "--log", str(workdir / "log.csv"),
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        value = json.loads(raw)
+        assert captured.err == f"error: trained_epochs must be an integer >= 0, got {value!r}\n"
+        assert not out.exists()
+
+    def test_missing_trained_epochs_reads_0(self, workdir, tmp_path):
+        doc = json.loads((workdir / "model.json").read_text())
+        assert doc["hyperparams"].pop("trained_epochs") > 0
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        assert load_model(path).trained_epochs == 0
+
     @pytest.mark.parametrize("command", ["predict", "explain"])
     def test_huge_max_len_sizes_nothing(self, workdir, tmp_path, capsys, command):
         # Running traces are encoded at their own length, so a model's
