@@ -407,12 +407,10 @@ def _direction_backward(run: DirectionTrace, p: LstmWeights,
             dz[:, s:] = dc * i_t * (1.0 - g_t ** 2)
             dh = dz @ p.U
             dc = dc * f_t
-    events = run.events.reshape(t_len * b)
-    hs = run.h[:-1].reshape(t_len * b, d)
-    if len(dpre) < t_len * b:  # gather the started (step, sample) rows
-        counts = np.repeat([n for _, _, n in spans], [t1 - t0 for t0, t1, _ in spans])
-        rows = np.flatnonzero(np.arange(b) < counts[:, None])
-        events, hs = events[rows], hs[rows]
+    # The started (step, sample) rows, in the packed order of dpre.
+    counts = np.repeat([n for _, _, n in spans], [t1 - t0 for t0, t1, _ in spans])
+    rows = np.flatnonzero(np.arange(b) < counts[:, None])
+    events, hs = run.events.reshape(t_len * b)[rows], run.h[:-1].reshape(t_len * b, d)[rows]
     # The started rows' scaled one-hot inputs: one dense product sums the
     # gradients of every column of W, which beats scattering them by index.
     h_dim = p.W.shape[1]
@@ -699,23 +697,23 @@ def backward(model: BiLstmModel, sample: PrefixSample, label_index: int) -> dict
 # --- Nadam optimizer --------------------------------------------------------
 
 class Nadam:
-    """Adam with Nesterov momentum at the usual framework defaults
-    (incl. the 0.96-based momentum schedule)."""
+    """Adam with Nesterov momentum at the usual framework defaults (incl. the 0.96-based
+    momentum schedule), stepping ``params`` in place; its moments and work arrays are ``ws``'s."""
 
     beta1 = 0.9
     beta2 = 0.999
     epsilon = 1e-7
 
-    def __init__(self, params: list[np.ndarray], learning_rate: float):
+    def __init__(self, params: np.ndarray, learning_rate: float, ws: Workspace):
         self.params = params
         self.lr = learning_rate
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
-        self._work = [(np.empty_like(p), np.empty_like(p)) for p in params]
+        self.m, self.v, *self._work = (ws.take(f"nadam.{k}", params.shape) for k in "mvab")
+        self.m.fill(0.0)
+        self.v.fill(0.0)
         self.t = 0
         self.mu_product = 1.0
 
-    def step(self, grads: list[np.ndarray]) -> None:
+    def step(self, grads: np.ndarray) -> None:
         """One update, computed in place in the order of
         m_hat = mu' m / (1 - prod mu') + (1 - mu) g / (1 - prod mu),
         p -= lr m_hat / (sqrt(v / (1 - beta2^t)) + epsilon)."""
@@ -724,22 +722,22 @@ class Nadam:
         mu_next = self.beta1 * (1.0 - 0.5 * 0.96 ** (self.t + 1))
         self.mu_product *= mu_t
         mu_product_next = self.mu_product * mu_next
-        for p, g, m, v, (a, b) in zip(self.params, grads, self.m, self.v, self._work):
-            m += np.multiply(np.subtract(g, m, out=a), 1.0 - self.beta1, out=a)
-            np.multiply(g, g, out=a)
-            a -= v
-            v += np.multiply(a, 1.0 - self.beta2, out=a)
-            np.multiply(m, mu_next, out=a)
-            a /= 1.0 - mu_product_next
-            np.multiply(g, 1.0 - mu_t, out=b)
-            b /= 1.0 - self.mu_product
-            a += b  # m_hat
-            np.divide(v, 1.0 - self.beta2 ** self.t, out=b)
-            np.sqrt(b, out=b)
-            b += self.epsilon
-            a *= self.lr
-            a /= b
-            p -= a
+        p, g, m, v, (a, b) = self.params, grads, self.m, self.v, self._work
+        m += np.multiply(np.subtract(g, m, out=a), 1.0 - self.beta1, out=a)
+        np.multiply(g, g, out=a)
+        a -= v
+        v += np.multiply(a, 1.0 - self.beta2, out=a)
+        np.multiply(m, mu_next, out=a)
+        a /= 1.0 - mu_product_next
+        np.multiply(g, 1.0 - mu_t, out=b)
+        b /= 1.0 - self.mu_product
+        a += b  # m_hat
+        np.divide(v, 1.0 - self.beta2 ** self.t, out=b)
+        np.sqrt(b, out=b)
+        b += self.epsilon
+        a *= self.lr
+        a /= b
+        p -= a
 
 
 # --- training ---------------------------------------------------------------
@@ -792,27 +790,27 @@ def train(dataset: PrefixDataset, val_dataset: PrefixDataset,
         raise ShapeMismatch("training and validation vocabularies differ")
 
     model = init_model(dataset.vocab, dataset.M, config)
-    # Weights, gradients, Nadam state and best snapshot each sit in one flat
-    # buffer, so a batch updates each in one call; arrays and grads are views.
+    # Weights, gradients, Nadam state and best snapshot sit in one flat buffer each, so a
+    # batch updates each in one call. Only the weights are new: the model keeps them.
     weights = np.concatenate([arr.ravel() for arr in model.arrays()])
     model = BiLstmModel.of(_views(weights, model.arrays()), model.vocab, model.max_len,
                            model.hyperparams)
-    grad_buf = np.zeros_like(weights)
-    grads = _views(grad_buf, model.arrays())
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     shuffle_rng = np.random.default_rng(seeds[1])
     dropout_rng = np.random.default_rng(seeds[2])
-    optimizer = Nadam([weights], config.learning_rate)
     keep = 1.0 - config.dropout_rate
 
     history: list[EpochStats] = []
     best_loss = math.inf
-    best_snapshot = np.empty_like(weights)
     best_epoch = 0
     epochs_since_best = 0
     n = len(dataset)
 
     with _borrowed_workspace() as ws:
+        grad_buf = ws.take("train.grads", weights.shape)
+        grads = _views(grad_buf, model.arrays())
+        best_snapshot = ws.take("train.best", weights.shape)
+        optimizer = Nadam(weights, config.learning_rate, ws)
         for epoch in range(1, config.max_epochs + 1):
             order = shuffle_rng.permutation(n)
             epoch_loss = 0.0
@@ -830,7 +828,7 @@ def train(dataset: PrefixDataset, val_dataset: PrefixDataset,
                 epoch_loss += float(losses.sum())
                 epoch_correct += int((preds == labels).sum())
                 grad_buf *= 1.0 / len(batch)
-                optimizer.step([grad_buf])
+                optimizer.step(grad_buf)
 
             train_loss = epoch_loss / n
             val_loss, val_acc = _dataset_loss(model, val_dataset, ws)
@@ -848,8 +846,8 @@ def train(dataset: PrefixDataset, val_dataset: PrefixDataset,
                 epochs_since_best += 1
                 if epochs_since_best >= config.patience:
                     break
+        np.copyto(weights, best_snapshot)
 
-    np.copyto(weights, best_snapshot)
     model.trained_epochs = len(history)
     model.hyperparams = dict(model.hyperparams, best_epoch=best_epoch)
     return model, history

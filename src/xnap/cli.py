@@ -12,8 +12,11 @@ import contextlib
 import csv
 import html
 import json
+import math
 import os
 import sys
+
+import numpy as np
 
 from . import __version__
 from .bilstm import TrainConfig, load_model, predict_many, save_model, train
@@ -131,15 +134,24 @@ def _prefix_samples(model, trace: Trace, min_prefix: int,
 
 def _explained_rows(model, trace: Trace, samples: list[PrefixSample],
                     results: list[RelevanceTrace]) -> list[dict]:
-    """One row per explained prefix of a trace, for the renderers."""
+    """One row per explained prefix of a trace, for the renderers; a prefix
+    whose explanation is not finite is skipped with a warning on stderr."""
     rows = []
     for sample, result in zip(samples, results):
         length = sample.true_length
+        # The residual sums raw, model_output, the initial-state share and
+        # the absorbed bias, so it is finite only when all of them are.
+        residual = result.conservation_residual
+        if not math.isfinite(residual):
+            print(f"case {trace.case_id}: prefix length {length} skipped, its "
+                  f"explanation is not finite", file=sys.stderr)
+            continue
         truth = trace.events[length].activity if length < len(trace) else END_SYMBOL
         rows.append({
             "length": length,
             "prefix": list(trace.activities[:length]),
             "result": result,
+            "residual": residual,
             "predicted": model.vocab.label_of(result.target_class),
             "ground_truth": truth,
         })
@@ -158,7 +170,7 @@ def _relevance_json(row: dict) -> str:
         "model_output": r.model_output,
         "bias_absorbed": r.bias_absorbed,
         "initial_state_relevance": r.initial_state_relevance,
-        "conservation_residual": r.conservation_residual,
+        "conservation_residual": row["residual"],
     })
 
 
@@ -316,9 +328,13 @@ def cmd_explain(args) -> int:
         raise TraceTooShort("no trace fits the requested prefix range")
     results = iter(explain_many(model, [s for _, samples in jobs for s in samples],
                                 config))
-    per_trace = [(trace, _explained_rows(model, trace, samples,
-                                         [next(results) for _ in samples]))
-                 for trace, samples in jobs]
+    with np.errstate(over="ignore", invalid="ignore"):  # a residual's sum may overflow
+        per_trace = [(trace, _explained_rows(model, trace, samples,
+                                             [next(results) for _ in samples]))
+                     for trace, samples in jobs]
+    per_trace = [(trace, rows) for trace, rows in per_trace if rows]
+    if not per_trace:
+        raise DomainError("no prefix has a finite explanation")
     with _output(args.out) as out:
         if args.render == "json":
             for _, rows in per_trace:

@@ -340,7 +340,10 @@ def explain_many(model: BiLstmModel, samples: list[PrefixSample],
     events, lengths = _stack_events(model, samples)
     results: list[RelevanceTrace] = [None] * len(samples)
     root = root_cells = None
-    with _borrowed_workspace() as ws:
+    # Finite weights can still overflow the walk: such a result holds NaN or
+    # infinity, returned as it is, and warns nothing (the kernels check the
+    # forward pass themselves).
+    with _borrowed_workspace() as ws, np.errstate(over="ignore", invalid="ignore"):
         for part, run in _inference_runs(model, events, lengths, ws,
                                          [s.case_id for s in samples]):
             if run.fwd is not root:

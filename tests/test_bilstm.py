@@ -4,6 +4,7 @@ import io
 import json
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -716,16 +717,16 @@ class TestNadam:
         rng = np.random.default_rng(23)
         params = [rng.normal(size=(3, 2)), rng.normal(size=4)]
         before = [p.copy() for p in params]
-        opt = Nadam(params, 0.002)
-        opt.step([np.zeros_like(p) for p in params])
+        for p in params:
+            Nadam(p, 0.002, Workspace()).step(np.zeros_like(p))
         for p, b in zip(params, before):
             assert np.array_equal(p, b)
 
     def test_descends_a_quadratic(self):
         theta = np.array([5.0, -3.0])
-        opt = Nadam([theta], learning_rate=0.05)
+        opt = Nadam(theta, learning_rate=0.05, ws=Workspace())
         for _ in range(500):
-            opt.step([2 * theta])  # gradient of ||theta||^2
+            opt.step(2 * theta)  # gradient of ||theta||^2
         assert np.linalg.norm(theta) < 1e-2
 
     def test_two_steps_match_hand_computed_update(self):
@@ -736,9 +737,9 @@ class TestNadam:
         start = [1.0, -0.5, 0.25, 2.0]
         steps = [[0.3, -2e-7, 1.5e-8, 0.0], [-0.1, 4e-7, 0.0, 3e-8]]
         theta = np.array(start)
-        opt = Nadam([theta], learning_rate=lr)
+        opt = Nadam(theta, learning_rate=lr, ws=Workspace())
         for g in steps:
-            opt.step([np.array(g)])
+            opt.step(np.array(g))
         for i, p in enumerate(start):
             m = v = 0.0
             prod = 1.0
@@ -897,6 +898,38 @@ class TestWorkspace:
         again, history_again = train(train_set, val_set, config)
         assert_same_model(first, again)
         assert history == history_again
+
+    def test_warm_training_allocates_little_beyond_its_weights(self, monkeypatch):
+        # At D=64 with four classes and batches of eight the parameters
+        # dominate: the gradients, the best snapshot and Nadam's moments
+        # and work arrays come from the workspace, so a warm call's peak
+        # is the weights and init_model's draws.
+        monkeypatch.setattr(bilstm, "_idle_workspaces", [])
+        train_set, val_set = grammar_datasets(n_traces=20)
+        config = TrainConfig(hidden_size=64, batch_size=8, max_epochs=2, seed=2)
+        train(train_set, val_set, config)
+        tracemalloc.start()
+        try:
+            model, _ = train(train_set, val_set, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        weight_bytes = sum(arr.nbytes for arr in model.arrays())
+        assert peak < 3 * weight_bytes, (peak, weight_bytes)
+
+    def test_trained_weights_are_not_borrowed(self, monkeypatch):
+        # The next call takes the idle workspace over and writes its
+        # buffers: a model living in one would change under its owner.
+        monkeypatch.setattr(bilstm, "_idle_workspaces", [])
+        train_set, val_set = grammar_datasets(n_traces=20)
+        model, _ = train(train_set, val_set, TrainConfig(hidden_size=4, batch_size=16,
+                                                         max_epochs=2, seed=6))
+        assert len(bilstm._idle_workspaces) == 1
+        buffers = [buf for buf, _ in bilstm._idle_workspaces[0]._slots.values()]
+        assert {"train.grads", "train.best", "nadam.m", "nadam.v"} <= \
+            set(bilstm._idle_workspaces[0]._slots)
+        for arr in model.arrays():
+            assert not any(np.shares_memory(arr, buf) for buf in buffers)
 
     def test_garbage_in_the_workspace_changes_nothing(self, monkeypatch):
         train_set, val_set = grammar_datasets(n_traces=20)

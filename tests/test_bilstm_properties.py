@@ -239,11 +239,12 @@ def nadam_runs(draw):
 def test_nadam_on_one_flat_buffer_equals_separate_arrays(case):
     arrays, steps, lr = case
     flat = np.concatenate([arr.ravel() for arr in arrays])
-    separate = Nadam([arr.copy() for arr in arrays], lr)
-    joined = Nadam([flat], lr)
+    separate = [Nadam(arr.copy(), lr, Workspace()) for arr in arrays]
+    joined = Nadam(flat, lr, Workspace())
     for grads in steps:
-        separate.step(grads)
-        joined.step([np.concatenate([g.ravel() for g in grads])])
-    for got, want in ((joined.params, separate.params), (joined.m, separate.m),
-                      (joined.v, separate.v)):
-        assert got[0].tobytes() == b"".join(arr.tobytes() for arr in want)
+        for opt, g in zip(separate, grads):
+            opt.step(g)
+        joined.step(np.concatenate([g.ravel() for g in grads]))
+    for name in ("params", "m", "v"):
+        want = b"".join(getattr(opt, name).tobytes() for opt in separate)
+        assert getattr(joined, name).tobytes() == want

@@ -520,6 +520,42 @@ class TestExplain:
             "!DOCTYPE", "html", "head", "meta", "title", "style", "body", "h2", "table",
             "tr", "th", "td"}
 
+    def test_non_finite_explanations_are_skipped(self, tmp_path, capsys):
+        # Finite weights whose recurrence overflows the relevance walk: its
+        # NaN must not reach the output, where strict JSON rejects it.
+        log, normal, huge = (str(tmp_path / name)
+                             for name in ("copy.csv", "model.json", "huge.json"))
+        assert main(["synth", "--grammar", "copy", "--traces", "40", "--out", log]) == 0
+        assert main(["train", "--log", log, "--out", normal, "--hidden", "4",
+                     "--epochs", "1"]) == 0
+        model = load_model(normal)
+        model.forward_params.U *= 1e308
+        model.backward_params.U *= 1e308
+        save_model(model, huge)
+        capsys.readouterr()
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        for path in (normal, huge):
+            assert main(["explain", "--model", path, "--log", log, "--render", "json"]) == 0
+            captured = capsys.readouterr()
+            rows = [json.loads(line, parse_constant=reject)
+                    for line in captured.out.splitlines()]
+            skipped = re.findall(r"^case (\S+): prefix length (\d+) skipped, its "
+                                 r"explanation is not finite$", captured.err, re.M)
+            assert captured.err == "".join(
+                f"case {case}: prefix length {k} skipped, its explanation is not finite\n"
+                for case, k in skipped)
+            explained = [(r["case_id"], len(r["prefix"])) for r in rows]
+            every = [(t.case_id, k) for t in parse_log(log) for k in range(3, len(t) + 1)]
+            assert sorted(explained + [(c, int(k)) for c, k in skipped]) == sorted(every)
+            assert rows
+            assert bool(skipped) == (path == huge)
+        for render in ("html", "ansi"):
+            assert main(["explain", "--model", huge, "--log", log, "--render", render]) == 0
+            assert capsys.readouterr().err.count("\n") == len(skipped)
+
 
 class TestEvaluate:
     def test_metrics_csv_layout(self, workdir, tmp_path):
