@@ -52,7 +52,6 @@ from .lrp import (
     explain,
     explain_many,
     lrp_linear,
-    lrp_multiplicative,
     rescale_for_display,
 )
 from .synthlog import GrammarSpec, copy_task, generate, linear_grammar, oracle_relevant_position

@@ -535,9 +535,9 @@ def predict_many(model: BiLstmModel, samples: list[PrefixSample]) -> np.ndarray:
 
 
 def _predict_probs(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
-                   ws: Workspace, case_ids=None) -> np.ndarray:
+                   ws: Workspace, case_ids) -> np.ndarray:
     """Class distributions of the right-aligned rows ``events`` (n, T) of
-    true lengths ``lengths``, in row order."""
+    true lengths ``lengths`` and case ids ``case_ids``, in row order."""
     probs = np.empty((len(lengths), model.n_classes))
     for part, run in _inference_runs(model, events, lengths, ws, case_ids):
         probs[part] = run.probs
@@ -566,12 +566,11 @@ def _prefix_roots(events: np.ndarray, lengths: np.ndarray, order: np.ndarray,
     are prefixes of, the first in ``order`` (longest first) among equals.
     So a row as long as the case's trace that is no prefix of it (an
     occluded copy, or another trace under the same id) does not take the
-    trace's prefixes from it, whichever comes first. Every row without
-    ``case_ids`` is its own root.
+    trace's prefixes from it, whichever comes first.
     """
     n, width = events.shape
     root = np.arange(n)
-    if case_ids is None or len(set(case_ids)) == n:  # no case id repeats
+    if len(set(case_ids)) == n:  # no case id repeats
         return root
     code = np.unique(np.asarray(case_ids), return_inverse=True)[1].ravel()
     longest = np.zeros(code.max() + 1, dtype=lengths.dtype)
@@ -604,19 +603,19 @@ def _prefix_roots(events: np.ndarray, lengths: np.ndarray, order: np.ndarray,
 
 
 def _inference_runs(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
-                    ws: Workspace, case_ids=None):
+                    ws: Workspace, case_ids):
     """Yield (row indices, :class:`ForwardTrace`) per inference batch of
     the right-aligned rows ``events`` (n, T) of true lengths ``lengths``.
     The traces live in ``ws``, each valid until the next one is drawn.
 
     Every row reads its forward states from its root's run (see
-    :func:`_prefix_roots`; given ``case_ids`` (n,), a prefix of a longer
-    row of its case reads that row's). The forward direction runs over
-    the roots in longest-first chunks, each cropped to its longest root
-    and holding at most ``_INFERENCE_ROWS`` (row, step) cells or one
-    root. Each chunk's rows, its roots among them, follow it longest
-    first, in batches capped the same way that run the backward
-    direction only."""
+    :func:`_prefix_roots`: a prefix of a longer row of its case, by the
+    rows' ``case_ids`` (n,), reads that row's). The forward direction
+    runs over the roots in longest-first chunks, each cropped to its
+    longest root and holding at most ``_INFERENCE_ROWS`` (row, step)
+    cells or one root. Each chunk's rows, its roots among them, follow
+    it longest first, in batches capped the same way that run the
+    backward direction only."""
     n, width = events.shape
     order = np.argsort(-lengths, kind="stable")
     root = _prefix_roots(events, lengths, order, case_ids)
@@ -977,7 +976,9 @@ def load_model(source: Union[str, Path, IO]) -> BiLstmModel:
         d, max_len = _header_size(doc, "hidden_size"), _header_size(doc, "max_len")
         vocab = _header_vocab(doc)
         h = vocab.size
-        hyper = dict(doc["hyperparams"])
+        hyper = doc["hyperparams"]  # parsed for this call alone: popping from it is safe
+        if not isinstance(hyper, dict):
+            raise CorruptModel(f"hyperparams must be a JSON object, got {type(hyper).__name__}")
         trained = hyper.pop("trained_epochs", 0)
         if type(trained) is not int or trained < 0:  # not 1e400 (inf), 2.7 or true
             raise CorruptModel(f"trained_epochs must be an integer >= 0, got {trained!r}")

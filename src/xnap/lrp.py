@@ -149,12 +149,6 @@ def bias_absorption(b: np.ndarray, z_upper: np.ndarray, r_upper: np.ndarray,
     return float(total) if total.ndim == 0 else total
 
 
-def lrp_multiplicative(r_product: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gate/source rule for a two-factor product: gate 0, source everything."""
-    r_product = as_f64(r_product)
-    return np.zeros(r_product.shape), r_product.copy()
-
-
 def _walk_cells(trace: DirectionTrace, params: LstmWeights, config: LrpConfig,
                 ws: Workspace, key: str) -> np.ndarray:
     """What one direction's relevance walk reads at each (step, row) cell
@@ -200,7 +194,8 @@ def _propagate_direction(cells: np.ndarray, params: LstmWeights, r_h_final: np.n
     Returns the per-step input relevance (T, B) in the direction's
     reading order (zero before a sample's first step) and, per sample,
     the relevance left on the zero initial states, the bias-absorbed
-    total of the gate pre-activation layers, and the gate-assigned total.
+    total of the gate pre-activation layers, and the gate-assigned total,
+    which the product rule leaves at zero.
     """
     t_len, b = events.shape
     d = r_h_final.shape[1]
@@ -212,26 +207,22 @@ def _propagate_direction(cells: np.ndarray, params: LstmWeights, r_h_final: np.n
     # units and the per-sample totals after the walk.
     scales = ws.take("lrp.scales", (t_len, b, d))
     shares = ws.take("lrp.shares", (t_len, b))
-    r_gates = ws.take("lrp.r_gates", (3, b, d))  # o, f, i at the current step
-    gate_total = np.zeros((3, b, d))
+    gate_total = np.zeros(b)
     r_h = r_h_final.copy()
     r_c = np.zeros_like(r_h)
     for t0, t1, n in reversed(spans):
         if n < b:
             scales[t0:t1, n:] = 0.0
             shares[t0:t1, n:] = 0.0
-        rg, gates = r_gates[:, :n], gate_total[:, :n]
         rh, rc = r_h[:n], r_c[:n]
         span = cells[:, t0:t1, :n]
         steps = zip(scales[t0:t1, :n], shares[t0:t1, :n], span[:2].swapaxes(0, 1), *span[2:])
         for scale_g, share, summands, denom_c, h_prev, share_g, denom_g in reversed(list(steps)):
-            # h_t = o_t * tanh(c_t): output gate is zeroed, tanh passes through.
-            rg[0], r_tanh_c = lrp_multiplicative(rh)
-            # The epsilon rule over the two summands of c_t, then the forget
-            # and input gates are zeroed.
-            scale = (rc + r_tanh_c) / denom_c
-            rg[1:], (rc, r_cand) = lrp_multiplicative(summands * scale)
-            gates += np.abs(rg, out=rg)
+            # Each product's gate gets nothing and its source everything:
+            # tanh(c_t) takes all of h_t = o_t * tanh(c_t), and after the
+            # epsilon rule over the two summands of c_t, c_{t-1} and g_t take
+            # all of f_t * c_{t-1} and i_t * g_t.
+            rc, r_cand = summands * ((rc + rh) / denom_c)
             # g_t = tanh(W_g x_t + U_g h_{t-1} + b_g): identity through tanh,
             # then the linear rule; here its messages to h_{t-1}.
             np.divide(r_cand, denom_g, out=scale_g)
@@ -252,7 +243,7 @@ def _propagate_direction(cells: np.ndarray, params: LstmWeights, r_h_final: np.n
     # What the biases absorbed, (1 - delta) b_g . scale per step, totalled
     # over each sample's own steps, newest first.
     absorbed = (scales @ ((1.0 - config.delta) * params.b[g]))[::-1].sum(axis=0)
-    return rx, leftover, absorbed, gate_total.sum(axis=(0, 2))
+    return rx, leftover, absorbed, gate_total
 
 
 def _explain_run(model: BiLstmModel, run: ForwardTrace, samples: list[PrefixSample],

@@ -20,7 +20,9 @@ synthesis oracle is the Markov walk that draws each transition with
 ``rng.choice``; the timestamp oracles are the ``replace``/``astimezone``
 round trips that turned a parsed timestamp into UTC and back to text.
 The gate step oracle is the five-call step on strided gate blocks that
-the packed kernel ran before it computed whole rows.
+the packed kernel ran before it computed whole rows. The gate array walk
+oracle is the batched relevance walk before it applied the product rule
+in place: it builds, copies and sums the zero gate arrays.
 """
 import json
 import math
@@ -425,6 +427,50 @@ def _propagate_direction(trace, params, r_h_final, config):
         r_c = r_c_prev
     leftover = float(r_h.sum() + r_c.sum())
     return rx, leftover, absorbed, gate_total
+
+
+def propagate_direction_gate_arrays(cells, params, r_h_final, events, spans, config, ws):
+    """``lrp._propagate_direction`` as it applied the product rule
+    literally: at every step, each of the three products hands its gate a
+    zero array from :func:`_lrp_multiplicative` and its source a copy,
+    and the gates' magnitudes are summed into a (3, B, D) total."""
+    t_len, b = events.shape
+    d = r_h_final.shape[1]
+    h_dim = params.W.shape[1]
+    g = params.rows("g")
+    u_g = params.U[g]
+    scales = ws.take("lrp.scales", (t_len, b, d))
+    shares = ws.take("lrp.shares", (t_len, b))
+    r_gates = ws.take("lrp.r_gates", (3, b, d))  # o, f, i at the current step
+    gate_total = np.zeros((3, b, d))
+    r_h = r_h_final.copy()
+    r_c = np.zeros_like(r_h)
+    for t0, t1, n in reversed(spans):
+        if n < b:
+            scales[t0:t1, n:] = 0.0
+            shares[t0:t1, n:] = 0.0
+        rg, gates = r_gates[:, :n], gate_total[:, :n]
+        rh, rc = r_h[:n], r_c[:n]
+        span = cells[:, t0:t1, :n]
+        steps = zip(scales[t0:t1, :n], shares[t0:t1, :n], span[:2].swapaxes(0, 1), *span[2:])
+        for scale_g, share, summands, denom_c, h_prev, share_g, denom_g in reversed(list(steps)):
+            rg[0], r_tanh_c = _lrp_multiplicative(rh)
+            scale = (rc + r_tanh_c) / denom_c
+            rg[1:], (rc, r_cand) = _lrp_multiplicative(summands * scale)
+            gates += np.abs(rg, out=rg)
+            np.divide(r_cand, denom_g, out=scale_g)
+            np.multiply(share_g, scale_g).sum(axis=1, out=share)
+            rh = h_prev * (scale_g @ u_g) + share[:, None]
+        r_h[:n], r_c[:n] = rh, rc
+    leftover = r_h.sum(axis=1) + r_c.sum(axis=1)
+    w_in = ws.take("lrp.w_in", (h_dim + 1, d))
+    w_in[:h_dim] = params.W[g].T
+    w_in[h_dim] = 0.0
+    active = w_in.take(events, axis=0, out=ws.take("lrp.active", (t_len, b, d)), mode="clip")
+    active *= scales
+    rx = active.sum(axis=2) + h_dim * shares
+    absorbed = (scales @ ((1.0 - config.delta) * params.b[g]))[::-1].sum(axis=0)
+    return rx, leftover, absorbed, gate_total.sum(axis=(0, 2))
 
 
 def explain_per_sample(model, sample, config=LrpConfig()):

@@ -269,7 +269,8 @@ class TestPredictMany:
         samples[6] = occlude_event(samples[6], 6)  # ... and as the last one
         monkeypatch.setattr(bilstm, "_INFERENCE_ROWS", 20)
         events, lengths = _stack_events(model, samples)
-        assert len(list(bilstm._inference_runs(model, events, lengths, Workspace()))) > 3
+        ids = [s.case_id for s in samples]
+        assert len(list(bilstm._inference_runs(model, events, lengths, Workspace(), ids))) > 3
         probs = predict_many(model, samples)
         want = predict_per_sample(model, samples)
         assert probs.shape == (len(samples), 4)
@@ -548,8 +549,8 @@ class TestSharedForward:
         root = bilstm._prefix_roots(events, lengths, order, ids)
         # Only c's rows share; a row that shares nothing is its own root.
         assert root.tolist() == [0, 0, 0, 0, 4, 5, 6, 7, 8]
-        for apart in ([str(k) for k in range(9)], None):
-            assert bilstm._prefix_roots(events, lengths, order, apart).tolist() == list(range(9))
+        apart = [str(k) for k in range(9)]
+        assert bilstm._prefix_roots(events, lengths, order, apart).tolist() == list(range(9))
 
     def test_occluded_copy_listed_first_leaves_the_trace_its_root(self):
         # Found by tests/test_sharing_properties.py: a row as long as the
@@ -956,7 +957,8 @@ class TestWorkspace:
                         ["a1", "a0"], ["a2", "a2", "a0", "a1"], ["a0", "a1", "a2"]])
         dataset = assemble_dataset(log, model.vocab, 9)
         monkeypatch.setattr(bilstm, "_INFERENCE_ROWS", 7)
-        runs = bilstm._inference_runs(model, dataset.events, dataset.true_lengths, Workspace())
+        runs = bilstm._inference_runs(model, dataset.events, dataset.true_lengths, Workspace(),
+                                      dataset.case_ids)
         assert len(list(runs)) > 3
         probs = predict_dataset(model, dataset)
         for i in range(len(dataset)):

@@ -272,6 +272,22 @@ class TestPredict:
         assert captured.err == f"error: trained_epochs must be an integer >= 0, got {value!r}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("value, kind", [([], "list"), ([["a", 1]], "list"),
+                                             ("ab", "str"), (None, "NoneType")],
+                             ids=["list", "pairs", "string", "null"])
+    def test_hyperparams_not_an_object_exits_2(self, workdir, tmp_path, capsys, value, kind):
+        # dict() loaded the two lists without a word and turned "ab" into an
+        # error about dictionary update sequences.
+        doc = json.loads((workdir / "model.json").read_text())
+        doc["hyperparams"] = value
+        bad, out = tmp_path / "bad.json", tmp_path / "out.csv"
+        bad.write_text(json.dumps(doc))
+        assert main(["predict", "--model", str(bad), "--log", str(workdir / "log.csv"),
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: hyperparams must be a JSON object, got {kind}\n"
+        assert not out.exists()
+
     def test_missing_trained_epochs_reads_0(self, workdir, tmp_path):
         doc = json.loads((workdir / "model.json").read_text())
         assert doc["hyperparams"].pop("trained_epochs") > 0

@@ -186,8 +186,9 @@ class TestIndexEncoding:
         monkeypatch.setattr(bilstm, "_INFERENCE_ROWS", 9)
         model = bilstm.init_model(vocab, ds.M, bilstm.TrainConfig(hidden_size=2))
         parts = []
+        unshared = [str(k) for k in range(len(ds.true_lengths))]
         for part, run in bilstm._inference_runs(model, ds.events, ds.true_lengths,
-                                                bilstm.Workspace()):
+                                                bilstm.Workspace(), unshared):
             parts.append(part)
             t_len = int(ds.true_lengths[part[0]])
             batch = ds.events[part, ds.M - t_len:]

@@ -12,7 +12,6 @@ from xnap.lrp import (
     explain,
     explain_many,
     lrp_linear,
-    lrp_multiplicative,
     rescale_for_display,
 )
 
@@ -134,19 +133,20 @@ class TestLrpLinear:
 
 
 class TestLrpMultiplicative:
+    # The oracle walk's product rule; the package applies it in place.
     def test_rule_is_literal(self):
-        gate, source = lrp_multiplicative(np.array([1.0, -2.0]))
+        gate, source = oracles._lrp_multiplicative(np.array([1.0, -2.0]))
         assert np.array_equal(gate, [0.0, 0.0])
         assert np.array_equal(source, [1.0, -2.0])
 
     def test_zero_input(self):
-        gate, source = lrp_multiplicative(np.zeros(3))
+        gate, source = oracles._lrp_multiplicative(np.zeros(3))
         assert not gate.any() and not source.any()
 
     def test_conservation(self):
         rng = np.random.default_rng(4)
         r = rng.normal(size=5)
-        gate, source = lrp_multiplicative(r)
+        gate, source = oracles._lrp_multiplicative(r)
         assert np.array_equal(gate + source, r)
 
 
@@ -289,7 +289,8 @@ class TestExplainMany:
                    for i, n in enumerate([4, 9, 2, 6, 3, 9, 5, 2, 7, 4, 3])]
         events, lengths = bilstm._stack_events(model, samples)
         parts = [part for part, _ in
-                 bilstm._inference_runs(model, events, lengths, bilstm.Workspace())]
+                 bilstm._inference_runs(model, events, lengths, bilstm.Workspace(),
+                                        [s.case_id for s in samples])]
         assert len(parts) >= 3
         assert any(len(part) > 1 for part in parts)
         results = explain_many(model, samples)
@@ -326,7 +327,8 @@ class TestExplainMany:
         monkeypatch.setattr(lrp, "_propagate_direction", spy)
         explain_many(model, samples)
         events, lengths = bilstm._stack_events(model, samples)
-        runs = bilstm._inference_runs(model, events, lengths, bilstm.Workspace())
+        runs = bilstm._inference_runs(model, events, lengths, bilstm.Workspace(),
+                                      [s.case_id for s in samples])
         for k, (part, run) in enumerate(runs):
             offset, col = run.fwd_map
             assert np.array_equal(offset, np.zeros(len(part)))

@@ -1,5 +1,6 @@
 """Property tests of the batched relevance walk on random small models
 and random mixed-length batches."""
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -8,12 +9,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from xnap import bilstm
+from xnap import bilstm, lrp
+from xnap.bilstm import Workspace
 from xnap.lrp import LrpConfig, _stabilise, explain_many
 
-from oracles import explain_per_sample, stabilise_two_pass
+from oracles import explain_per_sample, propagate_direction_gate_arrays, stabilise_two_pass
 from test_bilstm import random_model, random_sample
 from test_lrp import assert_matches_oracle
+from test_sharing_properties import prefix_sets
 
 
 @st.composite
@@ -52,6 +55,35 @@ def test_batched_walk_equals_per_sample_oracle(case, config):
         results = explain_many(model, samples, config)
     for sample, result in zip(samples, results):
         assert_matches_oracle(result, explain_per_sample(model, sample, config))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(prefix_sets(), st.booleans(), st.sampled_from([LrpConfig(), LrpConfig(delta=1.0)]))
+def test_in_place_product_rule_equals_gate_array_walk(case, unshared, config):
+    # Every walk of explain_many, run again on copies of its inputs by the
+    # walk that built, copied and summed the zero gate arrays: the same
+    # bytes. The prefixes share their case's forward run unless ``unshared``
+    # gives each its own id; mixed lengths leave rows unstarted in a span.
+    model, samples, rows = case
+    if unshared:
+        samples = [replace(s, case_id=f"u{k}") for k, s in enumerate(samples)]
+    walk = lrp._propagate_direction
+    calls = []
+
+    def spy(cells, params, r_h_final, events, spans, config, ws):
+        args = (cells.copy(), params, r_h_final.copy(), events.copy(), list(spans), config)
+        got = walk(cells, params, r_h_final, events, spans, config, ws)
+        calls.append((args, [a.copy() for a in got]))
+        return got
+
+    with mock.patch.object(bilstm, "_INFERENCE_ROWS", rows), \
+            mock.patch.object(lrp, "_propagate_direction", spy):
+        explain_many(model, samples, config)
+    assert calls and len(calls) % 2 == 0  # both directions of every batch
+    for args, got in calls:
+        want = propagate_direction_gate_arrays(*args, Workspace())
+        for a, b in zip(got, want):  # rx, leftover, absorbed, gate total
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # Finite floats with the edge cases drawn often: both zeros, subnormals
