@@ -51,8 +51,6 @@ from .lrp import (
     RelevanceTrace,
     explain,
     explain_many,
-    lrp_linear,
-    rescale_for_display,
 )
 from .synthlog import GrammarSpec, copy_task, generate, linear_grammar, oracle_relevant_position
 

@@ -148,6 +148,15 @@ def _parse_timestamp(raw: str, fmt: str | None, row: int) -> datetime:
         raise BadTimestamp(row, raw) from None
 
 
+def _lines(f: TextIO) -> Iterator[str]:
+    """The lines of ``f``, refusing a NUL character as Python 3.10's csv
+    does (3.11's reads it as text)."""
+    for line_num, line in enumerate(f, 1):
+        if "\0" in line:
+            raise BadRow(line_num, "line contains NUL")
+        yield line
+
+
 def parse_log(source: Source, fmt: LogFormat = LogFormat()) -> EventLog:
     """Read a CSV event log and group it into timestamp-ordered traces.
 
@@ -155,16 +164,18 @@ def parse_log(source: Source, fmt: LogFormat = LogFormat()) -> EventLog:
     case, events are stably sorted by timestamp, so ties keep file order.
     A path is opened and closed here, and a UTF-8 byte-order mark at its
     start is dropped; a text stream is left open. A row with fewer fields
-    than the header, an empty case id or activity or a field the csv
-    module rejects (one longer than ``csv.field_size_limit()``) raises
-    :class:`BadRow`, a file that is not UTF-8 :class:`NotUtf8`. ``BadRow`` and
-    :class:`BadTimestamp` name the 1-based file line, counting blank lines
-    and the lines of quoted multi-line fields.
+    than the header, an empty case id or activity, a NUL character or a
+    field the csv module rejects (one longer than ``csv.field_size_limit()``)
+    raises :class:`BadRow`, a file that is not UTF-8 :class:`NotUtf8`, and a
+    timestamp that cannot be read, or whose UTC time falls outside years
+    1-9999, :class:`BadTimestamp`. ``BadRow`` and ``BadTimestamp`` name the
+    1-based file line, counting blank lines and the lines of quoted
+    multi-line fields.
     """
     own = isinstance(source, (str, Path))
     with open(source, "r", encoding="utf-8-sig", newline="") if own else nullcontext(source) as f:
         try:
-            reader = csv.reader(f, delimiter=fmt.delimiter)
+            reader = csv.reader(_lines(f), delimiter=fmt.delimiter)
             header = next(reader, [])
             wanted = (fmt.case_col, fmt.activity_col, fmt.time_col)
             for col in wanted:
@@ -192,6 +203,8 @@ def parse_log(source: Source, fmt: LogFormat = LogFormat()) -> EventLog:
             raise NotUtf8(str(getattr(f, "name", "the log"))) from None
         except csv.Error as exc:
             raise BadRow(reader.line_num, str(exc)) from None
+        except OverflowError:  # an offset moved the time out of years 1-9999
+            raise BadTimestamp(reader.line_num, stamp) from None
 
     if not groups:
         raise EmptyLog("log has no traces")

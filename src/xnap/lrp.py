@@ -88,11 +88,6 @@ class RelevanceTrace:
                                     + self.bias_absorbed)
 
 
-def as_f64(x) -> np.ndarray:
-    """Coerce to a float64 array without copying when already one."""
-    return np.asarray(x, dtype=np.float64)
-
-
 def _stabilise(z_upper: np.ndarray, epsilon: float, stab: np.ndarray | None = None,
                denom: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The stabiliser epsilon * sign(z), with sign(0) = +1, and the
@@ -103,50 +98,19 @@ def _stabilise(z_upper: np.ndarray, epsilon: float, stab: np.ndarray | None = No
     return stab, np.add(z_upper, stab, out=denom)
 
 
-def lrp_linear(z_lower: np.ndarray, w: np.ndarray, b: np.ndarray,
-               z_upper: np.ndarray, r_upper: np.ndarray,
-               epsilon: float, delta: float) -> np.ndarray:
-    """Redistribute upper-layer relevance through a weighted linear map.
-
-    ``w`` has one row per upper neuron: z_upper[j] is the forward
-    pre-activation sum(w[j] * z_lower) + b[j]. Every lower neuron receives
-    the summed messages from all upper neurons; the bias/stabiliser share
-    is split evenly over the N = len(z_lower) connected lower neurons.
-    With a leading batch axis on ``z_lower``, ``z_upper`` and ``r_upper``,
-    each row is redistributed on its own.
-    """
-    z_lower = as_f64(z_lower)
-    w = as_f64(w)
-    b = as_f64(b)
-    z_upper = as_f64(z_upper)
-    r_upper = as_f64(r_upper)
-    m, n = w.shape if w.ndim == 2 else (0, 0)
-    batch = z_lower.shape[:-1]
-    if w.ndim != 2 or z_lower.ndim not in (1, 2) or z_lower.shape != batch + (n,) \
-            or b.shape != (m,) or z_upper.shape != batch + (m,) \
-            or r_upper.shape != batch + (m,):
-        raise ShapeMismatch(
-            f"lrp_linear shapes disagree: W {w.shape}, lower {z_lower.shape}, "
-            f"bias {b.shape}, upper {z_upper.shape}, R {r_upper.shape}")
-    stab, denom = _stabilise(z_upper, epsilon)
-    # The messages (w[j, i] * z_lower[i] + share[j]) * scale[j], summed
-    # over j as one matrix product.
-    scale = r_upper / denom
-    share = (stab + delta * b) / n
-    return z_lower * (scale @ w) + (share * scale).sum(axis=-1, keepdims=True)
-
-
-def bias_absorption(b: np.ndarray, z_upper: np.ndarray, r_upper: np.ndarray,
-                    epsilon: float, delta: float):
-    """Relevance a linear layer's biases soak up: (1-delta) * b_j / denom_j * R_j.
-
-    Closed form of R_upper.sum() - R_lower.sum() for :func:`lrp_linear`;
-    exactly zero when delta = 1. One total per row when ``z_upper`` and
-    ``r_upper`` carry a leading batch axis.
-    """
-    _, denom = _stabilise(as_f64(z_upper), epsilon)
-    total = (((1.0 - delta) * as_f64(b)) / denom * as_f64(r_upper)).sum(axis=-1)
-    return float(total) if total.ndim == 0 else total
+def _output_relevance(hcat: np.ndarray, w_out: np.ndarray, b_out: np.ndarray,
+                      z: np.ndarray, targets: np.ndarray, config: LrpConfig
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The epsilon rule through the output layer, from each row's target
+    logit ``z`` alone: the one output neuron that holds relevance. Returns
+    the relevance of the rows of ``hcat`` = [h_fwd ; h_bwd] (B, 2D) and,
+    per row, what the target's bias absorbed."""
+    b_t = b_out[targets]
+    stab, denom = _stabilise(z, config.epsilon)
+    scale = z / denom
+    share = (stab + config.delta * b_t) / hcat.shape[1]
+    r_hcat = hcat * (w_out[targets] * scale[:, None]) + (share * scale)[:, None]
+    return r_hcat, (1.0 - config.delta) * b_t / denom * z
 
 
 def _walk_cells(trace: DirectionTrace, params: LstmWeights, config: LrpConfig,
@@ -257,14 +221,9 @@ def _explain_run(model: BiLstmModel, run: ForwardTrace, samples: list[PrefixSamp
     rows = np.arange(b)
     targets = np.argmax(run.probs, axis=1) if config.target is None \
         else np.full(b, config.target)
-    r_out = np.zeros_like(run.logits)
-    r_out[rows, targets] = run.logits[rows, targets]
-
+    z = run.logits[rows, targets]
+    r_hcat, absorbed = _output_relevance(run.hcat, model.W_out, model.b_out, z, targets, config)
     d = model.hidden_size
-    r_hcat = lrp_linear(run.hcat, model.W_out, model.b_out, run.logits, r_out,
-                        config.epsilon, config.delta)
-    absorbed = bias_absorption(model.b_out, run.logits, r_out,
-                               config.epsilon, config.delta)
 
     # Row k's step t is the root run's flat cell (t + offset[k]) * width
     # + col[k]; the steps before a row's first one are clipped into range
@@ -291,7 +250,7 @@ def _explain_run(model: BiLstmModel, run: ForwardTrace, samples: list[PrefixSamp
     initial = (left_f + left_b).tolist()
     bias = (absorbed + abs_f + abs_b).tolist()
     gates = (gates_f + gates_b).tolist()
-    outputs = run.logits[rows, targets].tolist()
+    outputs = z.tolist()
     probs = run.probs[rows, targets].tolist()
     out = []
     for k, sample in enumerate(samples):
@@ -354,28 +313,12 @@ def explain(model: BiLstmModel, sample: PrefixSample,
 
 
 def _rescale_columns(raw: np.ndarray) -> np.ndarray:
-    """:func:`rescale_for_display` of every column of ``raw`` (T, B) at
-    once, bit for bit. The zeros before a sample's first step change
-    neither its largest positive value nor its largest negative one."""
+    """Map each column of signed relevances ``raw`` (T, B) to [0, 1] for
+    heatmaps: positives onto (0.5, 1.0] against the column's largest
+    positive value, negatives onto [0.0, 0.5) against its largest
+    magnitude negative, zero to exactly 0.5. The zeros before a sample's
+    first step change neither of the two."""
     scale = np.where(raw > 0, raw.max(axis=0), -raw.min(axis=0))
     out = np.divide(0.5 * raw, scale, out=np.zeros(raw.shape), where=raw != 0)
     out += 0.5
-    return out
-
-
-def rescale_for_display(raw) -> np.ndarray:
-    """Map signed relevances to [0, 1] for heatmaps, per trace.
-
-    Positives map affinely onto (0.5, 1.0] against the trace's largest
-    positive value, negatives onto [0.0, 0.5) against the largest
-    magnitude negative; zero is exactly 0.5.
-    """
-    raw = as_f64(raw)
-    out = np.full(raw.shape, 0.5)
-    pos = raw > 0
-    neg = raw < 0
-    if pos.any():
-        out[pos] = 0.5 + 0.5 * raw[pos] / raw[pos].max()
-    if neg.any():
-        out[neg] = 0.5 + 0.5 * raw[neg] / (-raw[neg]).max()
     return out

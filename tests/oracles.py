@@ -22,7 +22,9 @@ round trips that turned a parsed timestamp into UTC and back to text.
 The gate step oracle is the five-call step on strided gate blocks that
 the packed kernel ran before it computed whole rows. The gate array walk
 oracle is the batched relevance walk before it applied the product rule
-in place: it builds, copies and sums the zero gate arrays.
+in place: it builds, copies and sums the zero gate arrays. The display
+oracle :func:`rescale_for_display` rescales one trace at a time, with
+boolean masks.
 """
 import json
 import math
@@ -36,7 +38,7 @@ from xnap.encoding import PrefixSample, augment_with_end
 from xnap.errors import (InvalidSpec, NonFiniteInput, PrefixTooLong, ShapeMismatch,
                          TraceTooShort)
 from xnap.eventlog import Event, EventLog, Trace
-from xnap.lrp import LrpConfig, RelevanceTrace, rescale_for_display
+from xnap.lrp import LrpConfig, RelevanceTrace
 
 
 def one_hot(events, size):
@@ -355,18 +357,36 @@ def _sign(z):
 
 
 def _lrp_linear(z_lower, w, b, z_upper, r_upper, epsilon, delta):
-    """Epsilon rule with every message (upper j -> lower i) materialised."""
+    """Epsilon rule with every message (upper j -> lower i) materialised:
+    z_i * (w_ji * s_j) + share_j * s_j, with the scale s_j = R_j / denom_j."""
     sign = _sign(z_upper)
-    denom = z_upper + epsilon * sign
+    scale = r_upper / (z_upper + epsilon * sign)
     share = (epsilon * sign + delta * b) / z_lower.shape[0]
-    messages = (w * z_lower[None, :] + share[:, None]) \
-        * (r_upper / denom)[:, None]
+    messages = z_lower[None, :] * (w * scale[:, None]) + (share * scale)[:, None]
     return messages.sum(axis=0)
 
 
 def _bias_absorption(b, z_upper, r_upper, epsilon, delta):
     denom = z_upper + epsilon * _sign(z_upper)
     return float((((1.0 - delta) * b) / denom * r_upper).sum())
+
+
+def rescale_for_display(raw):
+    """Map signed relevances to [0, 1] for heatmaps, per trace.
+
+    Positives map affinely onto (0.5, 1.0] against the trace's largest
+    positive value, negatives onto [0.0, 0.5) against the largest
+    magnitude negative; zero is exactly 0.5.
+    """
+    raw = np.asarray(raw, dtype=np.float64)
+    out = np.full(raw.shape, 0.5)
+    pos = raw > 0
+    neg = raw < 0
+    if pos.any():
+        out[pos] = 0.5 + 0.5 * raw[pos] / raw[pos].max()
+    if neg.any():
+        out[neg] = 0.5 + 0.5 * raw[neg] / (-raw[neg]).max()
+    return out
 
 
 def _lrp_multiplicative(r_product):

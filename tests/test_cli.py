@@ -723,6 +723,21 @@ class TestOptionRanges:
         assert captured.err == f"error: {log}: not UTF-8 text\n"
         assert list(tmp_path.iterdir()) == [log]  # nothing written
 
+    @pytest.mark.parametrize("command", ["stats", "train", "predict"])
+    @pytest.mark.parametrize("stamp", ["9999-12-31T23:59:00-01:00", "0001-01-01T00:30:00+01:00"])
+    def test_timestamp_outside_years_1_to_9999_exits_2(self, workdir, tmp_path, capsys,
+                                                        command, stamp):
+        log = tmp_path / "far.csv"
+        log.write_text(f"case,activity,timestamp\nc1,A,{stamp}\nc1,B,{stamp}\n")
+        needs = {"stats": [], "train": ["--out", str(tmp_path / "out")],
+                 "predict": ["--model", str(workdir / "model.json"),
+                             "--out", str(tmp_path / "out")]}
+        assert main([command, "--log", str(log), *needs[command]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: row 2: cannot parse timestamp {stamp!r}\n"
+        assert list(tmp_path.iterdir()) == [log]  # nothing written
+
     @pytest.mark.parametrize("grammar, option, value", [
         ("linear", "--activities", "A,,B"),
         ("copy", "--fillers", "F1,"),

@@ -1,8 +1,15 @@
-"""Generated hostile model files: a valid model file with one key dropped,
-one header or array field swapped for another JSON type, or one array's
-``base64``, ``shape`` or ``dtype`` corrupted. ``xnap predict`` rejects
-every such file with exit code 2 and one ``error:`` line, and writes no
-output file."""
+"""Generated hostile inputs.
+
+Model files: a valid model file with one key dropped, one header or array
+field swapped for another JSON type, or one array's ``base64``, ``shape``
+or ``dtype`` corrupted. ``xnap predict`` rejects every such file with exit
+code 2 and one ``error:`` line, and writes no output file.
+
+Logs: a valid log with one field, line or byte mutated, written with any
+line ends and with or without a byte-order mark. ``xnap stats`` and ``xnap
+predict`` accept it (0, or 3 when no case is left to predict on) or reject
+it with exit code 2; they never raise, print at most one ``error:`` line
+and write no output file on an error."""
 import copy
 import io
 import json
@@ -129,3 +136,110 @@ def test_hostile_model_file_exits_2(case):
     assert out == ""
     assert re.fullmatch(r"error: [^\n]*\n", err), (mutation, err)
     assert not wrote
+
+
+# --- hostile logs -------------------------------------------------------------
+
+LOG_LINES = ["case,activity,timestamp"] + [
+    f"{case},{a},2024-01-01 10:00:{i:02d}" for case, acts in CASES.items()
+    for i, a in enumerate(acts)]
+ODD_STAMPS = ["2024-01-01 10:61:00", "2024-02-30 10:00:00", "2024-01-01 24:00:00",
+              "9999-12-31T23:59:00-01:00", "0001-01-01T00:30:00+01:00",
+              "9999-12-31T23:59:59+23:59", "2024-01-01T10:00:00+24:00", "2024-01-01T10:00:00Z",
+              "2024-01-01", "20240101T100000", "2024-W01-1", "2024-01-01 10:00:00.5",
+              "0000-01-01 00:00:00", "10000-01-01 00:00:00", "1e400", "nan", "", " \t "]
+MARKUP = ["<script>alert(1)</script>", "<b>a0</b>", "a0&amp;", "]]>", "\"><img src=x>",
+          "\u202ea0", "__END__"]
+INSERTS = ["\0", "\t", '"', "'", ",", ";", "\ufeff", "\u2028", "\\", " "]
+
+
+# (mutation, value): every listed value is run; None draws the value.
+MUTATIONS = [("none", None), ("unclosed_quote", None), ("stray_quote", None),
+             ("extra_field", None), ("missing_field", None), ("repeated_header", None),
+             ("non_utf8", None), ("long_field", 131072), ("long_field", 131073),
+             ("timestamp", None)] \
+    + [("insert", c) for c in INSERTS] + [("timestamp", t) for t in ODD_STAMPS] \
+    + [("markup", m) for m in MARKUP]
+
+
+@st.composite
+def hostile_log_lines(draw, how, value):
+    """The lines of :data:`LOG_LINES`, as UTF-8 bytes without line ends,
+    with the mutation ``how`` of ``value`` at a drawn place."""
+    lines = [line.split(",") for line in LOG_LINES]
+    at = draw(st.integers(1, len(lines) - 1))  # a row
+    col = draw(st.integers(0, 2))
+    row = lines[at]
+    if how == "unclosed_quote":
+        row[col] = '"' + row[col]
+    elif how == "stray_quote":
+        cut = draw(st.integers(1, len(row[col])))
+        row[col] = row[col][:cut] + '"' + row[col][cut:]
+    elif how == "extra_field":
+        row.append(draw(st.sampled_from(["", "x", "2024-01-01 10:00:00"])))
+    elif how == "missing_field":
+        del row[col]
+    elif how == "repeated_header":  # the repeated name reads the last column
+        for line in lines:
+            line.append(line[col])
+    elif how == "long_field":
+        row[col] = "B" * value
+    elif how == "timestamp":
+        row[2] = draw(st.text(max_size=12)) if value is None else value
+    elif how == "markup":
+        row[draw(st.integers(0, 1))] = value
+    data = [",".join(line).encode() for line in lines]
+    if how == "insert":
+        at = draw(st.integers(0, len(lines) - 1))  # the header too
+        cut = draw(st.integers(0, len(data[at])))
+        data[at] = data[at][:cut] + value.encode() + data[at][cut:]
+    elif how == "non_utf8":
+        cut = draw(st.integers(0, len(data[at])))
+        data[at] = data[at][:cut] + bytes([draw(st.integers(0x80, 0xFF))]) + data[at][cut:]
+    return data
+
+
+def run_on_log(command: str, data: bytes) -> tuple[int, str, str, bool]:
+    """``xnap stats`` or ``xnap predict`` (on :data:`VALID`) of the log
+    ``data``: the exit code, stdout, stderr and whether ``--out`` exists."""
+    with tempfile.TemporaryDirectory() as tmp:
+        log, out = Path(tmp, "log.csv"), Path(tmp, "out.csv")
+        log.write_bytes(data)
+        argv = ["stats", "--log", str(log)]
+        if command == "predict":
+            model = Path(tmp, "model.json")
+            model.write_text(json.dumps(VALID))
+            argv = ["predict", "--model", str(model), "--log", str(log), "--out", str(out)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(argv)
+        return code, stdout.getvalue(), stderr.getvalue(), out.exists()
+
+
+@pytest.mark.parametrize("command", ["stats", "predict"])
+def test_valid_log_runs(command):
+    code, out, err, wrote = run_on_log(command, "\n".join(LOG_LINES).encode() + b"\n")
+    assert (code, err, wrote) == (0, "", command == "predict")
+
+
+@pytest.mark.parametrize("how, value", MUTATIONS)
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(draws=st.data(), line_end=st.sampled_from([b"\n", b"\r\n", b"\r"]), bom=st.booleans())
+def test_hostile_log_exits_0_2_or_3(how, value, draws, line_end, bom):
+    lines = draws.draw(hostile_log_lines(how, value))
+    log = (b"\xef\xbb\xbf" if bom else b"") + b"".join(line + line_end for line in lines)
+    codes = {}
+    for command in ("stats", "predict"):
+        code, out, err, wrote = run_on_log(command, log)
+        codes[command] = code
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert code in (0, 2, 3), (how, command, err)
+        assert len(errors) == (code != 0), (how, command, err)
+        if code:
+            assert out == "" and not wrote, (how, command)
+        if how == "non_utf8" or b"\0" in log or b"B" * 131073 in log:
+            assert code == 2, (how, command, err)
+    # Line ends and a leading byte-order mark change no outcome.
+    plain = b"".join(line + b"\n" for line in lines)
+    if plain != log:
+        assert run_on_log("stats", plain)[0] == codes["stats"], (how, line_end, bom)

@@ -74,7 +74,15 @@ class TestParseLog:
         (",B,2024-01-01 10:01:00", BadRow, "empty case id"),
         ("c1,B", BadRow, "2 fields, the header has 3"),
         ("c1,B,not-a-time", BadTimestamp, "cannot parse timestamp 'not-a-time'"),
-    ], ids=["empty_activity", "empty_case_id", "short_row", "bad_timestamp"])
+        # valid in their own offset, outside years 1-9999 once in UTC
+        ("c1,B,9999-12-31T23:59:00-01:00", BadTimestamp,
+         "cannot parse timestamp '9999-12-31T23:59:00-01:00'"),
+        ("c1,B,0001-01-01T00:30:00+01:00", BadTimestamp,
+         "cannot parse timestamp '0001-01-01T00:30:00+01:00'"),
+        # Python 3.10's csv refuses a NUL anywhere, 3.11's reads it as text
+        ("c1,B,2024-01-01 10:01:00,\0", BadRow, "line contains NUL"),
+    ], ids=["empty_activity", "empty_case_id", "short_row", "bad_timestamp",
+            "utc_after_9999", "utc_before_0001", "nul_in_extra_field"])
     def test_errors_name_the_file_line(self, before, line, row, error, message):
         text = f"case,activity,timestamp\nc1,A,2024-01-01 10:00:00\n{before}{row}\n"
         with pytest.raises(error) as exc:

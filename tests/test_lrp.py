@@ -5,18 +5,10 @@ from xnap import bilstm, lrp
 from xnap.bilstm import TrainConfig, init_model, forward
 from xnap.encoding import occlude_event
 from xnap.errors import ShapeMismatch, TraceTooShort
-from xnap.lrp import (
-    LrpConfig,
-    _rescale_columns,
-    bias_absorption,
-    explain,
-    explain_many,
-    lrp_linear,
-    rescale_for_display,
-)
+from xnap.lrp import LrpConfig, _output_relevance, _rescale_columns, explain, explain_many
 
 import oracles
-from oracles import explain_per_sample
+from oracles import _bias_absorption, _lrp_linear, explain_per_sample, rescale_for_display
 from test_bilstm import dummy_vocab, random_model, random_sample
 
 
@@ -43,18 +35,20 @@ ORACLE_CONFIGS = [
 
 
 class TestLrpLinear:
+    # The per-sample epsilon rule of the oracles, and the package's
+    # output-layer rule from the target logit against it.
     def test_symmetric_split(self):
-        r = lrp_linear(np.array([1.0, 1.0]), np.array([[0.5, 0.5]]),
-                       np.array([0.0]), np.array([1.0]), np.array([1.0]),
-                       epsilon=0.0, delta=0.0)
+        r = _lrp_linear(np.array([1.0, 1.0]), np.array([[0.5, 0.5]]),
+                        np.array([0.0]), np.array([1.0]), np.array([1.0]),
+                        epsilon=0.0, delta=0.0)
         assert np.allclose(r, [0.5, 0.5])
 
     def test_bias_share_hand_example(self):
         # z_upper = 0.5 + 0.5 + 1 = 2; delta=1 routes the bias evenly:
         # each message = (0.5 + 1/2) / 2 = 0.5, and the total is conserved.
-        r = lrp_linear(np.array([1.0, 1.0]), np.array([[0.5, 0.5]]),
-                       np.array([1.0]), np.array([2.0]), np.array([1.0]),
-                       epsilon=0.0, delta=1.0)
+        r = _lrp_linear(np.array([1.0, 1.0]), np.array([[0.5, 0.5]]),
+                        np.array([1.0]), np.array([2.0]), np.array([1.0]),
+                        epsilon=0.0, delta=1.0)
         assert np.allclose(r, [0.5, 0.5])
         assert r.sum() == pytest.approx(1.0)
 
@@ -68,11 +62,11 @@ class TestLrpLinear:
             z_upper = w @ z_lower + b
             r_upper = rng.normal(size=m)
             # delta=1: conserved to float precision (1e-6 required)
-            r = lrp_linear(z_lower, w, b, z_upper, r_upper, epsilon=0.001, delta=1.0)
+            r = _lrp_linear(z_lower, w, b, z_upper, r_upper, epsilon=0.001, delta=1.0)
             assert abs(r.sum() - r_upper.sum()) < 1e-6
             # delta=0: the gap is exactly the closed-form bias absorption
-            r0 = lrp_linear(z_lower, w, b, z_upper, r_upper, epsilon=0.001, delta=0.0)
-            absorbed = bias_absorption(b, z_upper, r_upper, epsilon=0.001, delta=0.0)
+            r0 = _lrp_linear(z_lower, w, b, z_upper, r_upper, epsilon=0.001, delta=0.0)
+            absorbed = _bias_absorption(b, z_upper, r_upper, epsilon=0.001, delta=0.0)
             assert abs((r_upper.sum() - r0.sum()) - absorbed) < 1e-9
 
     def test_exact_conservation_without_stabiliser(self):
@@ -84,25 +78,18 @@ class TestLrpLinear:
             b = rng.normal(size=3)
             z_upper = w @ z_lower + b
             r_upper = rng.normal(size=3)
-            r = lrp_linear(z_lower, w, b, z_upper, r_upper, epsilon=0.0, delta=1.0)
+            r = _lrp_linear(z_lower, w, b, z_upper, r_upper, epsilon=0.0, delta=1.0)
             assert abs(r.sum() - r_upper.sum()) < 1e-9
 
     def test_sign_zero_is_positive(self):
         # z_upper = 0 exactly: the stabilised denominator must be +epsilon.
-        r = lrp_linear(np.array([1.0]), np.array([[0.0]]), np.array([0.0]),
-                       np.array([0.0]), np.array([1.0]), epsilon=0.5, delta=0.0)
+        r = _lrp_linear(np.array([1.0]), np.array([[0.0]]), np.array([0.0]),
+                        np.array([0.0]), np.array([1.0]), epsilon=0.5, delta=0.0)
         # message = (0 + 0.5/1) / 0.5 = 1.0
         assert np.allclose(r, [1.0])
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            lrp_linear(np.zeros(2), np.zeros((3, 3)), np.zeros(3),
-                       np.zeros(3), np.zeros(3), epsilon=0.1, delta=0.0)
-        with pytest.raises(ShapeMismatch):  # batch sizes disagree
-            lrp_linear(np.zeros((2, 3)), np.zeros((4, 3)), np.zeros(4),
-                       np.zeros((3, 4)), np.zeros((3, 4)), epsilon=0.1, delta=0.0)
-
     def test_equals_summed_dense_messages(self):
+        # The message matrix, summed one scalar message at a time.
         rng = np.random.default_rng(30)
         for delta in (0.0, 1.0):
             for _ in range(20):
@@ -111,25 +98,33 @@ class TestLrpLinear:
                 b = rng.normal(size=5)
                 z_upper = w @ z_lower + b
                 r_upper = rng.normal(size=5)
-                got = lrp_linear(z_lower, w, b, z_upper, r_upper, 0.01, delta)
-                want = oracles._lrp_linear(z_lower, w, b, z_upper, r_upper, 0.01, delta)
+                want = np.zeros(7)
+                for j in range(5):
+                    stab = 0.01 if z_upper[j] >= 0 else -0.01
+                    for i in range(7):
+                        want[i] += (w[j, i] * z_lower[i] + (stab + delta * b[j]) / 7) \
+                            * r_upper[j] / (z_upper[j] + stab)
+                got = _lrp_linear(z_lower, w, b, z_upper, r_upper, 0.01, delta)
                 assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     def test_batch_rows_equal_single_calls(self):
+        # The output layer's rule from each row's target logit gives every
+        # row the bits of the oracle's dense rule from a one-hot relevance.
         rng = np.random.default_rng(31)
-        z_lower = rng.normal(size=(6, 4))
+        hcat = rng.normal(size=(6, 4))
         w = rng.normal(size=(3, 4))
         b = rng.normal(size=3)
-        z_upper = z_lower @ w.T + b
-        r_upper = rng.normal(size=(6, 3))
-        batched = lrp_linear(z_lower, w, b, z_upper, r_upper, 0.001, 0.0)
-        absorbed = bias_absorption(b, z_upper, r_upper, 0.001, 0.0)
-        assert batched.shape == (6, 4) and absorbed.shape == (6,)
+        logits = hcat @ w.T + b
+        targets = np.array([0, 1, 2, 2, 1, 0])
+        z = logits[np.arange(6), targets]
+        r_hcat, absorbed = _output_relevance(hcat, w, b, z, targets, LrpConfig())
+        assert r_hcat.shape == (6, 4) and absorbed.shape == (6,)
         for k in range(6):
-            single = lrp_linear(z_lower[k], w, b, z_upper[k], r_upper[k], 0.001, 0.0)
-            assert np.allclose(batched[k], single, rtol=1e-13, atol=1e-13)
-            assert absorbed[k] == pytest.approx(
-                bias_absorption(b, z_upper[k], r_upper[k], 0.001, 0.0), rel=1e-13)
+            r_upper = np.zeros(3)
+            r_upper[targets[k]] = z[k]
+            assert np.array_equal(r_hcat[k], _lrp_linear(hcat[k], w, b, logits[k], r_upper,
+                                                         0.001, 0.0))
+            assert absorbed[k] == _bias_absorption(b, logits[k], r_upper, 0.001, 0.0)
 
 
 class TestLrpMultiplicative:

@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from xnap import bilstm, lrp
 from xnap.bilstm import Workspace
-from xnap.lrp import LrpConfig, _stabilise, explain_many
+from xnap.lrp import LrpConfig, _output_relevance, _stabilise, explain_many
 
-from oracles import explain_per_sample, propagate_direction_gate_arrays, stabilise_two_pass
+from oracles import (_bias_absorption, _lrp_linear, explain_per_sample,
+                     propagate_direction_gate_arrays, stabilise_two_pass)
 from test_bilstm import random_model, random_sample
 from test_lrp import assert_matches_oracle
 from test_sharing_properties import prefix_sets
@@ -108,3 +109,31 @@ def test_stabilise_equals_two_pass_oracle(values, epsilon, into):
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()  # bit for bit, the signs of zeros too
     assert (got[0] > 0).tolist() == (z >= 0.0).tolist()  # sign(0) = +1, -0.0 included
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(2, 6), st.integers(1, 4),
+       st.one_of(st.none(), st.integers(0, 5)), st.sampled_from([0.0, 1.0]),
+       st.sampled_from([1e-3, 1e-6, 0.5]))
+def test_output_layer_rule_equals_dense_oracle(seed, b, h, d, target, delta, epsilon):
+    # The output layer's rule from each row's target logit against the
+    # oracle's dense rule from a one-hot output relevance, row by row. The
+    # logits are drawn, not computed, so that negative and zero ones come
+    # up; one output row of weights is zero.
+    rng = np.random.default_rng(seed)
+    hcat = rng.normal(size=(b, 2 * d))
+    w_out = rng.normal(size=(h, 2 * d))
+    w_out[rng.integers(h)] = 0.0
+    b_out = rng.normal(size=h)
+    logits = rng.normal(size=(b, h)) * 10.0 ** rng.integers(-3, 3)
+    logits[rng.random((b, h)) < 0.25] = 0.0
+    targets = np.full(b, min(target, h - 1)) if target is not None else rng.integers(h, size=b)
+    z = logits[np.arange(b), targets]
+    config = LrpConfig(epsilon=epsilon, delta=delta)
+    r_hcat, absorbed = _output_relevance(hcat, w_out, b_out, z, targets, config)
+    for k in range(b):
+        r_out = np.zeros(h)
+        r_out[targets[k]] = z[k]
+        assert np.array_equal(r_hcat[k], _lrp_linear(hcat[k], w_out, b_out, logits[k], r_out,
+                                                     epsilon, delta))
+        assert absorbed[k] == _bias_absorption(b_out, logits[k], r_out, epsilon, delta)
