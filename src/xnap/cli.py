@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import html
 import json
 import math
@@ -407,7 +408,11 @@ def _prefix_length(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``xnap`` parser, built on the first call and shared after it:
+    ``parse_args`` keeps no state between calls, and each call returns a
+    fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="xnap",
         description="Next-activity prediction on event logs with per-event "

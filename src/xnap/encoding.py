@@ -21,7 +21,7 @@ from .errors import (
     TraceTooShort,
     UnknownActivity,
 )
-from .eventlog import EventLog, Trace
+from .eventlog import EventLog, Trace, _trusted
 
 END_SYMBOL = "__END__"
 
@@ -106,11 +106,8 @@ class PrefixSample:
             raise ShapeMismatch(
                 f"prefix length {length} out of range for {self.true_length} true events")
         first = self.max_len - self.true_length
-        sample = object.__new__(PrefixSample)
-        sample.__dict__.update(events=self.events[first:first + length], true_length=length,
-                               label_index=None, case_id=self.case_id,
-                               n_classes=self.n_classes)
-        return sample
+        return _trusted(PrefixSample)(self.events[first:first + length], length, None,
+                                      self.case_id, self.n_classes)
 
 
 @dataclass(frozen=True)
@@ -189,10 +186,12 @@ def encode_running_trace(trace: Trace, vocab: ActivityVocabulary, m: int) -> Pre
     """
     if len(trace) <= 1:
         raise TraceTooShort(f"running trace {trace.case_id!r} has fewer than 2 events")
-    indices = [vocab.index_of(a, trace.case_id) for a in trace.activities]
+    indices = [vocab.index_of(e.activity, trace.case_id) for e in trace.events]
     events = np.full(max(m, len(indices)), vocab.size, dtype=np.int32)
     events[len(events) - len(indices):] = indices
-    return PrefixSample(events, len(indices), None, trace.case_id, vocab.size)
+    # The vocabulary's indices and its pad index lie in [0, vocab.size], and
+    # the trace has at least two events: PrefixSample's checks hold.
+    return _trusted(PrefixSample)(events, len(indices), None, trace.case_id, vocab.size)
 
 
 def occlude_event(sample: PrefixSample, event_index: int) -> PrefixSample:

@@ -7,6 +7,7 @@ traces with unique case ids. All types are immutable after construction.
 from __future__ import annotations
 
 import csv
+import functools
 import statistics
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -29,6 +30,33 @@ _UTC_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _NAIVE_EPOCH = datetime(1970, 1, 1)
 
 
+def _utc(ts: datetime) -> datetime:
+    """``ts`` in UTC, a naive time read as UTC; ``OverflowError`` when an
+    offset moves it out of years 1-9999."""
+    if ts.tzinfo is None:
+        return _UTC_EPOCH + (ts - _NAIVE_EPOCH)
+    return ts.astimezone(timezone.utc)
+
+
+@functools.cache
+def _trusted(cls):
+    """A function that builds the frozen dataclass ``cls`` from its fields,
+    in declaration order, without ``__post_init__``: for callers that have
+    made its checks already. Like the generated ``__init__`` it sets each
+    field with ``object.__setattr__``, in order, so the instance keeps the
+    class's attribute layout and reads as fast as a constructed one. It is
+    generated per class because a loop over the fields cost more than the
+    checks it skips."""
+    names = cls.__match_args__  # the ``__init__`` parameters, in order
+    source = "".join([f"def build({', '.join(names)}):\n",
+                      "    obj = new_object(cls)\n",
+                      *(f"    set_field(obj, {name!r}, {name})\n" for name in names),
+                      "    return obj\n"])
+    scope = {"new_object": object.__new__, "set_field": object.__setattr__, "cls": cls}
+    exec(source, scope)
+    return scope["build"]
+
+
 @dataclass(frozen=True)
 class Event:
     case_id: str
@@ -40,11 +68,8 @@ class Event:
             raise ValueError("event case id must be non-empty")
         if not self.activity:
             raise ValueError("event activity must be non-empty")
-        tz = self.timestamp.tzinfo
-        if tz is None:
-            object.__setattr__(self, "timestamp", _UTC_EPOCH + (self.timestamp - _NAIVE_EPOCH))
-        elif tz is not timezone.utc:
-            object.__setattr__(self, "timestamp", self.timestamp.astimezone(timezone.utc))
+        if self.timestamp.tzinfo is not timezone.utc:
+            object.__setattr__(self, "timestamp", _utc(self.timestamp))
 
 
 @dataclass(frozen=True)
@@ -135,16 +160,19 @@ class LogStats:
 
 
 def _parse_timestamp(raw: str, fmt: str | None, row: int) -> datetime:
+    """``raw`` as a UTC time; a naive one is read as UTC."""
     text = raw.strip()
     try:
         if fmt is not None:
-            return datetime.strptime(text, fmt)
-        # fromisoformat covers "YYYY-MM-DD HH:MM:SS" plus ISO-8601 with
-        # fractional seconds and offsets; map a trailing Z ourselves (3.10).
-        if text.endswith(("Z", "z")):
-            text = text[:-1] + "+00:00"
-        return datetime.fromisoformat(text)
-    except ValueError:
+            ts = datetime.strptime(text, fmt)
+        else:
+            # fromisoformat covers "YYYY-MM-DD HH:MM:SS" plus ISO-8601 with
+            # fractional seconds and offsets; map a trailing Z ourselves (3.10).
+            if text.endswith(("Z", "z")):
+                text = text[:-1] + "+00:00"
+            ts = datetime.fromisoformat(text)
+        return ts if ts.tzinfo is timezone.utc else _utc(ts)
+    except (ValueError, OverflowError):  # an offset may move the time out of years 1-9999
         raise BadTimestamp(row, raw) from None
 
 
@@ -186,6 +214,7 @@ def parse_log(source: Source, fmt: LogFormat = LogFormat()) -> EventLog:
             needed = max(ci, ai, ti) + 1
 
             groups: dict[str, list[Event]] = {}
+            event = _trusted(Event)
             for row in reader:
                 if not row:  # a blank line
                     continue
@@ -198,20 +227,21 @@ def parse_log(source: Source, fmt: LogFormat = LogFormat()) -> EventLog:
                 if not activity:
                     raise BadRow(reader.line_num, "empty activity")
                 ts = _parse_timestamp(stamp, fmt.timestamp_format, reader.line_num)
-                groups.setdefault(case, []).append(Event(case, activity, ts))
+                groups.setdefault(case, []).append(event(case, activity, ts))
         except UnicodeDecodeError:
             raise NotUtf8(str(getattr(f, "name", "the log"))) from None
         except csv.Error as exc:
             raise BadRow(reader.line_num, str(exc)) from None
-        except OverflowError:  # an offset moved the time out of years 1-9999
-            raise BadTimestamp(reader.line_num, stamp) from None
 
     if not groups:
         raise EmptyLog("log has no traces")
+    # The row loop has checked what Event and Trace would: non-empty fields,
+    # UTC times, and one case per group; the sort orders each group.
+    trace = _trusted(Trace)
     traces = []
     for case, events in groups.items():
         events.sort(key=attrgetter("timestamp"))  # stable: file order on ties
-        traces.append(Trace(case, tuple(events)))
+        traces.append(trace(case, tuple(events)))
     return EventLog(tuple(traces))
 
 

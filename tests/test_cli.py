@@ -5,6 +5,7 @@ import io
 import json
 import re
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from xnap.bilstm import TrainConfig, load_model, predict_many, save_model
 from xnap.cli import main, relevance_color
 from xnap.encoding import assemble_dataset, encode_running_trace, max_augmented_length
 from xnap.evaluation import evaluate_model, make_folds, run_cv, weighted_metrics
-from xnap.eventlog import parse_log
+from xnap.eventlog import parse_log, serialize_log
 from xnap.lrp import LrpConfig, explain
 
 from conftest import make_trace
@@ -620,6 +621,67 @@ class TestEvaluate:
         assert capsys.readouterr().err == "error: unknown case id 'ghost'\n"
 
 
+class TestRepeatedCalls:
+    """``main`` may be called again and again in one process: it builds its
+    parser once, and nothing else carries over from one call to the next."""
+
+    @staticmethod
+    def run(workdir, capsys, command, *extra):
+        argv = [command, "--model", str(workdir / "model.json"),
+                "--log", str(workdir / "log.csv"), *extra]
+        if command == "explain":
+            argv += ["--render", "json"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("command", ["predict", "explain"])
+    def test_identical_calls_write_identical_bytes(self, workdir, capsys, command):
+        first = self.run(workdir, capsys, command)
+        assert first[0] == 0 and first[1]
+        assert self.run(workdir, capsys, command) == first
+
+    @pytest.mark.parametrize("argv, code, out", [
+        (["predict", "--bogus"], 2, ""),
+        (["explain", "--render", "svg"], 2, ""),
+        (["predict"], 2, ""),
+        (["--version"], 0, "xnap 0.1.0\n"),
+    ], ids=["unknown_option", "bad_choice", "missing_required", "version"])
+    @pytest.mark.parametrize("command", ["predict", "explain"])
+    def test_parser_exit_leaves_next_call_unchanged(self, workdir, capsys, command,
+                                                    argv, code, out):
+        before = self.run(workdir, capsys, command)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        assert capsys.readouterr().out == out
+        assert self.run(workdir, capsys, command) == before
+
+    def test_usage_error_leaves_next_call_unchanged(self, workdir, capsys):
+        before = self.run(workdir, capsys, "predict")
+        assert self.run(workdir, capsys, "predict", "--case", "ghost")[0] == 2
+        assert self.run(workdir, capsys, "predict") == before
+
+    @pytest.mark.parametrize("command", ["predict", "explain"])
+    def test_case_does_not_leak_into_next_call(self, workdir, capsys, command):
+        whole = self.run(workdir, capsys, command)
+        case = parse_log(str(workdir / "log.csv")).case_ids[3]
+        code, out, _ = self.run(workdir, capsys, command, "--case", case)
+        assert code == 0
+        assert out and all(case in line for line in out.splitlines()[command == "predict":])
+        assert self.run(workdir, capsys, command) == whole
+
+    def test_parser_is_built_once(self, workdir, capsys):
+        cli.build_parser.cache_clear()
+        for command in ("predict", "explain", "predict"):
+            assert self.run(workdir, capsys, command)[0] == 0
+        with pytest.raises(SystemExit):
+            main(["predict", "--bogus"])
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+        assert cli.build_parser() is cli.build_parser()
+
+
 class TestExitCodes:
     def test_internal_error_exits_4(self, workdir, tmp_path, monkeypatch, capsys):
         def diverge(*args, **kwargs):
@@ -750,3 +812,47 @@ class TestOptionRanges:
         err = captured.err.strip()
         assert err.startswith("error: ") and "\n" not in err and "non-empty" in err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestTimestampForms:
+    """The README's timestamp rule, on whichever Python runs the tests: the
+    portable forms read the same UTC time on every supported version; the
+    wider ISO-8601 forms of Python 3.11's ``fromisoformat`` read on 3.11+
+    and exit 2 on 3.10."""
+
+    @pytest.mark.parametrize("stamp, utc", [
+        ("2024-01-01", "2024-01-01 00:00:00"),
+        ("2024-01-01 10:00", "2024-01-01 10:00:00"),
+        ("2024-01-01T10:00", "2024-01-01 10:00:00"),
+        ("2024-01-01 10:00:00", "2024-01-01 10:00:00"),
+        ("2024-01-01T10:00:00", "2024-01-01 10:00:00"),
+        ("2024-01-01 10:00:00.500", "2024-01-01 10:00:00.500000"),
+        ("2024-01-01T10:00:00.123456", "2024-01-01 10:00:00.123456"),
+        ("2024-01-01 10:00:00Z", "2024-01-01 10:00:00"),
+        ("2024-01-01T10:00:00.123456z", "2024-01-01 10:00:00.123456"),
+        ("2024-01-01T10:00:00+02:00", "2024-01-01 08:00:00"),
+        ("2024-01-01 10:00-05:30", "2024-01-01 15:30:00"),
+        ("2024-01-01 10:00:00.250+01:00", "2024-01-01 09:00:00.250000"),
+    ])
+    def test_portable_form_reads_everywhere(self, tmp_path, capsys, stamp, utc):
+        log = tmp_path / "log.csv"
+        log.write_text(f"case,activity,timestamp\nc1,A,{stamp}\nc1,B,{stamp}\n")
+        assert main(["stats", "--log", str(log)]) == 0
+        assert capsys.readouterr().err == ""
+        out = tmp_path / "out.csv"
+        serialize_log(parse_log(str(log)), str(out))
+        assert out.read_text().splitlines()[1:] == [f"c1,A,{utc}", f"c1,B,{utc}"]
+
+    @pytest.mark.parametrize("stamp", [
+        "20240101", "2024-W01-1", "2024-01-01 10:00:00.5", "2024-01-01 10:00:00.5000",
+        "20240101T100000", "2024-01-01 10:00:00+0200", "2024-01-01 10:00:00+02",
+    ])
+    def test_newer_iso_form_reads_from_python_3_11(self, tmp_path, capsys, stamp):
+        log = tmp_path / "log.csv"
+        log.write_text(f"case,activity,timestamp\nc1,A,{stamp}\nc1,B,{stamp}\n")
+        code = main(["stats", "--log", str(log)])
+        err = capsys.readouterr().err
+        if sys.version_info >= (3, 11):
+            assert (code, err) == (0, "")
+        else:
+            assert (code, err) == (2, f"error: row 2: cannot parse timestamp {stamp!r}\n")
