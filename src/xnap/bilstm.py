@@ -28,6 +28,7 @@ import binascii
 import functools
 import json
 import math
+import numbers
 import os
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
@@ -69,16 +70,13 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.hidden_size < 1:
-            raise ValueError(f"hidden_size must be >= 1, got {self.hidden_size}")
+        for name, low in (("hidden_size", 1), ("batch_size", 1), ("max_epochs", 1),
+                          ("patience", 1), ("seed", 0)):
+            value = getattr(self, name)  # a numbers.Integral such as np.int64, no bool
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if not 0 <= self.dropout_rate < 1:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
         if not 0 < self.learning_rate < math.inf:  # NaN fails too
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
@@ -610,16 +608,21 @@ def _inference_runs(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
 
     Every row reads its forward states from its root's run (see
     :func:`_prefix_roots`: a prefix of a longer row of its case, by the
-    rows' ``case_ids`` (n,), reads that row's). The forward direction
-    runs over the roots in longest-first chunks, each cropped to its
-    longest root and holding at most ``_INFERENCE_ROWS`` (row, step)
-    cells or one root. Each chunk's rows, its roots among them, follow
-    it longest first, in batches capped the same way that run the
-    backward direction only."""
+    rows' ``case_ids`` (n,), reads that row's). The roots run forward in
+    longest-first chunks, each cropped to its longest root and holding at
+    most ``_INFERENCE_ROWS`` (row, step) cells or one root. Each chunk's
+    rows, its roots among them, follow it longest first, in batches capped
+    the same way that run the backward direction only. When every row is
+    its own root, the chunks are the batches and run both directions."""
     n, width = events.shape
     order = np.argsort(-lengths, kind="stable")
     root = _prefix_roots(events, lengths, order, case_ids)
-    chunks = list(_cut(order[root[order] == order], lengths))
+    own = root[order] == order
+    if own.all():  # no row reads another's run
+        for part, t_len in _cut(order, lengths):
+            yield part, _run_batch(model, events[part, width - t_len:], lengths[part], ws)
+        return
+    chunks = list(_cut(order[own], lengths))
     chunk_of = np.empty(n, dtype=np.intp)  # per root
     col = np.empty(n, dtype=np.intp)  # per root, its column in the chunk's run
     for k, (chunk, _) in enumerate(chunks):

@@ -37,7 +37,8 @@ from .errors import (
     UnknownActivity,
     XnapError,
 )
-from .eventlog import EventLog, LogFormat, Trace, compute_stats, filter_log, parse_log, serialize_log
+from .eventlog import (EventLog, LogFormat, Trace, _trusted, compute_stats, filter_log,
+                       parse_log, serialize_log)
 from .evaluation import run_cv, shuffle_cases, split_validation
 from .lrp import LrpConfig, RelevanceTrace, explain_many
 from .synthlog import copy_task, generate, linear_grammar
@@ -127,10 +128,8 @@ def _prefix_samples(model, trace: Trace, min_prefix: int,
               f"in [{min_prefix}, {top if max_prefix is None else max_prefix}]",
               file=sys.stderr)
         return None
-    full = _encode_or_skip(Trace(trace.case_id, trace.events[:top]), model)
-    if full is None:
-        return None
-    return [full.prefix(length) for length in range(min_prefix, top + 1)]
+    full = _encode_or_skip(_trusted(Trace)(trace.case_id, trace.events[:top]), model)
+    return None if full is None else [full.prefix(length) for length in range(min_prefix, top + 1)]
 
 
 def _explained_rows(model, trace: Trace, samples: list[PrefixSample],

@@ -17,6 +17,7 @@ the bias terms absorb part of it. This is the LSTM scheme of Arras et al.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,9 @@ class LrpConfig:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.delta not in (0.0, 1.0):
             raise ValueError(f"delta must be 0.0 or 1.0, got {self.delta}")
+        if self.target is not None and (isinstance(self.target, bool)
+                                        or not isinstance(self.target, numbers.Integral)):
+            raise ValueError(f"target must be an integer or None, got {self.target!r}")
 
 
 @dataclass(frozen=True)
@@ -215,8 +219,8 @@ def _explain_run(model: BiLstmModel, run: ForwardTrace, samples: list[PrefixSamp
                  ) -> list[RelevanceTrace]:
     """Explain the batch ``samples`` of the forward pass ``run``: one
     relevance walk per direction. The forward walk reads ``root_cells``,
-    the :func:`_walk_cells` of the root run ``run.fwd``, gathered through
-    ``run.fwd_map`` in one take."""
+    the :func:`_walk_cells` of the root run ``run.fwd``: in place when the
+    batch is its own root, else gathered through ``run.fwd_map`` in one take."""
     b = len(samples)
     rows = np.arange(b)
     targets = np.argmax(run.probs, axis=1) if config.target is None \
@@ -230,10 +234,12 @@ def _explain_run(model: BiLstmModel, run: ForwardTrace, samples: list[PrefixSamp
     # and never read.
     offset, col = run.fwd_map
     t_len = len(run.rev)
-    cell_at = (np.arange(t_len)[:, None] + offset) * run.fwd.events.shape[1] + col
-    fwd_cells = ws.take("lrp.cells", (6, t_len, b, d))
-    root_cells.reshape(6, -1, d).take(cell_at.ravel(), axis=1, mode="clip",
-                                      out=fwd_cells.reshape(6, -1, d))
+    fwd_cells = root_cells
+    if run.fwd.events.shape != (t_len, b) or offset.any() or (col != rows).any():
+        cell_at = (np.arange(t_len)[:, None] + offset) * run.fwd.events.shape[1] + col
+        fwd_cells = ws.take("lrp.cells", (6, t_len, b, d))
+        root_cells.reshape(6, -1, d).take(cell_at.ravel(), axis=1, mode="clip",
+                                          out=fwd_cells.reshape(6, -1, d))
     # The backward direction read each window reversed in place, and the
     # reversal is its own inverse.
     rx_f, left_f, abs_f, gates_f = _propagate_direction(
@@ -276,9 +282,9 @@ def explain_many(model: BiLstmModel, samples: list[PrefixSample],
     Each prediction is decomposed through both directions and summed per
     event, walking back through the batches of :func:`predict_many`, all
     taking their arrays from one workspace. Every batch reads its forward
-    run from a root run (its own when its rows share nothing), and the
-    forward walk cells too: :func:`_walk_cells` runs once per root run.
-    The walks stay per prefix, each from its own output relevance.
+    run and walk cells from a root run (:func:`_walk_cells` runs once per root
+    run); a batch whose rows share nothing is its own root and reads them in
+    place. The walks stay per prefix, each from its own output relevance.
     """
     for sample in samples:
         if sample.true_length < 2:

@@ -47,6 +47,8 @@ class GrammarSpec:
     def __post_init__(self):
         if self.n_traces < 1:
             raise InvalidSpec("n_traces must be >= 1")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         labels = [*self.transitions, *self.key_choices, *self.key_targets, *self.fillers,
                   *(nxt for choices in self.transitions.values() for nxt, _ in choices)]
         if "" in labels:

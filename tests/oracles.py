@@ -24,15 +24,21 @@ the packed kernel ran before it computed whole rows. The gate array walk
 oracle is the batched relevance walk before it applied the product rule
 in place: it builds, copies and sums the zero gate arrays. The display
 oracle :func:`rescale_for_display` rescales one trace at a time, with
-boolean masks.
+boolean masks. The shared-layout oracles :func:`shared_inference_runs`,
+:func:`shared_predict_many` and :func:`shared_explain_many` run every
+batch as inference did before rows that share nothing skipped the
+sharing: the forward direction over root chunks, the backward one in
+batches mapped onto them, and the forward walk cells gathered through
+the map, even when every row is its own root.
 """
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
+from xnap import bilstm, lrp
 from xnap.bilstm import LOSS_CLIP, Workspace, forward, predict, softmax
 from xnap.encoding import PrefixSample, augment_with_end
 from xnap.errors import (InvalidSpec, NonFiniteInput, PrefixTooLong, ShapeMismatch,
@@ -538,6 +544,73 @@ def predict_per_sample(model, samples):
     for k, sample in enumerate(samples):
         probs[k] = predict(model, sample)[1]
     return probs
+
+
+def shared_inference_runs(model, events, lengths, ws, case_ids):
+    """``bilstm._inference_runs`` with the root/chunk bookkeeping for every
+    batch: the forward direction runs over the roots in longest-first
+    chunks, and each chunk's rows follow it in batches that run the
+    backward direction only and read the chunk's run through a map."""
+    n, width = events.shape
+    order = np.argsort(-lengths, kind="stable")
+    root = bilstm._prefix_roots(events, lengths, order, case_ids)
+    chunks = list(bilstm._cut(order[root[order] == order], lengths))
+    chunk_of = np.empty(n, dtype=np.intp)  # per root
+    col = np.empty(n, dtype=np.intp)  # per root, its column in the chunk's run
+    for k, (chunk, _) in enumerate(chunks):
+        chunk_of[chunk] = k
+        col[chunk] = np.arange(len(chunk))
+    col, lag = col[root], lengths[root] - lengths
+    key = chunk_of[root[order]]
+    rows = order[np.argsort(key, kind="stable")]
+    ends = np.cumsum(np.bincount(key, minlength=len(chunks))).tolist()
+    for (chunk, t_root), begin, end in zip(chunks, [0] + ends, ends):
+        spans, _ = bilstm._alignment(lengths[chunk], t_root)
+        run_f = bilstm._run_direction(events[chunk, width - t_root:].T, model.forward_params,
+                                      spans, ws, "fwd", 1.0)
+        for part, t_len in bilstm._cut(rows[begin:end], lengths):
+            yield part, bilstm._run_batch(model, events[part, width - t_len:], lengths[part],
+                                          ws, fwd=(run_f, (t_root - t_len - lag[part],
+                                                           col[part])))
+
+
+def shared_predict_many(model, samples):
+    """``predict_many`` over :func:`shared_inference_runs`."""
+    events, lengths = bilstm._stack_events(model, samples)
+    probs = np.empty((len(samples), model.n_classes))
+    for part, run in shared_inference_runs(model, events, lengths, Workspace(),
+                                           [s.case_id for s in samples]):
+        probs[part] = run.probs
+    return probs
+
+
+def shared_explain_many(model, samples, config=LrpConfig()):
+    """``explain_many`` over :func:`shared_inference_runs`, every batch's
+    forward walk cells gathered from its root run's through the map, as
+    the identity map gathered them too."""
+    events, lengths = bilstm._stack_events(model, samples)
+    results = [None] * len(samples)
+    ws = Workspace()
+    root = root_cells = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for part, run in shared_inference_runs(model, events, lengths, ws,
+                                               [s.case_id for s in samples]):
+            if run.fwd is not root:
+                root = run.fwd
+                root_cells = lrp._walk_cells(root, model.forward_params, config, ws, "lrp.root")
+            b, t_len, d = len(part), len(run.rev), model.hidden_size
+            offset, col = run.fwd_map
+            cell_at = (np.arange(t_len)[:, None] + offset) * run.fwd.events.shape[1] + col
+            cells = root_cells.reshape(6, -1, d).take(cell_at.ravel(), axis=1, mode="clip")
+            # The gathered cells are the batch's own: hand them on as those
+            # of a run that is its own root, which the walk reads in place.
+            own = replace(run, fwd=replace(run.fwd, events=run.bwd.events),
+                          fwd_map=(np.zeros(b, dtype=np.intp), np.arange(b)))
+            batch = lrp._explain_run(model, own, [samples[k] for k in part], config, ws,
+                                     cells.reshape(6, t_len, b, d))
+            for k, result in zip(part, batch):
+                results[k] = result
+    return results
 
 
 def save_model_v1(model, f):

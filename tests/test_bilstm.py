@@ -825,6 +825,32 @@ class TestTrain:
             train(empty, val_set, TrainConfig())
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("hidden_size", 2.5), ("batch_size", 4.5), ("max_epochs", 1.5), ("patience", 1.5),
+        ("seed", 1.5), ("hidden_size", 2.0), ("hidden_size", True), ("seed", False),
+        ("patience", "3"), ("max_epochs", None)])
+    def test_non_integer_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("hidden_size", 0), ("batch_size", 0), ("max_epochs", 0), ("patience", 0),
+        ("seed", -1)])
+    def test_out_of_range_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= .*, got {value}$"):
+            TrainConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        config = TrainConfig(hidden_size=np.int64(3), batch_size=np.int32(4),
+                             max_epochs=np.int64(2), patience=np.uint8(1), seed=np.int64(0))
+        assert config.hidden_size == 3 and config.seed == 0
+        want = init_model(dummy_vocab(3), 4, TrainConfig(hidden_size=3, seed=0))
+        got = init_model(dummy_vocab(3), 4, config)
+        for (_, a), (_, b) in zip(got.param_items(), want.param_items()):
+            assert np.array_equal(a, b)
+
+
 class TestFlatLayout:
     """``train`` keeps its weights in one flat buffer: a trained model's
     arrays are disjoint views into it."""

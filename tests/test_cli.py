@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from xnap import cli, errors
+from xnap import cli, errors, eventlog
 from xnap.bilstm import TrainConfig, load_model, predict_many, save_model
 from xnap.cli import main, relevance_color
 from xnap.encoding import assemble_dataset, encode_running_trace, max_augmented_length
@@ -399,6 +399,22 @@ class TestExplain:
                                 "case c2: skipped, 4 events, no prefix length in [3, 2]\n"
                                 "error: no trace fits the requested prefix range\n")
 
+    @pytest.mark.parametrize("limits", [[], ["--max-prefix", "4"], ["--min-prefix", "2"]])
+    def test_parsed_traces_are_not_checked_again(self, workdir, tmp_path, capsys,
+                                                 monkeypatch, limits):
+        log = write_log(tmp_path / "mixed.csv", {"c1": "ABCDE", "c2": "ABC", "c3": "EDCBAB"})
+        argv = ["explain", "--model", str(workdir / "model.json"), "--log", log,
+                "--render", "json", *limits]
+        assert main(argv) == 0
+        want = capsys.readouterr()
+        checks = []
+        check = eventlog.Trace.__post_init__
+        monkeypatch.setattr(eventlog.Trace, "__post_init__",
+                            lambda trace: checks.append(trace) or check(trace))
+        assert main(argv) == 0
+        assert checks == []  # parse_log checked every trace, and a slice keeps its checks
+        assert capsys.readouterr() == want
+
     def test_json_rows_equal_library_explain(self, workdir, tmp_path, capsys):
         log = write_log(tmp_path / "mixed.csv", {
             "c1": "ABCDE", "c2": "AB", "c3": "EDCBAB", "c4": "BC", "c5": "CADB"})
@@ -758,6 +774,20 @@ class TestOptionRanges:
         err = captured.err.strip()
         assert err.startswith("error: ") and "\n" not in err
         assert named in err and value in err
+        assert list(tmp_path.iterdir()) == []  # nothing written
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "synth"])
+    def test_negative_seed_exits_2(self, workdir, tmp_path, capsys, command):
+        log = ["--log", str(workdir / "log.csv")]
+        needs = {"train": [*log, "--out", str(tmp_path / "model.json")],
+                 "evaluate": [*log, "--out", str(tmp_path / "metrics.csv")],
+                 "synth": ["--out", str(tmp_path / "log.csv")]}
+        assert main([command, *needs[command], "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("error: ") and "\n" not in err
+        assert "seed" in err and "-1" in err
         assert list(tmp_path.iterdir()) == []  # nothing written
 
     @pytest.mark.parametrize("command", ["predict", "explain"])

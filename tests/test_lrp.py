@@ -231,6 +231,24 @@ class TestExplain:
         with pytest.raises(ValueError):
             LrpConfig(delta=0.5)
 
+    @pytest.mark.parametrize("target", [1.5, 2.0, True, False, "1", np.float64(1.0)])
+    def test_non_integer_target_rejected(self, target):
+        with pytest.raises(ValueError, match="^target must be an integer or None"):
+            LrpConfig(target=target)
+
+    def test_numpy_integer_target_equals_int(self):
+        rng = np.random.default_rng(28)
+        model = random_model(rng, 3, 3, 4)
+        sample = random_sample(rng, 4, 3, 3)
+        for target in (np.int64(2), np.int32(2), np.uint8(2)):
+            got = explain(model, sample, LrpConfig(target=target))
+            want = explain(model, sample, LrpConfig(target=2))
+            assert got.target_class == 2 and type(got.target_class) is int
+            assert np.array_equal(got.raw, want.raw)
+            assert got.model_output == want.model_output
+        with pytest.raises(ShapeMismatch):  # the range check stays with the model
+            explain(model, sample, LrpConfig(target=np.int64(3)))
+
 
 class TestExplainMany:
     @pytest.mark.parametrize("config", ORACLE_CONFIGS)

@@ -83,6 +83,15 @@ class TestStochasticGrammar:
             GrammarSpec(mode="markov", n_traces=1, seed=0, start="a",
                         transitions={"a": ((None, 1.0), ("a", bad))})
 
+    @pytest.mark.parametrize("make", [
+        lambda seed: linear_grammar(["A", "B"], 5, seed=seed),
+        lambda seed: copy_task(10, seed=seed)], ids=["markov", "copy"])
+    def test_negative_seed_rejected(self, make):
+        # numpy's default_rng refuses it with a bare ValueError at generate
+        with pytest.raises(InvalidSpec, match="^seed must be >= 0, got -1$"):
+            make(-1)
+        assert generate(make(0)) == generate(make(0))  # seed 0 is the least accepted
+
     def test_unreachable_terminal_rejected(self):
         with pytest.raises(InvalidSpec):
             GrammarSpec(mode="markov", n_traces=1, seed=0, start="A",
