@@ -19,7 +19,10 @@ i, f, o, g, so one matmul per step serves all of them. Training,
 validation, evaluation and single-sample prediction all run the same
 batched recurrence. A batch is right-aligned and ordered longest first,
 so the samples that have started by a step are its leading rows: each
-step runs those rows only, like a packed sequence.
+step runs those rows only, like a packed sequence. The kernel gathers,
+biases and checks only those started cells, and zeroes each sample's
+initial state as it starts; its trace leaves the cells before a sample's
+initial state unspecified, since nothing reads them.
 """
 from __future__ import annotations
 
@@ -160,14 +163,17 @@ class DirectionTrace:
     in place, see ``ForwardTrace.rev``). The input at a step is the
     one-hot row of ``events`` (the pad index H reads a zero row; training
     reads it for a dropped event too), times the run's one input scale
-    (1/keep in training, else 1). At the steps before a sample's first
-    event its rows of ``act``, ``c``, ``h`` and ``tanh_c`` are zero, and
-    its ``pre`` rows hold the bias alone. The gate blocks of ``pre`` and
-    ``act`` are the row blocks of :meth:`LstmWeights.rows`."""
+    (1/keep in training, else 1). State row t holds the state before step
+    t: a sample's ``c``, ``h`` and ``tanh_c`` at its first step are its
+    zero initial state. Its cells before that (the state rows before it,
+    the ``pre`` and ``act`` rows of the steps before its first) are
+    unspecified: the kernel writes none of them, and no result reads them.
+    The gate blocks of ``pre`` and ``act`` are the row blocks of
+    :meth:`LstmWeights.rows`."""
     events: np.ndarray  # (T, B) int activity indices as read, H for a zero input
     pre: np.ndarray  # (T, B, 4D) gate pre-activations, blocks i, f, o, g
     act: np.ndarray  # (T, B, 4D) gate activations, same blocks
-    c: np.ndarray  # (T+1, B, D), c[0] is the zero initial state
+    c: np.ndarray  # (T+1, B, D), row t the state before step t
     h: np.ndarray  # (T+1, B, D)
     tanh_c: np.ndarray  # (T+1, B, D), tanh(c), kept for BPTT
 
@@ -324,39 +330,38 @@ def _run_direction(events: np.ndarray, p: LstmWeights, spans: list[tuple[int, in
                    ws: Workspace, key: str, scale: float) -> DirectionTrace:
     """One direction over time-major activity indices ``events`` (T, B),
     every input scaled by ``scale``, its arrays taken from ``ws`` under
-    ``key``. Each step runs the started rows its span names; the other
-    rows keep zero states and activations."""
+    ``key``. Each step runs the started rows its span names; a sample's
+    cells before its initial-state row are never written."""
     t_len, b = events.shape
     d = p.hidden_size
     s = 3 * d  # sigmoid gates i, f, o come first
     # W x of a one-hot x is a column of W, so the input projection gathers
     # rows of a table holding W.T (times the input scale) and a zero row
-    # for the pad index. The table sits in front of the pre-activations in
-    # one buffer, so the one finiteness check below covers every input
-    # weight, read or not.
+    # for the pad index. The table sits behind the pre-activations in one
+    # buffer, so the last span's finiteness check covers every input
+    # weight, read or not, in the same call.
     h_dim = p.W.shape[1]
-    checked = ws.take(key + ".pre", (h_dim + 1 + t_len * b, 4 * d))
-    table, pre = checked[:h_dim + 1], checked[h_dim + 1:].reshape(t_len, b, 4 * d)
+    checked = ws.take(key + ".pre", (t_len * b + h_dim + 1, 4 * d))
+    pre, table = checked[:t_len * b].reshape(t_len, b, 4 * d), checked[t_len * b:]
     table[:h_dim] = p.W.T
     if scale != 1.0:  # only training scales; a multiply by 1 costs a D=16 predict ~3%
         table[:h_dim] *= scale
     table[h_dim] = 0.0
     act = ws.take(key + ".act", (t_len, b, 4 * d))
     states = ws.take(key + ".states", (3, t_len + 1, b, d))
-    states[:, 0] = 0.0
     rec = ws.take("step.rec", (b, 4 * d))
     prod = ws.take("step.prod", (b, d))
     u_t = p.U.T
     gate_scale, gate_shift = _gate_rows(d)
-    # Non-finite values run through and are reported once, below.
+    # Non-finite values run through a span and are reported after it.
     with np.errstate(invalid="ignore", over="ignore"):
-        table.take(events, axis=0, out=pre, mode="clip")
-        pre += p.b
+        started = 0
         for t0, t1, n in spans:
-            if n < b:
-                states[:, t0 + 1:t1 + 1, n:] = 0.0
-                act[t0:t1, n:] = 0.0
             zs, acts = pre[t0:t1, :n], act[t0:t1, :n]
+            table.take(events[t0:t1, :n], axis=0, out=zs, mode="clip")
+            zs += p.b
+            states[:, t0, started:n] = 0.0  # the samples that start at t0
+            started = n
             cs, hs, tcs = states[:, t0:t1 + 1, :n]
             rec_n, prod_n = rec[:n], prod[:n]
             for t in range(t1 - t0):
@@ -368,8 +373,10 @@ def _run_direction(events: np.ndarray, p: LstmWeights, spans: list[tuple[int, in
                 c_next += np.multiply(a[:, :d], a[:, s:], out=prod_n)
                 np.tanh(c_next, out=tanh_c)
                 np.multiply(tanh_c, a[:, 2 * d:s], out=hs[t + 1])
-    if not np.isfinite(checked).all():
-        raise NonFiniteInput("LSTM input weights or gate pre-activations contain NaN or infinity")
+            # The last span runs every row: its steps and the table are one block.
+            if not np.isfinite(checked[t0 * b:] if n == b else zs).all():
+                raise NonFiniteInput(
+                    "LSTM input weights or gate pre-activations contain NaN or infinity")
     return DirectionTrace(events, pre, act, *states)
 
 

@@ -123,7 +123,9 @@ def _walk_cells(trace: DirectionTrace, params: LstmWeights, config: LrpConfig,
     of ``trace``, as an array (6, T, B, D) taken from ``ws`` under
     ``key``: the two summands of c_t, each with its half of the
     stabiliser, c_t's stabilised denominator, h_{t-1}, and the share term
-    and stabilised denominator of g_t's pre-activation."""
+    and stabilised denominator of g_t's pre-activation. The cells before a
+    row's first step are computed from unspecified trace cells, which may
+    not be finite: call it under ``np.errstate``, and read started cells only."""
     t_len, b = trace.events.shape
     d = trace.c.shape[-1]
     h_dim = params.W.shape[1]

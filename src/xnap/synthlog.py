@@ -8,6 +8,7 @@ that causally decides the later prediction.
 """
 from __future__ import annotations
 
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -16,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidSpec, NotACopyTask
-from .eventlog import Event, EventLog, Trace
+from .eventlog import Event, EventLog, Trace, _trusted
 
 _BASE_TIME = datetime(2024, 1, 1, tzinfo=timezone.utc)
 _SECOND = timedelta(seconds=1)
@@ -45,14 +46,17 @@ class GrammarSpec:
     fillers: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.n_traces < 1:
-            raise InvalidSpec("n_traces must be >= 1")
-        if self.seed < 0:
-            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
+        for name, low in (("n_traces", 1), ("seed", 0)):
+            value = getattr(self, name)  # a numbers.Integral such as np.int64, no bool
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidSpec(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise InvalidSpec(f"{name} must be >= {low}, got {value}")
         labels = [*self.transitions, *self.key_choices, *self.key_targets, *self.fillers,
-                  *(nxt for choices in self.transitions.values() for nxt, _ in choices)]
-        if "" in labels:
-            raise InvalidSpec("activity labels must be non-empty")
+                  *(nxt for choices in self.transitions.values() for nxt, _ in choices
+                    if nxt is not None)]
+        if not all(isinstance(label, str) and label for label in labels):
+            raise InvalidSpec("activity labels must be non-empty strings")
         if self.mode == "markov":
             self._check_markov()
         elif self.mode == "copy":
@@ -189,15 +193,18 @@ def generate(spec: GrammarSpec) -> EventLog:
     """
     rng = np.random.default_rng(spec.seed)
     table = _markov_table(spec) if spec.mode == "markov" else None
+    # The spec has checked every label and the walks are non-empty; the
+    # times are UTC and rise within a case: what Event and Trace would check.
+    event, trace = _trusted(Event), _trusted(Trace)
     traces = []
     for i in range(spec.n_traces):
         activities = _walk_markov(spec, table, rng) if table is not None \
             else _walk_copy(spec, rng)
         case_id = f"case_{i:05d}"
         start = _BASE_TIME + timedelta(minutes=i)
-        events = tuple(Event(case_id, a, start + t * _SECOND)
+        events = tuple(event(case_id, a, start + t * _SECOND)
                        for t, a in enumerate(activities))
-        traces.append(Trace(case_id, events))
+        traces.append(trace(case_id, events))
     return EventLog(tuple(traces))
 
 

@@ -29,7 +29,10 @@ boolean masks. The shared-layout oracles :func:`shared_inference_runs`,
 batch as inference did before rows that share nothing skipped the
 sharing: the forward direction over root chunks, the backward one in
 batches mapped onto them, and the forward walk cells gathered through
-the map, even when every row is its own root.
+the map, even when every row is its own root. The padded kernel oracle
+:func:`padded_run_direction` is the direction kernel before it worked
+on started cells only: it gathers, biases, zero-fills and checks every
+(step, row) cell of a batch, padding included.
 """
 import json
 import math
@@ -286,6 +289,53 @@ def masked_batch_backward(model, xs, lengths, labels, grads):
     masked_direction_backward(run.bwd, model.backward_params, dhcat[:, d:], grads[3:6], ws)
     losses = -np.log(np.maximum(run.probs[np.arange(b), labels], LOSS_CLIP))
     return losses, np.argmax(run.probs, axis=1)
+
+
+def padded_run_direction(events, p, spans, ws, key, scale):
+    """``bilstm._run_direction`` as it was before it worked on started
+    cells only: it gathers the input rows and adds the bias over every
+    (step, row) cell, padding included, zero-fills the activations and
+    states of every row before it starts, and checks the table and all
+    pre-activations in one call after the last span."""
+    t_len, b = events.shape
+    d = p.hidden_size
+    s = 3 * d
+    h_dim = p.W.shape[1]
+    checked = ws.take(key + ".pre", (h_dim + 1 + t_len * b, 4 * d))
+    table, pre = checked[:h_dim + 1], checked[h_dim + 1:].reshape(t_len, b, 4 * d)
+    table[:h_dim] = p.W.T
+    if scale != 1.0:
+        table[:h_dim] *= scale
+    table[h_dim] = 0.0
+    act = ws.take(key + ".act", (t_len, b, 4 * d))
+    states = ws.take(key + ".states", (3, t_len + 1, b, d))
+    states[:, 0] = 0.0
+    rec = ws.take("step.rec", (b, 4 * d))
+    prod = ws.take("step.prod", (b, d))
+    u_t = p.U.T
+    gate_scale, gate_shift = bilstm._gate_rows(d)
+    with np.errstate(invalid="ignore", over="ignore"):
+        table.take(events, axis=0, out=pre, mode="clip")
+        pre += p.b
+        for t0, t1, n in spans:
+            if n < b:
+                states[:, t0 + 1:t1 + 1, n:] = 0.0
+                act[t0:t1, n:] = 0.0
+            zs, acts = pre[t0:t1, :n], act[t0:t1, :n]
+            cs, hs, tcs = states[:, t0:t1 + 1, :n]
+            rec_n, prod_n = rec[:n], prod[:n]
+            for t in range(t1 - t0):
+                z, a = zs[t], acts[t]
+                z += np.matmul(hs[t], u_t, out=rec_n)
+                bilstm._gate_step(z, a, gate_scale, gate_shift)
+                c_next, tanh_c = cs[t + 1], tcs[t + 1]
+                np.multiply(a[:, d:2 * d], cs[t], out=c_next)
+                c_next += np.multiply(a[:, :d], a[:, s:], out=prod_n)
+                np.tanh(c_next, out=tanh_c)
+                np.multiply(tanh_c, a[:, 2 * d:s], out=hs[t + 1])
+    if not np.isfinite(checked).all():
+        raise NonFiniteInput("LSTM input weights or gate pre-activations contain NaN or infinity")
+    return bilstm.DirectionTrace(events, pre, act, *states)
 
 
 def dropout_scales(events, lengths, n_classes, rng, keep):

@@ -495,10 +495,12 @@ class TestPackedKernelAgainstMaskedOracle:
                     assert max_diff(getattr(run, name)[first:, k],
                                     getattr(ref, name)[first:, k]) <= 1e-12, name
                 assert np.array_equal(run.tanh_c[first + 1:, k], np.tanh(run.c[first + 1:, k]))
-                # Before its first step a sample holds zero states and gates.
-                for arr in (run.act[:first, k], run.c[:first + 1, k], run.h[:first + 1, k],
-                            run.tanh_c[:first + 1, k]):
-                    assert not arr.any()
+                # A sample starts from zero states; the kernel writes none of
+                # its cells before that row, so they keep the workspace's NaN.
+                for arr in (run.c, run.h, run.tanh_c):
+                    assert not arr[first, k].any()
+                    assert np.isnan(arr[:first, k]).all()
+                assert np.isnan(run.act[:first, k]).all()
 
     def test_gradients_losses_and_predictions(self, batch, keep):
         model, events, lengths, labels, scale, xs = self.setup_batch(batch, keep)

@@ -1,12 +1,14 @@
 import hashlib
 import io
 import math
+import pickle
+from datetime import timezone
 
 import numpy as np
 import pytest
 
 from xnap.errors import InvalidSpec, NotACopyTask
-from xnap.eventlog import compute_stats, serialize_log
+from xnap.eventlog import Event, EventLog, Trace, compute_stats, serialize_log
 from xnap.synthlog import (
     GrammarSpec,
     copy_task,
@@ -92,6 +94,26 @@ class TestStochasticGrammar:
             make(-1)
         assert generate(make(0)) == generate(make(0))  # seed 0 is the least accepted
 
+    @pytest.mark.parametrize("n_traces, seed, name", [
+        (10, 1.5, "seed"), (2.5, 0, "n_traces"), (10, True, "seed"), (True, 0, "n_traces"),
+        (10, "1", "seed"), (10, np.float64(1.0), "seed")])
+    def test_non_integer_count_or_seed_rejected(self, n_traces, seed, name):
+        # As TrainConfig: a float or a bool is no integer, even when it equals one.
+        with pytest.raises(InvalidSpec, match=f"^{name} must be an integer, got "):
+            copy_task(n_traces, seed=seed)
+        with pytest.raises(InvalidSpec, match=f"^{name} must be an integer, got "):
+            linear_grammar(["A", "B"], n_traces, seed=seed)
+
+    def test_numpy_integers_accepted(self):
+        assert generate(copy_task(np.int64(10), seed=np.int64(3))) == \
+            generate(copy_task(10, seed=3))
+
+    @pytest.mark.parametrize("labels", [
+        {"key_choices": ("X", 0)}, {"fillers": ("F1", None)}, {"key_targets": ("P", b"Q")}])
+    def test_non_string_labels_rejected(self, labels):
+        with pytest.raises(InvalidSpec, match="^activity labels must be non-empty strings$"):
+            copy_task(10, **labels)
+
     def test_unreachable_terminal_rejected(self):
         with pytest.raises(InvalidSpec):
             GrammarSpec(mode="markov", n_traces=1, seed=0, start="A",
@@ -174,3 +196,32 @@ class TestSeededStream:
         buf = io.StringIO()
         serialize_log(generate(spec), buf)
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest()[:16] == digest
+
+
+def checked_log(log: EventLog) -> EventLog:
+    """``log`` rebuilt through the checked ``Event`` and ``Trace``
+    constructors."""
+    return EventLog(tuple(Trace(t.case_id, tuple(Event(e.case_id, e.activity, e.timestamp)
+                                                 for e in t.events)) for t in log))
+
+
+@pytest.mark.parametrize("spec", [
+    GrammarSpec(mode="markov", n_traces=50, seed=2, start="register",
+                transitions=_HELPDESK, min_length=3, max_length=60),
+    copy_task(30, seed=2, key_position=2, key_distance=2, fillers=("F",)),
+    linear_grammar(["A", "B", "C"], 20, seed=2)], ids=["markov", "copy", "linear"])
+def test_generated_log_equals_the_checked_constructors(spec):
+    # generate builds its events and traces without re-running their
+    # checks: the same values, the same UTC tzinfo object, and they pickle
+    # and compare like constructed ones.
+    log = generate(spec)
+    want = checked_log(log)
+    assert log == want
+    for got, ref in zip(log, want):
+        assert got.activities == ref.activities
+        assert all(e.timestamp.tzinfo is timezone.utc for e in got.events)
+        assert [vars(e) for e in got.events] == [vars(e) for e in ref.events]
+    again = pickle.loads(pickle.dumps(log))
+    assert again == want and again.case_ids == log.case_ids
+    assert [vars(e) for t in again for e in t.events] == \
+        [vars(e) for t in want for e in t.events]
