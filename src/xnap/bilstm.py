@@ -13,16 +13,44 @@ to oldest. Their final hidden states are concatenated and fed through a
 dense softmax layer over activity classes.
 
 Inputs are activity indices: x is the one-hot row of an activity, so
-W x is one column of W, read by an index gather; the pad index reads a
-zero input. Each direction keeps its four gates stacked in the order
-i, f, o, g, so one matmul per step serves all of them. Training,
-validation, evaluation and single-sample prediction all run the same
-batched recurrence. A batch is right-aligned and ordered longest first,
-so the samples that have started by a step are its leading rows: each
-step runs those rows only, like a packed sequence. The kernel gathers,
-biases and checks only those started cells, and zeroes each sample's
-initial state as it starts; its trace leaves the cells before a sample's
-initial state unspecified, since nothing reads them.
+W x is one column of W. A direction gathers its steps' input projection
+by index from an (H+1, 4D) table, W transposed (times the input scale)
+plus a zero row for the pad index. The four gates stay stacked in the
+order i, f, o, g, so one (B, D) @ (D, 4D) matmul per step serves them
+all, and a step's contiguous (B, 4D) activations take four calls with a
+per-column scale and shift: sigm(x) = (1 + tanh(x/2)) / 2 on i, f, o and
+tanh(x) * 1 + -0.0 on g, the bits of computing the blocks apart. The
+finiteness check covers the table, so ``NonFiniteInput`` also catches an
+input weight that no event of the batch reads. Input dropout sets a
+dropped event to the pad index and scales the table by 1/keep; its masks
+are drawn per unit of each one-hot row, so the seeded weights are those
+of a dense implementation. The input weight gradient is one dense product
+of the packed gate gradients with the started steps' scaled one-hot rows.
+
+Training, validation, evaluation and single-sample prediction all run
+the same batched recurrence. A batch is cropped to its longest sample,
+right-aligned and ordered longest first (training sorts each batch after
+drawing its dropout masks), so the samples that have started by a step
+are its leading rows, and each step runs those rows only, like a packed
+sequence. The kernel gathers, biases and checks only started cells and
+zeroes each sample's initial state as it starts; a trace leaves the
+cells before it unspecified, since nothing reads them. BPTT stores its
+gate gradients packed, one row per started (step, sample) cell. The
+backward direction reads each window reversed through one index gather,
+so both directions share the kernel and the per-step row counts.
+
+Inference batches hold at most ``_INFERENCE_ROWS`` (row, step) cells. A
+call runs the first occurrence of each distinct row (true length and
+events, under any case id) and gives each repeat its results
+(:func:`_distinct_rows`); training never does, since every row draws its
+own dropout mask. The prefixes of one case id then read the forward run
+of a root row (:func:`_prefix_roots`) through a map (step offset, root
+column), in batches that run the backward direction only (see
+:func:`_inference_runs`). A row that is no prefix of its root is its own
+root; when every row is, each batch runs both directions in
+:func:`_run_batch` under the identity map, as training batches and
+single calls do. The large per-batch arrays come from a grow-only
+:class:`Workspace`, which waits in the process for the next call.
 """
 from __future__ import annotations
 
@@ -521,7 +549,8 @@ def predict_dataset(model: BiLstmModel, dataset: PrefixDataset) -> np.ndarray:
 
     Samples run longest first, in batches cropped to their longest sample
     and capped at ``_INFERENCE_ROWS`` (sample, step) rows; the prefixes of
-    one case share its forward run (see :func:`_inference_runs`).
+    one case share its forward run (see :func:`_inference_runs`), and a
+    repeated row runs once.
     """
     if dataset.vocab.size != model.n_classes:
         raise ShapeMismatch(
@@ -542,11 +571,16 @@ def predict_many(model: BiLstmModel, samples: list[PrefixSample]) -> np.ndarray:
 def _predict_probs(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
                    ws: Workspace, case_ids) -> np.ndarray:
     """Class distributions of the right-aligned rows ``events`` (n, T) of
-    true lengths ``lengths`` and case ids ``case_ids``, in row order."""
+    true lengths ``lengths`` and case ids ``case_ids``, in row order; a
+    repeated row is run once (see :func:`_distinct_rows`)."""
+    distinct = _distinct_rows(events, lengths)
+    if distinct is not None:
+        first = distinct[0]
+        events, lengths, case_ids = events[first], lengths[first], [case_ids[k] for k in first]
     probs = np.empty((len(lengths), model.n_classes))
     for part, run in _inference_runs(model, events, lengths, ws, case_ids):
         probs[part] = run.probs
-    return probs
+    return probs if distinct is None else probs[distinct[1]]
 
 
 def _cut(rows: np.ndarray, lengths: np.ndarray):
@@ -605,6 +639,22 @@ def _prefix_roots(events: np.ndarray, lengths: np.ndarray, order: np.ndarray,
     reads = chosen[pair] & prefix
     root[rows[reads]] = q[reads]
     return root
+
+
+def _distinct_rows(events: np.ndarray, lengths: np.ndarray):
+    """(first, inverse) of the right-aligned rows ``events`` (n, T): the
+    first occurrence of each distinct (true length, events) row, in row
+    order, and per row the position of its own in ``first``, so a padded
+    row matching another at another length (an occluded first event) stays
+    apart. None when n < 2 or no row repeats: those calls keep their bits."""
+    if len(lengths) < 2:
+        return None
+    _, first, inverse = np.unique(np.column_stack([lengths, events]), axis=0,
+                                  return_index=True, return_inverse=True)
+    if len(first) == len(lengths):
+        return None
+    by_row = np.argsort(first)  # distinct rows in row order
+    return first[by_row], np.argsort(by_row)[inverse.reshape(-1)]
 
 
 def _inference_runs(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,

@@ -158,20 +158,28 @@ def _explained_rows(model, trace: Trace, samples: list[PrefixSample],
     return rows
 
 
-def _relevance_json(row: dict) -> str:
-    r: RelevanceTrace = row["result"]
-    return json.dumps({
-        "case_id": r.case_id,
-        "prefix": row["prefix"],
-        "target_class": row["predicted"],
-        "target_prob": r.target_prob,
-        "raw_relevance": r.raw.tolist(),
-        "display": r.display.tolist(),
-        "model_output": r.model_output,
-        "bias_absorbed": r.bias_absorbed,
-        "initial_state_relevance": r.initial_state_relevance,
-        "conservation_residual": row["residual"],
-    })
+def _render_json(per_trace: list[tuple[Trace, list[dict]]], out) -> None:
+    """One JSON object per row. ``explain_many`` gives equal prefixes equal
+    results, so each distinct prefix is encoded once and written behind each
+    row's own case id: the bytes of ``json.dumps`` on the whole row."""
+    encoded: dict[tuple[str, ...], str] = {}  # prefix -> its row after the case id
+    for _, rows in per_trace:
+        for row in rows:
+            key = tuple(row["prefix"])
+            if key not in encoded:
+                r: RelevanceTrace = row["result"]
+                encoded[key] = json.dumps({
+                    "prefix": row["prefix"],
+                    "target_class": row["predicted"],
+                    "target_prob": r.target_prob,
+                    "raw_relevance": r.raw.tolist(),
+                    "display": r.display.tolist(),
+                    "model_output": r.model_output,
+                    "bias_absorbed": r.bias_absorbed,
+                    "initial_state_relevance": r.initial_state_relevance,
+                    "conservation_residual": row["residual"],
+                })[1:]
+            out.write(f'{{"case_id": {json.dumps(row["result"].case_id)}, {encoded[key]}\n')
 
 
 def _render_ansi(rows: list[dict], trace: Trace, out) -> None:
@@ -337,9 +345,7 @@ def cmd_explain(args) -> int:
         raise DomainError("no prefix has a finite explanation")
     with _output(args.out) as out:
         if args.render == "json":
-            for _, rows in per_trace:
-                for row in rows:
-                    out.write(_relevance_json(row) + "\n")
+            _render_json(per_trace, out)
         elif args.render == "html":
             _render_html(per_trace, out)
         else:

@@ -14,11 +14,34 @@ Elementwise nonlinearities pass relevance through unchanged. With
 delta = 1 the total relevance is conserved layer to layer; with delta = 0
 the bias terms absorb part of it. This is the LSTM scheme of Arras et al.
 (2017), applied to both directions and summed per input event.
+
+The output layer's rule starts from the target logit z alone: with
+scale s = z / (z + eps*sign(z)), unit i of [h_fwd ; h_bwd] receives
+h_i w_i s plus (eps*sign(z) + delta*b) s / 2D, w and b being the target's
+row of the output weights and its bias, and the bias absorbs
+(1 - delta) b s. No relevance vector over the classes is built.
+
+:func:`explain_many` walks the batches of :func:`xnap.bilstm.predict_many`,
+repeated rows and forward roots included, so a ``target_prob`` is, bit
+for bit, the probability ``predict_many`` gives its class. One step loop
+per direction walks back over a batch's started rows; a sample's
+relevance stays where it is over the steps before its first event. The
+epsilon rule is one matrix product per step, with no message matrix. The
+product rule runs in place: tanh(c_t) takes h_t's relevance as it is,
+c_{t-1} and g_t take the two rows the epsilon rule gives c_t's summands,
+and no gate array is built, so the gate total stays zero. After the
+loop, a one-hot x_t's active unit receives column e_t of the candidate
+gate's input weights times the step's scale vector, and every input unit
+the same stabiliser and bias share. The forward walk reads cells
+(:func:`_walk_cells`) computed once per root run: gathered through the
+map in one take, or read in place by a batch that is its own root (the
+map is exactly the identity). Each prefix walks from its own output
+relevance.
 """
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,6 +52,7 @@ from .bilstm import (
     LstmWeights,
     Workspace,
     _borrowed_workspace,
+    _distinct_rows,
     _inference_runs,
     _stack_events,
 )
@@ -287,6 +311,8 @@ def explain_many(model: BiLstmModel, samples: list[PrefixSample],
     run and walk cells from a root run (:func:`_walk_cells` runs once per root
     run); a batch whose rows share nothing is its own root and reads them in
     place. The walks stay per prefix, each from its own output relevance.
+    A row given more than once (the same true length and events) is walked
+    once; each repeat gets a copy of its result under its own case id.
     """
     for sample in samples:
         if sample.true_length < 2:
@@ -296,20 +322,29 @@ def explain_many(model: BiLstmModel, samples: list[PrefixSample],
         raise ShapeMismatch(
             f"target class {config.target} out of range for {model.n_classes} classes")
     events, lengths = _stack_events(model, samples)
-    results: list[RelevanceTrace] = [None] * len(samples)
+    distinct = _distinct_rows(events, lengths)
+    walked = samples
+    if distinct is not None:
+        first, inverse = distinct
+        events, lengths, walked = events[first], lengths[first], [samples[k] for k in first]
+    results: list[RelevanceTrace] = [None] * len(walked)
     root = root_cells = None
     # Finite weights can still overflow the walk: such a result holds NaN or
     # infinity, returned as it is, and warns nothing (the kernels check the
     # forward pass themselves).
     with _borrowed_workspace() as ws, np.errstate(over="ignore", invalid="ignore"):
         for part, run in _inference_runs(model, events, lengths, ws,
-                                         [s.case_id for s in samples]):
+                                         [s.case_id for s in walked]):
             if run.fwd is not root:
                 root = run.fwd
                 root_cells = _walk_cells(root, model.forward_params, config, ws, "lrp.root")
-            batch = _explain_run(model, run, [samples[k] for k in part], config, ws, root_cells)
+            batch = _explain_run(model, run, [walked[k] for k in part], config, ws, root_cells)
             for k, result in zip(part, batch):
                 results[k] = result
+    if distinct is not None:  # a repeat gets a copy under its own case id
+        results = [results[j] if first[j] == k else replace(
+            results[j], raw=results[j].raw.copy(), display=results[j].display.copy(),
+            case_id=samples[k].case_id) for k, j in enumerate(inverse.tolist())]
     return results
 
 

@@ -16,7 +16,7 @@ from xnap.cli import main, relevance_color
 from xnap.encoding import assemble_dataset, encode_running_trace, max_augmented_length
 from xnap.evaluation import evaluate_model, make_folds, run_cv, weighted_metrics
 from xnap.eventlog import parse_log, serialize_log
-from xnap.lrp import LrpConfig, explain
+from xnap.lrp import LrpConfig, explain, explain_many
 
 from conftest import make_trace
 from oracles import naive_bilstm_probs, predict_per_sample, save_model_v1
@@ -437,6 +437,62 @@ class TestExplain:
                                ("bias_absorbed", want.bias_absorbed),
                                ("target_prob", want.target_prob)):
                 assert abs(row[key] - value) <= 1e-12 * scale, key
+
+    def test_repeated_prefixes_write_the_bytes_of_one_dump_per_row(self, workdir, tmp_path,
+                                                                   capsys):
+        # Repeated traces under case ids that hold '", "', a quote and
+        # non-ASCII text: the JSON rows are json.dumps of every row, and
+        # rows of equal prefixes differ in their case id only.
+        cases = {'a", "b': "ABCDE", 'say "hi"': "ABCDE", "straße-東京": "ABCD",
+                 "c4": "EDCBA", 'x", "y", "z': "ABCDE", "c6": "ABC"}
+        log = tmp_path / "repeats.csv"
+        with open(log, "w", newline="", encoding="utf-8") as f:
+            writer = csv.writer(f)
+            writer.writerow(["case", "activity", "timestamp"])
+            for case, activities in cases.items():
+                for i, a in enumerate(activities):
+                    writer.writerow([case, a, f"2024-01-01 10:00:{i:02d}"])
+        # The reference explains the whole log in one call, as the command does.
+        model = load_model(workdir / "model.json")
+        jobs = [(trace, cli._prefix_samples(model, trace, 3, None))
+                for trace in parse_log(str(log))]
+        results = iter(explain_many(model, [s for _, samples in jobs for s in samples]))
+        per_trace = [(trace, cli._explained_rows(model, trace, samples,
+                                                 [next(results) for _ in samples]))
+                     for trace, samples in jobs]
+        want_json = "".join(json.dumps({
+            "case_id": row["result"].case_id,
+            "prefix": row["prefix"],
+            "target_class": row["predicted"],
+            "target_prob": row["result"].target_prob,
+            "raw_relevance": row["result"].raw.tolist(),
+            "display": row["result"].display.tolist(),
+            "model_output": row["result"].model_output,
+            "bias_absorbed": row["result"].bias_absorbed,
+            "initial_state_relevance": row["result"].initial_state_relevance,
+            "conservation_residual": row["residual"],
+        }) + "\n" for _, rows in per_trace for row in rows)
+        want_html, want_ansi = io.StringIO(), io.StringIO()
+        cli._render_html(per_trace, want_html)
+        for trace, rows in per_trace:
+            cli._render_ansi(rows, trace, want_ansi)
+        for render, want in (("json", want_json), ("html", want_html.getvalue()),
+                             ("ansi", want_ansi.getvalue())):
+            out = tmp_path / f"explain.{render}"
+            assert main(["explain", "--model", str(workdir / "model.json"), "--log", str(log),
+                         "--render", render, "--out", str(out)]) == 0
+            assert out.read_bytes() == want.encode("utf-8"), render
+        rows = [json.loads(line) for line in want_json.splitlines()]
+        assert [r["case_id"] for r in rows] == [c for c, a in cases.items()
+                                                for _ in range(3, len(a) + 1)]
+        groups = {}
+        for r in rows:
+            groups.setdefault(tuple(r.pop("prefix")), []).append(r)
+        assert len(groups) == 6  # ABC, ABCD, ABCDE, EDC, EDCB, EDCBA
+        for members in groups.values():
+            for r in members:
+                r.pop("case_id")
+            assert all(r == members[0] for r in members)
 
     def test_unknown_activity_skipped_with_warning(self, workdir, tmp_path, capsys):
         log = write_log(tmp_path / "unknown.csv", {"c1": "AZC", "c2": "ABC"})
