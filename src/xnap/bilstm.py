@@ -42,15 +42,31 @@ so both directions share the kernel and the per-step row counts.
 Inference batches hold at most ``_INFERENCE_ROWS`` (row, step) cells. A
 call runs the first occurrence of each distinct row (true length and
 events, under any case id) and gives each repeat its results
-(:func:`_distinct_rows`); training never does, since every row draws its
-own dropout mask. The prefixes of one case id then read the forward run
-of a root row (:func:`_prefix_roots`) through a map (step offset, root
-column), in batches that run the backward direction only (see
-:func:`_inference_runs`). A row that is no prefix of its root is its own
-root; when every row is, each batch runs both directions in
-:func:`_run_batch` under the identity map, as training batches and
-single calls do. The large per-batch arrays come from a grow-only
-:class:`Workspace`, which waits in the process for the next call.
+(:func:`_distinct_rows`). Within a batch, each direction then runs each
+distinct reading prefix of its rows once, across case ids: the forward
+direction reads each row oldest first, the backward one newest first, and
+the pad index of an occluded event is a symbol like any other
+(:func:`_step_plan`). A row runs only the steps that no row before it in
+the batch (longest first) reads alike, the last ones of its window, from
+the states of the parent row it shares the others with, and reads all
+its cells through a (T, B) table. When no two rows begin alike in a
+direction, as for a single sample, the plan is the identity: the run is
+the batch itself, read in place. Training keeps the identity, since
+every row draws its own dropout mask, and so does inference below a
+hidden size of ``_SHARED_HIDDEN``, where a plan costs more than the cells
+it spares.
+
+Across the batches of a call, a row whose events begin another row's
+reads its forward cells from that row's run (:func:`_root_chunks`), so
+the prefixes of a trace, which a longest-first cut spreads over many
+batches, read one run. The roots run forward in chunks cut like batches,
+each with its own plan, and each chunk's rows follow in batches that run
+the backward direction only. A call keeps its longest-first batches,
+each running both directions, when every row is its own root, or when
+the rows that cut puts apart from their root hold no more cells than the
+batches the chunks would add can hold (:func:`_inference_runs`). The
+large per-batch arrays come from a grow-only :class:`Workspace`, which
+waits in the process for the next call.
 """
 from __future__ import annotations
 
@@ -61,7 +77,6 @@ import json
 import math
 import numbers
 import os
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import IO, Union
@@ -88,6 +103,11 @@ LOSS_CLIP = 1e-12
 # Inference batches are cut so that their per-step tensors hold at most
 # this many (sample, step) rows: long prefixes must not blow up memory.
 _INFERENCE_ROWS = 1024
+# Inference shares steps (see _step_plan) only at this hidden size or
+# above. A plan costs about 50 us per batch and direction at any size, and
+# spares cells that cost about 4.5 us each at D=100 but a few percent of
+# that at D=16, where the plans made a 200-trace predict_many ~20% slower.
+_SHARED_HIDDEN = 32
 
 
 @dataclass
@@ -211,13 +231,14 @@ class ForwardTrace:
     """One forward pass over a batch: both directions, their final hidden
     states ``hcat``, the output logits and class probabilities, and the
     ``spans`` and backward order ``rev`` of the batch layout it ran in, as
-    :func:`_alignment` derives them.
+    :func:`_alignment` derives them, and the batch's time-major ``events``.
 
-    Every row reads its forward states from ``fwd``, the run over its
-    root rows (see :func:`_inference_runs`), through ``fwd_map`` (step
-    offset, root column): row k's step t is the root run's step
-    t + offset[k] in column col[k]. A batch that ran its own forward
-    direction is its own root, with offset 0 and column k."""
+    Each direction's ``tables`` entry says where a row reads its cells:
+    None when the run is the batch itself, else a (T, B) table whose entry
+    at step t of row k, in the direction's reading order, is the flat
+    (step, column) index of the run that holds that cell (see
+    :func:`_step_plan`). The forward run may be a root chunk's, which
+    other batches read too (see :func:`_inference_runs`)."""
     fwd: DirectionTrace
     bwd: DirectionTrace
     hcat: np.ndarray  # (B, 2D): forward then backward
@@ -225,7 +246,8 @@ class ForwardTrace:
     probs: np.ndarray  # (B, H)
     spans: list[tuple[int, int, int]]
     rev: np.ndarray  # (T, B)
-    fwd_map: tuple[np.ndarray, np.ndarray]
+    events: np.ndarray  # (T, B), oldest first
+    tables: tuple[np.ndarray | None, np.ndarray | None]
 
 
 @dataclass
@@ -355,11 +377,15 @@ def _gate_step(z: np.ndarray, a: np.ndarray, scale: np.ndarray, shift: np.ndarra
 
 
 def _run_direction(events: np.ndarray, p: LstmWeights, spans: list[tuple[int, int, int]],
-                   ws: Workspace, key: str, scale: float) -> DirectionTrace:
+                   ws: Workspace, key: str, scale: float,
+                   src: np.ndarray | None = None) -> DirectionTrace:
     """One direction over time-major activity indices ``events`` (T, B),
     every input scaled by ``scale``, its arrays taken from ``ws`` under
     ``key``. Each step runs the started rows its span names; a sample's
-    cells before its initial-state row are never written."""
+    cells before its initial-state row are never written. A sample starts
+    from zero states, or with ``src`` (B,) from the states at flat index
+    ``src[k]`` of this run's (T+1, B) state grid, written at an earlier
+    step; index 0, the first sample's initial state, holds zeros."""
     t_len, b = events.shape
     d = p.hidden_size
     s = 3 * d  # sigmoid gates i, f, o come first
@@ -381,6 +407,7 @@ def _run_direction(events: np.ndarray, p: LstmWeights, spans: list[tuple[int, in
     prod = ws.take("step.prod", (b, d))
     u_t = p.U.T
     gate_scale, gate_shift = _gate_rows(d)
+    flat = states.reshape(3, -1, d)
     # Non-finite values run through a span and are reported after it.
     with np.errstate(invalid="ignore", over="ignore"):
         started = 0
@@ -388,7 +415,10 @@ def _run_direction(events: np.ndarray, p: LstmWeights, spans: list[tuple[int, in
             zs, acts = pre[t0:t1, :n], act[t0:t1, :n]
             table.take(events[t0:t1, :n], axis=0, out=zs, mode="clip")
             zs += p.b
-            states[:, t0, started:n] = 0.0  # the samples that start at t0
+            if src is None or t0 == 0:  # the samples that start at t0
+                states[:, t0, started:n] = 0.0
+            else:
+                states[:, t0, started:n] = flat[:, src[started:n]]
             started = n
             cs, hs, tcs = states[:, t0:t1 + 1, :n]
             rec_n, prod_n = rec[:n], prod[:n]
@@ -472,45 +502,142 @@ def _alignment(lengths: np.ndarray, t_len: int
     reversed in place, still right-aligned; it is its own inverse, so it
     also maps backward steps back to event order.
     """
-    b = len(lengths)
     start = t_len - lengths  # first step of each sample
-    if start[0] != 0 or (b > 1 and (np.diff(start) < 0).any()):
+    if start[0] != 0 or (len(lengths) > 1 and (np.diff(start) < 0).any()):
         raise ValueError("a batch must be cropped to its longest sample "
                          "and ordered longest first")
     steps = np.arange(t_len)[:, None]
     rev = np.where(steps >= start, t_len - 1 + start - steps, steps)
+    return _spans(start, t_len), rev
+
+
+def _spans(start: np.ndarray, t_len: int) -> list[tuple[int, int, int]]:
+    """The spans of a run of ``t_len`` steps whose samples start at the
+    non-decreasing steps ``start``, the first at step 0."""
     if start[-1] == 0:  # every sample runs every step
-        return [(0, t_len, b)], rev
+        return [(0, t_len, len(start))]
     firsts, counts = np.unique(start, return_counts=True)
     ends = np.append(firsts[1:], t_len)
-    return list(zip(firsts.tolist(), ends.tolist(), np.cumsum(counts).tolist())), rev
+    return list(zip(firsts.tolist(), ends.tolist(), np.cumsum(counts).tolist()))
+
+
+def _owners(tops: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
+    """Per cell (T, B) of a right-aligned batch of true lengths ``lengths``
+    (B,), ordered longest first, the row that runs it in one direction;
+    None when no two rows begin alike. ``tops`` (T, B) holds each row's
+    reading sequence in that direction from its top (entries past its
+    length are ignored): the other direction's time-major events flipped in
+    time.
+
+    Each reading prefix (a node of the trie of the rows' reading sequences;
+    the pad index is a symbol like any other) is run by the first row in
+    batch order, so the longest, that reads it. A row owns its cells
+    before its first step."""
+    t_len, b = tops.shape
+    steps = np.arange(t_len)[:, None]
+    cols = np.arange(b)
+    # The reading sequences, each ending in a symbol of its own (-1 - k);
+    # the rows lexically sorted, and the common prefix of each sorted pair.
+    seq = np.where(steps < lengths, tops, -1 - cols)
+    srt = np.lexsort(seq[::-1])
+    seq = seq[:, srt]
+    common = np.logical_and.accumulate(seq[:, 1:] == seq[:, :-1]).sum(0)
+    if not common.any():
+        return None
+    # The rows reading one prefix of depth j + 1 are a run of the sorted
+    # rows whose common prefixes are all longer than j; its owner is the
+    # run's smallest batch row. Batch cell (t, k) lies at depth t - start[k];
+    # a negative depth wraps to a depth past the row's end, which it owns.
+    new = np.ones((t_len, b), dtype=bool)
+    np.less_equal(common, steps, out=new[:, 1:])
+    flags = new.ravel()
+    mins = np.minimum.reduceat(np.tile(srt, t_len), np.flatnonzero(flags))
+    place = np.empty(b, dtype=np.intp)
+    place[srt] = cols
+    return mins[np.cumsum(flags)[(steps - t_len + lengths) * b + place] - 1]
+
+
+def _step_plan(tops: np.ndarray, lengths: np.ndarray):
+    """The steps one direction runs of a right-aligned batch of true lengths
+    ``lengths`` (B,), ordered longest first, each reading prefix once (see
+    :func:`_owners`, which reads ``tops``); None when no two rows begin
+    alike. A row runs the steps it owns, the last ones of its window, and
+    starts from its parent's states: those after the steps it shares.
+
+    Returns (rows, owned, src, table): the batch rows that own a step, by
+    owned steps, most first, each one column of the run; their owned step
+    counts; per column the flat index of its parent's states in the run's
+    (T+1, B') state grid, or 0 (the first column's zero initial state) for
+    none; and (T, B) per batch cell the flat index of the run's (T, B')
+    step grid that holds it (any index in range before a row's first
+    step). Each column's parent started before it, and every row keeps its
+    step positions, so a parent's states are written before its children
+    start."""
+    owner = _owners(tops, lengths)
+    if owner is None:
+        return None
+    t_len, b = tops.shape
+    steps = np.arange(t_len)[:, None]
+    owned = lengths - t_len + (owner == np.arange(b)).sum(0)  # the last steps a row reads
+    rows = np.argsort(-owned, kind="stable")[:np.count_nonzero(owned)]
+    width = len(rows)
+    # Batch cell (t, k) is step t + L[k] - L[o] of its owner o's column.
+    base = np.zeros(b, dtype=np.intp)
+    base[rows] = np.arange(width)
+    base -= lengths * width
+    table = (steps + lengths) * width + base[owner]
+    first = t_len - owned[rows]  # each column's first step, its parent's states just before
+    src = np.where(first > t_len - lengths[rows], table[first - 1, rows] + width, 0)
+    return rows, owned[rows], src, table
+
+
+def _shared_run(read: np.ndarray, tops: np.ndarray, lengths: np.ndarray,
+                spans: list[tuple[int, int, int]], p: LstmWeights, ws: Workspace, key: str,
+                scale: float = 1.0, share: bool = True):
+    """One direction over the batch ``read`` (T, B) of true lengths
+    ``lengths``, laid out by ``spans``, as :func:`_run_batch` runs it; with
+    ``share``, each reading prefix of its rows once (see :func:`_step_plan`,
+    which reads ``tops``). Returns the run and the batch's cell table, None
+    when the run is the batch itself."""
+    plan = _step_plan(tops, lengths) if share and len(lengths) > 1 else None
+    if plan is None:
+        return _run_direction(read, p, spans, ws, key, scale), None
+    rows, owned, src, table = plan
+    t_len = len(read)
+    return _run_direction(read[:, rows], p, _spans(t_len - owned, t_len), ws, key, scale,
+                          src), table
 
 
 def _run_batch(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
-               ws: Workspace, scale: float = 1.0,
-               fwd: tuple[DirectionTrace, tuple[np.ndarray, np.ndarray]] | None = None
-               ) -> ForwardTrace:
+               ws: Workspace, scale: float = 1.0, share: bool = False,
+               fwd: tuple[DirectionTrace, np.ndarray] | None = None) -> ForwardTrace:
     """Both directions and the output layer over a right-aligned batch of
     activity indices ``events`` (B, T), ordered longest first, every input
     scaled by ``scale``; the traces carry the batch axis. Their arrays
     come from ``ws``.
 
-    ``fwd`` is (root run, map): the forward run the rows are prefixes of
-    and where each row reads it (see :class:`ForwardTrace`). Without it
-    the batch runs its forward direction and is its own root."""
+    With ``share``, each direction runs each reading prefix of the batch
+    once (see :func:`_step_plan`) and every row reads its cells through
+    that direction's table (see :class:`ForwardTrace`). With ``fwd`` =
+    (run, table), the forward direction is not run: the rows read their
+    cells from ``run``, a run of other rows, through ``table``."""
     b, t_len = events.shape
     spans, rev = _alignment(lengths, t_len)
+    # Time-major, the backward direction with each window reversed in place.
+    reads = events.T, events.T[rev, np.arange(b)]
     if fwd is None:
-        fwd = (_run_direction(events.T, model.forward_params, spans, ws, "fwd", scale),
-               (np.zeros(b, dtype=np.intp), np.arange(b)))
-    root, (offset, col) = fwd
-    reverse = (rev, np.arange(b))  # time-major, each window reversed in place
-    run_b = _run_direction(events.T[reverse], model.backward_params, spans, ws, "bwd", scale)
-    # Each row's forward state after its last step, then the backward one.
-    hcat = np.concatenate([root.h[t_len + offset, col], run_b.h[-1]], axis=1)
+        fwd = _shared_run(reads[0], reads[1][::-1], lengths, spans, model.forward_params, ws,
+                          "fwd", scale, share)
+    bwd = _shared_run(reads[1], reads[0][::-1], lengths, spans, model.backward_params, ws,
+                      "bwd", scale, share)
+    # Each row's state after its last step.
+    finals = [run.h[-1] if table is None else
+              run.h[1:].reshape(-1, model.hidden_size).take(table[-1], axis=0)
+              for run, table in (fwd, bwd)]
+    hcat = np.concatenate(finals, axis=1)
     logits = hcat @ model.W_out.T + model.b_out
-    return ForwardTrace(root, run_b, hcat, logits, softmax(logits, axis=-1), spans, rev,
-                        (offset, col))
+    return ForwardTrace(fwd[0], bwd[0], hcat, logits, softmax(logits, axis=-1), spans, rev,
+                        events.T, (fwd[1], bwd[1]))
 
 
 def _batch_backward(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
@@ -547,16 +674,17 @@ def _batch_backward(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
 def predict_dataset(model: BiLstmModel, dataset: PrefixDataset) -> np.ndarray:
     """Class distributions (n, H) of every sample of a dataset, in order.
 
-    Samples run longest first, in batches cropped to their longest sample
-    and capped at ``_INFERENCE_ROWS`` (sample, step) rows; the prefixes of
-    one case share its forward run (see :func:`_inference_runs`), and a
-    repeated row runs once.
+    Samples run in batches cropped to their longest sample and capped at
+    ``_INFERENCE_ROWS`` (sample, step) rows; each direction of a batch runs
+    each distinct reading prefix once, across case ids, a prefix of a
+    longer row may read that row's forward run in another batch (see
+    :func:`_inference_runs`), and a repeated row runs once.
     """
     if dataset.vocab.size != model.n_classes:
         raise ShapeMismatch(
             f"dataset rows have {dataset.vocab.size} classes, model expects {model.n_classes}")
     with _borrowed_workspace() as ws:
-        return _predict_probs(model, dataset.events, dataset.true_lengths, ws, dataset.case_ids)
+        return _predict_probs(model, dataset.events, dataset.true_lengths, ws)
 
 
 def predict_many(model: BiLstmModel, samples: list[PrefixSample]) -> np.ndarray:
@@ -565,20 +693,20 @@ def predict_many(model: BiLstmModel, samples: list[PrefixSample]) -> np.ndarray:
     in its last bits: the batch shape changes the rounding."""
     events, lengths = _stack_events(model, samples)
     with _borrowed_workspace() as ws:
-        return _predict_probs(model, events, lengths, ws, [s.case_id for s in samples])
+        return _predict_probs(model, events, lengths, ws)
 
 
 def _predict_probs(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
-                   ws: Workspace, case_ids) -> np.ndarray:
+                   ws: Workspace) -> np.ndarray:
     """Class distributions of the right-aligned rows ``events`` (n, T) of
-    true lengths ``lengths`` and case ids ``case_ids``, in row order; a
-    repeated row is run once (see :func:`_distinct_rows`)."""
+    true lengths ``lengths``, in row order; a repeated row is run once
+    (see :func:`_distinct_rows`)."""
     distinct = _distinct_rows(events, lengths)
     if distinct is not None:
         first = distinct[0]
-        events, lengths, case_ids = events[first], lengths[first], [case_ids[k] for k in first]
+        events, lengths = events[first], lengths[first]
     probs = np.empty((len(lengths), model.n_classes))
-    for part, run in _inference_runs(model, events, lengths, ws, case_ids):
+    for part, run in _inference_runs(model, events, lengths, ws):
         probs[part] = run.probs
     return probs if distinct is None else probs[distinct[1]]
 
@@ -593,52 +721,6 @@ def _cut(rows: np.ndarray, lengths: np.ndarray):
         part = rows[start:start + max(1, _INFERENCE_ROWS // t_len)]
         yield part, t_len
         start += len(part)
-
-
-def _prefix_roots(events: np.ndarray, lengths: np.ndarray, order: np.ndarray,
-                  case_ids) -> np.ndarray:
-    """Per row of ``events`` (n, T), the row whose forward run it reads:
-    its case id's root when its events are a prefix of the root's, else
-    the row itself.
-
-    An id's root is the one of its longest rows that the most of its rows
-    are prefixes of, the first in ``order`` (longest first) among equals.
-    So a row as long as the case's trace that is no prefix of it (an
-    occluded copy, or another trace under the same id) does not take the
-    trace's prefixes from it, whichever comes first.
-    """
-    n, width = events.shape
-    root = np.arange(n)
-    if len(set(case_ids)) == n:  # no case id repeats
-        return root
-    code = np.unique(np.asarray(case_ids), return_inverse=True)[1].ravel()
-    longest = np.zeros(code.max() + 1, dtype=lengths.dtype)
-    np.maximum.at(longest, code, lengths)
-    cand = order[lengths[order] == longest[code[order]]]
-    # Pair every candidate root with every row of its id: the id's rows
-    # are a run of ``by_id``, from ``start`` on.
-    by_id = np.argsort(code, kind="stable")
-    size = np.bincount(code)
-    per = size[code[cand]]
-    start = (np.cumsum(size) - size)[code[cand]]
-    pair = np.repeat(np.arange(len(cand)), per)
-    rows = by_id[np.arange(per.sum()) + np.repeat(start - np.cumsum(per) + per, per)]
-    q = cand[pair]
-    # A right-aligned row's column j holds the candidate's column j - shift,
-    # counted over the row's own steps only.
-    steps = np.arange(width)
-    shift = (lengths[q] - lengths[rows])[:, None]
-    same = events[q[:, None], np.maximum(steps - shift, 0)] == events[rows]
-    same |= steps < width - lengths[rows][:, None]
-    prefix = same.all(axis=1)
-    # Per id, the candidate with the most prefixes, the first among equals.
-    count = np.bincount(pair, weights=prefix, minlength=len(cand))
-    best = np.lexsort((np.arange(len(cand)), -count, code[cand]))
-    chosen = np.zeros(len(cand), dtype=bool)
-    chosen[best[np.r_[True, np.diff(code[cand][best]) != 0]]] = True
-    reads = chosen[pair] & prefix
-    root[rows[reads]] = q[reads]
-    return root
 
 
 def _distinct_rows(events: np.ndarray, lengths: np.ndarray):
@@ -657,46 +739,94 @@ def _distinct_rows(events: np.ndarray, lengths: np.ndarray):
     return first[by_row], np.argsort(by_row)[inverse.reshape(-1)]
 
 
-def _inference_runs(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
-                    ws: Workspace, case_ids):
-    """Yield (row indices, :class:`ForwardTrace`) per inference batch of
-    the right-aligned rows ``events`` (n, T) of true lengths ``lengths``.
-    The traces live in ``ws``, each valid until the next one is drawn.
-
-    Every row reads its forward states from its root's run (see
-    :func:`_prefix_roots`: a prefix of a longer row of its case, by the
-    rows' ``case_ids`` (n,), reads that row's). The roots run forward in
-    longest-first chunks, each cropped to its longest root and holding at
-    most ``_INFERENCE_ROWS`` (row, step) cells or one root. Each chunk's
-    rows, its roots among them, follow it longest first, in batches capped
-    the same way that run the backward direction only. When every row is
-    its own root, the chunks are the batches and run both directions."""
+def _root_chunks(events: np.ndarray, lengths: np.ndarray, order: np.ndarray):
+    """Per row of the distinct right-aligned rows ``events`` (n, T) of true
+    lengths ``lengths``, its forward root: the longest row whose events
+    begin with its own, the first in ``order`` (longest first) among
+    equals, so the row itself when its events begin no longer row's. And
+    the roots' chunks: cut longest first like batches, each (roots, their
+    longest length, the batches of the rows that read them, each (rows,
+    longest length)). None when every row is its own root."""
+    # Each row's events from its first; the longest row that begins with a
+    # row's events owns its last cell.
     n, width = events.shape
-    order = np.argsort(-lengths, kind="stable")
-    root = _prefix_roots(events, lengths, order, case_ids)
+    steps = np.arange(lengths[order[0]])[:, None]
+    at = np.minimum(steps + width - lengths[order], width - 1)  # past a row's end: any
+    owner = _owners(events[order, at], lengths[order])
+    root = np.empty(n, dtype=np.intp)
+    root[order] = order if owner is None else order[owner[-1]]
     own = root[order] == order
-    if own.all():  # no row reads another's run
-        for part, t_len in _cut(order, lengths):
-            yield part, _run_batch(model, events[part, width - t_len:], lengths[part], ws)
-        return
+    if own.all():
+        return None
     chunks = list(_cut(order[own], lengths))
     chunk_of = np.empty(n, dtype=np.intp)  # per root
-    col = np.empty(n, dtype=np.intp)  # per root, its column in the chunk's run
     for k, (chunk, _) in enumerate(chunks):
         chunk_of[chunk] = k
-        col[chunk] = np.arange(len(chunk))
-    # Per row: its root's column, and the steps its root runs past its end.
-    col, lag = col[root], lengths[root] - lengths
     key = chunk_of[root[order]]
     rows = order[np.argsort(key, kind="stable")]
     ends = np.cumsum(np.bincount(key, minlength=len(chunks))).tolist()
-    for (chunk, t_root), begin, end in zip(chunks, [0] + ends, ends):
-        spans, _ = _alignment(lengths[chunk], t_root)
-        run_f = _run_direction(events[chunk, width - t_root:].T, model.forward_params,
-                               spans, ws, "fwd", 1.0)
-        for part, t_len in _cut(rows[begin:end], lengths):
+    return root, [(chunk, t_root, list(_cut(rows[begin:end], lengths)))
+                  for (chunk, t_root), begin, end in zip(chunks, [0] + ends, ends)]
+
+
+def _inference_runs(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
+                    ws: Workspace):
+    """Yield (row indices, :class:`ForwardTrace`) per inference batch of
+    the distinct right-aligned rows ``events`` (n, T) of true lengths
+    ``lengths``, each batch ordered longest first, cropped to its longest
+    row and holding at most ``_INFERENCE_ROWS`` (row, step) cells or one
+    row. The traces live in ``ws``, each valid until the next one is drawn.
+    Below a hidden size of ``_SHARED_HIDDEN`` the batches are a
+    longest-first cut that shares no step.
+
+    Rows whose events begin another row's read their forward cells from
+    that row's run, their root's (see :func:`_root_chunks`). The roots
+    run forward in longest-first chunks, each cut like a batch, and each
+    reading prefix of a chunk runs once (see :func:`_step_plan`). Each
+    chunk's rows, its roots among them, follow it longest first, in
+    batches that run the backward direction only, each reading suffix of a
+    batch once. When a longest-first cut of all rows is one batch, when
+    every row is its own root, or when the rows that cut puts apart from
+    their root hold no more cells than the batches the chunks add can
+    hold, the batches are that cut and each runs both directions, each
+    reading prefix and suffix of a batch once."""
+    n, width = events.shape
+    order = np.argsort(-lengths, kind="stable")
+    batches = list(_cut(order, lengths))
+    share = model.hidden_size >= _SHARED_HIDDEN
+    # One batch already runs each reading prefix of the call once.
+    chunks = _root_chunks(events, lengths, order) if share and len(batches) > 1 else None
+    if chunks is not None:
+        root, chunks = chunks
+        # The chunks spare at most the forward cells of the rows that the
+        # longest-first cut puts apart from their root; each batch they add
+        # costs about what a batch of cells does.
+        batch_of = np.empty(n, dtype=np.intp)
+        for k, (part, _) in enumerate(batches):
+            batch_of[part] = k
+        apart = lengths[batch_of[root] != batch_of].sum()
+        added = sum(len(parts) for *_, parts in chunks) - len(batches)
+    if chunks is None or apart <= added * _INFERENCE_ROWS:
+        for part, t_len in batches:
             yield part, _run_batch(model, events[part, width - t_len:], lengths[part], ws,
-                                   fwd=(run_f, (t_root - t_len - lag[part], col[part])))
+                                   share=share)
+        return
+    col = np.empty(n, dtype=np.intp)  # per root, its column in its chunk
+    for chunk, t_root, parts in chunks:
+        col[chunk] = np.arange(len(chunk))
+        spans, rev = _alignment(lengths[chunk], t_root)
+        read = events[chunk, width - t_root:].T
+        run, table = _shared_run(read, read[rev, np.arange(len(chunk))][::-1], lengths[chunk],
+                                 spans, model.forward_params, ws, "fwd")
+        for part, t_len in parts:
+            # Batch cell (t, k) is its root's cell at step t + t_root - t_len
+            # - lag[k] of the chunk; any cell before the row's first step.
+            lag = lengths[root[part]] - lengths[part]
+            at = np.maximum(np.arange(t_len)[:, None] + (t_root - t_len - lag), 0)
+            cols = col[root[part]]
+            cells = at * len(chunk) + cols if table is None else table[at, cols]
+            yield part, _run_batch(model, events[part, width - t_len:], lengths[part], ws,
+                                   share=True, fwd=(run, cells))
 
 
 # --- public per-sample operations -----------------------------------------
@@ -825,7 +955,7 @@ def _drop_inputs(events: np.ndarray, lengths: np.ndarray, n_classes: int,
 def _dataset_loss(model: BiLstmModel, dataset: PrefixDataset,
                   ws: Workspace) -> tuple[float, float]:
     """Mean loss and accuracy over a dataset, no dropout."""
-    probs = _predict_probs(model, dataset.events, dataset.true_lengths, ws, dataset.case_ids)
+    probs = _predict_probs(model, dataset.events, dataset.true_lengths, ws)
     labels = dataset.label_indices
     picked = np.maximum(probs[np.arange(len(dataset)), labels], LOSS_CLIP)
     accuracy = float((np.argmax(probs, axis=1) == labels).mean())
@@ -1019,13 +1149,17 @@ def _header_vocab(doc: dict) -> ActivityVocabulary:
 
 
 def load_model(source: Union[str, Path, IO]) -> BiLstmModel:
-    """Read a model written by :func:`save_model`, in format 2 or 1."""
-    own = isinstance(source, (str, Path))
-    with open(source, "r", encoding="utf-8") if own else nullcontext(source) as f:
-        try:
-            doc = json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise CorruptModel(f"model file is not valid JSON: {exc}") from None
+    """Read a model written by :func:`save_model`, in format 2 or 1. A path
+    is read as bytes and decoded as UTF-8 in one call (a text-mode read
+    costs a D=100 model's load about as much as its JSON parse); a stream
+    is parsed as it reads."""
+    try:
+        if isinstance(source, (str, Path)):
+            doc = json.loads(Path(source).read_bytes().decode("utf-8"))
+        else:
+            doc = json.load(source)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CorruptModel(f"model file is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise CorruptModel("model file does not hold a JSON object")
     version = doc.get("format_version")

@@ -472,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", default=None)
     p.add_argument("--min-prefix", type=_prefix_length, default=3,
                    help="shortest prefix to explain (at least 2)")
-    p.add_argument("--max-prefix", type=int, default=None)
+    p.add_argument("--max-prefix", type=_prefix_length, default=None,
+                   help="longest prefix to explain (at least 2)")
     p.add_argument("--epsilon", type=float, default=0.001)
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--target-class", default=None,

@@ -22,7 +22,7 @@ row of the output weights and its bias, and the bias absorbs
 (1 - delta) b s. No relevance vector over the classes is built.
 
 :func:`explain_many` walks the batches of :func:`xnap.bilstm.predict_many`,
-repeated rows and forward roots included, so a ``target_prob`` is, bit
+repeated rows and shared steps included, so a ``target_prob`` is, bit
 for bit, the probability ``predict_many`` gives its class. One step loop
 per direction walks back over a batch's started rows; a sample's
 relevance stays where it is over the steps before its first event. The
@@ -32,11 +32,13 @@ c_{t-1} and g_t take the two rows the epsilon rule gives c_t's summands,
 and no gate array is built, so the gate total stays zero. After the
 loop, a one-hot x_t's active unit receives column e_t of the candidate
 gate's input weights times the step's scale vector, and every input unit
-the same stabiliser and bias share. The forward walk reads cells
-(:func:`_walk_cells`) computed once per root run: gathered through the
-map in one take, or read in place by a batch that is its own root (the
-map is exactly the identity). Each prefix walks from its own output
-relevance.
+the same stabiliser and bias share. Each walk reads cells
+(:func:`_walk_cells`) computed once per run, where each shared step ran
+once; a root chunk's forward run, which several batches read, gets its
+cells once for all of them. A batch gathers its started cells through
+the direction's cell table in one take, packed span by span, or reads
+them in place when the direction shared nothing (the table is the
+identity). Each prefix walks from its own output relevance.
 """
 from __future__ import annotations
 
@@ -174,14 +176,15 @@ def _walk_cells(trace: DirectionTrace, params: LstmWeights, config: LrpConfig,
     return cells
 
 
-def _propagate_direction(cells: np.ndarray, params: LstmWeights, r_h_final: np.ndarray,
-                         events: np.ndarray, spans: list[tuple[int, int, int]],
-                         config: LrpConfig, ws: Workspace
+def _propagate_direction(cells: list[np.ndarray], params: LstmWeights,
+                         r_h_final: np.ndarray, events: np.ndarray,
+                         spans: list[tuple[int, int, int]], config: LrpConfig, ws: Workspace
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Walk one direction of a right-aligned batch of time-major events
     ``events`` (T, B), ordered longest first, from its final step back to
-    its first, on its :func:`_walk_cells` ``cells`` (6, T, B, D), the
-    walk's arrays taken from ``ws``.
+    its first, on its :func:`_walk_cells` ``cells``, one (6, t1 - t0, n, D)
+    block per span (t0, t1, n) (see :func:`_batch_cells`), the walk's
+    arrays taken from ``ws``.
 
     Each step updates the started rows its span (see :mod:`xnap.bilstm`)
     names; before a sample's first step its relevance stays where it is.
@@ -204,12 +207,11 @@ def _propagate_direction(cells: np.ndarray, params: LstmWeights, r_h_final: np.n
     gate_total = np.zeros(b)
     r_h = r_h_final.copy()
     r_c = np.zeros_like(r_h)
-    for t0, t1, n in reversed(spans):
+    for (t0, t1, n), span in zip(reversed(spans), reversed(cells)):
         if n < b:
             scales[t0:t1, n:] = 0.0
             shares[t0:t1, n:] = 0.0
         rh, rc = r_h[:n], r_c[:n]
-        span = cells[:, t0:t1, :n]
         steps = zip(scales[t0:t1, :n], shares[t0:t1, :n], span[:2].swapaxes(0, 1), *span[2:])
         for scale_g, share, summands, denom_c, h_prev, share_g, denom_g in reversed(list(steps)):
             # Each product's gate gets nothing and its source everything:
@@ -240,13 +242,33 @@ def _propagate_direction(cells: np.ndarray, params: LstmWeights, r_h_final: np.n
     return rx, leftover, absorbed, gate_total
 
 
+def _batch_cells(run_cells: np.ndarray, table: np.ndarray | None,
+                 spans: list[tuple[int, int, int]], ws: Workspace) -> list[np.ndarray]:
+    """The :func:`_walk_cells` ``run_cells`` of one direction's run, as
+    one batch laid out by ``spans`` reads them: one (6, t1 - t0, n, D)
+    block of started cells per span (t0, t1, n). They are views of the
+    run's own cells when ``table`` is None; else one take through
+    ``table`` (see :class:`xnap.bilstm.ForwardTrace`) gathers the started
+    cells, and only those, packed span after span."""
+    if table is None:
+        return [run_cells[:, t0:t1, :n] for t0, t1, n in spans]
+    d = run_cells.shape[-1]
+    counts = np.repeat([n for _, _, n in spans], [t1 - t0 for t0, t1, _ in spans])
+    started = table[counts[:, None] > np.arange(table.shape[1])]  # time-major, span by span
+    packed = ws.take("lrp.cells", (6, len(started), d))
+    run_cells.reshape(6, -1, d).take(started, axis=1, mode="clip", out=packed)
+    ends = np.cumsum([(t1 - t0) * n for t0, t1, n in spans]).tolist()
+    return [packed[:, end - (t1 - t0) * n:end].reshape(6, t1 - t0, n, d)
+            for (t0, t1, n), end in zip(spans, ends)]
+
+
 def _explain_run(model: BiLstmModel, run: ForwardTrace, samples: list[PrefixSample],
-                 config: LrpConfig, ws: Workspace, root_cells: np.ndarray
+                 config: LrpConfig, ws: Workspace, fwd_cells: np.ndarray
                  ) -> list[RelevanceTrace]:
     """Explain the batch ``samples`` of the forward pass ``run``: one
-    relevance walk per direction. The forward walk reads ``root_cells``,
-    the :func:`_walk_cells` of the root run ``run.fwd``: in place when the
-    batch is its own root, else gathered through ``run.fwd_map`` in one take."""
+    relevance walk per direction, each on its :func:`_batch_cells`. The
+    forward walk reads ``fwd_cells``, the :func:`_walk_cells` of
+    ``run.fwd``, which other batches may read too."""
     b = len(samples)
     rows = np.arange(b)
     targets = np.argmax(run.probs, axis=1) if config.target is None \
@@ -254,26 +276,16 @@ def _explain_run(model: BiLstmModel, run: ForwardTrace, samples: list[PrefixSamp
     z = run.logits[rows, targets]
     r_hcat, absorbed = _output_relevance(run.hcat, model.W_out, model.b_out, z, targets, config)
     d = model.hidden_size
-
-    # Row k's step t is the root run's flat cell (t + offset[k]) * width
-    # + col[k]; the steps before a row's first one are clipped into range
-    # and never read.
-    offset, col = run.fwd_map
-    t_len = len(run.rev)
-    fwd_cells = root_cells
-    if run.fwd.events.shape != (t_len, b) or offset.any() or (col != rows).any():
-        cell_at = (np.arange(t_len)[:, None] + offset) * run.fwd.events.shape[1] + col
-        fwd_cells = ws.take("lrp.cells", (6, t_len, b, d))
-        root_cells.reshape(6, -1, d).take(cell_at.ravel(), axis=1, mode="clip",
-                                          out=fwd_cells.reshape(6, -1, d))
-    # The backward direction read each window reversed in place, and the
-    # reversal is its own inverse.
+    fwd, bwd = model.forward_params, model.backward_params
+    table_f, table_b = run.tables
     rx_f, left_f, abs_f, gates_f = _propagate_direction(
-        fwd_cells, model.forward_params, r_hcat[:, :d], run.bwd.events[run.rev, rows],
+        _batch_cells(fwd_cells, table_f, run.spans, ws), fwd, r_hcat[:, :d], run.events,
         run.spans, config, ws)
-    bwd_cells = _walk_cells(run.bwd, model.backward_params, config, ws, "lrp.cells")
+    # The backward direction read each window reversed in place.
+    bwd_cells = _walk_cells(run.bwd, bwd, config, ws, "lrp.bwd")
     rx_b, left_b, abs_b, gates_b = _propagate_direction(
-        bwd_cells, model.backward_params, r_hcat[:, d:], run.bwd.events, run.spans, config, ws)
+        _batch_cells(bwd_cells, table_b, run.spans, ws), bwd, r_hcat[:, d:],
+        run.events[run.rev, rows], run.spans, config, ws)
 
     # The backward direction read each window newest-first; gather its
     # steps back to event order before adding the two directions.
@@ -307,10 +319,11 @@ def explain_many(model: BiLstmModel, samples: list[PrefixSample],
 
     Each prediction is decomposed through both directions and summed per
     event, walking back through the batches of :func:`predict_many`, all
-    taking their arrays from one workspace. Every batch reads its forward
-    run and walk cells from a root run (:func:`_walk_cells` runs once per root
-    run); a batch whose rows share nothing is its own root and reads them in
-    place. The walks stay per prefix, each from its own output relevance.
+    taking their arrays from one workspace. Each direction computes its
+    walk cells once per step it ran (:func:`_batch_cells`), so once per
+    distinct reading prefix of the batch, or of the root chunk whose
+    forward run the batch reads. The walks stay per prefix, each from its
+    own output relevance.
     A row given more than once (the same true length and events) is walked
     once; each repeat gets a copy of its result under its own case id.
     """
@@ -328,17 +341,16 @@ def explain_many(model: BiLstmModel, samples: list[PrefixSample],
         first, inverse = distinct
         events, lengths, walked = events[first], lengths[first], [samples[k] for k in first]
     results: list[RelevanceTrace] = [None] * len(walked)
-    root = root_cells = None
     # Finite weights can still overflow the walk: such a result holds NaN or
     # infinity, returned as it is, and warns nothing (the kernels check the
     # forward pass themselves).
     with _borrowed_workspace() as ws, np.errstate(over="ignore", invalid="ignore"):
-        for part, run in _inference_runs(model, events, lengths, ws,
-                                         [s.case_id for s in walked]):
-            if run.fwd is not root:
-                root = run.fwd
-                root_cells = _walk_cells(root, model.forward_params, config, ws, "lrp.root")
-            batch = _explain_run(model, run, [walked[k] for k in part], config, ws, root_cells)
+        fwd = fwd_cells = None
+        for part, run in _inference_runs(model, events, lengths, ws):
+            if run.fwd is not fwd:  # a new forward run: its cells once
+                fwd = run.fwd
+                fwd_cells = _walk_cells(fwd, model.forward_params, config, ws, "lrp.fwd")
+            batch = _explain_run(model, run, [walked[k] for k in part], config, ws, fwd_cells)
             for k, result in zip(part, batch):
                 results[k] = result
     if distinct is not None:  # a repeat gets a copy under its own case id

@@ -24,19 +24,17 @@ the packed kernel ran before it computed whole rows. The gate array walk
 oracle is the batched relevance walk before it applied the product rule
 in place: it builds, copies and sums the zero gate arrays. The display
 oracle :func:`rescale_for_display` rescales one trace at a time, with
-boolean masks. The shared-layout oracles :func:`shared_inference_runs`,
-:func:`shared_predict_many` and :func:`shared_explain_many` run every
-batch as inference did before rows that share nothing skipped the
-sharing: the forward direction over root chunks, the backward one in
-batches mapped onto them, and the forward walk cells gathered through
-the map, even when every row is its own root. The padded kernel oracle
+boolean masks. The unshared-layout oracles :func:`unshared_inference_runs`,
+:func:`unshared_predict_many` and :func:`unshared_explain_many` run every
+inference batch as training runs its batches: both directions over every
+row, each row on its own cells, no step shared. The padded kernel oracle
 :func:`padded_run_direction` is the direction kernel before it worked
 on started cells only: it gathers, biases, zero-fills and checks every
 (step, row) cell of a batch, padding included.
 """
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -291,12 +289,14 @@ def masked_batch_backward(model, xs, lengths, labels, grads):
     return losses, np.argmax(run.probs, axis=1)
 
 
-def padded_run_direction(events, p, spans, ws, key, scale):
+def padded_run_direction(events, p, spans, ws, key, scale, src=None):
     """``bilstm._run_direction`` as it was before it worked on started
     cells only: it gathers the input rows and adds the bias over every
     (step, row) cell, padding included, zero-fills the activations and
     states of every row before it starts, and checks the table and all
-    pre-activations in one call after the last span."""
+    pre-activations in one call after the last span. A row with a parent
+    (``src[k] > 0``) copies the parent's states, one row at a time, as it
+    starts."""
     t_len, b = events.shape
     d = p.hidden_size
     s = 3 * d
@@ -317,10 +317,16 @@ def padded_run_direction(events, p, spans, ws, key, scale):
     with np.errstate(invalid="ignore", over="ignore"):
         table.take(events, axis=0, out=pre, mode="clip")
         pre += p.b
+        started = 0
         for t0, t1, n in spans:
             if n < b:
                 states[:, t0 + 1:t1 + 1, n:] = 0.0
                 act[t0:t1, n:] = 0.0
+            for k in range(started, n if src is not None else 0):
+                if src[k] > 0:
+                    row, col = divmod(int(src[k]), b)
+                    states[:, t0, k] = states[:, row, col]
+            started = n
             zs, acts = pre[t0:t1, :n], act[t0:t1, :n]
             cs, hs, tcs = states[:, t0:t1 + 1, :n]
             rec_n, prod_n = rec[:n], prod[:n]
@@ -521,13 +527,12 @@ def propagate_direction_gate_arrays(cells, params, r_h_final, events, spans, con
     gate_total = np.zeros((3, b, d))
     r_h = r_h_final.copy()
     r_c = np.zeros_like(r_h)
-    for t0, t1, n in reversed(spans):
+    for (t0, t1, n), span in zip(reversed(spans), reversed(cells)):
         if n < b:
             scales[t0:t1, n:] = 0.0
             shares[t0:t1, n:] = 0.0
         rg, gates = r_gates[:, :n], gate_total[:, :n]
         rh, rc = r_h[:n], r_c[:n]
-        span = cells[:, t0:t1, :n]
         steps = zip(scales[t0:t1, :n], shares[t0:t1, :n], span[:2].swapaxes(0, 1), *span[2:])
         for scale_g, share, summands, denom_c, h_prev, share_g, denom_g in reversed(list(steps)):
             rg[0], r_tanh_c = _lrp_multiplicative(rh)
@@ -596,69 +601,35 @@ def predict_per_sample(model, samples):
     return probs
 
 
-def shared_inference_runs(model, events, lengths, ws, case_ids):
-    """``bilstm._inference_runs`` with the root/chunk bookkeeping for every
-    batch: the forward direction runs over the roots in longest-first
-    chunks, and each chunk's rows follow it in batches that run the
-    backward direction only and read the chunk's run through a map."""
-    n, width = events.shape
-    order = np.argsort(-lengths, kind="stable")
-    root = bilstm._prefix_roots(events, lengths, order, case_ids)
-    chunks = list(bilstm._cut(order[root[order] == order], lengths))
-    chunk_of = np.empty(n, dtype=np.intp)  # per root
-    col = np.empty(n, dtype=np.intp)  # per root, its column in the chunk's run
-    for k, (chunk, _) in enumerate(chunks):
-        chunk_of[chunk] = k
-        col[chunk] = np.arange(len(chunk))
-    col, lag = col[root], lengths[root] - lengths
-    key = chunk_of[root[order]]
-    rows = order[np.argsort(key, kind="stable")]
-    ends = np.cumsum(np.bincount(key, minlength=len(chunks))).tolist()
-    for (chunk, t_root), begin, end in zip(chunks, [0] + ends, ends):
-        spans, _ = bilstm._alignment(lengths[chunk], t_root)
-        run_f = bilstm._run_direction(events[chunk, width - t_root:].T, model.forward_params,
-                                      spans, ws, "fwd", 1.0)
-        for part, t_len in bilstm._cut(rows[begin:end], lengths):
-            yield part, bilstm._run_batch(model, events[part, width - t_len:], lengths[part],
-                                          ws, fwd=(run_f, (t_root - t_len - lag[part],
-                                                           col[part])))
+def unshared_inference_runs(model, events, lengths, ws):
+    """``bilstm._inference_runs`` as it ran before batches shared steps:
+    the same batches, each running both directions over all of its rows."""
+    width = events.shape[1]
+    for part, t_len in bilstm._cut(np.argsort(-lengths, kind="stable"), lengths):
+        yield part, bilstm._run_batch(model, events[part, width - t_len:], lengths[part], ws)
 
 
-def shared_predict_many(model, samples):
-    """``predict_many`` over :func:`shared_inference_runs`."""
+def unshared_predict_many(model, samples):
+    """``predict_many`` over :func:`unshared_inference_runs`, without
+    merging repeated rows."""
     events, lengths = bilstm._stack_events(model, samples)
     probs = np.empty((len(samples), model.n_classes))
-    for part, run in shared_inference_runs(model, events, lengths, Workspace(),
-                                           [s.case_id for s in samples]):
+    for part, run in unshared_inference_runs(model, events, lengths, Workspace()):
         probs[part] = run.probs
     return probs
 
 
-def shared_explain_many(model, samples, config=LrpConfig()):
-    """``explain_many`` over :func:`shared_inference_runs`, every batch's
-    forward walk cells gathered from its root run's through the map, as
-    the identity map gathered them too."""
+def unshared_explain_many(model, samples, config=LrpConfig()):
+    """``explain_many`` over :func:`unshared_inference_runs`, without
+    merging repeated rows: each walk reads its own run's cells in place."""
     events, lengths = bilstm._stack_events(model, samples)
     results = [None] * len(samples)
     ws = Workspace()
-    root = root_cells = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for part, run in shared_inference_runs(model, events, lengths, ws,
-                                               [s.case_id for s in samples]):
-            if run.fwd is not root:
-                root = run.fwd
-                root_cells = lrp._walk_cells(root, model.forward_params, config, ws, "lrp.root")
-            b, t_len, d = len(part), len(run.rev), model.hidden_size
-            offset, col = run.fwd_map
-            cell_at = (np.arange(t_len)[:, None] + offset) * run.fwd.events.shape[1] + col
-            cells = root_cells.reshape(6, -1, d).take(cell_at.ravel(), axis=1, mode="clip")
-            # The gathered cells are the batch's own: hand them on as those
-            # of a run that is its own root, which the walk reads in place.
-            own = replace(run, fwd=replace(run.fwd, events=run.bwd.events),
-                          fwd_map=(np.zeros(b, dtype=np.intp), np.arange(b)))
-            batch = lrp._explain_run(model, own, [samples[k] for k in part], config, ws,
-                                     cells.reshape(6, t_len, b, d))
-            for k, result in zip(part, batch):
+        for part, run in unshared_inference_runs(model, events, lengths, ws):
+            fwd_cells = lrp._walk_cells(run.fwd, model.forward_params, config, ws, "lrp.fwd")
+            for k, result in zip(part, lrp._explain_run(model, run, [samples[k] for k in part],
+                                                        config, ws, fwd_cells)):
                 results[k] = result
     return results
 

@@ -269,8 +269,7 @@ class TestPredictMany:
         samples[6] = occlude_event(samples[6], 6)  # ... and as the last one
         monkeypatch.setattr(bilstm, "_INFERENCE_ROWS", 20)
         events, lengths = _stack_events(model, samples)
-        ids = [s.case_id for s in samples]
-        assert len(list(bilstm._inference_runs(model, events, lengths, Workspace(), ids))) > 3
+        assert len(list(bilstm._inference_runs(model, events, lengths, Workspace()))) > 3
         probs = predict_many(model, samples)
         want = predict_per_sample(model, samples)
         assert probs.shape == (len(samples), 4)
@@ -529,120 +528,189 @@ def test_run_carries_the_layout_of_its_batch():
     assert np.array_equal(run.bwd.events, events.T[rev, np.arange(7)])
 
 
-class TestSharedForward:
-    """The prefixes of one case read the forward run of its longest row."""
+def top_aligned(rows) -> np.ndarray:
+    """Reading sequences as ``_step_plan`` takes them: row k's from the top
+    of column k, -9 (ignored) after its end."""
+    tops = np.full((max(map(len, rows)), len(rows)), -9)
+    for k, row in enumerate(rows):
+        tops[:len(row), k] = row
+    return tops
 
-    def test_roots(self):
-        rng = np.random.default_rng(13)
-        trace = rng.integers(4, size=6).astype(np.int32)
-        occluded = trace[:4].copy()
-        occluded[1] = 4
-        rows = [trace, trace[:3], trace[:5], trace[:5],  # c: the root, prefixes, a repeat
-                occluded, trace[:2],  # d: the longer row occluded where the other reads
-                np.r_[trace[:2], (trace[2] + 1) % 4],  # e: two rows, neither a prefix
-                np.r_[(trace[0] + 1) % 4, trace[1]],  # of the other
-                trace[:4]]  # f: one row
-        events = np.full((len(rows), 6), 4, dtype=np.int32)
+
+class TestSharedSteps:
+    """Each direction of an inference batch runs each reading prefix of its
+    rows once, whatever their case ids, and every row reads its cells
+    through that direction's table; a row whose events begin a longer
+    row's may read that row's forward run from another batch."""
+
+    def test_plan_of_a_small_batch(self):
+        # Longest first; the pad index 4 is a symbol like any other.
+        rows = [[0, 1, 2, 3], [0, 1, 2, 0], [4, 1, 2], [1, 2], [0, 1], [2]]
+        events = np.full((6, 4), 4, dtype=np.int32)
         for row, values in zip(events, rows):
-            row[6 - len(values):] = values
+            row[4 - len(values):] = values
+        lengths = np.asarray([len(v) for v in rows])
+        _, rev = bilstm._alignment(lengths, 4)
+        # Each direction's sequences are the other's time-major events
+        # flipped in time.
+        backward = events.T[rev, np.arange(6)]
+        depth = np.arange(4)[:, None] < lengths
+        assert np.array_equal(backward[::-1][depth], top_aligned(rows)[depth])
+        assert np.array_equal(events.T[::-1][depth], top_aligned([r[::-1] for r in rows])[depth])
+        # Forward, 0 1 2 0 shares 0 1 2 with the first row and starts from
+        # its states after them: state row 3, column 0 of 5. 0 1 runs
+        # nothing and reads the first row's first two steps.
+        rows_f, owned_f, src_f, table_f = bilstm._step_plan(top_aligned(rows), lengths)
+        assert rows_f.tolist() == [0, 2, 3, 1, 5]
+        assert owned_f.tolist() == [4, 3, 2, 1, 1]
+        assert src_f.tolist() == [0, 0, 0, 3 * 5 + 0, 0]  # 0: zero states
+        assert table_f[2:, 4].tolist() == [0 * 5 + 0, 1 * 5 + 0]
+        assert table_f[3, 1] == 3 * 5 + 3  # its own last step, in column 3
+        # Backward, 2 1 and 2 begin 2 1 4 (column 2 of 4, from step 1 on):
+        # they run nothing.
+        rows_b, owned_b, src_b, table_b = bilstm._step_plan(
+            top_aligned([r[::-1] for r in rows]), lengths)
+        assert rows_b.tolist() == [0, 1, 2, 4]
+        assert owned_b.tolist() == [4, 4, 3, 2]
+        assert src_b.tolist() == [0] * 4
+        assert table_b[2:, 3].tolist() == [1 * 4 + 2, 2 * 4 + 2]
+        assert table_b[3:, 5].tolist() == [1 * 4 + 2]
+        # No two rows begin alike: nothing to share.
+        assert bilstm._step_plan(top_aligned([rows[0], rows[2], rows[3]]),
+                                 lengths[[0, 2, 3]]) is None
+
+    def test_forward_roots(self):
+        # A row reads the forward run of the longest row whose events begin
+        # with its own, the first in longest-first order among equals: 0 1
+        # begins 0 1 2 3 and 0 1 2 0, and reads 0 1 2 3. The pad index 6 is
+        # an event like any other: 1 2 begins 1 2 5, not 6 1 2.
+        rows = [[0, 1, 2, 3], [0, 1, 2, 0], [6, 1, 2], [1, 2], [0, 1], [2], [1, 2, 5]]
+        events = np.full((7, 5), 6, dtype=np.int32)
+        for row, values in zip(events, rows):
+            row[5 - len(values):] = values
         lengths = np.asarray([len(v) for v in rows])
         order = np.argsort(-lengths, kind="stable")
-        ids = ["c", "c", "c", "c", "d", "d", "e", "e", "f"]
-        root = bilstm._prefix_roots(events, lengths, order, ids)
-        # Only c's rows share; a row that shares nothing is its own root.
-        assert root.tolist() == [0, 0, 0, 0, 4, 5, 6, 7, 8]
-        apart = [str(k) for k in range(9)]
-        assert bilstm._prefix_roots(events, lengths, order, apart).tolist() == list(range(9))
+        root, chunks = bilstm._root_chunks(events, lengths, order)
+        assert root.tolist() == [0, 1, 2, 6, 0, 5, 6]
+        assert [chunk.tolist() for chunk, _, _ in chunks] == [[0, 1, 2, 6, 5]]
+        assert [part.tolist() for part, _ in chunks[0][2]] == [[0, 1, 2, 6, 3, 4, 5]]
+        # No row's events begin a longer row's: no roots to share.
+        assert bilstm._root_chunks(events[[0, 2, 5]], lengths[[0, 2, 5]], np.arange(3)) is None
 
-    def test_occluded_copy_listed_first_leaves_the_trace_its_root(self):
-        # Found by tests/test_sharing_properties.py: a row as long as the
-        # case's trace but no prefix of it, drawn before it, took the root
-        # and left the trace's prefixes sharing nothing.
+    def test_an_occluded_copy_listed_first_owns_only_what_it_shares(self):
+        # The occluded copy of a trace comes first among rows as long: it
+        # runs the trace's first step, the only one they share, and the
+        # trace runs its other five from the copy's states; the trace's
+        # prefixes run no forward step of their own.
         rng = np.random.default_rng(17)
         model = random_model(rng, 3, 4, 6)
         full = PrefixSample(rng.integers(4, size=6).astype(np.int32), 6, None, "c0", 4)
         samples = [occlude_event(full, 1)] + [full.prefix(k) for k in range(2, 7)]
         events, lengths = _stack_events(model, samples)
         order = np.argsort(-lengths, kind="stable")
-        assert order[0] == 0  # the occluded copy comes first
-        root = bilstm._prefix_roots(events, lengths, order, ["c0"] * 6)
-        assert root.tolist() == [0, 5, 5, 5, 5, 5]
-        runs = [run for _, run in bilstm._inference_runs(model, events, lengths, Workspace(),
-                                                         ["c0"] * 6)]
-        # some row reads another row's run: its last step maps before the run's last
-        assert any((run.fwd_map[0] < len(run.fwd.events) - len(run.rev)).any() for run in runs)
+        assert order[:2].tolist() == [0, 5]  # the copy, then the trace
+        tops = top_aligned([samples[k].events[-samples[k].true_length:] for k in order])
+        rows, owned, src, _ = bilstm._step_plan(tops, lengths[order])
+        assert rows.tolist() == [0, 1] and owned.tolist() == [6, 5]
+        assert src.tolist() == [0, 1 * 2 + 0]  # state row 1 of the copy's column
+        probs = predict_many(model, samples)
+        assert max_diff(probs, predict_per_sample(model, samples)) <= 1e-12
         apart = [PrefixSample(s.events, s.true_length, None, f"{k}", 4)
                  for k, s in enumerate(samples)]
-        assert np.array_equal(predict_many(model, samples), predict_many(model, apart))
+        assert np.array_equal(predict_many(model, apart), probs)  # ids change nothing
 
     @pytest.mark.parametrize("cap", [6, 40, 1024])
-    def test_batches_read_each_row_from_its_root(self, monkeypatch, cap):
-        # The forward states of a row at step t are its root run's at step
-        # t + offset in the row's root column, and a root reads its own
-        # column; the batches stay longest first and within the cap.
+    def test_batches_read_each_row_through_its_tables(self, monkeypatch, cap):
+        # A row's cell at step t, in each direction's reading order, holds
+        # the event the row reads there, and its state after the last step
+        # is its half of hcat; a direction that shares nothing reads its run
+        # in place. The batches stay longest first and within the cap.
         monkeypatch.setattr(bilstm, "_INFERENCE_ROWS", cap)
         rng = np.random.default_rng(14)
         model = random_model(rng, 3, 4, 9)
         log = make_log([["a0", "a1", "a2", "a0", "a1", "a1", "a2", "a0"], ["a1", "a0"],
                         ["a2", "a2", "a0", "a1"], ["a0", "a1", "a2"]])
         dataset = assemble_dataset(log, model.vocab, 9)
-        root = bilstm._prefix_roots(dataset.events, dataset.true_lengths,
-                                    np.argsort(-dataset.true_lengths, kind="stable"),
-                                    dataset.case_ids)
-        roots = set(np.flatnonzero(root == np.arange(len(dataset))).tolist())
-        assert len(roots) == 4  # one per case: every other row shares
-        seen, own = [], 0
+        seen, shared = [], 0
         for part, run in bilstm._inference_runs(model, dataset.events, dataset.true_lengths,
-                                                Workspace(), dataset.case_ids):
+                                                Workspace()):
             lengths = dataset.true_lengths[part]
             t_len = int(lengths[0])
             assert (np.diff(lengths) <= 0).all()
             assert len(part) == 1 or len(part) * t_len <= cap
             batch = dataset.events[part, 9 - t_len:]
-            assert np.array_equal(run.bwd.events, batch.T[run.rev, np.arange(len(part))])
-            offset, col = run.fwd_map  # every batch carries a map
-            assert offset.shape == col.shape == (len(part),)
-            for k, n in enumerate(lengths):
-                steps = np.arange(t_len - n, t_len)
-                assert np.array_equal(run.fwd.events[steps + offset[k], col[k]],
-                                      batch[k, t_len - n:])
-                assert np.array_equal(run.hcat[k, :3], run.fwd.h[t_len + offset[k], col[k]])
-                if part[k] in roots:  # a root reads its own column to its end:
-                    own += 1  # offset 0 when its batch is as long as its run
-                    assert offset[k] == len(run.fwd.events) - t_len
-                    assert np.array_equal(run.fwd.events[-n:, col[k]], batch[k, t_len - n:])
+            assert np.array_equal(run.events, batch.T)
+            started = np.arange(t_len)[:, None] >= t_len - lengths
+            reads = (batch.T, batch.T[run.rev, np.arange(len(part))])
+            finals = np.split(run.hcat, 2, axis=1)
+            for trace, table, read, final in zip((run.fwd, run.bwd), run.tables, reads, finals):
+                if table is None:
+                    table = np.arange(t_len * len(part)).reshape(t_len, len(part))
+                else:
+                    shared += 1
+                assert np.array_equal(trace.events.ravel()[table][started], read[started])
+                assert np.array_equal(trace.h[1:].reshape(-1, 3)[table[-1]], final)
             seen += part.tolist()
-        assert own == 4
+        assert shared > 0
         assert sorted(seen) == list(range(len(dataset)))
 
-    def test_repeated_ids_without_prefixes_run_as_before(self):
-        # Rows under one id that are no prefixes of the longest are their own
-        # roots, in the batches they ran in without ids: the same bits.
+    def test_rows_that_begin_apart_run_as_before(self):
+        # Rows with distinct first and distinct last events share no step in
+        # either direction: their batch runs as it runs without sharing, the
+        # same bits, all under one case id or not.
         rng = np.random.default_rng(15)
         model = random_model(rng, 3, 4, 6)
-        rows = [[0, 1, 2, 3, 0, 1], [1, 0, 2, 3], [0, 1, 3, 3, 0], [2, 2]]
+        rows = [[0, 1, 2, 3, 0, 1], [1, 0, 2, 3], [3, 1, 3, 3, 0], [2, 2]]
         samples = [PrefixSample(np.asarray(r, dtype=np.int32), len(r), None, "c", 4)
                    for r in rows]
         events, lengths = _stack_events(model, samples)
-        order = np.argsort(-lengths, kind="stable")
-        assert bilstm._prefix_roots(events, lengths, order, ["c"] * 4).tolist() == [0, 1, 2, 3]
-        apart = [PrefixSample(s.events, s.true_length, None, f"{k}", 4)
-                 for k, s in enumerate(samples)]
-        assert np.array_equal(predict_many(model, samples), predict_many(model, apart))
+        [(part, run)] = bilstm._inference_runs(model, events, lengths, Workspace())
+        assert run.tables == (None, None)
+        want = _run_batch(model, events[part], lengths[part], Workspace()).probs
+        assert np.array_equal(predict_many(model, samples)[part], want)
 
     @pytest.mark.parametrize("cap", [12, 1024])
-    def test_distinct_ids_equal_batches_run_on_their_own(self, monkeypatch, cap):
-        # Rows that share nothing, one per case id as in xnap predict, are
-        # their own roots: predict_many gives the bits of each _cut batch
-        # run with its own forward pass.
+    def test_rows_that_share_nothing_equal_batches_run_on_their_own(self, monkeypatch, cap):
+        # Rows that share nothing (one per case id, as in xnap predict, each
+        # beginning apart in both reading orders): predict_many gives the
+        # bits of each _cut batch run without sharing.
         monkeypatch.setattr(bilstm, "_INFERENCE_ROWS", cap)
         rng = np.random.default_rng(16)
-        model = random_model(rng, 4, 5, 9)
-        samples = [random_sample(rng, 9, 5, n, f"s{k}")
+        model = random_model(rng, 4, 12, 9)
+        samples = [random_sample(rng, 9, 12, n, f"s{k}")
                    for k, n in enumerate([4, 9, 2, 6, 3, 9, 5, 2, 7, 4, 3])]
+        for k, sample in enumerate(samples):
+            sample.events[-sample.true_length], sample.events[-1] = k, (k + 1) % 12
         events, lengths = _stack_events(model, samples)
-        want = np.empty((len(samples), 5))
+        want = np.empty((len(samples), 12))
         for part, t_len in bilstm._cut(np.argsort(-lengths, kind="stable"), lengths):
+            want[part] = _run_batch(model, events[part, 9 - t_len:], lengths[part],
+                                    Workspace()).probs
+        assert np.array_equal(predict_many(model, samples), want)
+
+    @pytest.mark.parametrize("cap", [12, 1024])
+    def test_small_models_share_no_step(self, monkeypatch, cap):
+        # Below _SHARED_HIDDEN the prefixes of one trace, which share every
+        # forward step, run as a longest-first cut without sharing: no
+        # tables, no root chunks, the bits of each batch run on its own.
+        monkeypatch.setattr(bilstm, "_INFERENCE_ROWS", cap)
+        rng = np.random.default_rng(17)
+        model = random_model(rng, 4, 5, 9)
+        trace = random_sample(rng, 9, 5, 9)
+        samples = [PrefixSample(np.r_[[5] * (9 - n), trace.events[:n]].astype(np.int32), n,
+                                None, "c", 5) for n in range(2, 10)]
+        events, lengths = _stack_events(model, samples)
+        monkeypatch.setattr(bilstm, "_SHARED_HIDDEN", 4)
+        assert any(table is not None for _, run in
+                   bilstm._inference_runs(model, events, lengths, Workspace())
+                   for table in run.tables)
+        monkeypatch.setattr(bilstm, "_SHARED_HIDDEN", 5)
+        want = np.empty((len(samples), 5))
+        cut = list(bilstm._cut(np.argsort(-lengths, kind="stable"), lengths))
+        runs = list(bilstm._inference_runs(model, events, lengths, Workspace()))
+        assert len(runs) == len(cut) == (1 if cap == 1024 else 5)
+        for (part, t_len), (got, run) in zip(cut, runs):
+            assert np.array_equal(got, part) and run.tables == (None, None)
             want[part] = _run_batch(model, events[part, 9 - t_len:], lengths[part],
                                     Workspace()).probs
         assert np.array_equal(predict_many(model, samples), want)
@@ -985,8 +1053,7 @@ class TestWorkspace:
                         ["a1", "a0"], ["a2", "a2", "a0", "a1"], ["a0", "a1", "a2"]])
         dataset = assemble_dataset(log, model.vocab, 9)
         monkeypatch.setattr(bilstm, "_INFERENCE_ROWS", 7)
-        runs = bilstm._inference_runs(model, dataset.events, dataset.true_lengths, Workspace(),
-                                      dataset.case_ids)
+        runs = bilstm._inference_runs(model, dataset.events, dataset.true_lengths, Workspace())
         assert len(list(runs)) > 3
         probs = predict_dataset(model, dataset)
         for i in range(len(dataset)):
@@ -1146,6 +1213,20 @@ class TestSerialization:
         entry[field] = spoil(entry[field])
         with pytest.raises(CorruptModel, match=r"forward\.W "):
             load_model(io.StringIO(json.dumps(doc)))
+
+    def test_path_and_stream_read_the_same_model(self, tmp_path):
+        rng = np.random.default_rng(39)
+        model = random_model(rng, 2, 3, 3)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        for source in (path, str(path), io.StringIO(path.read_text(encoding="utf-8"))):
+            loaded = load_model(source)
+            for got, want in zip(loaded.arrays(), model.arrays()):
+                assert got.tobytes() == want.tobytes()
+        for spoiled in (b"\xef\xbb\xbf" + path.read_bytes(), b"\xff" + path.read_bytes()):
+            path.write_bytes(spoiled)
+            with pytest.raises(CorruptModel, match="not valid JSON"):
+                load_model(path)
 
     def test_truncated_file(self):
         rng = np.random.default_rng(34)

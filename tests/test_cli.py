@@ -217,6 +217,21 @@ class TestPredict:
         assert code == 2
         assert "NaN" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spoil", [
+        lambda data: b"\xef\xbb\xbf" + data,
+        lambda data: data.replace(b'"vocab": ["', b'"vocab": ["\xff', 1),
+    ], ids=["utf8_bom", "not_utf8"])
+    def test_model_file_not_plain_utf8_json_exits_2(self, workdir, tmp_path, capsys, spoil):
+        # A model file is UTF-8 JSON without a byte order mark.
+        data = (workdir / "model.json").read_bytes()
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(spoil(data))
+        assert bad.read_bytes() != data
+        code = main(["predict", "--model", str(bad), "--log", str(workdir / "log.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "not valid JSON" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("key, value", [
         ("hidden_size", "6"),
@@ -557,15 +572,6 @@ class TestExplain:
         assert exc.value.code == 2
         assert "--start-from" in capsys.readouterr().err
 
-    def test_max_prefix_zero_is_a_limit(self, workdir, capsys):
-        code = main(["explain", "--model", str(workdir / "model.json"),
-                     "--log", str(workdir / "log.csv"), "--max-prefix", "0",
-                     "--render", "json"])
-        assert code == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "no trace fits" in captured.err
-
     def test_html_cells_match_json_values(self, workdir, tmp_path, capsys):
         html_path = tmp_path / "heat.html"
         assert main(["explain", "--model", str(workdir / "model.json"),
@@ -831,6 +837,23 @@ class TestOptionRanges:
         assert err.startswith("error: ") and "\n" not in err
         assert named in err and value in err
         assert list(tmp_path.iterdir()) == []  # nothing written
+
+    @pytest.mark.parametrize("option", ["--min-prefix", "--max-prefix"])
+    @pytest.mark.parametrize("value", ["1", "0", "-3"])
+    def test_prefix_length_below_two_exits_2(self, workdir, capsys, option, value):
+        # A prefix length bound below 2 is a usage error, read before the
+        # model or the log; a maximum below the minimum but at least 2 is a
+        # range that fits no trace (see test_skip_warning_names_length_and_range).
+        with pytest.raises(SystemExit) as exc:
+            main(["explain", "--model", str(workdir / "missing.json"),
+                  "--log", str(workdir / "log.csv"), option, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert option in errors[0] and f"{value} is too short" in errors[0]
+        assert "missing.json" not in captured.err
 
     @pytest.mark.parametrize("command", ["train", "evaluate", "synth"])
     def test_negative_seed_exits_2(self, workdir, tmp_path, capsys, command):

@@ -186,13 +186,12 @@ class TestIndexEncoding:
         monkeypatch.setattr(bilstm, "_INFERENCE_ROWS", 9)
         model = bilstm.init_model(vocab, ds.M, bilstm.TrainConfig(hidden_size=2))
         parts = []
-        unshared = [str(k) for k in range(len(ds.true_lengths))]
         for part, run in bilstm._inference_runs(model, ds.events, ds.true_lengths,
-                                                bilstm.Workspace(), unshared):
+                                                bilstm.Workspace()):
             parts.append(part)
             t_len = int(ds.true_lengths[part[0]])
             batch = ds.events[part, ds.M - t_len:]
-            assert np.array_equal(run.fwd.events, batch.T)  # the batch the run read
+            assert np.array_equal(run.events, batch.T)  # the batch the run read
             assert np.array_equal(one_hot(batch, vocab.size), x[part, ds.M - t_len:])
         assert len(parts) > 3  # the cap splits the dataset
         assert sorted(np.concatenate(parts).tolist()) == list(range(len(ds)))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -302,8 +304,7 @@ class TestExplainMany:
                    for i, n in enumerate([4, 9, 2, 6, 3, 9, 5, 2, 7, 4, 3])]
         events, lengths = bilstm._stack_events(model, samples)
         parts = [part for part, _ in
-                 bilstm._inference_runs(model, events, lengths, bilstm.Workspace(),
-                                        [s.case_id for s in samples])]
+                 bilstm._inference_runs(model, events, lengths, bilstm.Workspace())]
         assert len(parts) >= 3
         assert any(len(part) > 1 for part in parts)
         results = explain_many(model, samples)
@@ -320,40 +321,57 @@ class TestExplainMany:
         for k, result in enumerate(results):
             assert result.target_prob == probs[k, result.target_class]
 
-    def test_own_root_cells_gather_through_the_identity_map(self, monkeypatch):
-        # A batch that is its own root reads its forward walk cells through
-        # the identity map: what the forward walk gets are the batch's own
-        # _walk_cells, bit for bit, at every started cell (the walk reads
-        # no other).
-        monkeypatch.setattr(bilstm, "_INFERENCE_ROWS", 12)
+    def test_walks_read_their_cells_through_the_tables(self, monkeypatch):
+        # Each walk gets, span by span, the started cells (the walk reads no
+        # other): its run's _walk_cells at the cells its table names, bit
+        # for bit, or in place when the direction shares nothing; and up to
+        # rounding the cells of the batch run without sharing. With the
+        # prefixes of one trace, the forward runs of root chunks serve
+        # several batches.
         rng = np.random.default_rng(46)
         model = random_model(rng, 3, 5, 9)
         samples = [random_sample(rng, 9, 5, n, f"s{i}")
                    for i, n in enumerate([4, 9, 2, 6, 3, 9, 5, 2, 7])]
+        trace = samples[1]
+        samples += [replace(trace, events=np.r_[[5] * (9 - n), trace.events[:n]],
+                            true_length=n) for n in range(2, 9)]
+        monkeypatch.setattr(bilstm, "_INFERENCE_ROWS", 12)
         seen = []
         walk = lrp._propagate_direction
 
-        def spy(cells, params, *args):
-            if params is model.forward_params:
-                seen.append(cells.copy())
-            return walk(cells, params, *args)
+        def spy(cells, *args):
+            seen.append([block.copy() for block in cells])
+            return walk(cells, *args)
 
         monkeypatch.setattr(lrp, "_propagate_direction", spy)
         explain_many(model, samples)
         events, lengths = bilstm._stack_events(model, samples)
-        runs = bilstm._inference_runs(model, events, lengths, bilstm.Workspace(),
-                                      [s.case_id for s in samples])
-        for k, (part, run) in enumerate(runs):
-            offset, col = run.fwd_map
-            assert np.array_equal(offset, np.zeros(len(part)))
-            assert np.array_equal(col, np.arange(len(part)))
-            with np.errstate(over="ignore", invalid="ignore"):
-                want = lrp._walk_cells(run.fwd, model.forward_params, LrpConfig(),
-                                       bilstm.Workspace(), "cells")
-            t_len = len(run.rev)
-            started = np.arange(t_len)[:, None] >= t_len - lengths[part]
-            assert np.array_equal(seen[k][:, started], want[:, started])
-        assert len(seen) == k + 1 >= 3
+        width = events.shape[1]
+        d = model.hidden_size
+        shared = 0
+        fwd_runs = []
+        for k, (part, run) in enumerate(
+                bilstm._inference_runs(model, events, lengths, bilstm.Workspace())):
+            fwd_runs.append(run.fwd)
+            t_len = int(lengths[part].max())
+            alone = bilstm._run_batch(model, events[part, width - t_len:], lengths[part],
+                                      bilstm.Workspace())
+            directions = zip((run.fwd, run.bwd), (alone.fwd, alone.bwd), run.tables,
+                             (model.forward_params, model.backward_params))
+            for j, (trace, own, table, params) in enumerate(directions):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = lrp._walk_cells(trace, params, LrpConfig(), bilstm.Workspace(), "c")
+                    near = lrp._walk_cells(own, params, LrpConfig(), bilstm.Workspace(), "c")
+                if table is not None:
+                    want = want.reshape(6, -1, d)[:, table]
+                    shared += 1
+                for (t0, t1, n), got in zip(run.spans, seen[2 * k + j], strict=True):
+                    assert np.array_equal(got, want[:, t0:t1, :n])
+                    assert np.abs(got - near[:, t0:t1, :n]).max() <= 1e-12
+        assert len(seen) == 2 * (k + 1) >= 6
+        assert shared >= 2
+        # a forward run read by more than one batch
+        assert any(a is b for a, b in zip(fwd_runs, fwd_runs[1:]))
 
     def test_empty_and_guards(self):
         rng = np.random.default_rng(43)

@@ -63,8 +63,9 @@ def test_batched_walk_equals_per_sample_oracle(case, config):
 def test_in_place_product_rule_equals_gate_array_walk(case, unshared, config):
     # Every walk of explain_many, run again on copies of its inputs by the
     # walk that built, copied and summed the zero gate arrays: the same
-    # bytes. The prefixes share their case's forward run unless ``unshared``
-    # gives each its own id; mixed lengths leave rows unstarted in a span.
+    # bytes. The prefixes share steps whatever their case ids, so
+    # ``unshared``, which gives each its own id, changes no walk; mixed
+    # lengths leave rows unstarted in a span.
     model, samples, rows = case
     if unshared:
         samples = [replace(s, case_id=f"u{k}") for k, s in enumerate(samples)]
@@ -72,7 +73,8 @@ def test_in_place_product_rule_equals_gate_array_walk(case, unshared, config):
     calls = []
 
     def spy(cells, params, r_h_final, events, spans, config, ws):
-        args = (cells.copy(), params, r_h_final.copy(), events.copy(), list(spans), config)
+        args = ([block.copy() for block in cells], params, r_h_final.copy(), events.copy(),
+                list(spans), config)
         got = walk(cells, params, r_h_final, events, spans, config, ws)
         calls.append((args, [a.copy() for a in got]))
         return got

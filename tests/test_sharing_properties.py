@@ -1,7 +1,8 @@
-"""Property tests of the shared forward run: the prefixes of one case read
-their forward states, and the forward walk cells of the relevance
-decomposition, from one run over the case's longest row, and agree with
-the per-prefix oracles, which run every prefix on its own."""
+"""Property tests of shared steps: the prefixes of a case read their
+forward states, and the forward walk cells of the relevance
+decomposition, from the run of a longer row that begins like them, in
+their batch or in their root's chunk, and agree with the per-prefix
+oracles, which run every prefix on its own."""
 from unittest import mock
 
 import numpy as np
@@ -27,8 +28,8 @@ def prefix_sets(draw):
     M), each under its trace's case id, then, as drawn: occluded prefixes
     under their trace's id, a shorter trace under a repeated id that is no
     prefix of that id's trace, and duplicated samples; all shuffled. Also
-    a cap on the (row, step) cells per batch. Each trace stays the longest
-    row of its id, so its prefixes share its forward run."""
+    a cap on the (row, step) cells per batch. A batch that holds two
+    prefixes of a trace shares their forward steps."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     d = draw(st.integers(1, 4))
     h = draw(st.integers(2, 5))
@@ -70,14 +71,24 @@ def test_shared_runs_equal_per_prefix_oracles(case, config):
     model, samples, rows = case
     dataset = as_dataset(model, samples)
     with mock.patch.object(bilstm, "_INFERENCE_ROWS", rows):
-        runs = [run for _, run in bilstm._inference_runs(
-            model, dataset.events, dataset.true_lengths, Workspace(), dataset.case_ids)]
+        runs = list(bilstm._inference_runs(model, dataset.events, dataset.true_lengths,
+                                           Workspace()))
         probs = predict_many(model, samples)
         from_dataset = predict_dataset(model, dataset)
         results = explain_many(model, samples, config)
-    # Every trace has 2+ prefixes, so some row reads another row's run: its
-    # last step maps to a step before the root run's last one.
-    assert any((run.fwd_map[0] < len(run.fwd.events) - len(run.rev)).any() for run in runs)
+    # A direction shares steps, and reads its cells through a table, when
+    # two rows of its batch begin alike in its reading order. The backward
+    # direction runs each batch; the forward one may run a root chunk that
+    # several batches read, and reads in place only a run of the batch.
+    for part, run in runs:
+        cols = np.arange(len(part))
+        firsts = run.events[len(run.events) - dataset.true_lengths[part], cols]
+        table_f, table_b = run.tables
+        assert (table_b is not None) == (len(set(run.events[-1].tolist())) < len(part))
+        if len(set(firsts.tolist())) < len(part):
+            assert table_f is not None
+        if table_f is None:
+            assert np.array_equal(run.fwd.events, run.events)
     assert np.abs(probs - predict_per_sample(model, samples)).max() <= 1e-12
     assert np.array_equal(from_dataset, probs)  # the same groups, the same batches
     for sample, result in zip(samples, results):

@@ -31,7 +31,7 @@ from xnap.lrp import explain_many
 
 from oracles import padded_run_direction
 from test_bilstm import PoisonedWorkspace, grammar_datasets, random_batch, random_model
-from test_own_root_properties import assert_same_relevance
+from test_unshared_rows_properties import assert_same_relevance
 
 
 def padded():

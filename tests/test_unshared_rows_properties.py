@@ -1,9 +1,9 @@
-"""Rows that share nothing (every row its own root, as for one sample and
-for ``xnap predict``'s one prefix per case) run each batch as its own
-root: both directions in ``_run_batch``, and the forward relevance walk
-on the batch's own cells, without a gather. These tests hold that path
-to the shared layout it replaced (the oracles in ``oracles.py``) bit for
-bit, and count the work it skips."""
+"""Rows that share nothing (no two begin alike in either reading order, as
+for one sample) take the identity plan: each batch runs both directions
+over its own rows in ``_run_batch``, and each relevance walk reads its
+run's cells in place, without a gather. These tests hold that path to
+the unshared layout (the oracles in ``oracles.py``) bit for bit, and
+count the work it skips."""
 from unittest import mock
 
 import numpy as np
@@ -17,8 +17,9 @@ from xnap.bilstm import Workspace, predict_many
 from xnap.encoding import PrefixSample
 from xnap.lrp import LrpConfig, explain, explain_many
 
-from oracles import shared_explain_many, shared_predict_many
+from oracles import explain_per_sample, unshared_explain_many, unshared_predict_many
 from test_bilstm import random_model
+from test_lrp import assert_matches_oracle
 
 
 def assert_same_relevance(got, want):
@@ -33,15 +34,15 @@ def assert_same_relevance(got, want):
 
 def apart_samples(rng, h: int, m: int, lengths, one_id: bool) -> list[PrefixSample]:
     """Samples of the given true lengths (2.. events, some longer than
-    ``m``) that share nothing: each under its own case id or, with
-    ``one_id``, all under one id with a distinct first event, so that
-    none is a prefix of another."""
+    ``m``, at most ``h`` of them) that share nothing: row k's first event
+    is k and its last (k + 1) % h, so no two begin alike in either
+    reading order. Each is under its own case id or, with ``one_id``, all
+    under one id."""
     samples = []
     for k, n in enumerate(lengths):
         events = np.full(max(m, n), h, dtype=np.int32)
         events[-n:] = rng.integers(h, size=n)
-        if one_id:
-            events[-n] = k
+        events[-n], events[-1] = k, (k + 1) % h
         samples.append(PrefixSample(events, n, None, "c" if one_id else f"c{k}", h))
     return samples
 
@@ -52,47 +53,44 @@ def apart_sets(draw):
     (row, step) cells per batch."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     d = draw(st.integers(1, 4))
-    h = draw(st.integers(2, 5))
+    h = draw(st.integers(2, 9))
     m = draw(st.integers(2, 7))
     model = random_model(rng, d, h, m)
-    one_id = draw(st.booleans())
-    lengths = draw(st.lists(st.integers(2, m + 3), min_size=1, max_size=h if one_id else 9))
-    return model, apart_samples(rng, h, m, lengths, one_id), draw(st.integers(1, 24))
+    lengths = draw(st.lists(st.integers(2, m + 3), min_size=1, max_size=h))
+    return model, apart_samples(rng, h, m, lengths, draw(st.booleans())), draw(st.integers(1, 24))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(apart_sets(), st.sampled_from([LrpConfig(), LrpConfig(delta=1.0),
                                       LrpConfig(target=1), LrpConfig(epsilon=1e-6)]))
-def test_own_roots_equal_the_shared_layout(case, config):
+def test_rows_that_share_nothing_equal_the_unshared_layout(case, config):
     model, samples, rows = case
-    events, lengths = bilstm._stack_events(model, samples)
-    order = np.argsort(-lengths, kind="stable")
-    roots = bilstm._prefix_roots(events, lengths, order, [s.case_id for s in samples])
-    assert roots.tolist() == list(range(len(samples)))  # every row its own root
     with mock.patch.object(bilstm, "_INFERENCE_ROWS", rows):
-        assert np.array_equal(predict_many(model, samples), shared_predict_many(model, samples))
+        events, lengths = bilstm._stack_events(model, samples)
+        for _, run in bilstm._inference_runs(model, events, lengths, Workspace()):
+            assert run.tables == (None, None)
+        assert np.array_equal(predict_many(model, samples), unshared_predict_many(model, samples))
         for got, want in zip(explain_many(model, samples, config),
-                             shared_explain_many(model, samples, config)):
+                             unshared_explain_many(model, samples, config)):
             assert_same_relevance(got, want)
         for sample in samples:
             assert_same_relevance(explain(model, sample, config),
-                                  shared_explain_many(model, [sample], config)[0])
+                                  unshared_explain_many(model, [sample], config)[0])
 
 
 @pytest.mark.parametrize("cap, one_id", [(1024, False), (12, False), (12, True)])
-def test_own_roots_run_each_batch_once(cap, one_id, monkeypatch):
+def test_rows_that_share_nothing_run_each_batch_once(cap, one_id, monkeypatch):
     # Each batch runs both of its directions in _run_batch and nothing
-    # else: two _run_direction calls, one _alignment, one walk of each
-    # direction's cells, and no gather of forward cells into "lrp.cells"
-    # (the backward walk's key).
+    # else: two _run_direction calls, one _alignment, and one walk of each
+    # direction's cells, under "lrp.fwd" and "lrp.bwd", read in place; no
+    # cells are gathered ("lrp.cells").
     monkeypatch.setattr(bilstm, "_INFERENCE_ROWS", cap)
     rng = np.random.default_rng(31)
-    model = random_model(rng, 3, 5, 6)
-    samples = apart_samples(rng, 5, 6, [4, 2, 6, 3, 5] if one_id else [4, 2, 6, 3, 5, 8, 2],
+    model = random_model(rng, 3, 7, 6)
+    samples = apart_samples(rng, 7, 6, [4, 2, 6, 3, 5] if one_id else [4, 2, 6, 3, 5, 8, 2],
                             one_id)
     events, lengths = bilstm._stack_events(model, samples)
-    case_ids = [s.case_id for s in samples]
-    batches = len(list(bilstm._inference_runs(model, events, lengths, Workspace(), case_ids)))
+    batches = len(list(bilstm._inference_runs(model, events, lengths, Workspace())))
     assert batches == len(list(bilstm._cut(np.argsort(-lengths, kind="stable"), lengths)))
     assert batches > (cap < 1024)  # a small cap cuts the rows into several batches
     keys = []
@@ -110,16 +108,20 @@ def test_own_roots_run_each_batch_once(cap, one_id, monkeypatch):
             assert runs.call_count == 2 * batches
             assert keys.count("fwd.pre") == keys.count("bwd.pre") == batches
             assert layouts.call_count == own.call_count == batches
-            assert all(c.kwargs.get("fwd") is None for c in own.call_args_list)
-    assert keys.count("lrp.root") == keys.count("lrp.cells") == batches
+    assert keys.count("lrp.fwd") == keys.count("lrp.bwd") == batches
+    assert keys.count("lrp.cells") == 0
 
 
-def test_shared_batches_still_gather():
-    # Prefixes of one case read its longest row's run: their batches keep
-    # the map and the gather.
+@pytest.mark.parametrize("cap, batches", [(1024, 1), (12, 2)])
+def test_shared_batches_gather(cap, batches, monkeypatch):
+    # The prefixes of one trace share their forward steps: one forward run
+    # holds the trace once, and its walk cells are computed once and
+    # gathered for every prefix, in one batch or, cut in two, in both.
+    monkeypatch.setattr(bilstm, "_INFERENCE_ROWS", cap)
     rng = np.random.default_rng(32)
     model = random_model(rng, 3, 4, 6)
-    full = PrefixSample(rng.integers(4, size=6).astype(np.int32), 6, None, "c", 4)
+    events = np.asarray([0, 1, 2, 3, 0, 1], dtype=np.int32)
+    full = PrefixSample(events, 6, None, "c", 4)
     samples = [full.prefix(k) for k in range(2, 7)]
     keys = []
     take = Workspace.take
@@ -127,7 +129,18 @@ def test_shared_batches_still_gather():
                            or take(ws, key, shape)), \
             mock.patch.object(bilstm, "_run_direction", wraps=bilstm._run_direction) as runs:
         results = explain_many(model, samples)
-    assert runs.call_count == 2  # one forward run over the root, one backward batch
-    assert keys.count("lrp.root") == 1 and keys.count("lrp.cells") == 2
-    for got, want in zip(results, shared_explain_many(model, samples)):
-        assert_same_relevance(got, want)
+    assert runs.call_count == 1 + batches  # one forward run, one backward run per batch
+    assert runs.call_args_list[0].args[0].shape == (6, 1)  # the whole trace, once
+    assert keys.count("lrp.fwd") == 1 and keys.count("lrp.bwd") == batches
+    # One batch gathers in both directions. Backward, the prefix of length
+    # 2 reads 1 0, the start of the whole trace's 1 0 3 2 1 0: it runs no
+    # step of its own either. Cut in two (rows 6 5 and 4 3 2), no two rows
+    # of a batch end alike: only the forward walks gather.
+    if batches == 1:
+        assert runs.call_args_list[1].args[0].shape == (6, 4)
+    assert keys.count("lrp.cells") == 2
+    for sample, got in zip(samples, results):
+        want = explain_per_sample(model, sample)
+        assert_matches_oracle(got, want)
+        assert np.abs(got.display - want.display).max() <= 1e-12
+        assert abs(got.target_prob - want.target_prob) <= 1e-12
