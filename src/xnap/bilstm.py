@@ -57,16 +57,17 @@ hidden size of ``_SHARED_HIDDEN``, where a plan costs more than the cells
 it spares.
 
 Across the batches of a call, a row whose events begin another row's
-reads its forward cells from that row's run (:func:`_root_chunks`), so
-the prefixes of a trace, which a longest-first cut spreads over many
-batches, read one run. The roots run forward in chunks cut like batches,
-each with its own plan, and each chunk's rows follow in batches that run
-the backward direction only. A call keeps its longest-first batches,
-each running both directions, when every row is its own root, or when
-the rows that cut puts apart from their root hold no more cells than the
-batches the chunks would add can hold (:func:`_inference_runs`). The
-large per-batch arrays come from a grow-only :class:`Workspace`, which
-waits in the process for the next call.
+reads its forward cells from the run of its root, the longest such row
+(:func:`_forward_roots`), so the prefixes of a trace, which a
+longest-first cut spreads over many batches, read one run. The roots run
+forward in chunks cut like batches, each with its own plan, and each
+chunk's rows follow it in batches that run the backward direction only.
+:func:`_inference_runs` keeps the longest-first batches, each running
+both directions, below ``_SHARED_HIDDEN``, when they are one batch, when
+every row is its own root, or when the rows they put apart from their
+root hold no more cells than the batches the chunks would add can hold.
+The large per-batch arrays come from a grow-only :class:`Workspace`,
+which waits in the process for the next call.
 """
 from __future__ import annotations
 
@@ -731,42 +732,32 @@ def _distinct_rows(events: np.ndarray, lengths: np.ndarray):
     apart. None when n < 2 or no row repeats: those calls keep their bits."""
     if len(lengths) < 2:
         return None
-    _, first, inverse = np.unique(np.column_stack([lengths, events]), axis=0,
+    rows = np.column_stack([lengths, events])  # each row compared as one run of bytes
+    _, first, inverse = np.unique(rows.view(np.dtype((np.void, rows[0].nbytes)))[:, 0],
                                   return_index=True, return_inverse=True)
     if len(first) == len(lengths):
         return None
     by_row = np.argsort(first)  # distinct rows in row order
-    return first[by_row], np.argsort(by_row)[inverse.reshape(-1)]
+    return first[by_row], np.argsort(by_row)[inverse]
 
 
-def _root_chunks(events: np.ndarray, lengths: np.ndarray, order: np.ndarray):
+def _forward_roots(events: np.ndarray, lengths: np.ndarray, order: np.ndarray):
     """Per row of the distinct right-aligned rows ``events`` (n, T) of true
     lengths ``lengths``, its forward root: the longest row whose events
     begin with its own, the first in ``order`` (longest first) among
-    equals, so the row itself when its events begin no longer row's. And
-    the roots' chunks: cut longest first like batches, each (roots, their
-    longest length, the batches of the rows that read them, each (rows,
-    longest length)). None when every row is its own root."""
+    equals, so the row itself when its events begin no longer row's. None
+    when every row is its own root."""
     # Each row's events from its first; the longest row that begins with a
     # row's events owns its last cell.
-    n, width = events.shape
+    width = events.shape[1]
     steps = np.arange(lengths[order[0]])[:, None]
     at = np.minimum(steps + width - lengths[order], width - 1)  # past a row's end: any
     owner = _owners(events[order, at], lengths[order])
-    root = np.empty(n, dtype=np.intp)
-    root[order] = order if owner is None else order[owner[-1]]
-    own = root[order] == order
-    if own.all():
+    if owner is None or (owner[-1] == np.arange(len(order))).all():
         return None
-    chunks = list(_cut(order[own], lengths))
-    chunk_of = np.empty(n, dtype=np.intp)  # per root
-    for k, (chunk, _) in enumerate(chunks):
-        chunk_of[chunk] = k
-    key = chunk_of[root[order]]
-    rows = order[np.argsort(key, kind="stable")]
-    ends = np.cumsum(np.bincount(key, minlength=len(chunks))).tolist()
-    return root, [(chunk, t_root, list(_cut(rows[begin:end], lengths)))
-                  for (chunk, t_root), begin, end in zip(chunks, [0] + ends, ends)]
+    root = np.empty(len(order), dtype=np.intp)
+    root[order] = order[owner[-1]]
+    return root
 
 
 def _inference_runs(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
@@ -776,53 +767,49 @@ def _inference_runs(model: BiLstmModel, events: np.ndarray, lengths: np.ndarray,
     ``lengths``, each batch ordered longest first, cropped to its longest
     row and holding at most ``_INFERENCE_ROWS`` (row, step) cells or one
     row. The traces live in ``ws``, each valid until the next one is drawn.
-    Below a hidden size of ``_SHARED_HIDDEN`` the batches are a
-    longest-first cut that shares no step.
-
-    Rows whose events begin another row's read their forward cells from
-    that row's run, their root's (see :func:`_root_chunks`). The roots
-    run forward in longest-first chunks, each cut like a batch, and each
-    reading prefix of a chunk runs once (see :func:`_step_plan`). Each
-    chunk's rows, its roots among them, follow it longest first, in
-    batches that run the backward direction only, each reading suffix of a
-    batch once. When a longest-first cut of all rows is one batch, when
-    every row is its own root, or when the rows that cut puts apart from
-    their root hold no more cells than the batches the chunks add can
-    hold, the batches are that cut and each runs both directions, each
-    reading prefix and suffix of a batch once."""
+    The batches are a longest-first cut, each running both directions and
+    each reading prefix and suffix of a batch once, or the batches of the
+    root chunks, which run the backward direction only and read their
+    forward cells from their chunk's run: the layout paragraph of the
+    module docstring says when each is chosen."""
     n, width = events.shape
     order = np.argsort(-lengths, kind="stable")
     batches = list(_cut(order, lengths))
     share = model.hidden_size >= _SHARED_HIDDEN
     # One batch already runs each reading prefix of the call once.
-    chunks = _root_chunks(events, lengths, order) if share and len(batches) > 1 else None
-    if chunks is not None:
-        root, chunks = chunks
+    root = _forward_roots(events, lengths, order) if share and len(batches) > 1 else None
+    if root is not None:
+        chunks = list(_cut(order[root[order] == order], lengths))
+        # Per root its chunk and column there, per row its batch in the cut.
+        chunk_of, col, batch_of = np.empty((3, n), dtype=np.intp)
+        for k, (chunk, _) in enumerate(chunks):
+            chunk_of[chunk], col[chunk] = k, np.arange(len(chunk))
+        for k, (part, _) in enumerate(batches):
+            batch_of[part] = k
+        # Each chunk's rows, its roots among them, longest first.
+        key = chunk_of[root[order]]
+        rows = np.split(order[np.argsort(key, kind="stable")], np.cumsum(np.bincount(key))[:-1])
+        parts = [list(_cut(chunk_rows, lengths)) for chunk_rows in rows]
         # The chunks spare at most the forward cells of the rows that the
         # longest-first cut puts apart from their root; each batch they add
         # costs about what a batch of cells does.
-        batch_of = np.empty(n, dtype=np.intp)
-        for k, (part, _) in enumerate(batches):
-            batch_of[part] = k
         apart = lengths[batch_of[root] != batch_of].sum()
-        added = sum(len(parts) for *_, parts in chunks) - len(batches)
-    if chunks is None or apart <= added * _INFERENCE_ROWS:
+        added = sum(map(len, parts)) - len(batches)
+    if root is None or apart <= added * _INFERENCE_ROWS:
         for part, t_len in batches:
             yield part, _run_batch(model, events[part, width - t_len:], lengths[part], ws,
                                    share=share)
         return
-    col = np.empty(n, dtype=np.intp)  # per root, its column in its chunk
-    for chunk, t_root, parts in chunks:
-        col[chunk] = np.arange(len(chunk))
+    lag = lengths[root] - lengths
+    for (chunk, t_root), chunk_parts in zip(chunks, parts):
         spans, rev = _alignment(lengths[chunk], t_root)
         read = events[chunk, width - t_root:].T
         run, table = _shared_run(read, read[rev, np.arange(len(chunk))][::-1], lengths[chunk],
                                  spans, model.forward_params, ws, "fwd")
-        for part, t_len in parts:
+        for part, t_len in chunk_parts:
             # Batch cell (t, k) is its root's cell at step t + t_root - t_len
             # - lag[k] of the chunk; any cell before the row's first step.
-            lag = lengths[root[part]] - lengths[part]
-            at = np.maximum(np.arange(t_len)[:, None] + (t_root - t_len - lag), 0)
+            at = np.maximum(np.arange(t_len)[:, None] + (t_root - t_len - lag[part]), 0)
             cols = col[root[part]]
             cells = at * len(chunk) + cols if table is None else table[at, cols]
             yield part, _run_batch(model, events[part, width - t_len:], lengths[part], ws,

@@ -29,7 +29,7 @@ relevance stays where it is over the steps before its first event. The
 epsilon rule is one matrix product per step, with no message matrix. The
 product rule runs in place: tanh(c_t) takes h_t's relevance as it is,
 c_{t-1} and g_t take the two rows the epsilon rule gives c_t's summands,
-and no gate array is built, so the gate total stays zero. After the
+and no gate array is built: ``gate_relevance`` is 0.0. After the
 loop, a one-hot x_t's active unit receives column e_t of the candidate
 gate's input weights times the step's scale vector, and every input unit
 the same stabiliser and bias share. Each walk reads cells
@@ -179,7 +179,7 @@ def _walk_cells(trace: DirectionTrace, params: LstmWeights, config: LrpConfig,
 def _propagate_direction(cells: list[np.ndarray], params: LstmWeights,
                          r_h_final: np.ndarray, events: np.ndarray,
                          spans: list[tuple[int, int, int]], config: LrpConfig, ws: Workspace
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Walk one direction of a right-aligned batch of time-major events
     ``events`` (T, B), ordered longest first, from its final step back to
     its first, on its :func:`_walk_cells` ``cells``, one (6, t1 - t0, n, D)
@@ -190,9 +190,9 @@ def _propagate_direction(cells: list[np.ndarray], params: LstmWeights,
     names; before a sample's first step its relevance stays where it is.
     Returns the per-step input relevance (T, B) in the direction's
     reading order (zero before a sample's first step) and, per sample,
-    the relevance left on the zero initial states, the bias-absorbed
-    total of the gate pre-activation layers, and the gate-assigned total,
-    which the product rule leaves at zero.
+    the relevance left on the zero initial states and the bias-absorbed
+    total of the gate pre-activation layers. The product rule assigns the
+    gates nothing, so no gate total is kept.
     """
     t_len, b = events.shape
     d = r_h_final.shape[1]
@@ -204,7 +204,6 @@ def _propagate_direction(cells: list[np.ndarray], params: LstmWeights,
     # units and the per-sample totals after the walk.
     scales = ws.take("lrp.scales", (t_len, b, d))
     shares = ws.take("lrp.shares", (t_len, b))
-    gate_total = np.zeros(b)
     r_h = r_h_final.copy()
     r_c = np.zeros_like(r_h)
     for (t0, t1, n), span in zip(reversed(spans), reversed(cells)):
@@ -239,7 +238,7 @@ def _propagate_direction(cells: list[np.ndarray], params: LstmWeights,
     # What the biases absorbed, (1 - delta) b_g . scale per step, totalled
     # over each sample's own steps, newest first.
     absorbed = (scales @ ((1.0 - config.delta) * params.b[g]))[::-1].sum(axis=0)
-    return rx, leftover, absorbed, gate_total
+    return rx, leftover, absorbed
 
 
 def _batch_cells(run_cells: np.ndarray, table: np.ndarray | None,
@@ -278,12 +277,12 @@ def _explain_run(model: BiLstmModel, run: ForwardTrace, samples: list[PrefixSamp
     d = model.hidden_size
     fwd, bwd = model.forward_params, model.backward_params
     table_f, table_b = run.tables
-    rx_f, left_f, abs_f, gates_f = _propagate_direction(
+    rx_f, left_f, abs_f = _propagate_direction(
         _batch_cells(fwd_cells, table_f, run.spans, ws), fwd, r_hcat[:, :d], run.events,
         run.spans, config, ws)
     # The backward direction read each window reversed in place.
     bwd_cells = _walk_cells(run.bwd, bwd, config, ws, "lrp.bwd")
-    rx_b, left_b, abs_b, gates_b = _propagate_direction(
+    rx_b, left_b, abs_b = _propagate_direction(
         _batch_cells(bwd_cells, table_b, run.spans, ws), bwd, r_hcat[:, d:],
         run.events[run.rev, rows], run.spans, config, ws)
 
@@ -293,7 +292,6 @@ def _explain_run(model: BiLstmModel, run: ForwardTrace, samples: list[PrefixSamp
     display = _rescale_columns(raw)
     initial = (left_f + left_b).tolist()
     bias = (absorbed + abs_f + abs_b).tolist()
-    gates = (gates_f + gates_b).tolist()
     outputs = z.tolist()
     probs = run.probs[rows, targets].tolist()
     out = []
@@ -307,7 +305,7 @@ def _explain_run(model: BiLstmModel, run: ForwardTrace, samples: list[PrefixSamp
             target_prob=probs[k],
             initial_state_relevance=initial[k],
             bias_absorbed=bias[k],
-            gate_relevance=gates[k],
+            gate_relevance=0.0,  # the product rule gives the gates nothing
             case_id=sample.case_id,
         ))
     return out

@@ -30,7 +30,9 @@ inference batch as training runs its batches: both directions over every
 row, each row on its own cells, no step shared. The padded kernel oracle
 :func:`padded_run_direction` is the direction kernel before it worked
 on started cells only: it gathers, biases, zero-fills and checks every
-(step, row) cell of a batch, padding included.
+(step, row) cell of a batch, padding included. The distinct-rows oracle
+:func:`distinct_rows_axis0` finds repeated rows with ``np.unique(axis=0)``,
+as ``bilstm._distinct_rows`` did before it compared rows as bytes.
 """
 import json
 import math
@@ -599,6 +601,19 @@ def predict_per_sample(model, samples):
     for k, sample in enumerate(samples):
         probs[k] = predict(model, sample)[1]
     return probs
+
+
+def distinct_rows_axis0(events, lengths):
+    """``bilstm._distinct_rows`` as it compared rows before it read them as
+    bytes: ``np.unique(axis=0)`` over the ``[length, events]`` rows."""
+    if len(lengths) < 2:
+        return None
+    _, first, inverse = np.unique(np.column_stack([lengths, events]), axis=0,
+                                  return_index=True, return_inverse=True)
+    if len(first) == len(lengths):
+        return None
+    by_row = np.argsort(first)
+    return first[by_row], np.argsort(by_row)[inverse.reshape(-1)]
 
 
 def unshared_inference_runs(model, events, lengths, ws):

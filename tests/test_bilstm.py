@@ -537,6 +537,37 @@ def top_aligned(rows) -> np.ndarray:
     return tops
 
 
+def right_aligned(rows, pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of activity indices as inference stacks them: right-aligned in
+    one (n, T) array, padded with ``pad``; and their lengths."""
+    events = np.full((len(rows), max(map(len, rows))), pad, dtype=np.int32)
+    for row, values in zip(events, rows):
+        row[events.shape[1] - len(values):] = values
+    return events, np.asarray([len(v) for v in rows])
+
+
+def traced_layout(monkeypatch, model, events, lengths):
+    """The batches of ``_inference_runs`` with, in call order, the key and
+    width of every ``_run_direction`` run and the ``fwd`` of every
+    ``_run_batch`` call."""
+    directions, fwds = [], []
+    run_direction, run_batch = bilstm._run_direction, bilstm._run_batch
+
+    def spy_direction(events, *args, **kwargs):
+        directions.append((args[3], events.shape[1]))
+        return run_direction(events, *args, **kwargs)
+
+    def spy_batch(*args, fwd=None, **kwargs):
+        fwds.append(fwd)
+        return run_batch(*args, fwd=fwd, **kwargs)
+
+    monkeypatch.setattr(bilstm, "_run_direction", spy_direction)
+    monkeypatch.setattr(bilstm, "_run_batch", spy_batch)
+    parts = [part.tolist() for part, _ in
+             bilstm._inference_runs(model, events, lengths, Workspace())]
+    return parts, directions, fwds
+
+
 class TestSharedSteps:
     """Each direction of an inference batch runs each reading prefix of its
     rows once, whatever their case ids, and every row reads its cells
@@ -579,23 +610,70 @@ class TestSharedSteps:
         assert bilstm._step_plan(top_aligned([rows[0], rows[2], rows[3]]),
                                  lengths[[0, 2, 3]]) is None
 
-    def test_forward_roots(self):
+    def test_forward_roots(self, monkeypatch):
         # A row reads the forward run of the longest row whose events begin
         # with its own, the first in longest-first order among equals: 0 1
         # begins 0 1 2 3 and 0 1 2 0, and reads 0 1 2 3. The pad index 6 is
         # an event like any other: 1 2 begins 1 2 5, not 6 1 2.
         rows = [[0, 1, 2, 3], [0, 1, 2, 0], [6, 1, 2], [1, 2], [0, 1], [2], [1, 2, 5]]
-        events = np.full((7, 5), 6, dtype=np.int32)
-        for row, values in zip(events, rows):
-            row[5 - len(values):] = values
-        lengths = np.asarray([len(v) for v in rows])
+        events, lengths = right_aligned(rows, 6)
         order = np.argsort(-lengths, kind="stable")
-        root, chunks = bilstm._root_chunks(events, lengths, order)
-        assert root.tolist() == [0, 1, 2, 6, 0, 5, 6]
-        assert [chunk.tolist() for chunk, _, _ in chunks] == [[0, 1, 2, 6, 5]]
-        assert [part.tolist() for part, _ in chunks[0][2]] == [[0, 1, 2, 6, 3, 4, 5]]
-        # No row's events begin a longer row's: no roots to share.
-        assert bilstm._root_chunks(events[[0, 2, 5]], lengths[[0, 2, 5]], np.arange(3)) is None
+        assert bilstm._forward_roots(events, lengths, order).tolist() == [0, 1, 2, 6, 0, 5, 6]
+        # No row's events begin a longer row's: no roots to share, whether
+        # rows share forward steps (0 1 2 3 and 0 1 2 0) or none.
+        for own in ([0, 2, 5], [0, 1, 2, 5]):
+            assert bilstm._forward_roots(events[own], lengths[own], np.arange(len(own))) is None
+        # Then a call of several batches runs the longest-first cut, every
+        # batch both directions.
+        monkeypatch.setattr(bilstm, "_INFERENCE_ROWS", 4)
+        own = [0, 1, 2, 5]
+        model = random_model(np.random.default_rng(18), 3, 6, 4)
+        parts, directions, fwds = traced_layout(monkeypatch, model, events[own], lengths[own])
+        assert parts == [[0], [1], [2], [3]]
+        assert [key for key, _ in directions] == ["fwd", "bwd"] * 4
+        assert fwds == [None] * 4
+
+    def test_root_chunks_win_when_they_spare_more_than_they_add(self, monkeypatch):
+        # Four traces of six events, two with their prefixes. The cut puts
+        # the 8 prefixes, 28 cells, apart from their roots and the chunks
+        # add one batch of 12 cells: the roots run forward in two chunks
+        # of two, each run read by the three batches of its rows.
+        monkeypatch.setattr(bilstm, "_INFERENCE_ROWS", 12)
+        x, z, w, v = [0, 1, 2, 3, 0, 1], [1, 2, 0, 0, 3, 2], [2, 0, 1, 1, 3, 3], [3, 3, 2, 1, 0, 0]
+        rows = [x, z, w, v] + [x[:n] for n in range(5, 1, -1)] + [w[:n] for n in range(5, 1, -1)]
+        events, lengths = right_aligned(rows, 4)
+        order = np.argsort(-lengths, kind="stable")
+        assert [p.tolist() for p, _ in bilstm._cut(order, lengths)] == [
+            [0, 1], [2, 3], [4, 8], [5, 9, 6], [10, 7, 11]]
+        roots = bilstm._forward_roots(events, lengths, order)
+        assert roots.tolist() == [0, 1, 2, 3] + [0] * 4 + [2] * 4
+        model = random_model(np.random.default_rng(19), 3, 4, 6)
+        parts, directions, fwds = traced_layout(monkeypatch, model, events, lengths)
+        # The chunks' rows are the roots [0, 1] and [2, 3]; each chunk's
+        # rows follow it, its roots first, longest first.
+        assert parts == [[0, 1], [4, 5], [6, 7], [2, 3], [8, 9], [10, 11]]
+        assert directions == [("fwd", 2)] + [("bwd", 2)] * 3 + [("fwd", 2)] + [("bwd", 2)] * 3
+        assert all(fwd is not None for fwd in fwds)
+        assert fwds[0][0] is fwds[1][0] is fwds[2][0] is not fwds[3][0] is fwds[5][0]
+        assert np.array_equal(fwds[0][0].events, events[[0, 1]].T)
+        assert np.array_equal(fwds[3][0].events, events[[2, 3]].T)
+
+    def test_plain_cut_wins_when_chunks_add_more_than_they_spare(self, monkeypatch):
+        # 0 1 and 1 2 have longer roots, but the cut puts only their 4
+        # cells apart from them, and the chunks ([0], [1], [2 6], [5])
+        # would add two batches, room for 12 cells: every batch of the cut
+        # runs both directions, and none reads another batch's forward run.
+        monkeypatch.setattr(bilstm, "_INFERENCE_ROWS", 6)
+        rows = [[0, 1, 2, 3], [0, 1, 2, 0], [6, 1, 2], [1, 2], [0, 1], [2], [1, 2, 5]]
+        events, lengths = right_aligned(rows, 6)
+        order = np.argsort(-lengths, kind="stable")
+        assert bilstm._forward_roots(events, lengths, order) is not None
+        model = random_model(np.random.default_rng(20), 3, 6, 4)
+        parts, directions, fwds = traced_layout(monkeypatch, model, events, lengths)
+        assert parts == [p.tolist() for p, _ in bilstm._cut(order, lengths)]
+        assert parts == [[0], [1], [2, 6], [3, 4, 5]]
+        assert [key for key, _ in directions] == ["fwd", "bwd"] * 4
+        assert fwds == [None] * 4
 
     def test_an_occluded_copy_listed_first_owns_only_what_it_shares(self):
         # The occluded copy of a trace comes first among rows as long: it

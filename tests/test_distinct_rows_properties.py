@@ -16,7 +16,7 @@ from xnap.bilstm import _distinct_rows, predict_dataset, predict_many
 from xnap.encoding import PrefixSample, occlude_event
 from xnap.lrp import LrpConfig, explain_many
 
-from oracles import explain_per_sample, predict_per_sample
+from oracles import distinct_rows_axis0, explain_per_sample, predict_per_sample
 from test_bilstm import random_model
 from test_lrp import assert_matches_oracle
 from test_sharing_properties import as_dataset
@@ -148,3 +148,40 @@ def test_distinct_rows_map_each_row_to_its_first_occurrence():
     first, inverse = _distinct_rows(events, lengths)
     assert first.tolist() == [0, 1, 3]
     assert inverse.tolist() == [0, 1, 0, 2, 1, 0]
+
+
+@st.composite
+def stacked_rows(draw):
+    """0-8 rows of mixed true lengths as ``_stack_events`` stacks them:
+    random traces, each maybe with its prefixes, its first event occluded
+    next to its suffix one event shorter (equal padded events, another
+    true length), and exact repeats of drawn rows under other case ids."""
+    h = draw(st.integers(1, 4))
+    rows = []
+    for i in range(draw(st.integers(0, 4))):
+        events = draw(st.lists(st.integers(0, h), min_size=1, max_size=7))
+        full = PrefixSample(np.asarray(events, dtype=np.int32), len(events), None, f"c{i}", h)
+        rows.append(full)
+        if len(events) > 1 and draw(st.booleans()):
+            rows += [full.prefix(k) for k in range(1, len(events))]
+        if len(events) > 1 and draw(st.booleans()):
+            occluded = occlude_event(full, 0)
+            rows += [replace(occluded, case_id=f"o{i}"),
+                     replace(occluded, true_length=len(events) - 1, case_id=f"s{i}")]
+    for j in range(draw(st.integers(0, 3)) if rows else 0):
+        rows.append(replace(rows[draw(st.integers(0, len(rows) - 1))], case_id=f"r{j}"))
+    order = draw(st.permutations(range(len(rows))))
+    return h, [rows[k] for k in order][:draw(st.integers(0, 8))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(stacked_rows())
+def test_distinct_rows_equal_the_axis0_oracle(case):
+    # The rows compared as bytes give unique(axis=0)'s (first, inverse), or
+    # None where it gives None, for n of 0, 1, 2 and more.
+    h, samples = case
+    events, lengths = bilstm._stack_events(mock.Mock(n_classes=h), samples)
+    got, want = _distinct_rows(events, lengths), distinct_rows_axis0(events, lengths)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]

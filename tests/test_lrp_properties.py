@@ -84,8 +84,9 @@ def test_in_place_product_rule_equals_gate_array_walk(case, unshared, config):
         explain_many(model, samples, config)
     assert calls and len(calls) % 2 == 0  # both directions of every batch
     for args, got in calls:
-        want = propagate_direction_gate_arrays(*args, Workspace())
-        for a, b in zip(got, want):  # rx, leftover, absorbed, gate total
+        *want, gate_total = propagate_direction_gate_arrays(*args, Workspace())
+        assert not gate_total.any()  # what explain_many reports as gate_relevance 0.0
+        for a, b in zip(got, want, strict=True):  # rx, leftover, absorbed
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
